@@ -25,12 +25,12 @@ from blochinv.invariants import lmm_positive_cone_check
 rng = np.random.default_rng(7)
 
 print("=" * 70)
-print("Bell states saturate the invariant bounds")
+print("Bell states saturate the positive-cone bounds")
 print("=" * 70)
 for name in ("phi+", "phi-", "psi+", "psi-"):
     inv = lmm_invariants(bloch_of(bell_projector(name)).C)
     print(f"{name}: t2 = {inv.t2:+.3f}  t3 = {inv.t3:+.3f}  t4 = {inv.t4:+.3f}"
-          f"  bounds_ok = {lmm_bounds_check(inv)}")
+          f"  bounds_ok = {lmm_positive_cone_check(inv)}")
 print("(all four Bell states carry the same invariants: they are all")
 print(" local-unitary equivalent)")
 

@@ -292,13 +292,32 @@ def g_invariant(v, a):
     return det3(np.column_stack([v, av, aav]))
 
 
+def _gap_product(eigenvalues):
+    l0, l1, l2 = eigenvalues.tolist()
+    return ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
+
+
 def eigen_discriminant3(a):
     """Discriminant of a symmetric matrix as the product of squared
     eigenvalue gaps. Near-degenerate spectra lose far less accuracy here
     than in the characteristic-polynomial expansion."""
+    return _gap_product(eig_sym3(a).eigenvalues)
+
+
+def _nondegenerate_eig(a, disc_tol, message):
+    """eig_sym3 of a symmetric matrix together with its discriminant
+    (eigen_discriminant3), from one diagonalization.
+
+    Raises:
+        DegenerateSpectrum(message): if the discriminant is below disc_tol
+        relative to max(1, |a|_inf)^6.
+    """
+    a = np.asarray(a, dtype=float)
     eig = eig_sym3(a)
-    l0, l1, l2 = (float(t) for t in eig.eigenvalues)
-    return ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
+    disc = _gap_product(eig.eigenvalues)
+    if abs(disc) <= disc_tol * max(1.0, norm_inf(a)) ** 6:
+        raise DegenerateSpectrum(message)
+    return eig, disc
 
 
 def r_invariant(v, a, disc_tol=1e-12):
@@ -307,13 +326,29 @@ def r_invariant(v, a, disc_tol=1e-12):
     On diagonal A it restricts to (v1 v2 v3)^2. Raises DegenerateSpectrum
     when the discriminant is below disc_tol relative to scale^6.
     """
-    a = _check_symmetric(a)
-    disc = eigen_discriminant3(a)
-    scale = max(1.0, norm_inf(a))
-    if abs(disc) <= disc_tol * scale**6:
-        raise DegenerateSpectrum("discriminant vanishes; invariant undefined")
+    _, disc = _nondegenerate_eig(a, disc_tol, "discriminant vanishes; invariant undefined")
     g = g_invariant(v, a)
     return (g * g) / disc
+
+
+def sym_generators(w, a):
+    """The six generators from A and its 1-point vector w = R v already
+    rotated into an eigenbasis of A. Any even sign flip of w gives the same
+    bits: the octahedral X, Y, Z are bitwise invariant under those."""
+    oct_inv = octahedral_invariants(w)
+    rows = np.asarray(a, dtype=float).tolist()
+    tr_a2 = 0.0
+    for i in range(3):
+        for j in range(3):
+            tr_a2 += rows[i][j] * rows[j][i]
+    return SymInvariants(
+        pX=oct_inv.X,
+        pY=oct_inv.Y,
+        pZ=oct_inv.Z,
+        trA=rows[0][0] + rows[1][1] + rows[2][2],
+        trA2=tr_a2,
+        detA=det3(a),
+    )
 
 
 def sym_invariants(v, a, disc_tol=1e-12, vec_tol=1e-12):
@@ -330,28 +365,8 @@ def sym_invariants(v, a, disc_tol=1e-12, vec_tol=1e-12):
         DegenerateSpectrum: if A has (near-)repeated eigenvalues.
         ZeroVector: if v vanishes.
     """
-    a = _check_symmetric(a)
     v = np.asarray(v, dtype=float)
-    scale = max(1.0, norm_inf(a))
-    eig = eig_sym3(a)
-    l0, l1, l2 = (float(t) for t in eig.eigenvalues)
-    disc = ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
-    if abs(disc) <= disc_tol * scale**6:
-        raise DegenerateSpectrum("repeated eigenvalues; invariants undefined")
+    eig, _ = _nondegenerate_eig(a, disc_tol, "repeated eigenvalues; invariants undefined")
     if math.sqrt(float(np.dot(v, v))) <= vec_tol:
         raise ZeroVector("zero 1-point vector; pX, pY, pZ undefined")
-    w = eig.rotation @ v
-    oct_inv = octahedral_invariants(w)
-    tr_a = float(a[0, 0] + a[1, 1] + a[2, 2])
-    tr_a2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            tr_a2 += float(a[i, j]) * float(a[j, i])
-    return SymInvariants(
-        pX=oct_inv.X,
-        pY=oct_inv.Y,
-        pZ=oct_inv.Z,
-        trA=tr_a,
-        trA2=tr_a2,
-        detA=det3(a),
-    )
+    return sym_generators(eig.rotation @ v, a)

@@ -61,6 +61,15 @@ def kron22(a, b):
     return np.kron(np.asarray(a), np.asarray(b))
 
 
+def _det3_rows(r0, r1, r2):
+    """Cofactor expansion along the first row, on three rows of floats."""
+    return (
+        r0[0] * (r1[1] * r2[2] - r1[2] * r2[1])
+        - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
+        + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
+    )
+
+
 def det3(m):
     """Determinant of a 3x3 matrix by cofactor expansion along the first row.
 
@@ -68,12 +77,7 @@ def det3(m):
     reproduces x1 * (x2 * x3) bit for bit; the diagonal-restriction
     identities rely on this.
     """
-    m = np.asarray(m, dtype=float)
-    return float(
-        m[0, 0] * (m[1, 1] * m[2, 2] - m[1, 2] * m[2, 1])
-        - m[0, 1] * (m[1, 0] * m[2, 2] - m[1, 2] * m[2, 0])
-        + m[0, 2] * (m[1, 0] * m[2, 1] - m[1, 1] * m[2, 0])
-    )
+    return _det3_rows(*np.asarray(m, dtype=float).tolist())
 
 
 def charpoly3(a):
@@ -145,18 +149,23 @@ def eig_sym3(a, sym_tol=1e-12):
         original axis index, stably) and a rotation in SO(3).
 
     Raises:
+        ValueError: if the input has NaN or Inf entries.
         NotSymmetric: if the input fails the symmetry precondition.
     """
-    a = np.asarray(a, dtype=float)
-    require_finite(a, "eig_sym3 input")
-    scale = max(1.0, norm_inf(a))
-    if norm_inf(a - a.T) > sym_tol * scale:
+    # Every check and sweep runs on Python floats, converted once.
+    rows = np.asarray(a, dtype=float).tolist()
+    flat = rows[0] + rows[1] + rows[2]
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("eig_sym3 input contains NaN or Inf entries")
+    norm = max(map(abs, flat))
+    asym = max(abs(rows[i][j] - rows[j][i]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    if asym > sym_tol * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within tolerance")
 
-    # Work on plain floats; symmetrize to remove representation noise.
-    m = [[0.5 * (float(a[i, j]) + float(a[j, i])) for j in range(3)] for i in range(3)]
+    # Symmetrize to remove representation noise.
+    m = [[0.5 * (rows[i][j] + rows[j][i]) for j in range(3)] for i in range(3)]
     v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    thresh = JACOBI_OFFDIAG_FACTOR * norm_inf(a)
+    thresh = JACOBI_OFFDIAG_FACTOR * norm
 
     for _ in range(JACOBI_MAX_SWEEPS):
         off = abs(m[0][1]) + abs(m[0][2]) + abs(m[1][2])
@@ -192,14 +201,13 @@ def eig_sym3(a, sym_tol=1e-12):
                 v[k][p] = c * vkp - s * vkq
                 v[k][q] = s * vkp + c * vkq
 
-    eigs = np.array([m[0][0], m[1][1], m[2][2]])
-    vv = np.array(v)
-    order = np.argsort(-eigs, kind="stable")
-    eigs = eigs[order]
-    vv = vv[:, order]
-    if det3(vv) < 0.0:
-        vv[:, 2] = -vv[:, 2]
-    return EigenSym3(eigenvalues=eigs, rotation=vv.T.copy())
+    # Rows of rot are the eigenvectors, in descending order; the sign test
+    # expands det3 over their column matrix.
+    order = sorted(range(3), key=lambda k: -m[k][k])
+    rot = [[v[0][k], v[1][k], v[2][k]] for k in order]
+    if _det3_rows(*zip(*rot)) < 0.0:
+        rot[2] = [-x for x in rot[2]]
+    return EigenSym3(eigenvalues=np.array([m[k][k] for k in order]), rotation=np.array(rot))
 
 
 def _orient_left(left, d3):

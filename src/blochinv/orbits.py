@@ -17,8 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .invariants import lmm_invariants, sym_invariants
-from .linalg import eig_sym3, norm_inf, signed_svd3
+from .invariants import _nondegenerate_eig, lmm_invariants, sym_generators
+from .linalg import norm_inf, signed_svd3
 
 DEFAULT_TOL = 1e-8
 TIE_TOL = 1e-10
@@ -99,26 +99,14 @@ def sym_canonical(v, a, disc_tol=1e-12):
         DegenerateSpectrum: if A has (near-)repeated eigenvalues; outside
         that locus the orbit has no slice-unique representative.
     """
-    a = np.asarray(a, dtype=float)
     v = np.asarray(v, dtype=float)
-    eig = eig_sym3(a)
-    l0, l1, l2 = (float(t) for t in eig.eigenvalues)
-    scale = max(1.0, norm_inf(a))
-    disc = ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
-    if abs(disc) <= disc_tol * scale**6:
-        raise DegenerateSpectrum("repeated eigenvalues; no canonical form")
+    eig, _ = _nondegenerate_eig(a, disc_tol, "repeated eigenvalues; no canonical form")
     w0 = eig.rotation @ v
-    best = None
-    best_key = None
-    for flips in EVEN_SIGN_FLIPS:
-        cand = np.array(flips) * w0
-        key = (float(cand[0]), float(cand[1]), float(cand[2]))
-        if best is None or key > best_key:
-            best = (cand, np.array(flips))
-            best_key = key
-    w, flips = best
+    coords = w0.tolist()
+    # The first flip whose image of w0 is lexicographically greatest.
+    flips = np.array(max(EVEN_SIGN_FLIPS, key=lambda f: [s * t for s, t in zip(f, coords)]))
     witness = flips[:, None] * eig.rotation
-    return SymCanonicalForm(eigs=eig.eigenvalues.copy(), w=w, witness=witness)
+    return SymCanonicalForm(eigs=eig.eigenvalues.copy(), w=flips * w0, witness=witness)
 
 
 def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
@@ -176,8 +164,10 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL, vec_tol=1e-12):
     if norm_inf(v1) <= vec_tol or norm_inf(v2) <= vec_tol:
         return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
 
-    s1 = sym_invariants(v1, a1)
-    s2 = sym_invariants(v2, a2)
+    # Each canonical w is R v up to an even sign flip, so this is
+    # sym_invariants without a second diagonalization.
+    s1 = sym_generators(ca.w, a1)
+    s2 = sym_generators(cb.w, a2)
     dist = max(dist, rel_dist(s1.as_tuple(), s2.as_tuple()))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)

@@ -288,14 +288,10 @@ def _suite_lmm(samples, seed):
         rng = trial_rng(seed, "lmm", 400000 + t)
         rho = random_state(StateClass.LMM, rng, positive=True)
         inv = lmm_invariants(bloch_of(rho).C)
-        # The t2 and t3 bounds are exact consequences of positivity; the
-        # reported upper bound on t4 is not (see lmm_bounds_check) and is
-        # deliberately not asserted here.
-        if not (-1e-9 <= inv.t2 <= 3.0 + 1e-9):
-            bad += 1
-        elif inv.t3 > 0.5 * (1.0 - inv.t2) + 1e-9:
-            bad += 1
-        elif not lmm_positive_cone_check(inv):
+        # The cone check covers t2 <= 3 and the t3 bound. The reported
+        # upper bound on t4 is not implied by positivity (see
+        # lmm_bounds_check) and is deliberately not asserted here.
+        if inv.t2 < -1e-9 or not lmm_positive_cone_check(inv):
             bad += 1
     checks.append(
         CheckResult("positivity_bounds", bad == 0, float(bad), f"{bad} violations")

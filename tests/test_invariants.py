@@ -19,10 +19,11 @@ from blochinv.invariants import (
     octahedral_invariants,
     p9_eval,
     r_invariant,
+    sym_generators,
     sym_invariants,
 )
 from blochinv.linalg import det3, discriminant3
-from blochinv.orbits import rel_dist
+from blochinv.orbits import EVEN_SIGN_FLIPS, rel_dist, sym_canonical
 from blochinv.states import BlochMatrix, bloch_of, density_of, is_positive
 
 EPS3 = np.zeros((3, 3, 3))
@@ -409,6 +410,23 @@ class TestSymInvariants:
             m = g.matrix().astype(float)
             s = sym_invariants(m @ v, m @ np.diag(lam) @ m.T).as_tuple()
             assert rel_dist(ref, s) < 1e-12
+
+
+class TestSymGenerators:
+    def test_canonical_w_reproduces_sym_invariants_bitwise(self):
+        # decide_equiv_sym takes the generators from the canonical w, which
+        # is R v up to an even sign flip; the bits must not see the flip.
+        rng = np.random.default_rng(17)
+        for _ in range(300):
+            a = haar_so3(rng)
+            a = a @ np.diag(gapped_eigs(rng)) @ a.T
+            a = 0.5 * (a + a.T)
+            v = rng.uniform(-1, 1, size=3)
+            ref = [float(x).hex() for x in sym_invariants(v, a).as_tuple()]
+            form = sym_canonical(v, a)
+            for flips in EVEN_SIGN_FLIPS:
+                gen = sym_generators(np.array(flips) * form.w, a).as_tuple()
+                assert [float(x).hex() for x in gen] == ref
 
 
 class TestInvariantJacobian:

@@ -172,6 +172,89 @@ class TestEigSym3:
                 assert norm_inf(recon) <= 1e-10
 
 
+def hex_matrix(rows):
+    return np.array([[float.fromhex(x) for x in row] for row in rows])
+
+
+def hex_bits(values):
+    return [float(x).hex() for x in np.asarray(values).ravel().tolist()]
+
+
+# Inputs and outputs are float.hex strings, so the pins do not depend on the
+# platform's random streams or BLAS. DENSE is random_symmetric from
+# default_rng(11); NEAR is R diag(1 + 1e-12, 1, -0.5) R^T for the rotation R
+# of the quaternion (1, 2, 3, 4) / sqrt(30). The expected bits are those of
+# the earlier numpy-scalar kernel, which this one must reproduce exactly.
+DENSE = [
+    ["-0x1.7c5817bf76fcep-1", "-0x1.e35ca711f6868p-2", "-0x1.4ff47ba772e86p-2"],
+    ["-0x1.e35ca711f6868p-2", "-0x1.688610820ed84p-1", "0x1.db034cfe372e0p-5"],
+    ["-0x1.4ff47ba772e86p-2", "0x1.db034cfe372e0p-5", "0x1.cb169d33048b4p-1"],
+]
+NEAR = [
+    ["0x1.8bf258bf2974cp-3", "-0x1.777777777871ap-1", "-0x1.2c5f92c5fb20cp-3"],
+    ["-0x1.777777777871ap-1", "0x1.555555555749ap-2", "-0x1.111111110f1cbp-3"],
+    ["-0x1.2c5f92c5fb20cp-3", "-0x1.111111110f1cbp-3", "0x1.f258bf258c30fp-1"],
+]
+PINNED_EIG_SYM3 = {
+    "diag123": (
+        np.diag([1.0, 2.0, 3.0]),
+        ["0x1.8000000000000p+1", "0x1.0000000000000p+1", "0x1.0000000000000p+0"],
+        ["0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0",
+         "0x0.0p+0", "0x1.0000000000000p+0", "0x0.0p+0",
+         "-0x1.0000000000000p+0", "-0x0.0p+0", "-0x0.0p+0"],
+    ),
+    "dense": (
+        hex_matrix(DENSE),
+        ["0x1.f27640b1850a6p-1", "-0x1.3c6c69e4b5cebp-2", "-0x1.3703cb66d5b67p+0"],
+        ["-0x1.b152d65793643p-3", "0x1.7d91584668441p-4", "0x1.f22148a4bda8fp-1",
+         "-0x1.49023ee19a8a3p-1", "0x1.793b719ed55c8p-1", "-0x1.aeaf5671191bcp-3",
+         "-0x1.790b1543f10b6p-1", "-0x1.56e0a1ec7166ap-1", "-0x1.89560a69779f4p-4"],
+    ),
+    "near_degenerate": (
+        hex_matrix(NEAR),
+        ["0x1.0000000001197p+0", "0x1.0000000000001p+0", "-0x1.fffffffffffffp-2"],
+        ["-0x1.5554bb357903cp-1", "0x1.5553d40ac72d8p-1", "0x1.555dc2e06b63ap-2",
+         "0x1.111d1b479c6ccp-3", "-0x1.555b5a6e91280p-2", "0x1.dddc5c91f3ce8p-1",
+         "0x1.7777777777777p-1", "0x1.5555555555555p-1", "0x1.1111111111111p-3"],
+    ),
+}
+
+
+class TestEigSym3Pinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_EIG_SYM3))
+    def test_bits(self, name):
+        a, eigenvalues, rotation = PINNED_EIG_SYM3[name]
+        eig = eig_sym3(a)
+        assert hex_bits(eig.eigenvalues) == eigenvalues
+        assert hex_bits(eig.rotation) == rotation
+        assert eig.eigenvalues.dtype == eig.rotation.dtype == np.float64
+
+    def test_near_degenerate_spectrum(self):
+        lam = eig_sym3(hex_matrix(NEAR)).eigenvalues
+        np.testing.assert_allclose(lam, [1.0 + 1e-12, 1.0, -0.5], rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_raises_value_error(self, bad, pos):
+        a = np.diag([3.0, 2.0, 1.0])
+        a[pos] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            eig_sym3(a)
+
+    @pytest.mark.parametrize("scale", [0.5, 2.0, 1e6])
+    @pytest.mark.parametrize("pos", [(0, 1), (0, 2), (2, 1)])
+    def test_symmetry_tolerance_boundary(self, scale, pos):
+        # The precondition is |a - a^T|_inf <= 1e-12 * max(1, |a|_inf),
+        # inclusive; one ulp beyond it is rejected.
+        bound = 1e-12 * max(1.0, scale)
+        a = np.diag([scale, 0.25, -0.25])
+        a[pos] = bound
+        eig_sym3(a)
+        a[pos] = np.nextafter(bound, 1.0)
+        with pytest.raises(NotSymmetric):
+            eig_sym3(a)
+
+
 class TestSignedSVD3:
     def test_identity(self):
         svd = signed_svd3(np.eye(3))

@@ -1,10 +1,14 @@
 """Tests for canonical forms and the equivalence decision procedure."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from blochinv import linalg
 from blochinv.errors import DegenerateSpectrum
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
+from blochinv.invariants import sym_invariants
 from blochinv.linalg import norm_inf
 from blochinv.orbits import (
     Verdict,
@@ -174,6 +178,55 @@ class TestDecideSym:
             sa = (rng.uniform(-1, 1, 3), np.diag(gapped_descending(rng, -2, 2, 1e-2)))
             sb = (rng.uniform(-1, 1, 3), np.diag(gapped_descending(rng, -2, 2, 1e-2)))
             assert decide_equiv_sym(sa, sb).verdict is Verdict.NOT_EQUIVALENT
+
+
+@pytest.fixture
+def eig_sym3_calls(monkeypatch):
+    """Count eig_sym3 calls made through every module attribute bound to it."""
+    original = linalg.eig_sym3
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    bound = [(module, attr)
+             for name, module in list(sys.modules.items())
+             if name == "blochinv" or name.startswith("blochinv.")
+             for attr, value in list(vars(module).items()) if value is original]
+    assert (linalg, "eig_sym3") in bound
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, counted)
+    return calls
+
+
+class TestSingleDiagonalization:
+    def _pair(self, seed):
+        rng = np.random.default_rng(seed)
+        lam = gapped_descending(rng, -2.0, 2.0, 1e-2)
+        w = rng.uniform(-1, 1, size=3)
+        ra, rb = haar_so3(rng), haar_so3(rng)
+        return (ra.T @ w, ra.T @ np.diag(lam) @ ra), (rb.T @ w, rb.T @ np.diag(lam) @ rb)
+
+    def test_one_per_state(self, eig_sym3_calls):
+        sa, _ = self._pair(21)
+        sym_invariants(*sa)
+        assert len(eig_sym3_calls) == 1
+        sym_canonical(*sa)
+        assert len(eig_sym3_calls) == 2
+
+    def test_two_per_gated_decision(self, eig_sym3_calls):
+        sa, sb = self._pair(22)
+        verdict = decide_equiv_sym(sa, sb)
+        assert verdict.verdict is Verdict.EQUIVALENT
+        assert len(eig_sym3_calls) == 2
+
+    def test_none_on_fast_reject(self, eig_sym3_calls):
+        sa, sb = self._pair(23)
+        verdict = decide_equiv_sym(sa, (sb[0], sb[1] + 0.5 * np.eye(3)))
+        assert verdict.verdict is Verdict.NOT_EQUIVALENT
+        assert verdict.invariant_distance > 0.1
+        assert eig_sym3_calls == []
 
 
 def test_rel_dist_metric():
