@@ -285,7 +285,11 @@ def g_invariant(v, a):
     v1 v2 v3 (l2 - l1)(l3 - l1)(l3 - l2), the ascending Vandermonde order.
     Downstream use is g^2 / disc, which does not see the global sign.
     """
-    a = _check_symmetric(a)
+    return _g_unchecked(v, _check_symmetric(a))
+
+
+def _g_unchecked(v, a):
+    """g_invariant on a matrix already checked finite and symmetric."""
     v = np.asarray(v, dtype=float)
     av = a @ v
     aav = a @ av
@@ -326,8 +330,9 @@ def r_invariant(v, a, disc_tol=1e-12):
     On diagonal A it restricts to (v1 v2 v3)^2. Raises DegenerateSpectrum
     when the discriminant is below disc_tol relative to scale^6.
     """
+    a = np.asarray(a, dtype=float)
     _, disc = _nondegenerate_eig(a, disc_tol, "discriminant vanishes; invariant undefined")
-    g = g_invariant(v, a)
+    g = _g_unchecked(v, a)
     return (g * g) / disc
 
 

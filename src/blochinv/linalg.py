@@ -1,5 +1,5 @@
 """Fixed-size linear algebra kernel: 3x3 symmetric eigendecomposition by
-cyclic Jacobi rotations, a sign-corrected SVD whose orthogonal factors land
+cyclic Jacobi rotations, a one-sided Jacobi signed SVD with both factors
 in SO(3), characteristic-polynomial helpers, and small predicates for the
 2x2 / 4x4 complex matrices used elsewhere in the package.
 
@@ -17,7 +17,7 @@ from .errors import NotSymmetric
 
 JACOBI_OFFDIAG_FACTOR = 1e-14
 JACOBI_MAX_SWEEPS = 40
-SVD_NULL_FACTOR = 1e-13
+JACOBI_ORTH_FACTOR = 1e-15
 
 
 def norm_inf(a):
@@ -25,7 +25,7 @@ def norm_inf(a):
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
-    return float(np.max(np.abs(a)))
+    return float(np.abs(a).max())
 
 
 def require_finite(a, what="input"):
@@ -210,89 +210,87 @@ def eig_sym3(a, sym_tol=1e-12):
     return EigenSym3(eigenvalues=np.array([m[k][k] for k in order]), rotation=np.array(rot))
 
 
-def _orient_left(left, d3):
-    """Push a negative determinant of the left factor onto the smallest
-    singular value, keeping left @ diag @ right.T unchanged."""
-    if det3(left) < 0.0:
-        left = left.copy()
-        left[:, 2] = -left[:, 2]
-        d3 = -d3
-    return left, d3
-
-
-def _complement_column(u0):
-    """Unit vector orthogonal to u0, chosen deterministically."""
-    k = int(np.argmin(np.abs(u0)))
-    e = np.zeros(3)
-    e[k] = 1.0
-    w = e - np.dot(e, u0) * u0
-    return w / math.sqrt(float(np.dot(w, w)))
+def _orient_right(v, a):
+    """Move a reflection in V onto the last column of A = C V (both given as
+    lists of columns), so that V is in SO(3) and the QR factorization of A
+    carries sign(det C) on its last diagonal entry."""
+    if _det3_rows(*v) < 0.0:
+        v[2] = [-x for x in v[2]]
+        a[2] = [-x for x in a[2]]
+    return v, a
 
 
 def signed_svd3(c):
     """Signed SVD of a real 3x3 matrix with both factors in SO(3).
 
-    The right factor comes from the eigendecomposition of C^T C. Each left
-    column is C v_i, orthogonalized against the previous columns and
-    normalized, with the diagonal entry taken from the column norm (which
-    makes the per-column reconstruction residual vanish identically, also
-    for numerically rank-deficient input where sqrt of the normal-matrix
-    eigenvalue would be pure noise). Null directions are completed
-    orthonormally with zero diagonal weight. A reflection in the left
-    factor is traded for a sign on the smallest diagonal entry, so that
-    sign(d1*d2*d3) = sign(det C).
-
-    The normal-equations route squares the conditioning of C: the strict
-    reconstruction bound holds while the second singular value stays above
-    roughly 1e-4 of the first (or vanishes outright), which covers the
-    O(1)-normalized correlation matrices this package works on.
+    One-sided (Hestenes) Jacobi on C itself (Demmel & Veselic 1992): plane
+    rotations V orthogonalize the columns of A = C V relative to their
+    norms, and the sorted column norms are the singular values, accurate to
+    about eps |C| also on graded and rank-deficient input. C is first scaled
+    exactly, by the power of two that puts its largest entry in [1, 2), so
+    squared norms stay in range at any input scale. A reflection in V moves
+    onto the last column of A; three Givens rotations then make A triangular
+    with nonnegative first two diagonal entries, so the left factor is in
+    SO(3) and the smallest singular value carries sign(det C).
 
     Returns:
-        SignedSVD3. Never raises; ties among singular values are resolved
-        by the deterministic ordering of eig_sym3.
+        SignedSVD3; tied singular values keep their column order.
+
+    Raises:
+        ValueError: if the input has NaN or Inf entries.
     """
-    c = np.asarray(c, dtype=float)
-    require_finite(c, "signed_svd3 input")
-    m = c.T @ c
-    m = 0.5 * (m + m.T)
-    eig = eig_sym3(m)
-    right = eig.rotation.T.copy()  # columns are eigenvectors of C^T C
+    rows = np.asarray(c, dtype=float).tolist()
+    flat = rows[0] + rows[1] + rows[2]
+    if not all(map(math.isfinite, flat)):
+        raise ValueError("signed_svd3 input contains NaN or Inf entries")
+    scale = math.ldexp(1.0, math.frexp(max(map(abs, flat)))[1] - 1)
 
-    cutoff = SVD_NULL_FACTOR * max(1.0, norm_inf(c))
-    left = np.zeros((3, 3))
-    diag = np.zeros(3)
-    built = 0
-    for i in range(3):
-        col = c @ right[:, i]
-        for j in range(built):
-            col = col - np.dot(col, left[:, j]) * left[:, j]
-        n = math.sqrt(float(np.dot(col, col)))
-        if n <= cutoff:
+    # Columns of A = C V / scale and of V.
+    a = [[rows[0][j] / scale, rows[1][j] / scale, rows[2][j] / scale] for j in range(3)]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    sq = [x * x + y * y + z * z for x, y, z in a]  # squared column norms
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            ap0, ap1, ap2 = a[p]
+            aq0, aq1, aq2 = a[q]
+            gamma = ap0 * aq0 + ap1 * aq1 + ap2 * aq2
+            if abs(gamma) <= JACOBI_ORTH_FACTOR * math.sqrt(sq[p] * sq[q]):
+                continue
+            rotated = True
+            zeta = 0.5 * (sq[q] - sq[p]) / gamma
+            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(zeta, 1.0))
+            cs = 1.0 / math.sqrt(t * t + 1.0)
+            sn = t * cs
+            x, y, z = a[p] = [cs * ap0 - sn * aq0, cs * ap1 - sn * aq1, cs * ap2 - sn * aq2]
+            sq[p] = x * x + y * y + z * z
+            x, y, z = a[q] = [sn * ap0 + cs * aq0, sn * ap1 + cs * aq1, sn * ap2 + cs * aq2]
+            sq[q] = x * x + y * y + z * z
+            vp0, vp1, vp2 = v[p]
+            vq0, vq1, vq2 = v[q]
+            v[p] = [cs * vp0 - sn * vq0, cs * vp1 - sn * vq1, cs * vp2 - sn * vq2]
+            v[q] = [sn * vp0 + cs * vq0, sn * vp1 + cs * vq1, sn * vp2 + cs * vq2]
+        if not rotated:
             break
-        left[:, i] = col / n
-        diag[i] = n
-        built = i + 1
 
-    # Eigenvalue ordering makes the norms descending up to roundoff-level
-    # inversions inside clusters; clamp those.
-    if diag[1] > diag[0]:
-        diag[1] = diag[0]
-    if diag[2] > diag[1]:
-        diag[2] = diag[1]
+    order = sorted(range(3), key=lambda k: -sq[k])
+    v, a = _orient_right([v[k] for k in order], [a[k] for k in order])
 
-    if built == 3:
-        left, diag[2] = _orient_left(left, diag[2])
-    else:
-        if built == 0:
-            left[:, 0] = (1.0, 0.0, 0.0)
-            left[:, 1] = (0.0, 1.0, 0.0)
-        elif built == 1:
-            left[:, 1] = _complement_column(left[:, 0])
-        left[:, 2] = np.cross(left[:, 0], left[:, 1])
-        # Null directions carry no reconstruction weight, so the sign of the
-        # smallest diagonal entry is taken from det C directly.
-        dc = det3(c)
-        if dc < 0.0:
-            diag[2] = -diag[2]
-        left, _ = _orient_left(left, 0.0)
-    return SignedSVD3(left=left, right=right, diag=diag)
+    # Givens QR of A, on its rows; qt accumulates Q^T.
+    r = [list(x) for x in zip(*a)]
+    qt = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for i, j, k in ((0, 1, 0), (0, 2, 0), (1, 2, 1)):
+        h = math.hypot(r[i][k], r[j][k])
+        if h == 0.0:
+            continue
+        cs = r[i][k] / h
+        sn = r[j][k] / h
+        for m in (r, qt):
+            mi, mj = m[i], m[j]
+            m[i] = [cs * x + sn * y for x, y in zip(mi, mj)]
+            m[j] = [cs * y - sn * x for x, y in zip(mi, mj)]
+
+    diag = [scale * math.sqrt(sq[k]) for k in order]
+    if r[2][2] < 0.0:
+        diag[2] = -diag[2]
+    return SignedSVD3(left=np.array(qt).T, right=np.array(v).T, diag=np.array(diag))

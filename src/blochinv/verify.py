@@ -131,6 +131,44 @@ def _generic_vector(rng, floor=0.05):
             return v
 
 
+def _uniform_matrix(rng):
+    c = rng.uniform(-1.0, 1.0, size=(3, 3))
+    dc = det3(c)
+    return c, (np.sign(dc) if abs(dc) > 1e-12 else 0.0)
+
+
+def _graded_matrix(rng):
+    """Rotated diag(1, s, +-0.3 s) with s log-uniform down to 1e-12: the
+    small singular values and the sign of det C must survive at absolute
+    accuracy."""
+    sigma = 10.0 ** rng.uniform(-12.0, 0.0)
+    d3 = rng.choice([-0.3, 0.3]) * sigma
+    return haar_so3(rng) @ np.diag([1.0, sigma, d3]) @ haar_so3(rng).T, np.sign(d3)
+
+
+def _signed_svd3_check(name, samples, seed, offset, draw):
+    """The signed_svd3 contract on matrices from draw(rng), which returns C
+    and the sign det C must have (0 where det C is too small to tell)."""
+    recon_res = 0.0
+    rot_res = 0.0
+    sign_bad = 0
+    order_bad = 0
+    for t in range(samples):
+        c, sign = draw(trial_rng(seed, "lmm", offset + t))
+        svd = linalg_mod.signed_svd3(c)
+        recon = svd.left @ np.diag(svd.diag) @ svd.right.T - c
+        recon_res = max(recon_res, norm_inf(recon) / max(1.0, norm_inf(c)))
+        rot_res = max(rot_res, rotation_residual(svd.left), rotation_residual(svd.right))
+        d = svd.diag
+        if not (d[0] >= d[1] >= abs(d[2]) and d[0] >= 0.0 and d[1] >= 0.0):
+            order_bad += 1
+        if sign and np.sign(d[0] * d[1] * d[2]) != sign:
+            sign_bad += 1
+    passed = recon_res < 1e-10 and rot_res < 1e-11 and sign_bad == 0 and order_bad == 0
+    return CheckResult(name, passed, max(recon_res, rot_res),
+                       f"{sign_bad} sign, {order_bad} order violations")
+
+
 def _g_index_sum(v, a):
     """Antisymmetric index-sum oracle for the lifted cubic invariant."""
     return float(np.einsum("ijk,jl,km,mn,i,l,n->", _EPS3, a, a, a, v, v, v))
@@ -358,29 +396,10 @@ def _suite_lmm(samples, seed):
                     f"reconstruction {recon_res:.1e}, orthogonality {orth_res:.1e}")
     )
 
-    recon_res = 0.0
-    rot_res = 0.0
-    sign_bad = 0
-    order_bad = 0
-    for t in range(samples):
-        rng = trial_rng(seed, "lmm", 700000 + t)
-        c = rng.uniform(-1.0, 1.0, size=(3, 3))
-        svd = linalg_mod.signed_svd3(c)
-        scale = max(1.0, norm_inf(c))
-        recon = svd.left @ np.diag(svd.diag) @ svd.right.T - c
-        recon_res = max(recon_res, norm_inf(recon) / scale)
-        rot_res = max(rot_res, rotation_residual(svd.left), rotation_residual(svd.right))
-        d = svd.diag
-        if not (d[0] >= d[1] >= abs(d[2]) and d[0] >= 0.0 and d[1] >= 0.0):
-            order_bad += 1
-        dc = det3(c)
-        if abs(dc) > 1e-12 and np.sign(d[0] * d[1] * d[2]) != np.sign(dc):
-            sign_bad += 1
-    passed = recon_res < 1e-10 and rot_res < 1e-11 and sign_bad == 0 and order_bad == 0
-    checks.append(
-        CheckResult("kernel_signed_svd3", passed, max(recon_res, rot_res),
-                    f"{sign_bad} sign, {order_bad} order violations")
-    )
+    checks.append(_signed_svd3_check("kernel_signed_svd3", samples, seed, 700000,
+                                     _uniform_matrix))
+    checks.append(_signed_svd3_check("kernel_signed_svd3_graded", samples, seed, 750000,
+                                     _graded_matrix))
 
     res = 0.0
     disc_min = 0.0

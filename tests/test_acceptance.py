@@ -336,7 +336,7 @@ def test_criterion_10_verify_battery_and_mutations(monkeypatch):
     p9_mutant_fails = not run_suite("sym", 500, 0).passed
     monkeypatch.undo()
 
-    monkeypatch.setattr(blochinv.linalg, "_orient_left", lambda left, d3: (left, d3))
+    monkeypatch.setattr(blochinv.linalg, "_orient_right", lambda v, a: (v, a))
     sign_mutant_fails = not run_suite("lmm", 500, 0).passed
     monkeypatch.undo()
 

@@ -4,6 +4,7 @@ derived formula."""
 import numpy as np
 import pytest
 
+from blochinv import invariants
 from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, octahedral_group
 from blochinv.invariants import (
@@ -335,6 +336,19 @@ class TestRInvariant:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateSpectrum):
             r_invariant(np.ones(3), np.eye(3))
+
+    def test_checks_matrix_once(self, monkeypatch):
+        # eig_sym3 makes the finiteness and symmetry check; g is evaluated
+        # unchecked afterwards, with the same errors for bad input.
+        def fail(*args, **kwargs):
+            raise AssertionError("second check of the same matrix")
+
+        monkeypatch.setattr(invariants, "_check_symmetric", fail)
+        assert r_invariant(np.ones(3), np.diag([1.0, 2.0, 3.0])) == pytest.approx(1.0)
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            r_invariant(np.ones(3), np.diag([1.0, np.nan, 3.0]))
+        with pytest.raises(NotSymmetric):
+            r_invariant(np.ones(3), np.array([[1.0, 1e-3, 0], [0, 2, 0], [0, 0, 3]]))
 
     def test_restriction_identity_random(self):
         rng = np.random.default_rng(12)

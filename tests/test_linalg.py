@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from blochinv.errors import NotSymmetric
+from blochinv.groups import haar_so3
 from blochinv.linalg import (
     charpoly3,
     dagger,
@@ -48,6 +49,15 @@ class TestPredicates:
         b = np.array([[5, 6], [7, 8]], dtype=complex)
         k = kron22(a, b)
         assert k[0, 0] == 5 and k[2, 0] == 15 and k[1, 3] == 2 * 8
+
+    @pytest.mark.parametrize("a", [
+        np.array([[0.5, -2.0, 1e-300], [3.0, -0.0, -7.25], [1e300, -1e-5, 2.0]]),
+        np.array([[1 + 2j, -3j], [0.5, -4 - 0.25j]]),
+        np.zeros((0, 3)),
+    ], ids=["real", "complex", "empty"])
+    def test_norm_inf_matches_np_max(self, a):
+        expected = float(np.max(np.abs(a))) if a.size else 0.0
+        assert norm_inf(a).hex() == expected.hex()
 
     def test_det3_matches_numpy(self):
         rng = np.random.default_rng(0)
@@ -308,11 +318,48 @@ class TestSignedSVD3:
             ref = np.linalg.svd(c, compute_uv=False)
             np.testing.assert_allclose(np.sort(mine)[::-1], ref, atol=1e-11)
 
+    @pytest.mark.parametrize("d3_sign", [1.0, -1.0])
+    def test_graded_spectra(self, d3_sign):
+        # diag(1, s, +-0.3 s) with s log-uniform down to 1e-12: the small
+        # singular values are resolved to absolute accuracy, not lost in
+        # roundoff of the large one.
+        rng = np.random.default_rng(11)
+        for _ in range(500):
+            sigma = 10.0 ** rng.uniform(-12.0, 0.0)
+            c = haar_so3(rng) @ np.diag([1.0, sigma, d3_sign * 0.3 * sigma]) @ haar_so3(rng).T
+            svd = signed_svd3(c)
+            scale = max(1.0, norm_inf(c))
+            recon = svd.left @ np.diag(svd.diag) @ svd.right.T
+            assert norm_inf(recon - c) <= 1e-10 * scale
+            ref = np.linalg.svd(c, compute_uv=False)
+            assert norm_inf(np.abs(svd.diag) - ref) <= 1e-14 * scale
+            assert is_rotation(svd.left, tol=1e-11)
+            assert is_rotation(svd.right, tol=1e-11)
+            d = svd.diag
+            assert d[0] >= d[1] >= abs(d[2]) and d[1] >= 0.0
+            assert np.sign(d[2]) == d3_sign
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e154, 1e200, 1e300])
+    def test_extreme_scales(self, scale):
+        rng = np.random.default_rng(12)
+        base = rng.uniform(-1.0, 1.0, size=(3, 3))
+        svd = signed_svd3(scale * base)
+        ref = signed_svd3(base)
+        np.testing.assert_allclose(svd.diag / scale, ref.diag, rtol=1e-14, atol=0)
+        np.testing.assert_allclose(svd.left, ref.left, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(svd.right, ref.right, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_raises_value_error(self, bad, pos):
+        c = np.diag([3.0, 2.0, 1.0])
+        c[pos] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            signed_svd3(c)
+
     def test_structured_hostile_inputs(self):
-        # Clustered, rank-deficient, unsorted-signed-diagonal and rescaled
-        # inputs, each checked against the full contract. Singular values
-        # are kept at 0 or above 1e-4: the one-sided normal-equation route
-        # cannot resolve values between roundoff and sqrt(eps).
+        # Clustered, rank-deficient, graded, unsorted-signed-diagonal and
+        # rescaled inputs, each checked against the full contract.
         rng = np.random.default_rng(10)
         spectra = [
             (1.0, 1.0, 1.0),
@@ -323,6 +370,10 @@ class TestSignedSVD3:
             (1.0, 0.5, 0.0),
             (1.0, 0.0, 0.0),
             (0.0, 0.0, 0.0),
+            (1.0, 1e-6, 3e-7),
+            (1.0, 1e-7, 5e-8),
+            (1.0, 1e-9, 1e-9),
+            (1.0, 1e-12, 3e-13),
             (1e4, 7.0, 3.0),
             (1e8, 5e7, 2e7),
             (1e-8, 1e-8, 1e-9),

@@ -130,6 +130,17 @@ class TestDecideLmm:
             r1, r2 = verdict.witness
             assert norm_inf(r1 @ ca @ r2.T - cb) < 1e-8
 
+    @pytest.mark.parametrize("d3", [5e-8, -5e-8])
+    def test_graded_same_orbit(self, d3):
+        # Singular values 1e-7 and 5e-8 sit far above roundoff but below
+        # sqrt(eps); both are still resolved well enough to certify.
+        rng = np.random.default_rng(15)
+        d = np.diag([1.0, 1e-7, d3])
+        for _ in range(150):
+            ca = haar_so3(rng) @ d @ haar_so3(rng).T
+            cb = haar_so3(rng) @ d @ haar_so3(rng).T
+            assert decide_equiv_lmm(ca, cb).verdict is Verdict.EQUIVALENT
+
     def test_determinant_sign_separates(self):
         verdict = decide_equiv_lmm(np.diag([1.0, 2.0, 3.0]), np.diag([1.0, 2.0, -3.0]))
         assert verdict.verdict is Verdict.NOT_EQUIVALENT

@@ -69,8 +69,7 @@ class TestFaultInjection:
         assert "octahedral_relation_p4_p9" in failed
 
     def test_dropped_sign_fix_fails_lmm_suite(self, monkeypatch):
-        monkeypatch.setattr(blochinv.linalg, "_orient_left",
-                            lambda left, d3: (left, d3))
+        monkeypatch.setattr(blochinv.linalg, "_orient_right", lambda v, a: (v, a))
         report = run_suite("lmm", 200, 0)
         failed = [c.name for c in report.checks if not c.passed]
         assert "kernel_signed_svd3" in failed
