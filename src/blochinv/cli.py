@@ -10,8 +10,6 @@ command with a --seed is byte-identical across runs.
 import argparse
 import sys
 
-import numpy as np
-
 from . import verify as verify_mod
 from .errors import DegenerateSpectrum, StateFormatError, ZeroVector
 from .invariants import (
@@ -72,12 +70,9 @@ def _is_sym(cls):
     return cls in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM)
 
 
-def _matrix_list(m):
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
-
-
-def _vector_list(v):
-    return [float(x) for x in np.asarray(v, dtype=float)]
+def _sym_state(bloch):
+    """(v, A) of a symmetric state, with C symmetrized exactly."""
+    return bloch.v, 0.5 * (bloch.C + bloch.C.T)
 
 
 def cmd_invariants(args):
@@ -102,10 +97,7 @@ def cmd_invariants(args):
         out["positive"] = is_positive(rho)
         out["bounds_ok"] = lmm_positive_cone_check(inv)
     else:
-        try:
-            inv = sym_invariants(bloch.v, 0.5 * (bloch.C + bloch.C.T))
-        except (DegenerateSpectrum, ZeroVector) as exc:
-            raise CliError(str(exc), EXIT_DEGENERATE) from exc
+        inv = sym_invariants(*_sym_state(bloch))
         out.update(inv.as_dict())
         out["positive"] = is_positive(rho)
     print(dumps(out))
@@ -119,19 +111,11 @@ def cmd_equiv(args):
     cls_b = classify(rho_b, tol=args.class_tol)
     if _is_lmm(cls_a) and _is_lmm(cls_b):
         verdict = decide_equiv_lmm(bloch_a.C, bloch_b.C, tol=args.tol)
-        witness = None
-        if verdict.witness is not None:
-            witness = {"R1": _matrix_list(verdict.witness[0]),
-                       "R2": _matrix_list(verdict.witness[1])}
+        pair = verdict.witness
+        witness = None if pair is None else {"R1": pair[0], "R2": pair[1]}
     elif _is_sym(cls_a) and _is_sym(cls_b):
-        verdict = decide_equiv_sym(
-            (bloch_a.v, 0.5 * (bloch_a.C + bloch_a.C.T)),
-            (bloch_b.v, 0.5 * (bloch_b.C + bloch_b.C.T)),
-            tol=args.tol,
-        )
-        witness = None
-        if verdict.witness is not None:
-            witness = {"R": _matrix_list(verdict.witness)}
+        verdict = decide_equiv_sym(_sym_state(bloch_a), _sym_state(bloch_b), tol=args.tol)
+        witness = None if verdict.witness is None else {"R": verdict.witness}
     else:
         raise CliError(
             f"states classified as {cls_a.value} and {cls_b.value}; "
@@ -157,21 +141,17 @@ def cmd_canonical(args):
         form = lmm_canonical(bloch.C)
         out = {
             "class": "lmm",
-            "diag": _vector_list(form.diag),
+            "diag": form.diag,
             "degenerate": form.degenerate,
-            "witness": {"R1": _matrix_list(form.witness[0]),
-                        "R2": _matrix_list(form.witness[1])},
+            "witness": {"R1": form.witness[0], "R2": form.witness[1]},
         }
     elif cls is StateClass.SYMMETRIC:
-        try:
-            form = sym_canonical(bloch.v, 0.5 * (bloch.C + bloch.C.T))
-        except DegenerateSpectrum as exc:
-            raise CliError(str(exc), EXIT_DEGENERATE) from exc
+        form = sym_canonical(*_sym_state(bloch))
         out = {
             "class": "sym",
-            "eigs": _vector_list(form.eigs),
-            "w": _vector_list(form.w),
-            "witness": {"R": _matrix_list(form.witness)},
+            "eigs": form.eigs,
+            "w": form.w,
+            "witness": {"R": form.witness},
         }
     else:
         raise CliError("general states have no canonical form in scope", EXIT_CLASS)
@@ -202,27 +182,20 @@ def cmd_restrict(args):
         section = lmm_section_invariants(form.diag)
         out = {
             "class": "lmm",
-            "x": _vector_list(form.diag),
+            "x": form.diag,
             "degenerate": form.degenerate,
-            "witness": {"R1": _matrix_list(form.witness[0]),
-                        "R2": _matrix_list(form.witness[1])},
+            "witness": {"R1": form.witness[0], "R2": form.witness[1]},
         }
         out.update(section.as_dict())
     elif cls is StateClass.SYMMETRIC:
-        a = 0.5 * (bloch.C + bloch.C.T)
-        try:
-            form = sym_canonical(bloch.v, a)
-            oct_inv = octahedral_invariants(form.w)
-            fields = oct_inv.as_dict()
-        except (DegenerateSpectrum, ZeroVector) as exc:
-            raise CliError(str(exc), EXIT_DEGENERATE) from exc
+        form = sym_canonical(*_sym_state(bloch))
         out = {
             "class": "sym",
-            "w": _vector_list(form.w),
-            "lambda": _vector_list(form.eigs),
-            "witness": {"R": _matrix_list(form.witness)},
+            "w": form.w,
+            "lambda": form.eigs,
+            "witness": {"R": form.witness},
         }
-        out.update(fields)
+        out.update(octahedral_invariants(form.w).as_dict())
     else:
         raise CliError("general states have no slice restriction in scope", EXIT_CLASS)
     print(dumps(out))

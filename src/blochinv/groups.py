@@ -10,11 +10,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
-from .linalg import dagger, is_unitary, kron22, norm_inf
-from .states import PAULI, BlochMatrix
+from .linalg import dagger, is_unitary, kron22
+from .states import PAULI, BlochMatrix, _as_rng
+
+# Tolerance of the unitarity precondition of so3_of_u2.
+UNITARY_TOL = 1e-12
 
 
-def so3_of_u2(u, tol=1e-12):
+def so3_of_u2(u):
     """Rotation induced by a 2x2 unitary on the Bloch ball.
 
     R_ij = Re tr(sigma_i U sigma_j U*) / 2 for i, j in {1,2,3}. This is a
@@ -24,7 +27,7 @@ def so3_of_u2(u, tol=1e-12):
         NotUnitary: if U fails the unitarity check.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u, tol=max(tol, 1e-12)):
+    if u.shape != (2, 2) or not is_unitary(u, tol=UNITARY_TOL):
         raise NotUnitary("input is not a 2x2 unitary within tolerance")
     ud = dagger(u)
     r = np.empty((3, 3))
@@ -129,21 +132,13 @@ def lmm_weyl_pair(sp):
     """
     if sp.sign_product() != 1:
         raise ValueError("only even sign patterns are realized by rotation pairs")
-    pm = np.zeros((3, 3), dtype=int)
-    for j in range(3):
-        pm[sp.perm[j], j] = 1
-    parity = SignedPerm(perm=sp.perm, signs=(1, 1, 1)).determinant()
-    e1 = np.ones(3, dtype=int)
-    if parity == -1:
-        e1[0] = -1
-    # Entrywise, e1 * e2 must equal the sign pattern carried onto row perm[j].
-    eta = np.empty(3, dtype=int)
-    for j in range(3):
-        eta[sp.perm[j]] = sp.signs[j]
-    e2 = eta * e1
-    r1 = np.diag(e1) @ pm
-    r2 = np.diag(e2) @ pm
-    return r1, r2
+    unsigned = SignedPerm(perm=sp.perm, signs=(1, 1, 1))
+    pm = unsigned.matrix()
+    # det E1 must equal det P; entrywise, e1 * e2 must equal the sign
+    # pattern carried onto row perm[j], which is sp applied to (1, 1, 1).
+    e1 = np.array([unsigned.determinant(), 1, 1])
+    e2 = sp.apply(np.ones(3, dtype=int)) * e1
+    return np.diag(e1) @ pm, np.diag(e2) @ pm
 
 
 def lmm_normalizer_pairs():
@@ -151,10 +146,9 @@ def lmm_normalizer_pairs():
     matrices to diagonal matrices under (R1, R2): C -> R1 C R2^T."""
     pairs = []
     for perm in itertools.permutations(range(3)):
-        pm = np.zeros((3, 3), dtype=int)
-        for j in range(3):
-            pm[perm[j], j] = 1
-        parity = SignedPerm(perm=perm, signs=(1, 1, 1)).determinant()
+        unsigned = SignedPerm(perm=perm, signs=(1, 1, 1))
+        pm = unsigned.matrix()
+        parity = unsigned.determinant()
         sign_patterns = [
             np.array(s) for s in itertools.product((1, -1), repeat=3)
             if s[0] * s[1] * s[2] == parity
@@ -168,7 +162,7 @@ def lmm_normalizer_pairs():
 def haar_su2(seed):
     """Haar-random SU(2) element: a normalized pair of complex Gaussians
     placed in the standard special-unitary form."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = _as_rng(seed)
     z = rng.standard_normal(4)
     a = complex(z[0], z[1])
     b = complex(z[2], z[3])
@@ -181,11 +175,3 @@ def haar_su2(seed):
 def haar_so3(seed):
     """Haar-random rotation, pushed forward from SU(2) through the cover."""
     return so3_of_u2(haar_su2(seed))
-
-
-def rotation_residual(r):
-    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|."""
-    r = np.asarray(r, dtype=float)
-    g = norm_inf(r.T @ r - np.eye(3))
-    d = abs(float(np.linalg.det(r)) - 1.0)
-    return max(g, d)

@@ -12,14 +12,29 @@ the diagonal restriction identities and the finite-group invariance of the
 octahedral polynomials hold bit for bit, not just within tolerance.
 """
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, NotSymmetric, ZeroVector
-from .linalg import det3, eig_sym3, norm_inf, require_finite
+from .errors import DegenerateSpectrum, ZeroVector
+from .linalg import (
+    _det3_rows,
+    _pow2_floor,
+    _rows3,
+    _sym_rows3,
+    _trace_invariants,
+    det3,
+    eig_sym3,
+    norm_inf,
+    require_finite,
+)
+
+# A symmetric spectrum counts as degenerate when its discriminant (the
+# product of squared eigenvalue gaps) is at most DISC_TOL * max(1, |A|_inf)^6.
+DISC_TOL = 1e-12
+# A 1-point vector counts as zero when |v|_inf <= ZERO_VECTOR_TOL.
+ZERO_VECTOR_TOL = 1e-12
 
 
 @dataclass
@@ -123,17 +138,14 @@ def lmm_invariants(c):
     t2 and t4 are written as explicit ordered sums so that on diagonal
     input they reproduce lmm_section_invariants bit for bit.
     """
-    c = np.asarray(c, dtype=float)
-    require_finite(c, "lmm_invariants input")
-    c00, c01, c02 = float(c[0, 0]), float(c[0, 1]), float(c[0, 2])
-    c10, c11, c12 = float(c[1, 0]), float(c[1, 1]), float(c[1, 2])
-    c20, c21, c22 = float(c[2, 0]), float(c[2, 1]), float(c[2, 2])
+    rows, _ = _rows3(c, "lmm_invariants input")
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = rows
     t2 = (
         c00 * c00 + c01 * c01 + c02 * c02
         + c10 * c10 + c11 * c11 + c12 * c12
         + c20 * c20 + c21 * c21 + c22 * c22
     )
-    t3 = det3(c)
+    t3 = _det3_rows(*rows)
     m00 = c00 * c00 + c01 * c01 + c02 * c02
     m01 = c00 * c10 + c01 * c11 + c02 * c12
     m02 = c00 * c20 + c01 * c21 + c02 * c22
@@ -269,14 +281,6 @@ def p9_eval(p1, p2, p3):
     return float(value)
 
 
-def _check_symmetric(a, tol=1e-12):
-    a = np.asarray(a, dtype=float)
-    require_finite(a, "symmetric matrix")
-    if norm_inf(a - a.T) > tol * max(1.0, norm_inf(a)):
-        raise NotSymmetric("matrix is not symmetric within tolerance")
-    return a
-
-
 def g_invariant(v, a):
     """The lifted cubic invariant g(v, A) = det [v | A v | A^2 v].
 
@@ -285,7 +289,8 @@ def g_invariant(v, a):
     v1 v2 v3 (l2 - l1)(l3 - l1)(l3 - l2), the ascending Vandermonde order.
     Downstream use is g^2 / disc, which does not see the global sign.
     """
-    return _g_unchecked(v, _check_symmetric(a))
+    _sym_rows3(a, "g_invariant input")
+    return _g_unchecked(v, np.asarray(a, dtype=float))
 
 
 def _g_unchecked(v, a):
@@ -308,31 +313,39 @@ def eigen_discriminant3(a):
     return _gap_product(eig_sym3(a).eigenvalues)
 
 
-def _nondegenerate_eig(a, disc_tol, message):
-    """eig_sym3 of a symmetric matrix together with its discriminant
-    (eigen_discriminant3), from one diagonalization.
+def _nondegenerate_eig(a, message):
+    """eig_sym3 of a symmetric matrix, the power of two s that brings
+    max(1, |a|_inf) into [1, 2), and the discriminant (eigen_discriminant3)
+    of a / s, from one diagonalization. Dividing by s is exact, so neither
+    the degeneracy test nor g^2 / disc overflows at any scale.
 
     Raises:
-        DegenerateSpectrum(message): if the discriminant is below disc_tol
+        DegenerateSpectrum(message): if the discriminant is below DISC_TOL
         relative to max(1, |a|_inf)^6.
     """
-    a = np.asarray(a, dtype=float)
     eig = eig_sym3(a)
-    disc = _gap_product(eig.eigenvalues)
-    if abs(disc) <= disc_tol * max(1.0, norm_inf(a)) ** 6:
+    norm = max(1.0, norm_inf(a))
+    scale = _pow2_floor(norm)
+    disc = _gap_product(eig.eigenvalues / scale)
+    if abs(disc) <= DISC_TOL * (norm / scale) ** 6:
         raise DegenerateSpectrum(message)
-    return eig, disc
+    return eig, scale, disc
 
 
-def r_invariant(v, a, disc_tol=1e-12):
+def _is_zero_vector(v):
+    """The one zero test of a 1-point vector: |v|_inf <= ZERO_VECTOR_TOL."""
+    return all(abs(x) <= ZERO_VECTOR_TOL for x in np.asarray(v, dtype=float).tolist())
+
+
+def r_invariant(v, a):
     """The rotation invariant g(v, A)^2 / disc(A).
 
     On diagonal A it restricts to (v1 v2 v3)^2. Raises DegenerateSpectrum
-    when the discriminant is below disc_tol relative to scale^6.
+    when the discriminant is below DISC_TOL relative to scale^6.
     """
     a = np.asarray(a, dtype=float)
-    _, disc = _nondegenerate_eig(a, disc_tol, "discriminant vanishes; invariant undefined")
-    g = _g_unchecked(v, a)
+    _, scale, disc = _nondegenerate_eig(a, "discriminant vanishes; invariant undefined")
+    g = _g_unchecked(v, a / scale)
     return (g * g) / disc
 
 
@@ -341,22 +354,18 @@ def sym_generators(w, a):
     rotated into an eigenbasis of A. Any even sign flip of w gives the same
     bits: the octahedral X, Y, Z are bitwise invariant under those."""
     oct_inv = octahedral_invariants(w)
-    rows = np.asarray(a, dtype=float).tolist()
-    tr_a2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            tr_a2 += rows[i][j] * rows[j][i]
+    tr_a, tr_a2, det_a = _trace_invariants(np.asarray(a, dtype=float).tolist())
     return SymInvariants(
         pX=oct_inv.X,
         pY=oct_inv.Y,
         pZ=oct_inv.Z,
-        trA=rows[0][0] + rows[1][1] + rows[2][2],
+        trA=tr_a,
         trA2=tr_a2,
-        detA=det3(a),
+        detA=det_a,
     )
 
 
-def sym_invariants(v, a, disc_tol=1e-12, vec_tol=1e-12):
+def sym_invariants(v, a):
     """The six generating invariants of a symmetric state (v, A).
 
     Diagonalizes A with a rotation R (eigenvalues sorted descending),
@@ -368,10 +377,10 @@ def sym_invariants(v, a, disc_tol=1e-12, vec_tol=1e-12):
 
     Raises:
         DegenerateSpectrum: if A has (near-)repeated eigenvalues.
-        ZeroVector: if v vanishes.
+        ZeroVector: if |v|_inf <= ZERO_VECTOR_TOL.
     """
     v = np.asarray(v, dtype=float)
-    eig, _ = _nondegenerate_eig(a, disc_tol, "repeated eigenvalues; invariants undefined")
-    if math.sqrt(float(np.dot(v, v))) <= vec_tol:
+    eig, _, _ = _nondegenerate_eig(a, "repeated eigenvalues; invariants undefined")
+    if _is_zero_vector(v):
         raise ZeroVector("zero 1-point vector; pX, pY, pZ undefined")
     return sym_generators(eig.rotation @ v, a)

@@ -3,6 +3,9 @@ cyclic Jacobi rotations, a one-sided Jacobi signed SVD with both factors
 in SO(3), characteristic-polynomial helpers, and small predicates for the
 2x2 / 4x4 complex matrices used elsewhere in the package.
 
+Each 3x3 input is converted to Python floats and checked once, by _rows3
+(finiteness) or _sym_rows3 (finiteness and symmetry).
+
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient
 affine space is unbounded.
@@ -18,6 +21,8 @@ from .errors import NotSymmetric
 JACOBI_OFFDIAG_FACTOR = 1e-14
 JACOBI_MAX_SWEEPS = 40
 JACOBI_ORTH_FACTOR = 1e-15
+# Relative symmetry tolerance of the eig_sym3 / g_invariant precondition.
+SYM_TOL = 1e-12
 
 
 def norm_inf(a):
@@ -48,12 +53,18 @@ def is_unitary(m, tol=1e-12):
     return norm_inf(dagger(m) @ m - np.eye(m.shape[0])) <= tol
 
 
+def rotation_residual(r):
+    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|.
+
+    LAPACK's det, not det3: the verify report's residuals depend on its bits.
+    """
+    r = np.asarray(r, dtype=float)
+    return max(norm_inf(r.T @ r - np.eye(3)), abs(float(np.linalg.det(r)) - 1.0))
+
+
 def is_rotation(r, tol=1e-11):
     """True if r is in SO(3) within tolerance."""
-    r = np.asarray(r, dtype=float)
-    if norm_inf(r.T @ r - np.eye(3)) > tol:
-        return False
-    return abs(det3(r) - 1.0) <= tol
+    return rotation_residual(r) <= tol
 
 
 def kron22(a, b):
@@ -68,6 +79,34 @@ def _det3_rows(r0, r1, r2):
         - r0[1] * (r1[0] * r2[2] - r1[2] * r2[0])
         + r0[2] * (r1[0] * r2[1] - r1[1] * r2[0])
     )
+
+
+def _rows3(a, what):
+    """Rows of a 3x3 input as Python floats and its entrywise infinity norm;
+    ValueError if an entry is NaN or Inf."""
+    rows = np.asarray(a, dtype=float).tolist()
+    flat = rows[0] + rows[1] + rows[2]
+    if not all(map(math.isfinite, flat)):
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    return rows, max(map(abs, flat))
+
+
+def _sym_rows3(a, what):
+    """_rows3, plus NotSymmetric unless |a - a^T|_inf <= SYM_TOL max(1, |a|_inf)."""
+    rows, norm = _rows3(a, what)
+    asym = max(abs(rows[i][j] - rows[j][i]) for i, j in ((0, 1), (0, 2), (1, 2)))
+    if asym > SYM_TOL * max(1.0, norm):
+        raise NotSymmetric("matrix is not symmetric within tolerance")
+    return rows, norm
+
+
+def _trace_invariants(rows):
+    """(tr A, tr A^2, det A) of a 3x3 matrix given as rows of floats."""
+    tr2 = 0.0
+    for i in range(3):
+        for j in range(3):
+            tr2 += rows[i][j] * rows[j][i]
+    return rows[0][0] + rows[1][1] + rows[2][2], tr2, _det3_rows(*rows)
 
 
 def det3(m):
@@ -85,16 +124,8 @@ def charpoly3(a):
 
     c2 = -tr A, c1 = ((tr A)^2 - tr A^2) / 2, c0 = -det A.
     """
-    a = np.asarray(a, dtype=float)
-    tr = a[0, 0] + a[1, 1] + a[2, 2]
-    tr2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            tr2 += a[i, j] * a[j, i]
-    c2 = -tr
-    c1 = 0.5 * (tr * tr - tr2)
-    c0 = -det3(a)
-    return float(c2), float(c1), float(c0)
+    tr, tr2, det = _trace_invariants(np.asarray(a, dtype=float).tolist())
+    return -tr, 0.5 * (tr * tr - tr2), -det
 
 
 def discriminant3(a):
@@ -137,12 +168,11 @@ class SignedSVD3(NamedTuple):
     diag: np.ndarray
 
 
-def eig_sym3(a, sym_tol=1e-12):
+def eig_sym3(a):
     """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
 
     Args:
-        a: real 3x3 array, symmetric within sym_tol * max(1, |a|_inf).
-        sym_tol: relative symmetry tolerance of the precondition.
+        a: real 3x3 array, symmetric within SYM_TOL * max(1, |a|_inf).
 
     Returns:
         EigenSym3 with eigenvalues sorted descending (ties broken by the
@@ -153,14 +183,7 @@ def eig_sym3(a, sym_tol=1e-12):
         NotSymmetric: if the input fails the symmetry precondition.
     """
     # Every check and sweep runs on Python floats, converted once.
-    rows = np.asarray(a, dtype=float).tolist()
-    flat = rows[0] + rows[1] + rows[2]
-    if not all(map(math.isfinite, flat)):
-        raise ValueError("eig_sym3 input contains NaN or Inf entries")
-    norm = max(map(abs, flat))
-    asym = max(abs(rows[i][j] - rows[j][i]) for i, j in ((0, 1), (0, 2), (1, 2)))
-    if asym > sym_tol * max(1.0, norm):
-        raise NotSymmetric("matrix is not symmetric within tolerance")
+    rows, norm = _sym_rows3(a, "eig_sym3 input")
 
     # Symmetrize to remove representation noise.
     m = [[0.5 * (rows[i][j] + rows[j][i]) for j in range(3)] for i in range(3)]
@@ -210,6 +233,11 @@ def eig_sym3(a, sym_tol=1e-12):
     return EigenSym3(eigenvalues=np.array([m[k][k] for k in order]), rotation=np.array(rot))
 
 
+def _pow2_floor(x):
+    """The power of two in (x/2, x] (0.5 for x = 0): x / it is exact, in [1, 2)."""
+    return math.ldexp(1.0, math.frexp(x)[1] - 1)
+
+
 def _orient_right(v, a):
     """Move a reflection in V onto the last column of A = C V (both given as
     lists of columns), so that V is in SO(3) and the QR factorization of A
@@ -239,11 +267,8 @@ def signed_svd3(c):
     Raises:
         ValueError: if the input has NaN or Inf entries.
     """
-    rows = np.asarray(c, dtype=float).tolist()
-    flat = rows[0] + rows[1] + rows[2]
-    if not all(map(math.isfinite, flat)):
-        raise ValueError("signed_svd3 input contains NaN or Inf entries")
-    scale = math.ldexp(1.0, math.frexp(max(map(abs, flat)))[1] - 1)
+    rows, norm = _rows3(c, "signed_svd3 input")
+    scale = _pow2_floor(norm)
 
     # Columns of A = C V / scale and of V.
     a = [[rows[0][j] / scale, rows[1][j] / scale, rows[2][j] / scale] for j in range(3)]

@@ -17,8 +17,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .invariants import _nondegenerate_eig, lmm_invariants, sym_generators
-from .linalg import norm_inf, signed_svd3
+from .invariants import _is_zero_vector, _nondegenerate_eig, lmm_invariants, sym_generators
+from .linalg import _rows3, _trace_invariants, norm_inf, signed_svd3
 
 DEFAULT_TOL = 1e-8
 TIE_TOL = 1e-10
@@ -92,7 +92,7 @@ def lmm_canonical(c, tie_tol=TIE_TOL):
     return LmmCanonicalForm(diag=svd.diag.copy(), witness=witness, degenerate=degenerate)
 
 
-def sym_canonical(v, a, disc_tol=1e-12):
+def sym_canonical(v, a):
     """Canonical form of a symmetric state (v, A) under rotations.
 
     Raises:
@@ -100,7 +100,7 @@ def sym_canonical(v, a, disc_tol=1e-12):
         that locus the orbit has no slice-unique representative.
     """
     v = np.asarray(v, dtype=float)
-    eig, _ = _nondegenerate_eig(a, disc_tol, "repeated eigenvalues; no canonical form")
+    eig, _, _ = _nondegenerate_eig(a, "repeated eigenvalues; no canonical form")
     w0 = eig.rotation @ v
     coords = w0.tolist()
     # The first flip whose image of w0 is lexicographically greatest.
@@ -138,30 +138,29 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
     return EquivalenceVerdict(Verdict.INDETERMINATE, None, max(dist, diag_dist))
 
 
-def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL, vec_tol=1e-12):
+def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     """Decide whether two symmetric states (v, A) and (v', A') lie on the
     same rotation orbit.
 
-    The six generating invariants are compared first; agreement on generic
-    inputs is certified through canonical forms with a witness R such that
-    (R v, R A R^T) = (v', A'). Degenerate spectra or vanishing 1-point
-    vectors yield INDETERMINATE.
+    (tr A, tr A^2, det A) are compared first, then the six generating
+    invariants; agreement on generic inputs is certified through canonical
+    forms with a witness R such that (R v, R A R^T) = (v', A'). Vanishing
+    1-point vectors (checked before any diagonalization) or degenerate
+    spectra yield INDETERMINATE.
     """
     v1, a1 = (np.asarray(x, dtype=float) for x in state_a)
     v2, a2 = (np.asarray(x, dtype=float) for x in state_b)
 
-    base1 = np.array([np.trace(a1), np.sum(a1 * a1), np.linalg.det(a1)])
-    base2 = np.array([np.trace(a2), np.sum(a2 * a2), np.linalg.det(a2)])
+    base1, base2 = (_trace_invariants(_rows3(a, "decide_equiv_sym input")[0]) for a in (a1, a2))
     dist = rel_dist(base1, base2)
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-
+    if _is_zero_vector(v1) or _is_zero_vector(v2):
+        return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
     try:
         ca = sym_canonical(v1, a1)
         cb = sym_canonical(v2, a2)
     except DegenerateSpectrum:
-        return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
-    if norm_inf(v1) <= vec_tol or norm_inf(v2) <= vec_tol:
         return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
 
     # Each canonical w is R v up to an even sign flip, so this is

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonHermitianInput, StateFormatError
-from .linalg import dagger, kron22, norm_inf, require_finite
+from .linalg import dagger, is_hermitian, kron22, norm_inf, require_finite
 
 PAULI = np.array(
     [
@@ -36,6 +36,10 @@ SWAP = np.array(
 )
 
 DEFAULT_CLASS_TOL = 1e-9
+# Relative tolerance of the Hermitian and unit-trace checks of validate_density.
+DENSITY_TOL = 1e-12
+# is_positive accepts eigenvalues down to -POSITIVITY_TOL.
+POSITIVITY_TOL = 1e-10
 
 
 class StateClass(Enum):
@@ -62,7 +66,7 @@ class BlochMatrix:
         return BlochMatrix(self.u.copy(), self.v.copy(), self.C.copy())
 
 
-def validate_density(rho, tol=1e-12):
+def validate_density(rho):
     """Check the trace-one Hermitian invariants of a density operator.
 
     Positivity is deliberately not required: states range over the whole
@@ -73,10 +77,9 @@ def validate_density(rho, tol=1e-12):
     if rho.shape != (4, 4):
         raise StateFormatError(f"expected a 4x4 matrix, got shape {rho.shape}")
     require_finite(rho, "density matrix")
-    scale = max(1.0, norm_inf(rho))
-    if norm_inf(rho - dagger(rho)) > tol * scale:
+    if not is_hermitian(rho, tol=DENSITY_TOL):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > tol * scale:
+    if abs(np.trace(rho) - 1.0) > DENSITY_TOL * max(1.0, norm_inf(rho)):
         raise StateFormatError("matrix does not have unit trace")
     return rho
 
@@ -162,10 +165,10 @@ def classify(rho, tol=DEFAULT_CLASS_TOL):
     return StateClass.GENERAL
 
 
-def is_positive(rho, tol=1e-10):
-    """True if all eigenvalues of the 4x4 matrix are >= -tol."""
+def is_positive(rho):
+    """True if all eigenvalues of the 4x4 matrix are >= -POSITIVITY_TOL."""
     eigs = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
-    return bool(eigs[0] >= -tol)
+    return bool(eigs[0] >= -POSITIVITY_TOL)
 
 
 BELL_KETS = {

@@ -22,7 +22,6 @@ from .groups import (
     lmm_weyl_action_group,
     lmm_weyl_pair,
     octahedral_group,
-    rotation_residual,
     so3_of_u2,
 )
 from .invariants import (
@@ -35,7 +34,7 @@ from .invariants import (
     r_invariant,
     sym_invariants,
 )
-from .linalg import det3, norm_inf
+from .linalg import det3, norm_inf, rotation_residual
 from .orbits import (
     Verdict,
     decide_equiv_lmm,

@@ -129,6 +129,15 @@ class TestEquiv:
         assert out["verdict"] == "equivalent" and "R" in out["witness"]
 
 
+    def test_extreme_scale_symmetric_exit_0(self, tmp_path, capsys):
+        # A = 1e60 diag(3, 2, 1): the degeneracy test must not overflow.
+        v = [0.1, 0.2, 0.3]
+        path = bloch_file(tmp_path, "big.json", v, v, 1e60 * np.diag([3.0, 2.0, 1.0]))
+        assert main(["equiv", path, path]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
+        assert main(["invariants", path]) == 0
+
+
 class TestCanonical:
     def test_bell(self, bell_file, capsys):
         assert main(["canonical", bell_file]) == 0

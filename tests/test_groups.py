@@ -14,11 +14,10 @@ from blochinv.groups import (
     lmm_weyl_action_group,
     lmm_weyl_pair,
     octahedral_group,
-    rotation_residual,
     signed_permutations,
     so3_of_u2,
 )
-from blochinv.linalg import norm_inf
+from blochinv.linalg import norm_inf, rotation_residual
 from blochinv.states import StateClass, bloch_of, density_of, random_bloch
 
 

@@ -4,7 +4,7 @@ derived formula."""
 import numpy as np
 import pytest
 
-from blochinv import invariants
+from blochinv import invariants, linalg
 from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, octahedral_group
 from blochinv.invariants import (
@@ -340,11 +340,20 @@ class TestRInvariant:
     def test_checks_matrix_once(self, monkeypatch):
         # eig_sym3 makes the finiteness and symmetry check; g is evaluated
         # unchecked afterwards, with the same errors for bad input.
-        def fail(*args, **kwargs):
-            raise AssertionError("second check of the same matrix")
+        original = linalg._sym_rows3
+        calls = []
 
-        monkeypatch.setattr(invariants, "_check_symmetric", fail)
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        bound = [(module, attr) for module in (linalg, invariants)
+                 for attr, value in list(vars(module).items()) if value is original]
+        assert (linalg, "_sym_rows3") in bound
+        for module, attr in bound:
+            monkeypatch.setattr(module, attr, counted)
         assert r_invariant(np.ones(3), np.diag([1.0, 2.0, 3.0])) == pytest.approx(1.0)
+        assert len(calls) == 1
         with pytest.raises(ValueError, match="NaN or Inf"):
             r_invariant(np.ones(3), np.diag([1.0, np.nan, 3.0]))
         with pytest.raises(NotSymmetric):
@@ -424,6 +433,41 @@ class TestSymInvariants:
             m = g.matrix().astype(float)
             s = sym_invariants(m @ v, m @ np.diag(lam) @ m.T).as_tuple()
             assert rel_dist(ref, s) < 1e-12
+
+
+class TestExtremeScale:
+    """Scaling A must not overflow the degeneracy test or g^2 / disc: a
+    power-of-two scale keeps every bit, any other scale keeps the values."""
+
+    def _state(self):
+        q = haar_so3(np.random.default_rng(19))
+        return np.array([0.1, -0.7, 0.4]), q.T @ np.diag([3.0, 2.0, 1.0]) @ q
+
+    def _xyz(self, v, a):
+        inv = sym_invariants(v, a)
+        return [inv.pX, inv.pY, inv.pZ]
+
+    @pytest.mark.parametrize("scale", [2.0**100, 2.0**200])
+    def test_power_of_two_scale_is_bitwise(self, scale):
+        v, a = self._state()
+        assert self._xyz(v, scale * a) == self._xyz(v, a)
+        assert r_invariant(v, scale * a) == r_invariant(v, a)
+        np.testing.assert_array_equal(sym_canonical(v, scale * a).w, sym_canonical(v, a).w)
+
+    def test_1e60(self):
+        v, a = self._state()
+        big = 1e60 * a
+        assert self._xyz(v, big) == pytest.approx(self._xyz(v, a), rel=1e-12, abs=1e-15)
+        assert r_invariant(v, big) == pytest.approx(r_invariant(v, a), rel=1e-12)
+        form, ref = sym_canonical(v, big), sym_canonical(v, a)
+        np.testing.assert_allclose(form.eigs / 1e60, ref.eigs, rtol=1e-14)
+        np.testing.assert_allclose(form.w, ref.w, rtol=1e-12, atol=1e-15)
+
+    def test_degeneracy_still_detected(self):
+        with pytest.raises(DegenerateSpectrum):
+            sym_invariants(np.ones(3), 1e60 * np.diag([2.0, 2.0, 1.0]))
+        with pytest.raises(DegenerateSpectrum):
+            r_invariant(np.ones(3), 1e300 * np.eye(3))
 
 
 class TestSymGenerators:

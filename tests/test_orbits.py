@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochinv import linalg
-from blochinv.errors import DegenerateSpectrum
+from blochinv.errors import DegenerateSpectrum, ZeroVector
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
 from blochinv.invariants import sym_invariants
 from blochinv.linalg import norm_inf
@@ -190,6 +190,35 @@ class TestDecideSym:
             sb = (rng.uniform(-1, 1, 3), np.diag(gapped_descending(rng, -2, 2, 1e-2)))
             assert decide_equiv_sym(sa, sb).verdict is Verdict.NOT_EQUIVALENT
 
+    @pytest.mark.parametrize("v", [
+        1e-12 * np.ones(3),
+        np.nextafter(1e-12, 1.0) * np.ones(3),
+        np.array([0.0, -1e-12, 0.0]),
+        np.array([0.0, -1.5e-12, 0.0]),
+        np.zeros(3),
+    ])
+    def test_one_zero_vector_predicate(self, v):
+        # |v|_inf <= 1e-12 is the zero test of both sym_invariants and
+        # decide_equiv_sym; at 1e-12 (1, 1, 1) the Euclidean norm is above it.
+        a = np.diag([3.0, 2.0, 1.0])
+        try:
+            sym_invariants(v, a)
+            zero = False
+        except ZeroVector:
+            zero = True
+        indeterminate = decide_equiv_sym((v, a), (v, a)).verdict is Verdict.INDETERMINATE
+        assert zero == indeterminate == bool(np.max(np.abs(v)) <= 1e-12)
+
+    def test_extreme_scale_same_orbit(self):
+        rng = np.random.default_rng(24)
+        w = rng.uniform(-1, 1, size=3)
+        ra, rb = haar_so3(rng), haar_so3(rng)
+        lam = 1e60 * np.array([3.0, 2.0, 1.0])
+        sa = (ra.T @ w, ra.T @ np.diag(lam) @ ra)
+        sb = (rb.T @ w, rb.T @ np.diag(lam) @ rb)
+        sa, sb = ((v, 0.5 * (a + a.T)) for v, a in (sa, sb))
+        assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
+
 
 @pytest.fixture
 def eig_sym3_calls(monkeypatch):
@@ -237,6 +266,12 @@ class TestSingleDiagonalization:
         verdict = decide_equiv_sym(sa, (sb[0], sb[1] + 0.5 * np.eye(3)))
         assert verdict.verdict is Verdict.NOT_EQUIVALENT
         assert verdict.invariant_distance > 0.1
+        assert eig_sym3_calls == []
+
+    def test_none_on_zero_vector(self, eig_sym3_calls):
+        sa, sb = self._pair(25)
+        verdict = decide_equiv_sym((np.zeros(3), sa[1]), (np.zeros(3), sb[1]))
+        assert verdict.verdict is Verdict.INDETERMINATE
         assert eig_sym3_calls == []
 
 
