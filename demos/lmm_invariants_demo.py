@@ -16,7 +16,6 @@ from blochinv import (
     bloch_of,
     decide_equiv_lmm,
     haar_so3,
-    lmm_bounds_check,
     lmm_canonical,
     lmm_invariants,
 )
@@ -65,7 +64,7 @@ print("diag(1,2,3) vs diag(1,2,-3):", verdict.verdict.value,
 
 verdict = decide_equiv_lmm(np.zeros((3, 3)), np.zeros((3, 3)))
 print("origin vs origin:", verdict.verdict.value,
-      " (outside the generic locus; no unique slice representative)")
+      " (all singular values tie; any rotation pair is a witness)")
 
 print()
 print("=" * 70)
@@ -76,5 +75,5 @@ inv = lmm_invariants(np.diag([1.0, 0.0, 0.0]))
 print("(t2, t3, t4) =", inv.as_tuple())
 print("exact cone check (t2 <= 3, t3 <= (1-t2)/2, 2 t4 >= t2^2+2t2-1+8t3):",
       lmm_positive_cone_check(inv))
-print("the commonly quoted upper bound on t4 would wrongly exclude it:",
-      lmm_bounds_check(inv))
+print("the commonly quoted upper bound t4 <= -2 t3 + (1-t2)^2/4 excludes it:",
+      inv.t4 > -2 * inv.t3 + (1 - inv.t2) ** 2 / 4)

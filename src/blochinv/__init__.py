@@ -32,7 +32,6 @@ from .invariants import (
     OctahedralInvariants,
     SymInvariants,
     g_invariant,
-    lmm_bounds_check,
     lmm_invariants,
     lmm_section_invariants,
     lmm_section_jacobian,

@@ -94,10 +94,6 @@ class SignedPerm:
         return SignedPerm(perm=perm, signs=signs)
 
 
-def identity_signed_perm():
-    return SignedPerm(perm=(0, 1, 2), signs=(1, 1, 1))
-
-
 def signed_permutations():
     """All 48 signed permutation matrices, in a fixed deterministic order."""
     out = []

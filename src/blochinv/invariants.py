@@ -1,8 +1,8 @@
 """Invariant functions of two-qubit states under local rotations.
 
 For locally maximally mixed states: the generating triple
-t2 = tr C C^T, t3 = det C, t4 = tr (C C^T)^2 together with the positivity
-bounds and the diagonal-slice invariants (s1, s2, s3). For symmetric
+t2 = tr C C^T, t3 = det C, t4 = tr (C C^T)^2 together with the exact
+positive cone and the diagonal-slice invariants (s1, s2, s3). For symmetric
 states: the octahedral invariants of a 3-vector, the lifted invariant
 g(v, A) with its discriminant quotient g^2 / disc, and the six generators
 (pX, pY, pZ, tr A, tr A^2, det A).
@@ -185,25 +185,6 @@ def lmm_section_jacobian(x):
     )
 
 
-def lmm_bounds_check(inv, tol=1e-9):
-    """Check the reported bound triple 0 <= t2 <= 3, t3 <= (1 - t2)/2,
-    0 <= t4 <= -2 t3 + (1 - t2)^2 / 4, all within tol.
-
-    The first two inequalities hold for every positive semidefinite
-    locally maximally mixed state, and all three are saturated at the
-    maximally entangled states. The upper bound on t4 is NOT implied by
-    positivity, though: the positive state with 2-point matrix
-    diag(1, 0, 0) has (t2, t3, t4) = (1, 0, 1) and fails it. See
-    lmm_positive_cone_check for the exact characterization.
-    """
-    t2, t3, t4 = inv.t2, inv.t3, inv.t4
-    return bool(
-        -tol <= t2 <= 3.0 + tol
-        and t3 <= 0.5 * (1.0 - t2) + tol
-        and -tol <= t4 <= -2.0 * t3 + 0.25 * (1.0 - t2) ** 2 + tol
-    )
-
-
 def lmm_positive_cone_check(inv, tol=1e-9):
     """Exact invariant-level positivity test for locally maximally mixed
     states: t2 <= 3, t3 <= (1 - t2)/2 and 2 t4 >= t2^2 + 2 t2 - 1 + 8 t3.
@@ -332,11 +313,6 @@ def _nondegenerate_eig(a, message):
     return eig, scale, disc
 
 
-def _is_zero_vector(v):
-    """The one zero test of a 1-point vector: |v|_inf <= ZERO_VECTOR_TOL."""
-    return all(abs(x) <= ZERO_VECTOR_TOL for x in np.asarray(v, dtype=float).tolist())
-
-
 def r_invariant(v, a):
     """The rotation invariant g(v, A)^2 / disc(A).
 
@@ -347,22 +323,6 @@ def r_invariant(v, a):
     _, scale, disc = _nondegenerate_eig(a, "discriminant vanishes; invariant undefined")
     g = _g_unchecked(v, a / scale)
     return (g * g) / disc
-
-
-def sym_generators(w, a):
-    """The six generators from A and its 1-point vector w = R v already
-    rotated into an eigenbasis of A. Any even sign flip of w gives the same
-    bits: the octahedral X, Y, Z are bitwise invariant under those."""
-    oct_inv = octahedral_invariants(w)
-    tr_a, tr_a2, det_a = _trace_invariants(np.asarray(a, dtype=float).tolist())
-    return SymInvariants(
-        pX=oct_inv.X,
-        pY=oct_inv.Y,
-        pZ=oct_inv.Z,
-        trA=tr_a,
-        trA2=tr_a2,
-        detA=det_a,
-    )
 
 
 def sym_invariants(v, a):
@@ -381,6 +341,9 @@ def sym_invariants(v, a):
     """
     v = np.asarray(v, dtype=float)
     eig, _, _ = _nondegenerate_eig(a, "repeated eigenvalues; invariants undefined")
-    if _is_zero_vector(v):
+    if all(abs(x) <= ZERO_VECTOR_TOL for x in v.tolist()):
         raise ZeroVector("zero 1-point vector; pX, pY, pZ undefined")
-    return sym_generators(eig.rotation @ v, a)
+    oct_inv = octahedral_invariants(eig.rotation @ v)
+    tr_a, tr_a2, det_a = _trace_invariants(np.asarray(a, dtype=float).tolist())
+    return SymInvariants(pX=oct_inv.X, pY=oct_inv.Y, pZ=oct_inv.Z,
+                         trA=tr_a, trA2=tr_a2, detA=det_a)

@@ -62,11 +62,6 @@ def rotation_residual(r):
     return max(norm_inf(r.T @ r - np.eye(3)), abs(float(np.linalg.det(r)) - 1.0))
 
 
-def is_rotation(r, tol=1e-11):
-    """True if r is in SO(3) within tolerance."""
-    return rotation_residual(r) <= tol
-
-
 def kron22(a, b):
     """Kronecker product of two 2x2 matrices, left factor slow index."""
     return np.kron(np.asarray(a), np.asarray(b))

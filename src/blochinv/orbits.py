@@ -9,6 +9,10 @@ works; these are branch-free to test):
     rotated 1-point vector made lexicographically greatest over the four
     even sign flips of the eigenbasis;
   * a witness always maps the FIRST argument's state onto the second's.
+
+Both groups are compact, so every orbit is closed and the canonical forms
+separate all of them: decide_equiv_* need no gate beyond the invariant fast
+reject, the canonical-form distance and the witness residual.
 """
 
 from dataclasses import dataclass
@@ -17,7 +21,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .invariants import _is_zero_vector, _nondegenerate_eig, lmm_invariants, sym_generators
+from .invariants import _nondegenerate_eig, lmm_invariants
 from .linalg import _rows3, _trace_invariants, norm_inf, signed_svd3
 
 DEFAULT_TOL = 1e-8
@@ -62,6 +66,9 @@ class SymCanonicalForm:
 
 @dataclass
 class EquivalenceVerdict:
+    """invariant_distance is the largest rel_dist among the gates that ran;
+    witness is None unless the verdict is EQUIVALENT."""
+
     verdict: Verdict
     witness: object
     invariant_distance: float
@@ -113,10 +120,10 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
     """Decide whether two 2-point matrices lie on the same rotation-pair
     orbit.
 
-    Invariant comparison is a fast reject; agreement is certified through
-    canonical forms with a composed witness (R1, R2) such that
-    R1 C R2^T = M, whose residual is checked inline. Inputs with colliding
-    singular values yield INDETERMINATE.
+    NOT_EQUIVALENT comes from the invariant fast reject or the distance
+    between canonical diagonals; EQUIVALENT only from a composed witness
+    (R1, R2) with |R1 C R2^T - M|_inf <= 10 tol max(1, |M|_inf), which tied
+    singular values leave non-unique but valid; INDETERMINATE otherwise.
     """
     c = np.asarray(c, dtype=float)
     m = np.asarray(m, dtype=float)
@@ -125,28 +132,26 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
     ca = lmm_canonical(c)
     cb = lmm_canonical(m)
-    if ca.degenerate or cb.degenerate:
-        return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
-    diag_dist = rel_dist(ca.diag, cb.diag)
-    if diag_dist > tol:
-        return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, max(dist, diag_dist))
+    dist = max(dist, rel_dist(ca.diag, cb.diag))
+    if dist > tol:
+        return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
     r1 = cb.witness[0].T @ ca.witness[0]
     r2 = cb.witness[1].T @ ca.witness[1]
     residual = norm_inf(r1 @ c @ r2.T - m)
     if residual <= 10.0 * tol * max(1.0, norm_inf(m)):
-        return EquivalenceVerdict(Verdict.EQUIVALENT, (r1, r2), max(dist, diag_dist))
-    return EquivalenceVerdict(Verdict.INDETERMINATE, None, max(dist, diag_dist))
+        return EquivalenceVerdict(Verdict.EQUIVALENT, (r1, r2), dist)
+    return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
 
 
 def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     """Decide whether two symmetric states (v, A) and (v', A') lie on the
     same rotation orbit.
 
-    (tr A, tr A^2, det A) are compared first, then the six generating
-    invariants; agreement on generic inputs is certified through canonical
-    forms with a witness R such that (R v, R A R^T) = (v', A'). Vanishing
-    1-point vectors (checked before any diagonalization) or degenerate
-    spectra yield INDETERMINATE.
+    NOT_EQUIVALENT comes from the (tr A, tr A^2, det A) fast reject, run
+    before any diagonalization, or the distance between canonical
+    eigenvalues and w; EQUIVALENT only from a witness R with (R v, R A R^T)
+    within 10 tol max(1, |A'|_inf, |v'|_inf) of (v', A'), a zero v
+    included; INDETERMINATE otherwise, or for a (near-)repeated spectrum.
     """
     v1, a1 = (np.asarray(x, dtype=float) for x in state_a)
     v2, a2 = (np.asarray(x, dtype=float) for x in state_b)
@@ -155,28 +160,14 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     dist = rel_dist(base1, base2)
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    if _is_zero_vector(v1) or _is_zero_vector(v2):
-        return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
     try:
         ca = sym_canonical(v1, a1)
         cb = sym_canonical(v2, a2)
     except DegenerateSpectrum:
         return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
-
-    # Each canonical w is R v up to an even sign flip, so this is
-    # sym_invariants without a second diagonalization.
-    s1 = sym_generators(ca.w, a1)
-    s2 = sym_generators(cb.w, a2)
-    dist = max(dist, rel_dist(s1.as_tuple(), s2.as_tuple()))
+    dist = max(dist, rel_dist(ca.eigs, cb.eigs), rel_dist(ca.w, cb.w))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-
-    eig_dist = rel_dist(ca.eigs, cb.eigs)
-    w_dist = rel_dist(ca.w, cb.w)
-    if max(eig_dist, w_dist) > tol:
-        return EquivalenceVerdict(
-            Verdict.NOT_EQUIVALENT, None, max(dist, eig_dist, w_dist)
-        )
     r = cb.witness.T @ ca.witness
     residual = max(
         norm_inf(r @ v1 - v2),

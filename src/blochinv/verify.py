@@ -326,8 +326,8 @@ def _suite_lmm(samples, seed):
         rho = random_state(StateClass.LMM, rng, positive=True)
         inv = lmm_invariants(bloch_of(rho).C)
         # The cone check covers t2 <= 3 and the t3 bound. The reported
-        # upper bound on t4 is not implied by positivity (see
-        # lmm_bounds_check) and is deliberately not asserted here.
+        # upper bound t4 <= -2 t3 + (1 - t2)^2 / 4 is not implied by
+        # positivity (C = diag(1, 0, 0) breaks it) and is not asserted here.
         if inv.t2 < -1e-9 or not lmm_positive_cone_check(inv):
             bad += 1
     checks.append(
@@ -619,6 +619,14 @@ def _synthetic_sym_pair(rng):
     return (ra.T @ w, ra.T @ a0 @ ra), (rb.T @ w, rb.T @ a0 @ rb)
 
 
+# Tied singular values; -I and (1, 1, -1) are Bell states, 0 the maximally
+# mixed state.
+_TIED_DIAGONALS = (
+    (-1.0, -1.0, -1.0), (1.0, 1.0, -1.0), (0.5, 0.5, 0.2), (0.5, 0.2, 0.2),
+    (0.3, 0.3, 0.3), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.4, 0.4, 0.0),
+)
+
+
 def _generic_lmm_state(rng):
     while True:
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
@@ -712,7 +720,9 @@ def _suite_orbit(samples, seed):
             res = max(res, norm_inf(moved - base))
     checks.append(CheckResult("lmm_canonical_weyl_invariance", res < 1e-10, res))
 
-    ok = decide_equiv_lmm(np.zeros((3, 3)), np.zeros((3, 3))).verdict is Verdict.INDETERMINATE
+    origin = decide_equiv_lmm(np.zeros((3, 3)), np.zeros((3, 3)))
+    ok = origin.verdict is Verdict.EQUIVALENT
+    ok = ok and max(rotation_residual(r) for r in origin.witness) < 1e-11
     ok = ok and decide_equiv_sym(
         (np.array([0.2, 0.3, 0.4]), np.eye(3)),
         (np.array([0.2, 0.3, 0.4]), np.eye(3)),
@@ -724,6 +734,36 @@ def _suite_orbit(samples, seed):
     a = np.diag([3.0, 2.0, 1.0])
     ok = ok and decide_equiv_sym((v, a), (2.0 * v, a)).verdict is Verdict.NOT_EQUIVALENT
     checks.append(CheckResult("degenerate_and_reject_verdicts", ok, 0.0 if ok else 1.0))
+
+    bad = 0
+    res = 0.0
+    n_deg = max(1, samples // 10)
+    zero = np.zeros(3)
+    for t in range(n_deg):
+        rng = trial_rng(seed, "orbit", 600000 + t)
+        d = _TIED_DIAGONALS[t % len(_TIED_DIAGONALS)]
+        ca, cb, cf = (haar_so3(rng) @ np.diag(x) @ haar_so3(rng).T
+                      for x in (d, d, (d[0], d[1], -d[2])))
+        lam = _generic_spectrum(rng)
+        ra, rb = haar_so3(rng), haar_so3(rng)
+        aa, ab = ra.T @ np.diag(lam) @ ra, rb.T @ np.diag(lam) @ rb
+        am = rb.T @ np.diag(lam + 0.1 * np.eye(3)[t % 3]) @ rb
+        lmm = decide_equiv_lmm(ca, cb, tol=1e-8)
+        sym = decide_equiv_sym((zero, aa), (zero, ab), tol=1e-8)
+        rejects = [decide_equiv_sym((zero, aa), (zero, am), tol=1e-8)]
+        if d[2] != 0.0:
+            rejects.append(decide_equiv_lmm(ca, cf, tol=1e-8))
+        bad += sum(v.verdict is not Verdict.NOT_EQUIVALENT for v in rejects)
+        if lmm.verdict is Verdict.EQUIVALENT and sym.verdict is Verdict.EQUIVALENT:
+            (r1, r2), r = lmm.witness, sym.witness
+            res = max(res, norm_inf(r1 @ ca @ r2.T - cb) / max(1.0, norm_inf(cb)),
+                      norm_inf(r @ aa @ r.T - ab) / max(1.0, norm_inf(ab)))
+        else:
+            bad += 1
+    checks.append(
+        CheckResult("degenerate_orbit_decisions", bad == 0 and res <= 1e-7, res,
+                    f"{bad} wrong verdicts in {n_deg} trials")
+    )
     return checks
 
 

@@ -17,7 +17,6 @@ import blochinv.linalg
 from blochinv.groups import act_bloch, act_density, haar_so3, haar_su2, so3_of_u2
 from blochinv.invariants import (
     eigen_discriminant3,
-    lmm_bounds_check,
     lmm_invariants,
     lmm_invariants_jacobian,
     lmm_positive_cone_check,
@@ -101,7 +100,7 @@ def test_criterion_03_positivity_bounds_as_stated():
     # t2 >= 0 since t2 is a sum of squares.
     #
     # The criterion used to be stated with the upper bound
-    # t4 <= -2 t3 + (1 - t2)^2 / 4 (lmm_bounds_check). That bound is false
+    # t4 <= -2 t3 + (1 - t2)^2 / 4. That bound is false
     # for positive states: C = diag(1, 0, 0) gives a positive state with
     # (t2, t3, t4) = (1, 0, 1) and misses it by a full unit, and a majority
     # of the draws below miss it too. The fixed points at the end pin both
@@ -144,7 +143,7 @@ def test_criterion_03_positivity_bounds_as_stated():
     assert is_positive(rho)
     assert inv.as_tuple() == (1.0, 0.0, 1.0)
     assert lmm_positive_cone_check(inv, tol=tol)
-    assert not lmm_bounds_check(inv, tol=tol)
+    assert inv.t4 > -2.0 * inv.t3 + 0.25 * (1.0 - inv.t2) ** 2 + tol
 
 
 def test_criterion_04_restriction_identity():

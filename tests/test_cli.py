@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from blochinv.cli import main
+from blochinv.linalg import rotation_residual
 from blochinv.serialize import bloch_document, density_document, dumps
 from blochinv.states import BlochMatrix, bell_projector
 
@@ -85,6 +86,18 @@ class TestInvariants:
                           0.5 * np.eye(3))
         assert main(["invariants", path]) == 4
 
+    @pytest.mark.parametrize("scale", [1e8, 1e20, 1e60])
+    def test_dense_large_entries(self, tmp_path, capsys, scale):
+        # The density matrix of a Bloch file at this scale has rounding of
+        # order eps |rho| in its imaginary parts, far above 1e-10 absolute.
+        rng = np.random.default_rng(31)
+        for k in range(10):
+            c = rng.uniform(-scale, scale, size=(3, 3))
+            path = bloch_file(tmp_path, f"big{k}.json", [0, 0, 0], [0, 0, 0], c)
+            assert main(["invariants", path]) == 0
+            out = json.loads(capsys.readouterr().out)
+            assert abs(out["t2"] - float(np.sum(c * c))) <= 1e-12 * 9 * scale**2
+
 
 class TestEquiv:
     def test_rotated_copy_exit_0(self, tmp_path, capsys):
@@ -106,9 +119,13 @@ class TestEquiv:
         assert main(["equiv", a, b]) == 1
         assert json.loads(capsys.readouterr().out)["verdict"] == "not_equivalent"
 
-    def test_degenerate_exit_4(self, mixed_file, capsys):
-        assert main(["equiv", mixed_file, mixed_file]) == 4
-        assert json.loads(capsys.readouterr().out)["verdict"] == "indeterminate"
+    def test_mixed_pair_exit_0(self, mixed_file, capsys):
+        # C = 0 ties all three singular values; the witness still certifies.
+        assert main(["equiv", mixed_file, mixed_file]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["verdict"] == "equivalent"
+        assert all(rotation_residual(np.array(out["witness"][k])) <= 1e-11
+                   for k in ("R1", "R2"))
 
     def test_class_mismatch_exit_3(self, tmp_path, bell_file):
         g = bloch_file(tmp_path, "g.json", [0.5, 0, 0], [0, 0, -0.5],

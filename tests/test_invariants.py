@@ -11,7 +11,6 @@ from blochinv.invariants import (
     LmmInvariants,
     eigen_discriminant3,
     g_invariant,
-    lmm_bounds_check,
     lmm_invariants,
     lmm_invariants_jacobian,
     lmm_positive_cone_check,
@@ -20,7 +19,6 @@ from blochinv.invariants import (
     octahedral_invariants,
     p9_eval,
     r_invariant,
-    sym_generators,
     sym_invariants,
 )
 from blochinv.linalg import det3, discriminant3
@@ -58,7 +56,6 @@ class TestLmmInvariants:
         # All three reported bounds are saturated at this point.
         assert inv.t3 == 0.5 * (1.0 - inv.t2)
         assert inv.t4 == -2.0 * inv.t3 + 0.25 * (1.0 - inv.t2) ** 2
-        assert lmm_bounds_check(inv)
 
     def test_matches_matrix_formulas(self):
         rng = np.random.default_rng(0)
@@ -140,9 +137,9 @@ class TestSectionInvariants:
 
 class TestBounds:
     def test_examples(self):
-        assert lmm_bounds_check(lmm_invariants(np.zeros((3, 3))))
-        assert lmm_bounds_check(lmm_invariants(np.diag([1.0, -1.0, 1.0])))
-        assert not lmm_bounds_check(LmmInvariants(t2=4.0, t3=0.0, t4=0.0))
+        assert lmm_positive_cone_check(lmm_invariants(np.zeros((3, 3))))
+        assert lmm_positive_cone_check(lmm_invariants(np.diag([1.0, -1.0, 1.0])))
+        assert not lmm_positive_cone_check(LmmInvariants(t2=4.0, t3=0.0, t4=0.0))
 
     def test_reported_t4_bound_is_not_implied_by_positivity(self):
         # The positive state with C = diag(1, 0, 0) fails the reported
@@ -152,7 +149,7 @@ class TestBounds:
         assert is_positive(rho)
         inv = lmm_invariants(b.C)
         assert inv.as_tuple() == (1.0, 0.0, 1.0)
-        assert not lmm_bounds_check(inv)
+        assert inv.t4 > -2.0 * inv.t3 + 0.25 * (1.0 - inv.t2) ** 2 + 1e-9
         assert lmm_positive_cone_check(inv)
 
     def test_cone_check_matches_eigenvalue_positivity(self):
@@ -472,19 +469,20 @@ class TestExtremeScale:
 
 class TestSymGenerators:
     def test_canonical_w_reproduces_sym_invariants_bitwise(self):
-        # decide_equiv_sym takes the generators from the canonical w, which
-        # is R v up to an even sign flip; the bits must not see the flip.
+        # The canonical w is R v up to an even sign flip of the eigenbasis;
+        # pX, pY, pZ must not see the flip, bit for bit.
         rng = np.random.default_rng(17)
         for _ in range(300):
             a = haar_so3(rng)
             a = a @ np.diag(gapped_eigs(rng)) @ a.T
             a = 0.5 * (a + a.T)
             v = rng.uniform(-1, 1, size=3)
-            ref = [float(x).hex() for x in sym_invariants(v, a).as_tuple()]
+            inv = sym_invariants(v, a)
+            ref = [inv.pX.hex(), inv.pY.hex(), inv.pZ.hex()]
             form = sym_canonical(v, a)
             for flips in EVEN_SIGN_FLIPS:
-                gen = sym_generators(np.array(flips) * form.w, a).as_tuple()
-                assert [float(x).hex() for x in gen] == ref
+                oct_inv = octahedral_invariants(np.array(flips) * form.w)
+                assert [oct_inv.X.hex(), oct_inv.Y.hex(), oct_inv.Z.hex()] == ref
 
 
 class TestInvariantJacobian:

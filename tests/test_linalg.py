@@ -12,10 +12,10 @@ from blochinv.linalg import (
     discriminant3,
     eig_sym3,
     is_hermitian,
-    is_rotation,
     is_unitary,
     kron22,
     norm_inf,
+    rotation_residual,
     signed_svd3,
 )
 
@@ -40,8 +40,8 @@ class TestPredicates:
         assert not is_unitary(2.0 * np.eye(2))
 
     def test_rotation(self):
-        assert is_rotation(np.eye(3))
-        assert not is_rotation(np.diag([1.0, 1.0, -1.0]))  # reflection
+        assert rotation_residual(np.eye(3)) <= 1e-11
+        assert rotation_residual(np.diag([1.0, 1.0, -1.0])) > 1e-11  # reflection
 
     def test_kron_convention(self):
         # Left factor is the slow index: (A x B)[2a+c, 2b+d] = A[a,b] B[c,d]
@@ -116,7 +116,7 @@ class TestEigSym3:
         eig = eig_sym3(np.diag([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(eig.eigenvalues, [3.0, 2.0, 1.0])
         # Rotation is a signed permutation with determinant +1.
-        assert is_rotation(eig.rotation, tol=0.0)
+        assert rotation_residual(eig.rotation) == 0.0
 
     def test_block_example(self):
         # Eigenvalues of [[2,1,0],[1,2,0],[0,0,5]] are 5, 3, 1 by the
@@ -281,7 +281,7 @@ class TestSignedSVD3:
     def test_zero_and_rank_deficient(self):
         svd = signed_svd3(np.zeros((3, 3)))
         np.testing.assert_array_equal(svd.diag, np.zeros(3))
-        assert is_rotation(svd.left) and is_rotation(svd.right)
+        assert rotation_residual(svd.left) <= 1e-11 and rotation_residual(svd.right) <= 1e-11
 
         c = np.diag([2.0, 0.0, 0.0])
         svd = signed_svd3(c)
@@ -302,8 +302,8 @@ class TestSignedSVD3:
             scale = max(1.0, norm_inf(c))
             recon = svd.left @ np.diag(svd.diag) @ svd.right.T
             assert norm_inf(recon - c) <= 1e-10 * scale
-            assert is_rotation(svd.left, tol=1e-11)
-            assert is_rotation(svd.right, tol=1e-11)
+            assert rotation_residual(svd.left) <= 1e-11
+            assert rotation_residual(svd.right) <= 1e-11
             d = svd.diag
             assert d[0] >= d[1] >= abs(d[2]) and d[0] >= 0.0 and d[1] >= 0.0
             dc = det3(c)
@@ -333,8 +333,8 @@ class TestSignedSVD3:
             assert norm_inf(recon - c) <= 1e-10 * scale
             ref = np.linalg.svd(c, compute_uv=False)
             assert norm_inf(np.abs(svd.diag) - ref) <= 1e-14 * scale
-            assert is_rotation(svd.left, tol=1e-11)
-            assert is_rotation(svd.right, tol=1e-11)
+            assert rotation_residual(svd.left) <= 1e-11
+            assert rotation_residual(svd.right) <= 1e-11
             d = svd.diag
             assert d[0] >= d[1] >= abs(d[2]) and d[1] >= 0.0
             assert np.sign(d[2]) == d3_sign
@@ -389,8 +389,8 @@ class TestSignedSVD3:
                 scale = max(1.0, norm_inf(c))
                 recon = svd.left @ np.diag(svd.diag) @ svd.right.T
                 assert norm_inf(recon - c) <= 1e-10 * scale
-                assert is_rotation(svd.left, tol=1e-11)
-                assert is_rotation(svd.right, tol=1e-11)
+                assert rotation_residual(svd.left) <= 1e-11
+                assert rotation_residual(svd.right) <= 1e-11
                 out = svd.diag
                 assert out[0] >= out[1] >= abs(out[2])
                 assert out[0] >= 0.0 and out[1] >= 0.0

@@ -9,7 +9,7 @@ from blochinv import linalg
 from blochinv.errors import DegenerateSpectrum, ZeroVector
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
 from blochinv.invariants import sym_invariants
-from blochinv.linalg import norm_inf
+from blochinv.linalg import norm_inf, rotation_residual
 from blochinv.orbits import (
     Verdict,
     decide_equiv_lmm,
@@ -146,10 +146,29 @@ class TestDecideLmm:
         assert verdict.verdict is Verdict.NOT_EQUIVALENT
         assert verdict.invariant_distance > 1.0
 
-    def test_zero_is_indeterminate(self):
+    def test_zero_is_equivalent(self):
+        # All singular values tie at 0: the witness is any rotation pair,
+        # and its residual still certifies the verdict.
         verdict = decide_equiv_lmm(np.zeros((3, 3)), np.zeros((3, 3)))
-        assert verdict.verdict is Verdict.INDETERMINATE
+        assert verdict.verdict is Verdict.EQUIVALENT
         assert verdict.invariant_distance == 0.0
+        r1, r2 = verdict.witness
+        assert norm_inf(r1 @ np.zeros((3, 3)) @ r2.T) == 0.0
+        assert rotation_residual(r1) <= 1e-11 and rotation_residual(r2) <= 1e-11
+
+    @pytest.mark.parametrize("d", [
+        (-1.0, -1.0, -1.0), (1.0, 1.0, -1.0), (0.5, 0.5, 0.2), (0.5, 0.2, 0.2),
+        (0.3, 0.3, 0.3), (0.0, 0.0, 0.0), (1.0, 0.0, 0.0), (0.4, 0.4, 0.0),
+    ])
+    def test_tied_singular_values_equivalent(self, d):
+        rng = np.random.default_rng(16)
+        for _ in range(50):
+            ca = haar_so3(rng) @ np.diag(d) @ haar_so3(rng).T
+            cb = haar_so3(rng) @ np.diag(d) @ haar_so3(rng).T
+            verdict = decide_equiv_lmm(ca, cb)
+            assert verdict.verdict is Verdict.EQUIVALENT
+            r1, r2 = verdict.witness
+            assert norm_inf(r1 @ ca @ r2.T - cb) <= 1e-7 * max(1.0, norm_inf(cb))
 
     def test_independent_states_separate(self):
         rng = np.random.default_rng(7)
@@ -198,16 +217,20 @@ class TestDecideSym:
         np.zeros(3),
     ])
     def test_one_zero_vector_predicate(self, v):
-        # |v|_inf <= 1e-12 is the zero test of both sym_invariants and
-        # decide_equiv_sym; at 1e-12 (1, 1, 1) the Euclidean norm is above it.
+        # |v|_inf <= 1e-12 is the zero test of sym_invariants; at 1e-12
+        # (1, 1, 1) the Euclidean norm is above it. decide_equiv_sym has no
+        # zero test: its witness certifies on both sides of the threshold.
         a = np.diag([3.0, 2.0, 1.0])
         try:
             sym_invariants(v, a)
             zero = False
         except ZeroVector:
             zero = True
-        indeterminate = decide_equiv_sym((v, a), (v, a)).verdict is Verdict.INDETERMINATE
-        assert zero == indeterminate == bool(np.max(np.abs(v)) <= 1e-12)
+        assert zero == bool(np.max(np.abs(v)) <= 1e-12)
+        verdict = decide_equiv_sym((v, a), (v, a))
+        assert verdict.verdict is Verdict.EQUIVALENT
+        r = verdict.witness
+        assert max(norm_inf(r @ v - v), norm_inf(r @ a @ r.T - a)) <= 1e-7 * 3.0
 
     def test_extreme_scale_same_orbit(self):
         rng = np.random.default_rng(24)
@@ -268,11 +291,13 @@ class TestSingleDiagonalization:
         assert verdict.invariant_distance > 0.1
         assert eig_sym3_calls == []
 
-    def test_none_on_zero_vector(self, eig_sym3_calls):
+    def test_two_on_zero_vector(self, eig_sym3_calls):
         sa, sb = self._pair(25)
         verdict = decide_equiv_sym((np.zeros(3), sa[1]), (np.zeros(3), sb[1]))
-        assert verdict.verdict is Verdict.INDETERMINATE
-        assert eig_sym3_calls == []
+        assert verdict.verdict is Verdict.EQUIVALENT
+        assert len(eig_sym3_calls) == 2
+        r = verdict.witness
+        assert norm_inf(r @ sa[1] @ r.T - sb[1]) <= 1e-7 * max(1.0, norm_inf(sb[1]))
 
 
 def test_rel_dist_metric():

@@ -15,7 +15,6 @@ from blochinv.states import (
     bloch_of,
     bloch_vector,
     classify,
-    commutes_with_swap,
     correlation,
     density_of,
     is_positive,
@@ -154,7 +153,7 @@ class TestClassify:
             cls = list(StateClass)[k % 4]
             rho = density_of(random_bloch(cls, rng))
             sym = cls in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM)
-            assert commutes_with_swap(rho) == sym
+            assert (norm_inf(SWAP @ rho @ SWAP - rho) <= 1e-9) == sym
 
     def test_idempotent_with_construction(self):
         rng = np.random.default_rng(4)
