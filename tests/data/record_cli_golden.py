@@ -5,8 +5,6 @@
 Run it on the commit whose CLI output is the reference. Witnesses and
 rotated vectors come from numpy 3x3 products, whose last bits depend on the
 BLAS build, so a machine with a different BLAS needs its own recording.
-Symmetric equiv pairs rejected by the (tr A, tr A^2, det A) gate, before
-any canonical form, are recorded by verdict and exit code only.
 """
 
 import contextlib
@@ -20,7 +18,6 @@ import tempfile
 import numpy as np
 
 import blochinv.cli as cli
-import blochinv.orbits as orbits
 from blochinv.groups import haar_so3
 from blochinv.serialize import bloch_document, density_document
 from blochinv.states import BlochMatrix, bell_projector, random_state
@@ -85,39 +82,20 @@ def command_lines(names):
     return argvs
 
 
-def counting(module, attr, calls):
-    original = getattr(module, attr)
-
-    def counted(*args, **kwargs):
-        calls.append(attr)
-        return original(*args, **kwargs)
-
-    setattr(module, attr, counted)
-
-
 def record():
     docs = states()
-    calls = []
-    counting(orbits, "sym_canonical", calls)
-    counting(cli, "decide_equiv_sym", calls)
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
             with open(os.path.join(tmp, f"{name}.json"), "w") as fh:
                 json.dump(doc, fh)
         for argv in command_lines(list(docs)):
-            calls.clear()
             out, err = io.StringIO(), io.StringIO()
             with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = cli.main([os.path.join(tmp, f"{a}.json") if a in docs else a
                                  for a in argv])
-            run = {"argv": argv, "code": code}
-            if calls == ["decide_equiv_sym"] and code == cli.EXIT_FAIL:
-                run["verdict"] = json.loads(out.getvalue())["verdict"]
-            else:
-                run["stdout"] = out.getvalue()
-                run["stderr"] = err.getvalue()
-            runs.append(run)
+            runs.append({"argv": argv, "code": code,
+                         "stdout": out.getvalue(), "stderr": err.getvalue()})
     return {"states": docs, "runs": runs}
 
 

@@ -5,9 +5,7 @@ tests/data/cli_golden.json holds the state documents and, for each command
 line, the recorded output; tests/data/record_cli_golden.py writes it. The
 files cover lmm, symmetric and general states, tied singular values, a
 degenerate symmetric spectrum, a symmetric state with a zero 1-point vector
-and the zero lmm state (the maximally mixed one). Symmetric pairs that the
-(tr A, tr A^2, det A) gate rejects are pinned by verdict and exit code
-only: their invariant_distance is the gate's own rounding.
+and the zero lmm state (the maximally mixed one).
 """
 
 import contextlib
@@ -38,8 +36,5 @@ def test_cli_golden(run, state_dir):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code == run["code"]
-    if "verdict" in run:
-        assert json.loads(out.getvalue())["verdict"] == run["verdict"]
-    else:
-        assert out.getvalue() == run["stdout"]
-        assert err.getvalue() == run["stderr"]
+    assert out.getvalue() == run["stdout"]
+    assert err.getvalue() == run["stderr"]
