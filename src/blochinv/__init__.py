@@ -43,8 +43,6 @@ from .invariants import (
 from .linalg import (
     EigenSym3,
     SignedSVD3,
-    charpoly3,
-    discriminant3,
     eig_sym3,
     signed_svd3,
 )

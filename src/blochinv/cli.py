@@ -19,8 +19,8 @@ from .invariants import (
     octahedral_invariants,
     sym_invariants,
 )
-from .linalg import norm_inf
 from .orbits import (
+    DEFAULT_TOL,
     Verdict,
     decide_equiv_lmm,
     decide_equiv_sym,
@@ -29,6 +29,7 @@ from .orbits import (
 )
 from .serialize import bloch_document, density_document, dumps, load_state_file
 from .states import (
+    DEFAULT_CLASS_TOL,
     StateClass,
     bloch_of,
     classify,
@@ -52,13 +53,9 @@ class CliError(Exception):
 
 
 def _load(path):
-    try:
-        fmt, payload = load_state_file(path)
-    except StateFormatError as exc:
-        raise CliError(str(exc), EXIT_PARSE) from exc
+    fmt, payload = load_state_file(path)
     if fmt == "bloch":
-        rho = density_of(payload)
-        return rho, payload
+        return density_of(payload), payload
     return payload, bloch_of(payload)
 
 
@@ -127,11 +124,8 @@ def cmd_equiv(args):
         "witness": witness,
     }
     print(dumps(out))
-    if verdict.verdict is Verdict.EQUIVALENT:
-        return EXIT_OK
-    if verdict.verdict is Verdict.NOT_EQUIVALENT:
-        return EXIT_FAIL
-    return EXIT_DEGENERATE
+    codes = {Verdict.EQUIVALENT: EXIT_OK, Verdict.NOT_EQUIVALENT: EXIT_FAIL}
+    return codes.get(verdict.verdict, EXIT_DEGENERATE)
 
 
 def cmd_canonical(args):
@@ -174,10 +168,6 @@ def cmd_restrict(args):
     rho, bloch = _load(args.file)
     cls = classify(rho, tol=args.class_tol)
     if _is_lmm(cls):
-        if norm_inf(bloch.C) <= args.class_tol:
-            raise CliError(
-                "zero 2-point block: the slice coordinates are degenerate",
-                EXIT_DEGENERATE)
         form = lmm_canonical(bloch.C)
         section = lmm_section_invariants(form.diag)
         out = {
@@ -229,8 +219,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--class-tol", type=float, default=1e-9,
-                       help="tolerance for state classification (default 1e-9)")
+        p.add_argument("--class-tol", type=float, default=DEFAULT_CLASS_TOL,
+                       help="tolerance for state classification (default %(default)g)")
 
     p = sub.add_parser("invariants", help="invariant report for a state file")
     p.add_argument("file")
@@ -242,7 +232,7 @@ def build_parser():
     p = sub.add_parser("equiv", help="decide local-unitary equivalence of two states")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
     add_common(p)
     p.set_defaults(func=cmd_equiv)
 
@@ -278,15 +268,11 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
+    except (CliError, StateFormatError, DegenerateSpectrum, ZeroVector) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except StateFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (DegenerateSpectrum, ZeroVector) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DEGENERATE
+        if isinstance(exc, CliError):
+            return exc.code
+        return EXIT_PARSE if isinstance(exc, StateFormatError) else EXIT_DEGENERATE
 
 
 if __name__ == "__main__":

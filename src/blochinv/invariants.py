@@ -138,7 +138,11 @@ def lmm_invariants(c):
     t2 and t4 are written as explicit ordered sums so that on diagonal
     input they reproduce lmm_section_invariants bit for bit.
     """
-    rows, _ = _rows3(c, "lmm_invariants input")
+    return LmmInvariants(*_lmm_triple(_rows3(c, "lmm_invariants input")[0]))
+
+
+def _lmm_triple(rows):
+    """(t2, t3, t4) of a 2-point matrix given as rows of floats."""
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = rows
     t2 = (
         c00 * c00 + c01 * c01 + c02 * c02
@@ -157,7 +161,7 @@ def lmm_invariants(c):
         + m01 * m01 + m11 * m11 + m12 * m12
         + m02 * m02 + m12 * m12 + m22 * m22
     )
-    return LmmInvariants(t2=t2, t3=t3, t4=t4)
+    return t2, t3, t4
 
 
 def lmm_section_invariants(x):
@@ -282,23 +286,11 @@ def _g_unchecked(v, a):
     return det3(np.column_stack([v, av, aav]))
 
 
-def _gap_product(eigenvalues):
-    l0, l1, l2 = eigenvalues.tolist()
-    return ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
-
-
-def eigen_discriminant3(a):
-    """Discriminant of a symmetric matrix as the product of squared
-    eigenvalue gaps. Near-degenerate spectra lose far less accuracy here
-    than in the characteristic-polynomial expansion."""
-    return _gap_product(eig_sym3(a).eigenvalues)
-
-
 def _nondegenerate_eig(a, message):
     """eig_sym3 of a symmetric matrix, the power of two s that brings
-    max(1, |a|_inf) into [1, 2), and the discriminant (eigen_discriminant3)
-    of a / s, from one diagonalization. Dividing by s is exact, so neither
-    the degeneracy test nor g^2 / disc overflows at any scale.
+    max(1, |a|_inf) into [1, 2), and the discriminant of a / s as its product
+    of squared eigenvalue gaps, from one diagonalization. Dividing by s is
+    exact, so neither the degeneracy test nor g^2 / disc overflows.
 
     Raises:
         DegenerateSpectrum(message): if the discriminant is below DISC_TOL
@@ -307,7 +299,8 @@ def _nondegenerate_eig(a, message):
     eig = eig_sym3(a)
     norm = max(1.0, norm_inf(a))
     scale = _pow2_floor(norm)
-    disc = _gap_product(eig.eigenvalues / scale)
+    l0, l1, l2 = (eig.eigenvalues / scale).tolist()
+    disc = ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
     if abs(disc) <= DISC_TOL * (norm / scale) ** 6:
         raise DegenerateSpectrum(message)
     return eig, scale, disc

@@ -1,7 +1,7 @@
 """Fixed-size linear algebra kernel: 3x3 symmetric eigendecomposition by
 cyclic Jacobi rotations, a one-sided Jacobi signed SVD with both factors
-in SO(3), characteristic-polynomial helpers, and small predicates for the
-2x2 / 4x4 complex matrices used elsewhere in the package.
+in SO(3), the 3x3 determinant and trace invariants, and small predicates
+for the 2x2 / 4x4 complex matrices used elsewhere in the package.
 
 Each 3x3 input is converted to Python floats and checked once, by _rows3
 (finiteness) or _sym_rows3 (finiteness and symmetry).
@@ -54,12 +54,9 @@ def is_unitary(m, tol=1e-12):
 
 
 def rotation_residual(r):
-    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|.
-
-    LAPACK's det, not det3: the verify report's residuals depend on its bits.
-    """
+    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|."""
     r = np.asarray(r, dtype=float)
-    return max(norm_inf(r.T @ r - np.eye(3)), abs(float(np.linalg.det(r)) - 1.0))
+    return max(norm_inf(r.T @ r - np.eye(3)), abs(det3(r) - 1.0))
 
 
 def kron22(a, b):
@@ -112,32 +109,6 @@ def det3(m):
     identities rely on this.
     """
     return _det3_rows(*np.asarray(m, dtype=float).tolist())
-
-
-def charpoly3(a):
-    """Coefficients (c2, c1, c0) of det(xI - A) = x^3 + c2 x^2 + c1 x + c0.
-
-    c2 = -tr A, c1 = ((tr A)^2 - tr A^2) / 2, c0 = -det A.
-    """
-    tr, tr2, det = _trace_invariants(np.asarray(a, dtype=float).tolist())
-    return -tr, 0.5 * (tr * tr - tr2), -det
-
-
-def discriminant3(a):
-    """Discriminant of the characteristic polynomial of a 3x3 matrix.
-
-    For x^3 + b x^2 + c x + d this is 18bcd - 4b^3 d + b^2 c^2 - 4c^3 - 27d^2,
-    which equals the product of squared eigenvalue gaps when the matrix is
-    symmetric (hence is nonnegative up to roundoff in that case).
-    """
-    b, c, d = charpoly3(a)
-    return float(
-        18.0 * b * c * d
-        - 4.0 * b**3 * d
-        + b**2 * c**2
-        - 4.0 * c**3
-        - 27.0 * d**2
-    )
 
 
 class EigenSym3(NamedTuple):

@@ -12,7 +12,10 @@ works; these are branch-free to test):
 
 Both groups are compact, so every orbit is closed and the canonical forms
 separate all of them: decide_equiv_* need no gate beyond the invariant fast
-reject, the canonical-form distance and the witness residual.
+reject, the canonical-form distance and the witness residual. Both first
+divide their inputs by the power of two that brings max(1, |matrix|_inf)
+into [1, 2), 1 below norm 2, so that no invariant overflows; distances and
+residuals are those of the divided inputs.
 """
 
 from dataclasses import dataclass
@@ -21,8 +24,8 @@ from enum import Enum
 import numpy as np
 
 from .errors import DegenerateSpectrum
-from .invariants import _nondegenerate_eig, lmm_invariants
-from .linalg import _rows3, _trace_invariants, norm_inf, signed_svd3
+from .invariants import _lmm_triple, _nondegenerate_eig
+from .linalg import _pow2_floor, _rows3, _trace_invariants, norm_inf, signed_svd3
 
 DEFAULT_TOL = 1e-8
 TIE_TOL = 1e-10
@@ -83,18 +86,18 @@ def rel_dist(a, b):
     return float(np.max(np.abs(a - b) / den))
 
 
-def lmm_canonical(c, tie_tol=TIE_TOL):
+def lmm_canonical(c):
     """Canonical form of a 2-point matrix under rotation pairs.
 
     Always succeeds; the degenerate flag is set when singular values
-    collide within tie_tol relative to scale, in which case the witness is
+    collide within TIE_TOL relative to scale, in which case the witness is
     no longer unique (the diagonal still is a complete orbit datum).
     """
     c = np.asarray(c, dtype=float)
     svd = signed_svd3(c)
     scale = max(1.0, float(svd.diag[0]))
     s = np.abs(svd.diag)
-    degenerate = bool(s[0] - s[1] <= tie_tol * scale or s[1] - s[2] <= tie_tol * scale)
+    degenerate = bool(s[0] - s[1] <= TIE_TOL * scale or s[1] - s[2] <= TIE_TOL * scale)
     witness = (svd.left.T.copy(), svd.right.T.copy())
     return LmmCanonicalForm(diag=svd.diag.copy(), witness=witness, degenerate=degenerate)
 
@@ -127,18 +130,21 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
     """
     c = np.asarray(c, dtype=float)
     m = np.asarray(m, dtype=float)
-    dist = rel_dist(lmm_invariants(c).as_tuple(), lmm_invariants(m).as_tuple())
+    (rows_c, norm_c), (rows_m, norm_m) = (_rows3(x, "decide_equiv_lmm input") for x in (c, m))
+    scale = _pow2_floor(max(1.0, norm_c, norm_m))
+    dist = rel_dist(*(_lmm_triple([[x / scale for x in row] for row in rows])
+                      for rows in (rows_c, rows_m)))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    ca = lmm_canonical(c)
-    cb = lmm_canonical(m)
+    c, m = c / scale, m / scale
+    ca, cb = lmm_canonical(c), lmm_canonical(m)
     dist = max(dist, rel_dist(ca.diag, cb.diag))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
     r1 = cb.witness[0].T @ ca.witness[0]
     r2 = cb.witness[1].T @ ca.witness[1]
     residual = norm_inf(r1 @ c @ r2.T - m)
-    if residual <= 10.0 * tol * max(1.0, norm_inf(m)):
+    if residual <= 10.0 * tol * max(1.0, norm_m / scale):
         return EquivalenceVerdict(Verdict.EQUIVALENT, (r1, r2), dist)
     return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
 
@@ -149,31 +155,41 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
 
     NOT_EQUIVALENT comes from the (tr A, tr A^2, det A) fast reject, run
     before any diagonalization, or the distance between canonical
-    eigenvalues and w; EQUIVALENT only from a witness R with (R v, R A R^T)
-    within 10 tol max(1, |A'|_inf, |v'|_inf) of (v', A'), a zero v
-    included; INDETERMINATE otherwise, or for a (near-)repeated spectrum.
+    eigenvalues and w, the latter up to even sign flips; EQUIVALENT only
+    from a witness R with (R v, R A R^T) within 10 tol max(1, |A'|_inf,
+    |v'|_inf) of (v', A'), a zero v included; INDETERMINATE otherwise, or
+    for a (near-)repeated spectrum.
     """
     v1, a1 = (np.asarray(x, dtype=float) for x in state_a)
     v2, a2 = (np.asarray(x, dtype=float) for x in state_b)
 
-    base1, base2 = (_trace_invariants(_rows3(a, "decide_equiv_sym input")[0]) for a in (a1, a2))
+    (rows1, norm1), (rows2, norm2) = (_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
+    scale = _pow2_floor(max(1.0, norm1, norm2))
+    base1, base2 = (_trace_invariants([[x / scale for x in row] for row in rows])
+                    for rows in (rows1, rows2))
     dist = rel_dist(base1, base2)
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
+    v1, a1, v2, a2 = v1 / scale, a1 / scale, v2 / scale, a2 / scale
     try:
-        ca = sym_canonical(v1, a1)
-        cb = sym_canonical(v2, a2)
+        ca, cb = sym_canonical(v1, a1), sym_canonical(v2, a2)
     except DegenerateSpectrum:
         return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
-    dist = max(dist, rel_dist(ca.eigs, cb.eigs), rel_dist(ca.w, cb.w))
+    # The lexicographic w jumps where a coordinate vanishes, so take
+    # rel_dist(f * w_a, w_b) for f in EVEN_SIGN_FLIPS (-x - y = -(x + y)); the
+    # first minimum keeps the identity wherever it attains it.
+    wa, wb = ca.w.tolist(), cb.w.tolist()
+    den = [max(1.0, abs(x), abs(y)) for x, y in zip(wa, wb)]
+    s0, s1, s2 = (abs(x - y) / d for x, y, d in zip(wa, wb, den))
+    f0, f1, f2 = (abs(x + y) / d for x, y, d in zip(wa, wb, den))
+    w_dists = [max(s0, s1, s2), max(s0, f1, f2), max(f0, s1, f2), max(f0, f1, s2)]
+    w_dist = min(w_dists)
+    dist = max(dist, rel_dist(ca.eigs, cb.eigs), w_dist)
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    r = cb.witness.T @ ca.witness
-    residual = max(
-        norm_inf(r @ v1 - v2),
-        norm_inf(r @ a1 @ r.T - a2),
-    )
-    scale = max(1.0, norm_inf(a2), norm_inf(v2))
-    if residual <= 10.0 * tol * scale:
+    flip = np.array(EVEN_SIGN_FLIPS[w_dists.index(w_dist)])
+    r = cb.witness.T @ (flip[:, None] * ca.witness)
+    residual = max(norm_inf(r @ v1 - v2), norm_inf(r @ a1 @ r.T - a2))
+    if residual <= 10.0 * tol * max(1.0, norm2 / scale, norm_inf(v2)):
         return EquivalenceVerdict(Verdict.EQUIVALENT, r, dist)
     return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)

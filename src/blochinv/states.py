@@ -87,12 +87,14 @@ def validate_density(rho):
 def correlation(rho, i, j):
     """Correlation function tr(rho sigma_i (x) sigma_j), as a real number.
 
-    Raises NonHermitianInput if the imaginary residue exceeds 1e-10.
+    Raises NonHermitianInput if the imaginary residue exceeds
+    1e-10 max(1, |rho|_inf).
     """
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise IndexError("correlation indices must lie in 0..3")
-    val = complex(np.einsum("ij,ji->", np.asarray(rho, dtype=complex), PAULI_KRON[i, j]))
-    if abs(val.imag) > 1e-10:
+    rho = np.asarray(rho, dtype=complex)
+    val = complex(np.einsum("ij,ji->", rho, PAULI_KRON[i, j]))
+    if abs(val.imag) > 1e-10 * max(1.0, norm_inf(rho)):
         raise NonHermitianInput(f"correlation ({i},{j}) has imaginary part {val.imag:g}")
     return val.real
 

@@ -115,10 +115,8 @@ def _generic_spectrum(rng, gap=1e-3, disc=1e-3):
 
 def _generic_symmetric(rng, gap=1e-3, disc=None):
     """Random symmetric matrix with eigenvalue gaps above the margin."""
-    if disc is None:
-        lam = _gapped_descending(rng, -2.0, 2.0, gap)
-    else:
-        lam = _generic_spectrum(rng, gap=gap, disc=disc)
+    lam = (_gapped_descending(rng, -2.0, 2.0, gap) if disc is None
+           else _generic_spectrum(rng, gap=gap, disc=disc))
     r = haar_so3(rng)
     return r.T @ np.diag(lam) @ r
 
@@ -387,8 +385,7 @@ def _suite_lmm(samples, seed):
         eig = linalg_mod.eig_sym3(a)
         recon = eig.rotation @ a @ eig.rotation.T - np.diag(eig.eigenvalues)
         recon_res = max(recon_res, norm_inf(recon) / scale)
-        orth_res = max(orth_res, norm_inf(eig.rotation.T @ eig.rotation - np.eye(3)))
-        orth_res = max(orth_res, abs(det3(eig.rotation) - 1.0))
+        orth_res = max(orth_res, rotation_residual(eig.rotation))
     passed = recon_res < 1e-10 and orth_res < 1e-12
     checks.append(
         CheckResult("kernel_eig_sym3", passed, max(recon_res, orth_res),
@@ -399,24 +396,6 @@ def _suite_lmm(samples, seed):
                                      _uniform_matrix))
     checks.append(_signed_svd3_check("kernel_signed_svd3_graded", samples, seed, 750000,
                                      _graded_matrix))
-
-    res = 0.0
-    disc_min = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "lmm", 800000 + t)
-        a = rng.uniform(-1.0, 1.0, size=(3, 3))
-        c2, c1, c0 = linalg_mod.charpoly3(a)
-        for x in (0.0, 1.0, -1.0):
-            direct = det3(x * np.eye(3) - a)
-            poly = x**3 + c2 * x**2 + c1 * x + c0
-            res = max(res, abs(direct - poly) / max(1.0, abs(direct)))
-        sym = 0.5 * (a + a.T)
-        disc_min = min(disc_min, linalg_mod.discriminant3(sym))
-    passed = res < 1e-12 and disc_min >= -1e-9
-    checks.append(
-        CheckResult("kernel_charpoly", passed, max(res, -disc_min),
-                    f"min symmetric discriminant {disc_min:.3e}")
-    )
     return checks
 
 
@@ -584,7 +563,7 @@ def _suite_group(samples, seed):
         rng = trial_rng(seed, "group", 200000 + t)
         u = haar_su2(rng)
         res = max(res, norm_inf(u.conj().T @ u - np.eye(2)))
-        res = max(res, abs(np.linalg.det(u) - 1.0))
+        res = max(res, abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0))
         acc += so3_of_u2(u)
     mean = norm_inf(acc / n)
     # 5 sigma on each of the nine entries: a broken sampler shifts the mean
@@ -627,10 +606,17 @@ _TIED_DIAGONALS = (
 )
 
 
+# Eigenbasis 1-point vectors whose zero coordinates leave sym_canonical's sign
+# choice to roundoff.
+_AXIS_VECTORS = ((0.0, 0.3, 0.5), (0.0, 0.0, 0.5), (0.3, 0.0, 0.0))
+
+
 def _generic_lmm_state(rng):
     while True:
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
-        if not lmm_canonical(c, tie_tol=1e-3).degenerate:
+        s = np.abs(linalg_mod.signed_svd3(c).diag)
+        gap = 1e-3 * max(1.0, s[0])
+        if s[0] - s[1] > gap and s[1] - s[2] > gap:
             return c
 
 
@@ -748,16 +734,21 @@ def _suite_orbit(samples, seed):
         ra, rb = haar_so3(rng), haar_so3(rng)
         aa, ab = ra.T @ np.diag(lam) @ ra, rb.T @ np.diag(lam) @ rb
         am = rb.T @ np.diag(lam + 0.1 * np.eye(3)[t % 3]) @ rb
+        w, a0 = np.array(_AXIS_VECTORS[t % 3]), np.diag([0.7, 0.2, -0.4])
+        sa, sb = ((q.T @ w, q.T @ a0 @ q) for q in (haar_so3(rng), haar_so3(rng)))
         lmm = decide_equiv_lmm(ca, cb, tol=1e-8)
         sym = decide_equiv_sym((zero, aa), (zero, ab), tol=1e-8)
+        axis = decide_equiv_sym(sa, sb, tol=1e-8)
         rejects = [decide_equiv_sym((zero, aa), (zero, am), tol=1e-8)]
         if d[2] != 0.0:
             rejects.append(decide_equiv_lmm(ca, cf, tol=1e-8))
         bad += sum(v.verdict is not Verdict.NOT_EQUIVALENT for v in rejects)
-        if lmm.verdict is Verdict.EQUIVALENT and sym.verdict is Verdict.EQUIVALENT:
-            (r1, r2), r = lmm.witness, sym.witness
+        if all(v.verdict is Verdict.EQUIVALENT for v in (lmm, sym, axis)):
+            (r1, r2), r, q = lmm.witness, sym.witness, axis.witness
             res = max(res, norm_inf(r1 @ ca @ r2.T - cb) / max(1.0, norm_inf(cb)),
-                      norm_inf(r @ aa @ r.T - ab) / max(1.0, norm_inf(ab)))
+                      norm_inf(r @ aa @ r.T - ab) / max(1.0, norm_inf(ab)),
+                      max(norm_inf(q @ sa[0] - sb[0]), norm_inf(q @ sa[1] @ q.T - sb[1]))
+                      / max(1.0, norm_inf(sb[0]), norm_inf(sb[1])))
         else:
             bad += 1
     checks.append(

@@ -16,7 +16,6 @@ import blochinv.invariants
 import blochinv.linalg
 from blochinv.groups import act_bloch, act_density, haar_so3, haar_su2, so3_of_u2
 from blochinv.invariants import (
-    eigen_discriminant3,
     lmm_invariants,
     lmm_invariants_jacobian,
     lmm_positive_cone_check,
@@ -213,7 +212,9 @@ def test_criterion_07_g_restriction_identity():
         while True:
             lam = np.sort(rng.uniform(-2, 2, size=3))[::-1]
             a = np.diag(lam)
-            if eigen_discriminant3(a) > 1e-12 * max(1.0, norm_inf(a)) ** 6:
+            l0, l1, l2 = lam.tolist()
+            disc = ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
+            if disc > 1e-12 * max(1.0, norm_inf(a)) ** 6:
                 return a
 
     worst_diag = 0.0

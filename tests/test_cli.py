@@ -207,8 +207,14 @@ class TestRestrict:
         assert out["s1"] == pytest.approx(3.0, abs=1e-12)
         assert out["s2"] == pytest.approx(-1.0, abs=1e-12)
 
-    def test_maximally_mixed_exit_4(self, mixed_file):
-        assert main(["restrict", mixed_file]) == 4
+    def test_maximally_mixed_exit_0(self, mixed_file, capsys):
+        # C = 0 restricts to the slice origin like any other lmm state.
+        assert main(["restrict", mixed_file]) == 0
+        out = json.loads(capsys.readouterr().out)
+        assert out["x"] == [0.0, 0.0, 0.0]
+        assert out["s1"] == 0.0 and out["s2"] == 0.0 and out["s3"] == 0.0
+        assert all(rotation_residual(np.array(out["witness"][k])) <= 1e-11
+                   for k in ("R1", "R2"))
 
     def test_symmetric(self, tmp_path, capsys):
         path = bloch_file(tmp_path, "s.json", [1.0, 2.0, 3.0], [1.0, 2.0, 3.0],

@@ -9,7 +9,6 @@ from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, octahedral_group
 from blochinv.invariants import (
     LmmInvariants,
-    eigen_discriminant3,
     g_invariant,
     lmm_invariants,
     lmm_invariants_jacobian,
@@ -21,7 +20,7 @@ from blochinv.invariants import (
     r_invariant,
     sym_invariants,
 )
-from blochinv.linalg import det3, discriminant3
+from blochinv.linalg import det3
 from blochinv.orbits import EVEN_SIGN_FLIPS, rel_dist, sym_canonical
 from blochinv.states import BlochMatrix, bloch_of, density_of, is_positive
 
@@ -378,12 +377,18 @@ class TestRInvariant:
             assert abs(v1 - v2) <= 1e-8 * max(1.0, abs(v1), abs(v2))
 
     def test_discriminant_routes_agree(self):
+        # The squared-gap product behind the degeneracy test equals the
+        # discriminant of det(xI - A) = x^3 + b x^2 + c x + d.
         rng = np.random.default_rng(14)
         for _ in range(500):
             a = rng.uniform(-1, 1, size=(3, 3))
             a = 0.5 * (a + a.T)
-            d1 = eigen_discriminant3(a)
-            d2 = discriminant3(a)
+            _, scale, d1 = invariants._nondegenerate_eig(a, "degenerate")
+            assert scale == 1.0
+            b = -np.trace(a)
+            c = 0.5 * (np.trace(a) ** 2 - np.trace(a @ a))
+            d = -det3(a)
+            d2 = 18 * b * c * d - 4 * b**3 * d + b**2 * c**2 - 4 * c**3 - 27 * d**2
             assert abs(d1 - d2) <= 1e-9 * max(1.0, abs(d1), abs(d2))
 
 

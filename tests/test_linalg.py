@@ -6,10 +6,8 @@ import pytest
 from blochinv.errors import NotSymmetric
 from blochinv.groups import haar_so3
 from blochinv.linalg import (
-    charpoly3,
     dagger,
     det3,
-    discriminant3,
     eig_sym3,
     is_hermitian,
     is_unitary,
@@ -64,41 +62,6 @@ class TestPredicates:
         for _ in range(100):
             m = rng.uniform(-2, 2, size=(3, 3))
             assert abs(det3(m) - np.linalg.det(m)) < 1e-12 * max(1.0, abs(det3(m)))
-
-
-class TestCharpoly:
-    def test_identity(self):
-        assert charpoly3(np.eye(3)) == (-3.0, 3.0, -1.0)
-
-    def test_zero(self):
-        assert charpoly3(np.zeros((3, 3))) == (0.0, 0.0, 0.0)
-
-    def test_diag123(self):
-        # (x-1)(x-2)(x-3) = x^3 - 6x^2 + 11x - 6
-        assert charpoly3(np.diag([1.0, 2.0, 3.0])) == (-6.0, 11.0, -6.0)
-
-    def test_agrees_with_direct_determinant(self):
-        rng = np.random.default_rng(1)
-        for _ in range(300):
-            a = rng.uniform(-1, 1, size=(3, 3))
-            c2, c1, c0 = charpoly3(a)
-            for x in (0.0, 1.0, -1.0):
-                direct = det3(x * np.eye(3) - a)
-                poly = x**3 + c2 * x**2 + c1 * x + c0
-                assert abs(direct - poly) <= 1e-12 * max(1.0, abs(direct))
-
-
-class TestDiscriminant:
-    def test_known_values(self):
-        assert discriminant3(np.diag([1.0, 2.0, 3.0])) == pytest.approx(4.0, abs=1e-12)
-        assert discriminant3(np.diag([0.0, 1.0, 4.0])) == pytest.approx(144.0, abs=1e-11)
-        assert discriminant3(np.eye(3)) == 0.0
-
-    def test_nonnegative_on_symmetric(self):
-        # Real-rooted cubics have nonnegative discriminant.
-        rng = np.random.default_rng(2)
-        for _ in range(2000):
-            assert discriminant3(random_symmetric(rng)) >= -1e-9
 
 
 class TestEigSym3:

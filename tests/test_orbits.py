@@ -242,6 +242,83 @@ class TestDecideSym:
         sa, sb = ((v, 0.5 * (a + a.T)) for v, a in (sa, sb))
         assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
 
+    @pytest.mark.parametrize("w", [(0.0, 0.3, 0.5), (0.0, 0.0, 0.5), (0.3, 0.0, 0.0)])
+    def test_axis_aligned_vector_same_orbit(self, w):
+        # A zero eigenbasis coordinate leaves the lexicographic sign choice
+        # of sym_canonical to roundoff; the decision compares w up to the
+        # even sign flips, so every pair still certifies.
+        rng = np.random.default_rng(26)
+        lam = np.diag([0.7, 0.2, -0.4])
+        w = np.array(w)
+        tol = 1e-8
+        for _ in range(500):
+            ra, rb = haar_so3(rng), haar_so3(rng)
+            sa = (ra.T @ w, ra.T @ lam @ ra)
+            sb = (rb.T @ w, rb.T @ lam @ rb)
+            verdict = decide_equiv_sym(sa, sb, tol=tol)
+            assert verdict.verdict is Verdict.EQUIVALENT
+            r = verdict.witness
+            residual = max(norm_inf(r @ sa[0] - sb[0]), norm_inf(r @ sa[1] @ r.T - sb[1]))
+            assert residual <= 10.0 * tol * max(1.0, norm_inf(sb[0]), norm_inf(sb[1]))
+
+
+class TestExtremeScale:
+    """Pairs scaled by 2^k for k from -1000 to 1000. Every distance is
+    finite. From norm 1 up, same-orbit pairs are EQUIVALENT and
+    different-orbit pairs NOT_EQUIVALENT. Below, every tolerance has the
+    absolute floor max(1, .), so only the same-orbit half is asserted:
+    never NOT_EQUIVALENT."""
+
+    KS = range(-1000, 1001, 50)
+    TOL = 1e-8
+
+    def _check(self, k, verdict, same, residual=None, scale=None):
+        assert np.isfinite(verdict.invariant_distance)
+        if same:
+            assert verdict.verdict is not Verdict.NOT_EQUIVALENT
+            if k >= 0:
+                assert verdict.verdict is Verdict.EQUIVALENT
+            if verdict.verdict is Verdict.EQUIVALENT:
+                assert residual(verdict.witness) <= 10.0 * self.TOL * scale
+        elif k >= 0:
+            assert verdict.verdict is Verdict.NOT_EQUIVALENT
+
+    @pytest.mark.parametrize("k", KS)
+    def test_lmm(self, k):
+        rng = np.random.default_rng(27)
+        s = 2.0 ** k
+        base = s * np.diag([3.0, 2.0, 1.0])
+        c = haar_so3(rng) @ base @ haar_so3(rng).T
+        m = haar_so3(rng) @ base @ haar_so3(rng).T
+        far = haar_so3(rng) @ (s * np.diag([3.0, 2.0, 0.5])) @ haar_so3(rng).T
+
+        def residual(pair):
+            return norm_inf(pair[0] @ c @ pair[1].T - m)
+
+        self._check(k, decide_equiv_lmm(c, m, tol=self.TOL), True, residual,
+                    max(1.0, norm_inf(m)))
+        self._check(k, decide_equiv_lmm(c, far, tol=self.TOL), False)
+
+    @pytest.mark.parametrize("k", KS)
+    def test_sym(self, k):
+        rng = np.random.default_rng(28)
+        s = 2.0 ** k
+        w = s * np.array([0.4, -0.6, 0.3])
+        lam = s * np.diag([0.7, 0.2, -0.4])
+        ra, rb = haar_so3(rng), haar_so3(rng)
+        sa = (ra.T @ w, ra.T @ lam @ ra)
+        sb = (rb.T @ w, rb.T @ lam @ rb)
+
+        def residual(r):
+            return max(norm_inf(r @ sa[0] - sb[0]), norm_inf(r @ sa[1] @ r.T - sb[1]))
+
+        self._check(k, decide_equiv_sym(sa, sb, tol=self.TOL), True, residual,
+                    max(1.0, norm_inf(sb[0]), norm_inf(sb[1])))
+        spectrum = (sb[0], rb.T @ (s * np.diag([0.7, 0.2, -0.3])) @ rb)
+        vector = (2.0 * sb[0], sb[1])
+        for other in (spectrum, vector):
+            self._check(k, decide_equiv_sym(sa, other, tol=self.TOL), False)
+
 
 @pytest.fixture
 def eig_sym3_calls(monkeypatch):

@@ -74,6 +74,22 @@ class TestCorrelation:
         with pytest.raises(IndexError):
             correlation(MAX_MIXED, 4, 0)
 
+    def test_dense_large_entries(self):
+        # The imaginary residue grows with |rho|_inf; the test is relative.
+        rng = np.random.default_rng(17)
+        zero = np.zeros(3)
+        for _ in range(20):
+            c = rng.uniform(-1e8, 1e8, size=(3, 3))
+            rho = density_of(BlochMatrix(zero, zero, c))
+            for i in range(1, 4):
+                for j in range(1, 4):
+                    assert correlation(rho, i, j) == pytest.approx(c[i - 1, j - 1], rel=1e-12)
+
+    def test_non_hermitian_correlation_rejected(self):
+        bad = MAX_MIXED + np.array([[0, 1e-3, 0, 0]] + [[0] * 4] * 3) * 1j
+        with pytest.raises(NonHermitianInput):
+            correlation(bad, 0, 1)
+
     def test_non_hermitian_rejected(self):
         bad = MAX_MIXED + np.array([[0, 1e-3, 0, 0]] + [[0] * 4] * 3) * 1j
         with pytest.raises(NonHermitianInput):
