@@ -93,7 +93,6 @@ def lmm_canonical(c):
     collide within TIE_TOL relative to scale, in which case the witness is
     no longer unique (the diagonal still is a complete orbit datum).
     """
-    c = np.asarray(c, dtype=float)
     svd = signed_svd3(c)
     scale = max(1.0, float(svd.diag[0]))
     s = np.abs(svd.diag)
