@@ -79,11 +79,10 @@ class EquivalenceVerdict:
 
 def rel_dist(a, b):
     """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the uniform comparison
-    metric used throughout the package."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    b = np.atleast_1d(np.asarray(b, dtype=float))
-    den = np.maximum(1.0, np.maximum(np.abs(a), np.abs(b)))
-    return float(np.max(np.abs(a - b) / den))
+    metric used throughout the package, on Python floats (the inputs are
+    short and finite)."""
+    pairs = zip(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)), strict=True)
+    return max(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in pairs)
 
 
 def lmm_canonical(c):
