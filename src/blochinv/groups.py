@@ -3,6 +3,7 @@ action on Bloch matrices, the chiral octahedral group of signed
 permutations, the effective residual group acting on diagonal correlation
 matrices, and Haar sampling on SU(2)."""
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass
@@ -10,8 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
-from .linalg import dagger, is_unitary, kron22
-from .states import PAULI, BlochMatrix, _as_rng
+from .linalg import dagger, kron22
+from .states import BlochMatrix, _as_rng
 
 # Tolerance of the unitarity precondition of so3_of_u2.
 UNITARY_TOL = 1e-12
@@ -20,22 +21,40 @@ UNITARY_TOL = 1e-12
 def so3_of_u2(u):
     """Rotation induced by a 2x2 unitary on the Bloch ball.
 
-    R_ij = Re tr(sigma_i U sigma_j U*) / 2 for i, j in {1,2,3}. This is a
-    group homomorphism onto SO(3) and kills a global phase.
+    R_ij = Re tr(sigma_i U sigma_j U*) / 2 for i, j in {1,2,3}. With
+    U = [[p, q], [r, s]] and x* the complex conjugate of x, this is
+
+        [[ Re(ps* + qr*),  Im(ps* - qr*),  Re(pr* - qs*)],
+         [-Im(ps* + qr*),  Re(ps* - qr*), -Im(pr* - qs*)],
+         [ Re(pq* - rs*),  Im(pq* - rs*), (|p|^2 - |q|^2 - |r|^2 + |s|^2)/2]],
+
+    evaluated on Python complex numbers. This is a group homomorphism onto
+    SO(3) and kills a global phase.
 
     Raises:
-        NotUnitary: if U fails the unitarity check.
+        NotUnitary: unless U is a finite 2x2 matrix with
+            max |U*U - I| <= UNITARY_TOL.
     """
     u = np.asarray(u, dtype=complex)
-    if u.shape != (2, 2) or not is_unitary(u, tol=UNITARY_TOL):
+    if u.shape != (2, 2):
         raise NotUnitary("input is not a 2x2 unitary within tolerance")
-    ud = dagger(u)
-    r = np.empty((3, 3))
-    for j in range(3):
-        conj = u @ PAULI[j + 1] @ ud
-        for i in range(3):
-            r[i, j] = 0.5 * np.einsum("ab,ba->", PAULI[i + 1], conj).real
-    return r
+    (p, q), (r, s) = u.tolist()
+    # z* z is |z|^2 with an exactly zero imaginary part.
+    pp, qq = p.conjugate() * p, q.conjugate() * q
+    rr, ss = r.conjugate() * r, s.conjugate() * s
+    if not all(map(cmath.isfinite, (p, q, r, s))) or max(
+        abs(pp + rr - 1.0), abs(p.conjugate() * q + r.conjugate() * s), abs(qq + ss - 1.0)
+    ) > UNITARY_TOL:
+        raise NotUnitary("input is not a 2x2 unitary within tolerance")
+    ps, qr = p * s.conjugate(), q * r.conjugate()
+    pr, qs = p * r.conjugate(), q * s.conjugate()
+    a, b, c = ps + qr, ps - qr, pr - qs
+    d = p * q.conjugate() - r * s.conjugate()
+    return np.array([
+        [a.real, b.imag, c.real],
+        [-a.imag, b.real, -c.imag],
+        [d.real, d.imag, 0.5 * (pp - qq - rr + ss).real],
+    ])
 
 
 def act_density(u1, u2, rho):

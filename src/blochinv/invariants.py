@@ -211,14 +211,13 @@ def lmm_invariants_jacobian(c):
     """3x9 Jacobian of (t2, t3, t4) in the nine entries of C:
     grad t2 = 2C, grad t3 = cofactor matrix of C, grad t4 = 4 C C^T C."""
     c = np.asarray(c, dtype=float)
-    cof = np.empty((3, 3))
-    for i in range(3):
-        for j in range(3):
-            minor = np.delete(np.delete(c, i, axis=0), j, axis=1)
-            cof[i, j] = (-1.0) ** (i + j) * (
-                minor[0, 0] * minor[1, 1] - minor[0, 1] * minor[1, 0]
-            )
-    rows = [2.0 * c, cof, 4.0 * (c @ c.T @ c)]
+    # Cyclic indices carry the cofactor signs:
+    # cof_ij = c[i+1][j+1] c[i+2][j+2] - c[i+1][j+2] c[i+2][j+1] (mod 3).
+    m = c.tolist()
+    cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+            for j in range(3)] for i in range(3)]
+    rows = [2.0 * c, np.array(cof), 4.0 * (c @ c.T @ c)]
     return np.stack([r.reshape(9) for r in rows])
 
 

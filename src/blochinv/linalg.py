@@ -48,11 +48,6 @@ def is_hermitian(m, tol=1e-12):
     return norm_inf(m - dagger(m)) <= tol * max(1.0, norm_inf(m))
 
 
-def is_unitary(m, tol=1e-12):
-    m = np.asarray(m)
-    return norm_inf(dagger(m) @ m - np.eye(m.shape[0])) <= tol
-
-
 def rotation_residual(r):
     """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|."""
     r = np.asarray(r, dtype=float)

@@ -18,6 +18,7 @@ into [1, 2), 1 below norm 2, so that no invariant overflows; distances and
 residuals are those of the divided inputs.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -157,9 +158,14 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     from a witness R with (R v, R A R^T) within 10 tol max(1, |A'|_inf,
     |v'|_inf) of (v', A'), a zero v included; INDETERMINATE otherwise, or
     for a (near-)repeated spectrum.
+
+    Raises:
+        ValueError: if v, v', A or A' has a NaN or Inf entry.
     """
     v1, a1 = (np.asarray(x, dtype=float) for x in state_a)
     v2, a2 = (np.asarray(x, dtype=float) for x in state_b)
+    if not all(map(math.isfinite, v1.ravel().tolist() + v2.ravel().tolist())):
+        raise ValueError("decide_equiv_sym input contains NaN or Inf entries")
 
     (rows1, norm1), (rows2, norm2) = (_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
     scale = _pow2_floor(max(1.0, norm1, norm2))

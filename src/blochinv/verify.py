@@ -482,6 +482,18 @@ def _suite_sym(samples, seed):
 # ----------------------------------------------------------------- group
 
 
+def _closure_failures(group, keys):
+    """Number of products g h over g, h in group whose (perm, signs) is not
+    in keys; each product is composed once."""
+    bad = 0
+    for g in group:
+        for h in group:
+            gh = g.compose(h)
+            if (gh.perm, gh.signs) not in keys:
+                bad += 1
+    return bad
+
+
 def _suite_group(samples, seed):
     checks = []
 
@@ -490,12 +502,7 @@ def _suite_group(samples, seed):
     ok = len(group) == 24 and len(keys) == 24
     ok = ok and ((0, 1, 2), (1, 1, 1)) in keys
     ok = ok and all(g.determinant() == 1 for g in group)
-    closure_bad = 0
-    for g in group:
-        for h in group:
-            gh = g.compose(h)
-            if (gh.perm, gh.signs) not in keys:
-                closure_bad += 1
+    closure_bad = _closure_failures(group, keys)
     matrix_ok = all(
         np.array_equal(g.compose(h).matrix(), g.matrix() @ h.matrix())
         for g in group[:6]
@@ -511,9 +518,7 @@ def _suite_group(samples, seed):
     ok = len(weyl) == 24 and ((0, 1, 2), (1, 1, 1)) in wkeys
     ok = ok and all(g.sign_product() == 1 for g in weyl)
     ok = ok and ((0, 1, 2), (-1, -1, -1)) not in wkeys
-    closure_bad = sum(
-        1 for g in weyl for h in weyl if (g.compose(h).perm, g.compose(h).signs) not in wkeys
-    )
+    closure_bad = _closure_failures(weyl, wkeys)
     checks.append(
         CheckResult("weyl_action_group_order_24", ok and closure_bad == 0,
                     float(closure_bad), f"|W|={len(weyl)}")

@@ -17,7 +17,7 @@ from blochinv.groups import (
     so3_of_u2,
 )
 from blochinv.linalg import norm_inf, rotation_residual
-from blochinv.states import StateClass, bloch_of, density_of, random_bloch
+from blochinv.states import PAULI, StateClass, bloch_of, density_of, random_bloch
 
 
 class TestCoveringMap:
@@ -34,6 +34,32 @@ class TestCoveringMap:
         with pytest.raises(NotUnitary):
             so3_of_u2(np.array([[1.0, 1.0], [0.0, 1.0]]))
 
+    def test_unitary_precondition(self):
+        so3_of_u2(np.eye(2))
+        so3_of_u2(np.array([[0, 1], [1, 0]], dtype=complex))
+        with pytest.raises(NotUnitary):
+            so3_of_u2(2.0 * np.eye(2))
+
+    def test_unitary_tolerance_is_absolute(self):
+        # |c^2 - 1| ~ 2 (c - 1) against UNITARY_TOL = 1e-12.
+        so3_of_u2((1.0 + 0.4e-12) * np.eye(2))
+        with pytest.raises(NotUnitary):
+            so3_of_u2((1.0 + 0.6e-12) * np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_raises(self, bad, entry):
+        # RuntimeWarning is an error under the test configuration, so a
+        # numpy warning on the way would fail this test too.
+        u = np.eye(2, dtype=complex)
+        u[entry] = bad
+        with pytest.raises(NotUnitary):
+            so3_of_u2(u)
+
+    def test_rejects_3x3(self):
+        with pytest.raises(NotUnitary):
+            so3_of_u2(np.eye(3))
+
     def test_homomorphism_and_phase(self):
         rng = np.random.default_rng(0)
         for _ in range(500):
@@ -43,6 +69,35 @@ class TestCoveringMap:
             assert rotation_residual(ru) < 1e-11
             phase = np.exp(1j * rng.uniform(0, 2 * np.pi))
             assert norm_inf(so3_of_u2(phase * u) - ru) < 1e-11
+
+
+def trace_formula(u):
+    """R_ij = Re tr(sigma_i U sigma_j U*) / 2 written out with einsum."""
+    u = np.asarray(u, dtype=complex)
+    sig = PAULI[1:]
+    return 0.5 * np.einsum("iab,bc,jcd,da->ij", sig, u, sig, u.conj().T).real
+
+
+class TestCoveringMapOracle:
+    def test_haar_draws(self):
+        rng = np.random.default_rng(11)
+        worst = 0.0
+        for _ in range(2000):
+            u = np.exp(1j * rng.uniform(0, 2 * np.pi)) * haar_su2(rng)
+            worst = max(worst, norm_inf(so3_of_u2(u) - trace_formula(u)))
+        assert worst <= 1e-15
+
+    @pytest.mark.parametrize("u, perm", [
+        (PAULI[1], [[1, 0, 0], [0, -1, 0], [0, 0, -1]]),
+        (PAULI[2], [[-1, 0, 0], [0, 1, 0], [0, 0, -1]]),
+        (PAULI[3], [[-1, 0, 0], [0, -1, 0], [0, 0, 1]]),
+        (np.diag([1, 1j]), [[0, -1, 0], [1, 0, 0], [0, 0, 1]]),
+        (np.array([[1, 1], [1, -1]]) / np.sqrt(2), [[0, 0, 1], [0, -1, 0], [1, 0, 0]]),
+    ], ids=["sigma_x", "sigma_y", "sigma_z", "phase_gate", "hadamard"])
+    def test_signed_permutation_points(self, u, perm):
+        r = so3_of_u2(u)
+        assert norm_inf(r - trace_formula(u)) <= 1e-15
+        assert norm_inf(r - np.array(perm)) <= 1e-15
 
 
 class TestActions:

@@ -10,7 +10,6 @@ from blochinv.linalg import (
     det3,
     eig_sym3,
     is_hermitian,
-    is_unitary,
     kron22,
     norm_inf,
     rotation_residual,
@@ -31,11 +30,6 @@ class TestPredicates:
     def test_hermitian(self):
         assert is_hermitian(np.array([[1.0, 2j], [-2j, 3.0]]))
         assert not is_hermitian(np.array([[1.0, 2j], [2j, 3.0]]))
-
-    def test_unitary(self):
-        assert is_unitary(np.eye(2))
-        assert is_unitary(np.array([[0, 1], [1, 0]], dtype=complex))
-        assert not is_unitary(2.0 * np.eye(2))
 
     def test_rotation(self):
         assert rotation_residual(np.eye(3)) <= 1e-11

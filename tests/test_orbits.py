@@ -242,6 +242,15 @@ class TestDecideSym:
         sa, sb = ((v, 0.5 * (a + a.T)) for v, a in (sa, sb))
         assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_vector_raises(self, bad, side):
+        good = (np.array([0.2, 0.3, 0.4]), np.diag([3.0, 2.0, 1.0]))
+        bad_state = (np.array([0.2, bad, 0.4]), good[1])
+        pair = (bad_state, good) if side == 0 else (good, bad_state)
+        with pytest.raises(ValueError, match="decide_equiv_sym input contains NaN or Inf"):
+            decide_equiv_sym(*pair)
+
     @pytest.mark.parametrize("w", [(0.0, 0.3, 0.5), (0.0, 0.0, 0.5), (0.3, 0.0, 0.0)])
     def test_axis_aligned_vector_same_orbit(self, w):
         # A zero eigenbasis coordinate leaves the lexicographic sign choice
