@@ -11,7 +11,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
-from .linalg import dagger, kron22
 from .states import BlochMatrix, _as_rng
 
 # Tolerance of the unitarity precondition of so3_of_u2.
@@ -59,8 +58,8 @@ def so3_of_u2(u):
 
 def act_density(u1, u2, rho):
     """Conjugate a two-qubit state by the local unitary pair (U1, U2)."""
-    g = kron22(u1, u2)
-    return g @ np.asarray(rho, dtype=complex) @ dagger(g)
+    g = np.kron(u1, u2)
+    return g @ np.asarray(rho, dtype=complex) @ g.conj().T
 
 
 def act_bloch(r1, r2, bloch):

@@ -24,10 +24,9 @@ from .linalg import (
     _rows3,
     _sym_rows3,
     _trace_invariants,
-    det3,
+    _vec3,
     eig_sym3,
     norm_inf,
-    require_finite,
 )
 
 # A symmetric spectrum counts as degenerate when its discriminant (the
@@ -37,34 +36,33 @@ DISC_TOL = 1e-12
 ZERO_VECTOR_TOL = 1e-12
 
 
+class _Record:
+    """as_dict and as_tuple of a dataclass record, in field order: its
+    instance dict holds exactly the fields, set in that order by __init__."""
+
+    def as_dict(self):
+        return dict(vars(self))
+
+    def as_tuple(self):
+        return tuple(vars(self).values())
+
+
 @dataclass
-class LmmInvariants:
+class LmmInvariants(_Record):
     t2: float
     t3: float
     t4: float
 
-    def as_dict(self):
-        return {"t2": self.t2, "t3": self.t3, "t4": self.t4}
-
-    def as_tuple(self):
-        return (self.t2, self.t3, self.t4)
-
 
 @dataclass
-class LmmSectionInvariants:
+class LmmSectionInvariants(_Record):
     s1: float
     s2: float
     s3: float
 
-    def as_dict(self):
-        return {"s1": self.s1, "s2": self.s2, "s3": self.s3}
-
-    def as_tuple(self):
-        return (self.s1, self.s2, self.s3)
-
 
 @dataclass
-class OctahedralInvariants:
+class OctahedralInvariants(_Record):
     """Invariants of a 3-vector under signed permutations of determinant +1.
 
     p1, p2, p3 are the elementary symmetric polynomials in the squared
@@ -98,38 +96,17 @@ class OctahedralInvariants:
         return self.p4 / (self.p1 * self.p1 * self.p1 * self.p1)
 
     def as_dict(self):
-        return {
-            "p1": self.p1,
-            "p2": self.p2,
-            "p3": self.p3,
-            "p4": self.p4,
-            "X": self.X,
-            "Y": self.Y,
-            "Z": self.Z,
-        }
+        return {**super().as_dict(), "X": self.X, "Y": self.Y, "Z": self.Z}
 
 
 @dataclass
-class SymInvariants:
+class SymInvariants(_Record):
     pX: float
     pY: float
     pZ: float
     trA: float
     trA2: float
     detA: float
-
-    def as_dict(self):
-        return {
-            "pX": self.pX,
-            "pY": self.pY,
-            "pZ": self.pZ,
-            "trA": self.trA,
-            "trA2": self.trA2,
-            "detA": self.detA,
-        }
-
-    def as_tuple(self):
-        return (self.pX, self.pY, self.pZ, self.trA, self.trA2, self.detA)
 
 
 def lmm_invariants(c):
@@ -167,8 +144,7 @@ def _lmm_triple(rows):
 def lmm_section_invariants(x):
     """Slice invariants of a diagonal 2-point matrix diag(x1, x2, x3):
     s1 = sum x_i^2, s2 = x1 x2 x3, s3 = sum x_i^4."""
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    x1, x2, x3 = _vec3(x, "lmm_section_invariants input")
     s1 = x1 * x1 + x2 * x2 + x3 * x3
     # Association matches the cofactor expansion used by det3 on diagonals.
     s2 = x1 * (x2 * x3)
@@ -180,8 +156,7 @@ def lmm_section_jacobian(x):
     """Jacobian determinant det(d s_i / d x_j) of the slice invariants,
     in closed form: 8 (x1^2 x3^4 - x1^2 x2^4 - x2^2 x3^4 + x1^4 x2^2
     + x3^2 x2^4 - x1^4 x3^2)."""
-    x = np.asarray(x, dtype=float)
-    x1, x2, x3 = float(x[0]), float(x[1]), float(x[2])
+    x1, x2, x3 = _vec3(x, "lmm_section_jacobian input")
     q1, q2, q3 = x1 * x1, x2 * x2, x3 * x3
     return 8.0 * (
         q1 * q3 * q3 - q1 * q2 * q2 - q2 * q3 * q3
@@ -210,10 +185,10 @@ def lmm_positive_cone_check(inv, tol=1e-9):
 def lmm_invariants_jacobian(c):
     """3x9 Jacobian of (t2, t3, t4) in the nine entries of C:
     grad t2 = 2C, grad t3 = cofactor matrix of C, grad t4 = 4 C C^T C."""
-    c = np.asarray(c, dtype=float)
+    m = _rows3(c, "lmm_invariants_jacobian input")[0]
+    c = np.array(m)
     # Cyclic indices carry the cofactor signs:
     # cof_ij = c[i+1][j+1] c[i+2][j+2] - c[i+1][j+2] c[i+2][j+1] (mod 3).
-    m = c.tolist()
     cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
             - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
             for j in range(3)] for i in range(3)]
@@ -229,20 +204,22 @@ def octahedral_invariants(v):
     the sign of p4 is tracked through exact comparisons, so the returned
     values are bitwise invariant under the group, not only up to roundoff.
     """
-    v = np.asarray(v, dtype=float)
-    require_finite(v, "octahedral_invariants input")
-    a = np.sort(np.abs(v))
-    a0, a1, a2 = float(a[0]), float(a[1]), float(a[2])
+    v0, v1, v2 = _vec3(v, "octahedral_invariants input")
+    a0, a1, a2 = sorted((abs(v0), abs(v1), abs(v2)))
     x0, x1, x2 = a0 * a0, a1 * a1, a2 * a2
     p1 = (x0 + x1) + x2
     p2 = (x0 * x1 + x0 * x2) + x1 * x2
     p3 = (x0 * x1) * x2
     mag = (a0 * a1) * a2
     vand = ((x1 - x0) * (x2 - x0)) * (x2 - x1)
-    q0, q1, q2 = float(v[0]) ** 2, float(v[1]) ** 2, float(v[2]) ** 2
-    sgn = float(np.sign(v[0]) * np.sign(v[1]) * np.sign(v[2]))
-    tau = float(np.sign(q0 - q1) * np.sign(q0 - q2) * np.sign(q1 - q2))
-    p4 = (sgn * tau) * (mag * vand)
+    q0, q1, q2 = v0**2, v1**2, v2**2
+    # The product of the signs of the coordinates and of the squared-
+    # coordinate differences, each 1.0, -1.0 or 0.0 (a float, so that the
+    # sign bit of a zero p4 follows the coordinates).
+    sign = 1.0
+    for x in (v0, v1, v2, q0 - q1, q0 - q2, q1 - q2):
+        sign *= (x > 0.0) - (x < 0.0)
+    p4 = sign * (mag * vand)
     return OctahedralInvariants(p1=p1, p2=p2, p3=p3, p4=p4)
 
 
@@ -273,16 +250,16 @@ def g_invariant(v, a):
     v1 v2 v3 (l2 - l1)(l3 - l1)(l3 - l2), the ascending Vandermonde order.
     Downstream use is g^2 / disc, which does not see the global sign.
     """
-    _sym_rows3(a, "g_invariant input")
-    return _g_unchecked(v, np.asarray(a, dtype=float))
+    v = _vec3(v, "g_invariant input")
+    return _g_unchecked(v, np.array(_sym_rows3(a, "g_invariant input")[0]))
 
 
 def _g_unchecked(v, a):
-    """g_invariant on a matrix already checked finite and symmetric."""
-    v = np.asarray(v, dtype=float)
+    """g_invariant on a 3-vector and a matrix already checked (finite, and
+    the matrix symmetric)."""
     av = a @ v
     aav = a @ av
-    return det3(np.column_stack([v, av, aav]))
+    return _det3_rows(*np.column_stack([v, av, aav]).tolist())
 
 
 def _nondegenerate_eig(a, message):
@@ -311,9 +288,9 @@ def r_invariant(v, a):
     On diagonal A it restricts to (v1 v2 v3)^2. Raises DegenerateSpectrum
     when the discriminant is below DISC_TOL relative to scale^6.
     """
-    a = np.asarray(a, dtype=float)
+    v = _vec3(v, "r_invariant input")
     _, scale, disc = _nondegenerate_eig(a, "discriminant vanishes; invariant undefined")
-    g = _g_unchecked(v, a / scale)
+    g = _g_unchecked(v, np.asarray(a, dtype=float) / scale)
     return (g * g) / disc
 
 
@@ -331,9 +308,9 @@ def sym_invariants(v, a):
         DegenerateSpectrum: if A has (near-)repeated eigenvalues.
         ZeroVector: if |v|_inf <= ZERO_VECTOR_TOL.
     """
-    v = np.asarray(v, dtype=float)
+    v = _vec3(v, "sym_invariants input")
     eig, _, _ = _nondegenerate_eig(a, "repeated eigenvalues; invariants undefined")
-    if all(abs(x) <= ZERO_VECTOR_TOL for x in v.tolist()):
+    if all(abs(x) <= ZERO_VECTOR_TOL for x in v):
         raise ZeroVector("zero 1-point vector; pX, pY, pZ undefined")
     oct_inv = octahedral_invariants(eig.rotation @ v)
     tr_a, tr_a2, det_a = _trace_invariants(np.asarray(a, dtype=float).tolist())

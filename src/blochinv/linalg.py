@@ -1,10 +1,11 @@
 """Fixed-size linear algebra kernel: 3x3 symmetric eigendecomposition by
 cyclic Jacobi rotations, a one-sided Jacobi signed SVD with both factors
-in SO(3), the 3x3 determinant and trace invariants, and small predicates
-for the 2x2 / 4x4 complex matrices used elsewhere in the package.
+in SO(3), the 3x3 determinant and trace invariants, and the input checks
+of the scalar core.
 
 Each 3x3 input is converted to Python floats and checked once, by _rows3
-(finiteness) or _sym_rows3 (finiteness and symmetry).
+(shape and finiteness) or _sym_rows3 (also symmetry); each 3-vector input
+by _vec3 (shape and finiteness).
 
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient
@@ -38,25 +39,10 @@ def require_finite(a, what="input"):
         raise ValueError(f"{what} contains NaN or Inf entries")
 
 
-def dagger(m):
-    """Conjugate transpose."""
-    return np.asarray(m).conj().T
-
-
-def is_hermitian(m, tol=1e-12):
-    m = np.asarray(m)
-    return norm_inf(m - dagger(m)) <= tol * max(1.0, norm_inf(m))
-
-
 def rotation_residual(r):
     """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|."""
     r = np.asarray(r, dtype=float)
     return max(norm_inf(r.T @ r - np.eye(3)), abs(det3(r) - 1.0))
-
-
-def kron22(a, b):
-    """Kronecker product of two 2x2 matrices, left factor slow index."""
-    return np.kron(np.asarray(a), np.asarray(b))
 
 
 def _det3_rows(r0, r1, r2):
@@ -70,12 +56,27 @@ def _det3_rows(r0, r1, r2):
 
 def _rows3(a, what):
     """Rows of a 3x3 input as Python floats and its entrywise infinity norm;
-    ValueError if an entry is NaN or Inf."""
-    rows = np.asarray(a, dtype=float).tolist()
+    ValueError unless the shape is (3, 3) and every entry is finite."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (3, 3):
+        raise ValueError(f"{what} must have shape (3, 3), got {a.shape}")
+    rows = a.tolist()
     flat = rows[0] + rows[1] + rows[2]
     if not all(map(math.isfinite, flat)):
         raise ValueError(f"{what} contains NaN or Inf entries")
     return rows, max(map(abs, flat))
+
+
+def _vec3(v, what):
+    """A 3-vector input as a list of three Python floats; ValueError unless
+    the shape is (3,) and every entry is finite."""
+    v = np.asarray(v, dtype=float)
+    if v.shape != (3,):
+        raise ValueError(f"{what} must have shape (3,), got {v.shape}")
+    x = v.tolist()
+    if not all(map(math.isfinite, x)):
+        raise ValueError(f"{what} contains NaN or Inf entries")
+    return x
 
 
 def _sym_rows3(a, what):
@@ -103,7 +104,7 @@ def det3(m):
     reproduces x1 * (x2 * x3) bit for bit; the diagonal-restriction
     identities rely on this.
     """
-    return _det3_rows(*np.asarray(m, dtype=float).tolist())
+    return _det3_rows(*_rows3(m, "det3 input")[0])
 
 
 class EigenSym3(NamedTuple):

@@ -18,7 +18,6 @@ into [1, 2), 1 below norm 2, so that no invariant overflows; distances and
 residuals are those of the divided inputs.
 """
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,7 +25,7 @@ import numpy as np
 
 from .errors import DegenerateSpectrum
 from .invariants import _lmm_triple, _nondegenerate_eig
-from .linalg import _pow2_floor, _rows3, _trace_invariants, norm_inf, signed_svd3
+from .linalg import _pow2_floor, _rows3, _trace_invariants, _vec3, norm_inf, signed_svd3
 
 DEFAULT_TOL = 1e-8
 TIE_TOL = 1e-10
@@ -108,7 +107,7 @@ def sym_canonical(v, a):
         DegenerateSpectrum: if A has (near-)repeated eigenvalues; outside
         that locus the orbit has no slice-unique representative.
     """
-    v = np.asarray(v, dtype=float)
+    v = _vec3(v, "sym_canonical input")
     eig, _, _ = _nondegenerate_eig(a, "repeated eigenvalues; no canonical form")
     w0 = eig.rotation @ v
     coords = w0.tolist()
@@ -127,15 +126,13 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
     (R1, R2) with |R1 C R2^T - M|_inf <= 10 tol max(1, |M|_inf), which tied
     singular values leave non-unique but valid; INDETERMINATE otherwise.
     """
-    c = np.asarray(c, dtype=float)
-    m = np.asarray(m, dtype=float)
     (rows_c, norm_c), (rows_m, norm_m) = (_rows3(x, "decide_equiv_lmm input") for x in (c, m))
     scale = _pow2_floor(max(1.0, norm_c, norm_m))
     dist = rel_dist(*(_lmm_triple([[x / scale for x in row] for row in rows])
                       for rows in (rows_c, rows_m)))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    c, m = c / scale, m / scale
+    c, m = np.array(rows_c) / scale, np.array(rows_m) / scale
     ca, cb = lmm_canonical(c), lmm_canonical(m)
     dist = max(dist, rel_dist(ca.diag, cb.diag))
     if dist > tol:
@@ -160,13 +157,11 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     for a (near-)repeated spectrum.
 
     Raises:
-        ValueError: if v, v', A or A' has a NaN or Inf entry.
+        ValueError: if v, v', A or A' has the wrong shape or a NaN or Inf
+        entry.
     """
-    v1, a1 = (np.asarray(x, dtype=float) for x in state_a)
-    v2, a2 = (np.asarray(x, dtype=float) for x in state_b)
-    if not all(map(math.isfinite, v1.ravel().tolist() + v2.ravel().tolist())):
-        raise ValueError("decide_equiv_sym input contains NaN or Inf entries")
-
+    (v1, a1), (v2, a2) = state_a, state_b
+    v1, v2 = (_vec3(v, "decide_equiv_sym input") for v in (v1, v2))
     (rows1, norm1), (rows2, norm2) = (_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
     scale = _pow2_floor(max(1.0, norm1, norm2))
     base1, base2 = (_trace_invariants([[x / scale for x in row] for row in rows])
@@ -174,7 +169,7 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     dist = rel_dist(base1, base2)
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    v1, a1, v2, a2 = v1 / scale, a1 / scale, v2 / scale, a2 / scale
+    v1, a1, v2, a2 = (np.array(x) / scale for x in (v1, rows1, v2, rows2))
     try:
         ca, cb = sym_canonical(v1, a1), sym_canonical(v2, a2)
     except DegenerateSpectrum:

@@ -1,0 +1,82 @@
+"""Every 3x3 and 3-vector argument of the scalar core is checked once, on
+entry: a wrong shape or a NaN or Inf entry raises ValueError naming the
+function, never a numpy warning, another error type or a value computed
+from part of the input."""
+
+import warnings
+
+import numpy as np
+import pytest
+
+from blochinv import invariants, linalg, orbits
+
+C = np.array([[0.9, -0.2, 0.1], [0.3, 0.5, -0.4], [0.05, 0.2, -0.3]])
+A = np.array([[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
+V = np.array([0.3, -0.2, 0.5])
+
+# (id, function name, call with the probed argument x, valid value of x).
+SITES = [
+    ("eig_sym3", "eig_sym3", lambda x: linalg.eig_sym3(x), A),
+    ("signed_svd3", "signed_svd3", lambda x: linalg.signed_svd3(x), C),
+    ("det3", "det3", lambda x: linalg.det3(x), C),
+    ("lmm_invariants", "lmm_invariants", lambda x: invariants.lmm_invariants(x), C),
+    ("lmm_invariants_jacobian", "lmm_invariants_jacobian",
+     lambda x: invariants.lmm_invariants_jacobian(x), C),
+    ("g_invariant-a", "g_invariant", lambda x: invariants.g_invariant(V, x), A),
+    ("g_invariant-v", "g_invariant", lambda x: invariants.g_invariant(x, A), V),
+    ("decide_equiv_lmm-c", "decide_equiv_lmm", lambda x: orbits.decide_equiv_lmm(x, C), C),
+    ("decide_equiv_lmm-m", "decide_equiv_lmm", lambda x: orbits.decide_equiv_lmm(C, x), C),
+    ("decide_equiv_sym-v1", "decide_equiv_sym",
+     lambda x: orbits.decide_equiv_sym((x, A), (V, A)), V),
+    ("decide_equiv_sym-a1", "decide_equiv_sym",
+     lambda x: orbits.decide_equiv_sym((V, x), (V, A)), A),
+    ("decide_equiv_sym-v2", "decide_equiv_sym",
+     lambda x: orbits.decide_equiv_sym((V, A), (x, A)), V),
+    ("decide_equiv_sym-a2", "decide_equiv_sym",
+     lambda x: orbits.decide_equiv_sym((V, A), (V, x)), A),
+    ("octahedral_invariants", "octahedral_invariants",
+     lambda x: invariants.octahedral_invariants(x), V),
+    ("lmm_section_invariants", "lmm_section_invariants",
+     lambda x: invariants.lmm_section_invariants(x), V),
+    ("lmm_section_jacobian", "lmm_section_jacobian",
+     lambda x: invariants.lmm_section_jacobian(x), V),
+    ("r_invariant", "r_invariant", lambda x: invariants.r_invariant(x, A), V),
+    ("sym_invariants", "sym_invariants", lambda x: invariants.sym_invariants(x, A), V),
+    ("sym_canonical", "sym_canonical", lambda x: orbits.sym_canonical(x, A), V),
+]
+
+SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,)]
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+def _bad_inputs(case, valid):
+    """The wrong-shape input, or the valid input with the non-finite value
+    in each entry in turn."""
+    if isinstance(case, tuple):
+        return [np.full(case, 0.5)]
+    bad = []
+    for index in np.ndindex(valid.shape):
+        x = valid.copy()
+        x[index] = case
+        bad.append(x)
+    return bad
+
+
+@pytest.mark.parametrize("site", SITES, ids=[s[0] for s in SITES])
+def test_valid_input_passes(site):
+    _, _, call, valid = site
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        call(valid)
+
+
+@pytest.mark.parametrize("case", SHAPES + NON_FINITE,
+                         ids=["x".join(map(str, s)) for s in SHAPES] + ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("site", SITES, ids=[s[0] for s in SITES])
+def test_rejects_bad_input(site, case):
+    _, name, call, valid = site
+    for x in _bad_inputs(case, valid):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"{name} input"):
+                call(x)

@@ -1,6 +1,8 @@
 """Tests for the invariant functions, with independent oracles for every
 derived formula."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -242,6 +244,44 @@ class TestOctahedralInvariants:
                 assert (img.p1, img.p2, img.p3, img.p4) == (base.p1, base.p2, base.p3, base.p4)
                 if base.p1 > 0:
                     assert (img.X, img.Y, img.Z) == (base.X, base.Y, base.Z)
+
+    def test_matches_numpy_formulation_bitwise(self):
+        # The same expressions on numpy sort, abs and sign are the
+        # reference; signed zeros must come out with the same sign bit.
+        def reference(v):
+            v = np.asarray(v, dtype=float)
+            a = np.sort(np.abs(v))
+            a0, a1, a2 = float(a[0]), float(a[1]), float(a[2])
+            x0, x1, x2 = a0 * a0, a1 * a1, a2 * a2
+            mag = (a0 * a1) * a2
+            vand = ((x1 - x0) * (x2 - x0)) * (x2 - x1)
+            q0, q1, q2 = float(v[0]) ** 2, float(v[1]) ** 2, float(v[2]) ** 2
+            sgn = float(np.sign(v[0]) * np.sign(v[1]) * np.sign(v[2]))
+            tau = float(np.sign(q0 - q1) * np.sign(q0 - q2) * np.sign(q1 - q2))
+            return ((x0 + x1) + x2, (x0 * x1 + x0 * x2) + x1 * x2, (x0 * x1) * x2,
+                    (sgn * tau) * (mag * vand))
+
+        rng = np.random.default_rng(16)
+        vectors = [[0.0, 0.3, 0.5], [-0.0, 0.3, 0.5], [0.0, -0.3, 0.5]]
+        for k in range(60):
+            v = rng.uniform(-2, 2, size=3)
+            if k % 3 == 1:
+                v[k % 3] = rng.choice([0.0, -0.0])
+            elif k % 3 == 2:
+                v[1] = rng.choice([1.0, -1.0]) * v[0]
+            vectors.append(v)
+        signed_perms = [np.array(s) * np.eye(3)[list(p)]
+                        for p in itertools.permutations(range(3))
+                        for s in itertools.product([1.0, -1.0], repeat=3)]
+        assert len(signed_perms) == 48
+        for v in vectors:
+            for g in signed_perms:
+                w = g @ np.asarray(v, dtype=float)
+                p = octahedral_invariants(w)
+                got = [x.hex() for x in (p.p1, p.p2, p.p3, p.p4)]
+                assert got == [x.hex() for x in reference(w)], w
+        assert octahedral_invariants([0.0, 0.3, 0.5]).p4.hex() == "-0x0.0p+0"
+        assert octahedral_invariants([0.0, -0.3, 0.5]).p4.hex() == "0x0.0p+0"
 
     def test_zero_vector(self):
         p = octahedral_invariants(np.zeros(3))
@@ -515,3 +555,17 @@ class TestInvariantJacobian:
             if sv[2] > 1e-8:
                 full += 1
         assert full >= 495
+
+
+class TestRecords:
+    def test_field_order(self):
+        assert lmm_invariants(np.diag([1.0, 2.0, 3.0])).as_dict() == {
+            "t2": 14.0, "t3": 6.0, "t4": 98.0}
+        assert list(lmm_section_invariants([1.0, 2.0, 3.0]).as_dict()) == ["s1", "s2", "s3"]
+        p = octahedral_invariants([1.0, 2.0, 3.0])
+        assert p.as_dict() == {"p1": 14.0, "p2": 49.0, "p3": 36.0, "p4": -720.0,
+                               "X": p.X, "Y": p.Y, "Z": p.Z}
+        assert list(p.as_dict()) == ["p1", "p2", "p3", "p4", "X", "Y", "Z"]
+        inv = sym_invariants([0.3, -0.2, 0.5], np.diag([0.7, 0.2, -0.4]))
+        assert list(inv.as_dict()) == ["pX", "pY", "pZ", "trA", "trA2", "detA"]
+        assert inv.as_tuple() == tuple(inv.as_dict().values())

@@ -1,20 +1,20 @@
 """Tests for the fixed-size linear algebra kernel."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 from blochinv.errors import NotSymmetric
 from blochinv.groups import haar_so3
 from blochinv.linalg import (
-    dagger,
     det3,
     eig_sym3,
-    is_hermitian,
-    kron22,
     norm_inf,
     rotation_residual,
     signed_svd3,
 )
+from blochinv.states import PAULI, PAULI_KRON
 
 
 def random_symmetric(rng, scale=1.0):
@@ -23,24 +23,15 @@ def random_symmetric(rng, scale=1.0):
 
 
 class TestPredicates:
-    def test_dagger(self):
-        m = np.array([[1, 2j], [3, 4]], dtype=complex)
-        np.testing.assert_array_equal(dagger(m), np.array([[1, 3], [-2j, 4]]))
-
-    def test_hermitian(self):
-        assert is_hermitian(np.array([[1.0, 2j], [-2j, 3.0]]))
-        assert not is_hermitian(np.array([[1.0, 2j], [2j, 3.0]]))
-
     def test_rotation(self):
         assert rotation_residual(np.eye(3)) <= 1e-11
         assert rotation_residual(np.diag([1.0, 1.0, -1.0])) > 1e-11  # reflection
 
     def test_kron_convention(self):
-        # Left factor is the slow index: (A x B)[2a+c, 2b+d] = A[a,b] B[c,d]
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[5, 6], [7, 8]], dtype=complex)
-        k = kron22(a, b)
-        assert k[0, 0] == 5 and k[2, 0] == 15 and k[1, 3] == 2 * 8
+        # Left factor is the slow index:
+        # PAULI_KRON[i, j][2a+c, 2b+d] = PAULI[i][a,b] PAULI[j][c,d].
+        for i, j, a, b, c, d in itertools.product(range(4), range(4), *[range(2)] * 4):
+            assert PAULI_KRON[i, j][2 * a + c, 2 * b + d] == PAULI[i][a, b] * PAULI[j][c, d]
 
     @pytest.mark.parametrize("a", [
         np.array([[0.5, -2.0, 1e-300], [3.0, -0.0, -7.25], [1e300, -1e-5, 2.0]]),

@@ -96,6 +96,19 @@ class TestCorrelation:
             bloch_of(bad)
 
 
+class TestValidateDensity:
+    # A 2x2 matrix m of trace 4, lifted to the unit-trace 4x4 m (x) I / 8,
+    # which is Hermitian exactly when m is.
+    def test_accepts_hermitian(self):
+        rho = np.kron(np.array([[1.0, 2j], [-2j, 3.0]]), np.eye(2)) / 8
+        np.testing.assert_array_equal(validate_density(rho), rho)
+
+    def test_rejects_non_hermitian(self):
+        rho = np.kron(np.array([[1.0, 2j], [2j, 3.0]]), np.eye(2)) / 8
+        with pytest.raises(NonHermitianInput):
+            validate_density(rho)
+
+
 class TestBlochMap:
     def test_maximally_mixed_is_origin(self):
         b = bloch_of(MAX_MIXED)
