@@ -34,15 +34,16 @@ def norm_inf(a):
     return float(np.abs(a).max())
 
 
-def require_finite(a, what="input"):
+def require_finite(a, what):
     if not np.all(np.isfinite(np.asarray(a, dtype=complex))):
         raise ValueError(f"{what} contains NaN or Inf entries")
 
 
 def rotation_residual(r):
-    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|."""
+    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|;
+    NaN or Inf, not an error, for a non-finite matrix."""
     r = np.asarray(r, dtype=float)
-    return max(norm_inf(r.T @ r - np.eye(3)), abs(det3(r) - 1.0))
+    return max(norm_inf(r.T @ r - np.eye(3)), abs(_det3_rows(*r.tolist()) - 1.0))
 
 
 def _det3_rows(r0, r1, r2):

@@ -25,7 +25,15 @@ import numpy as np
 
 from .errors import DegenerateSpectrum
 from .invariants import _lmm_triple, _nondegenerate_eig
-from .linalg import _pow2_floor, _rows3, _trace_invariants, _vec3, norm_inf, signed_svd3
+from .linalg import (
+    _pow2_floor,
+    _rows3,
+    _sym_rows3,
+    _trace_invariants,
+    _vec3,
+    norm_inf,
+    signed_svd3,
+)
 
 DEFAULT_TOL = 1e-8
 TIE_TOL = 1e-10
@@ -77,12 +85,27 @@ class EquivalenceVerdict:
     invariant_distance: float
 
 
+def _worst(values):
+    """The largest of values, 0.0 for none, or the first NaN among them.
+
+    rel_dist and every residual of the verify battery reduce through it:
+    Python's max keeps its running value against a NaN, which would hide it.
+    """
+    worst = 0.0
+    for x in values:
+        if x != x:
+            return x
+        if x > worst:
+            worst = x
+    return worst
+
+
 def rel_dist(a, b):
     """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the uniform comparison
     metric used throughout the package, on Python floats (the inputs are
-    short and finite)."""
+    short). NaN if any entry is NaN or infinite."""
     pairs = zip(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)), strict=True)
-    return max(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in pairs)
+    return _worst(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in pairs)
 
 
 def lmm_canonical(c):
@@ -159,10 +182,11 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     Raises:
         ValueError: if v, v', A or A' has the wrong shape or a NaN or Inf
         entry.
+        NotSymmetric: if A or A' is not symmetric within linalg.SYM_TOL.
     """
     (v1, a1), (v2, a2) = state_a, state_b
     v1, v2 = (_vec3(v, "decide_equiv_sym input") for v in (v1, v2))
-    (rows1, norm1), (rows2, norm2) = (_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
+    (rows1, norm1), (rows2, norm2) = (_sym_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
     scale = _pow2_floor(max(1.0, norm1, norm2))
     base1, base2 = (_trace_invariants([[x / scale for x in row] for row in rows])
                     for rows in (rows1, rows2))

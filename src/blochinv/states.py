@@ -62,9 +62,6 @@ class BlochMatrix:
     v: np.ndarray
     C: np.ndarray
 
-    def copy(self):
-        return BlochMatrix(self.u.copy(), self.v.copy(), self.C.copy())
-
 
 def validate_density(rho):
     """Check the trace-one Hermitian invariants of a density operator.

@@ -4,6 +4,14 @@ Five suites (bloch, lmm, sym, group, orbit) re-derive every identity the
 package relies on, at a sample size and seed chosen by the caller. Each
 trial draws from its own generator seeded by (seed, suite, trial index),
 so results are independent of evaluation order and safe to parallelize.
+Each check numbers its trials from its own offset within the suite; two
+checks' trial streams are disjoint only for samples up to 50,000, since
+the closest offsets are 50,000 apart (lmm 400000/450000 and 700000/750000).
+
+A check runs one trial body per generator and folds the trials with
+orbits._worst for residuals and with sum for wrong-verdict flags. _worst
+returns the first NaN it meets, and every bound is a comparison that NaN
+makes false, so a check with a NaN residual fails and reports nan.
 """
 
 import time
@@ -37,6 +45,7 @@ from .invariants import (
 from .linalg import det3, norm_inf, rotation_residual
 from .orbits import (
     Verdict,
+    _worst,
     decide_equiv_lmm,
     decide_equiv_sym,
     lmm_canonical,
@@ -59,7 +68,6 @@ from .states import (
 )
 
 SUITES = ("bloch", "lmm", "sym", "group", "orbit")
-_SUITE_IDS = {name: i for i, name in enumerate(SUITES)}
 _SEED_MASK = (1 << 63) - 1
 
 _EPS3 = np.zeros((3, 3, 3))
@@ -91,8 +99,19 @@ class SuiteReport:
 
 def trial_rng(seed, suite, trial):
     """Independent generator for one trial, stable under reordering."""
-    ss = np.random.SeedSequence(entropy=[seed & _SEED_MASK, _SUITE_IDS[suite], trial])
+    ss = np.random.SeedSequence(entropy=[seed & _SEED_MASK, SUITES.index(suite), trial])
     return np.random.default_rng(ss)
+
+
+def _rngs(seed, suite, offset, n):
+    """The generators of trials offset, ..., offset + n - 1 of one suite."""
+    return (trial_rng(seed, suite, offset + t) for t in range(n))
+
+
+def _fold(outcomes):
+    """Worst residual and wrong-verdict count of (residual, wrong) outcomes."""
+    residuals, wrong = zip(*outcomes)
+    return _worst(residuals), sum(wrong)
 
 
 def _gapped_descending(rng, low, high, gap):
@@ -148,23 +167,21 @@ def _graded_matrix(rng):
 def _signed_svd3_check(name, samples, seed, offset, draw):
     """The signed_svd3 contract on matrices from draw(rng), which returns C
     and the sign det C must have (0 where det C is too small to tell)."""
-    recon_res = 0.0
-    rot_res = 0.0
-    sign_bad = 0
-    order_bad = 0
-    for t in range(samples):
-        c, sign = draw(trial_rng(seed, "lmm", offset + t))
+
+    def trial(rng):
+        c, sign = draw(rng)
         svd = linalg_mod.signed_svd3(c)
         recon = svd.left @ np.diag(svd.diag) @ svd.right.T - c
-        recon_res = max(recon_res, norm_inf(recon) / max(1.0, norm_inf(c)))
-        rot_res = max(rot_res, rotation_residual(svd.left), rotation_residual(svd.right))
         d = svd.diag
-        if not (d[0] >= d[1] >= abs(d[2]) and d[0] >= 0.0 and d[1] >= 0.0):
-            order_bad += 1
-        if sign and np.sign(d[0] * d[1] * d[2]) != sign:
-            sign_bad += 1
+        return (norm_inf(recon) / max(1.0, norm_inf(c)),
+                _worst((rotation_residual(svd.left), rotation_residual(svd.right))),
+                not (d[0] >= d[1] >= abs(d[2]) and d[0] >= 0.0 and d[1] >= 0.0),
+                bool(sign and np.sign(d[0] * d[1] * d[2]) != sign))
+
+    recon, rot, order, sign = zip(*map(trial, _rngs(seed, "lmm", offset, samples)))
+    recon_res, rot_res, order_bad, sign_bad = _worst(recon), _worst(rot), sum(order), sum(sign)
     passed = recon_res < 1e-10 and rot_res < 1e-11 and sign_bad == 0 and order_bad == 0
-    return CheckResult(name, passed, max(recon_res, rot_res),
+    return CheckResult(name, passed, _worst((recon_res, rot_res)),
                        f"{sign_bad} sign, {order_bad} order violations")
 
 
@@ -173,84 +190,71 @@ def _g_index_sum(v, a):
     return float(np.einsum("ijk,jl,km,mn,i,l,n->", _EPS3, a, a, a, v, v, v))
 
 
+def _bloch_dist(a, b):
+    """Worst entrywise difference of two Bloch matrices."""
+    return _worst((norm_inf(a.u - b.u), norm_inf(a.v - b.v), norm_inf(a.C - b.C)))
+
+
 # ----------------------------------------------------------------- bloch
 
 
 def _suite_bloch(samples, seed):
     checks = []
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "bloch", t)
+    def equivariance(rng):
         u1, u2 = haar_su2(rng), haar_su2(rng)
         b = random_bloch(StateClass.GENERAL, rng)
-        rho = density_of(b)
-        lhs = bloch_of(act_density(u1, u2, rho))
-        rhs = act_bloch(so3_of_u2(u1), so3_of_u2(u2), b)
-        res = max(
-            res,
-            norm_inf(lhs.u - rhs.u),
-            norm_inf(lhs.v - rhs.v),
-            norm_inf(lhs.C - rhs.C),
-        )
+        lhs = bloch_of(act_density(u1, u2, density_of(b)))
+        return _bloch_dist(lhs, act_bloch(so3_of_u2(u1), so3_of_u2(u2), b))
+
+    res = _worst(map(equivariance, _rngs(seed, "bloch", 0, samples)))
     checks.append(CheckResult("equivariance", res < 1e-10, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "bloch", 100000 + t)
-        cls = list(StateClass)[t % 4]
-        rho = random_state(cls, rng, positive=(t % 2 == 0))
+    def roundtrip(t, rng):
+        rho = random_state(list(StateClass)[t % 4], rng, positive=(t % 2 == 0))
         b = bloch_of(rho)
         back = density_of(b)
-        res = max(res, norm_inf(back - rho) / max(1.0, norm_inf(rho)))
-        b2 = bloch_of(back)
-        res = max(res, norm_inf(b2.u - b.u), norm_inf(b2.v - b.v), norm_inf(b2.C - b.C))
+        return _worst((norm_inf(back - rho) / max(1.0, norm_inf(rho)),
+                       _bloch_dist(bloch_of(back), b)))
+
+    res = _worst(roundtrip(t, rng) for t, rng in enumerate(_rngs(seed, "bloch", 100000, samples)))
     checks.append(CheckResult("bloch_roundtrip", res < 1e-12, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "bloch", 200000 + t)
+    def partial_traces(rng):
         rho = density_of(random_bloch(StateClass.GENERAL, rng))
         b = bloch_of(rho)
-        res = max(res, norm_inf(bloch_vector(partial_trace(rho, 1)) - b.u))
-        res = max(res, norm_inf(bloch_vector(partial_trace(rho, 2)) - b.v))
+        return _worst((norm_inf(bloch_vector(partial_trace(rho, 1)) - b.u),
+                       norm_inf(bloch_vector(partial_trace(rho, 2)) - b.v)))
+
+    res = _worst(map(partial_traces, _rngs(seed, "bloch", 200000, samples)))
     checks.append(CheckResult("partial_trace_consistency", res < 1e-12, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "bloch", 300000 + t)
+    def covering(rng):
         u, w = haar_su2(rng), haar_su2(rng)
         ru, rw = so3_of_u2(u), so3_of_u2(w)
-        res = max(res, norm_inf(so3_of_u2(u @ w) - ru @ rw))
-        res = max(res, rotation_residual(ru))
         phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-        res = max(res, norm_inf(so3_of_u2(phase * u) - ru))
+        return _worst((norm_inf(so3_of_u2(u @ w) - ru @ rw), rotation_residual(ru),
+                       norm_inf(so3_of_u2(phase * u) - ru)))
+
+    res = _worst(map(covering, _rngs(seed, "bloch", 300000, samples)))
     checks.append(CheckResult("covering_homomorphism", res < 1e-10, res))
 
-    bad = 0
+    def misclassified(rng):
+        return sum(classify(density_of(random_bloch(cls, rng))) is not cls for cls in StateClass)
+
     n_cls = max(1, samples // 4)
-    for t in range(n_cls):
-        rng = trial_rng(seed, "bloch", 400000 + t)
-        for cls in StateClass:
-            rho = density_of(random_bloch(cls, rng))
-            if classify(rho) is not cls:
-                bad += 1
+    bad = sum(map(misclassified, _rngs(seed, "bloch", 400000, n_cls)))
     checks.append(
         CheckResult("classification_idempotence", bad == 0, float(bad),
                     f"{bad} misclassified of {4 * n_cls}")
     )
 
-    res = 0.0
-    bad = 0
-    n_pos = max(1, samples // 4)
-    for t in range(n_pos):
-        rng = trial_rng(seed, "bloch", 500000 + t)
+    def correlations(rng):
         rho = random_state(StateClass.GENERAL, rng, positive=True)
-        if not is_positive(rho):
-            bad += 1
-        for i in range(4):
-            for j in range(4):
-                res = max(res, abs(correlation(rho, i, j)) - 1.0)
+        excess = _worst(abs(correlation(rho, i, j)) - 1.0 for i in range(4) for j in range(4))
+        return excess, not is_positive(rho)
+
+    res, bad = _fold(map(correlations, _rngs(seed, "bloch", 500000, max(1, samples // 4))))
     checks.append(
         CheckResult("positive_state_correlations", bad == 0 and res < 1e-10, res,
                     f"{bad} non-positive draws")
@@ -264,38 +268,30 @@ def _suite_bloch(samples, seed):
 def _suite_lmm(samples, seed):
     checks = []
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "lmm", t)
+    def restriction(rng):
         x = rng.uniform(-2.0, 2.0, size=3)
         ti = lmm_invariants(np.diag(x)).as_tuple()
         si = lmm_section_invariants(x).as_tuple()
-        res = max(res, max(abs(a - b) for a, b in zip(ti, si)))
+        return _worst(abs(a - b) for a, b in zip(ti, si))
+
+    res = _worst(map(restriction, _rngs(seed, "lmm", 0, samples)))
     checks.append(CheckResult("diagonal_restriction_exact", res == 0.0, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "lmm", 100000 + t)
+    def jacobian_closed_form(rng):
         x = rng.uniform(-2.0, 2.0, size=3)
         x1, x2, x3 = x
-        partials = np.array(
-            [
-                [2 * x1, 2 * x2, 2 * x3],
-                [x2 * x3, x1 * x3, x1 * x2],
-                [4 * x1**3, 4 * x2**3, 4 * x3**3],
-            ]
-        )
-        direct = det3(partials)
-        closed = lmm_section_jacobian(x)
-        res = max(res, abs(direct - closed) / max(1.0, abs(direct), abs(closed)))
+        partials = np.array([[2 * x1, 2 * x2, 2 * x3], [x2 * x3, x1 * x3, x1 * x2],
+                             [4 * x1**3, 4 * x2**3, 4 * x3**3]])
+        return rel_dist(det3(partials), lmm_section_jacobian(x))
+
+    res = _worst(map(jacobian_closed_form, _rngs(seed, "lmm", 100000, samples)))
     checks.append(CheckResult("section_jacobian_closed_form", res < 1e-9, res))
 
-    res = 0.0
-    for t in range(min(samples, 50)):
-        rng = trial_rng(seed, "lmm", 200000 + t)
+    def jacobian_finite_diff(rng):
         x = rng.uniform(0.5, 2.0, size=3)
-        if abs(lmm_section_jacobian(x)) < 1.0:
-            continue
+        closed = lmm_section_jacobian(x)
+        if abs(closed) < 1.0:
+            return 0.0
         h = 1e-5
         fd = np.empty((3, 3))
         for j in range(3):
@@ -305,92 +301,81 @@ def _suite_lmm(samples, seed):
             sp = np.array(lmm_section_invariants(xp).as_tuple())
             sm = np.array(lmm_section_invariants(xm).as_tuple())
             fd[:, j] = (sp - sm) / (2.0 * h)
-        closed = lmm_section_jacobian(x)
-        res = max(res, abs(det3(fd) - closed) / max(1.0, abs(closed)))
+        return abs(det3(fd) - closed) / max(1.0, abs(closed))
+
+    res = _worst(map(jacobian_finite_diff, _rngs(seed, "lmm", 200000, min(samples, 50))))
     checks.append(CheckResult("section_jacobian_finite_diff", res < 1e-6, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "lmm", 300000 + t)
+    def rotation_pairs(rng):
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
         r1, r2 = haar_so3(rng), haar_so3(rng)
-        res = max(
-            res,
-            rel_dist(lmm_invariants(r1 @ c @ r2.T).as_tuple(), lmm_invariants(c).as_tuple()),
-        )
+        return rel_dist(lmm_invariants(r1 @ c @ r2.T).as_tuple(), lmm_invariants(c).as_tuple())
+
+    res = _worst(map(rotation_pairs, _rngs(seed, "lmm", 300000, samples)))
     checks.append(CheckResult("invariance_under_rotation_pairs", res < 1e-9, res))
 
-    bad = 0
-    for t in range(samples):
-        rng = trial_rng(seed, "lmm", 400000 + t)
-        rho = random_state(StateClass.LMM, rng, positive=True)
-        inv = lmm_invariants(bloch_of(rho).C)
+    def bound_violated(rng):
+        inv = lmm_invariants(bloch_of(random_state(StateClass.LMM, rng, positive=True)).C)
         # The cone check covers t2 <= 3 and the t3 bound. The reported
         # upper bound t4 <= -2 t3 + (1 - t2)^2 / 4 is not implied by
         # positivity (C = diag(1, 0, 0) breaks it) and is not asserted here.
-        if inv.t2 < -1e-9 or not lmm_positive_cone_check(inv):
-            bad += 1
-    checks.append(
-        CheckResult("positivity_bounds", bad == 0, float(bad), f"{bad} violations")
-    )
+        return inv.t2 < -1e-9 or not lmm_positive_cone_check(inv)
 
-    bad = 0
-    n_cone = max(1, samples // 2)
-    for t in range(n_cone):
-        rng = trial_rng(seed, "lmm", 450000 + t)
+    bad = sum(map(bound_violated, _rngs(seed, "lmm", 400000, samples)))
+    checks.append(CheckResult("positivity_bounds", bad == 0, float(bad), f"{bad} violations"))
+
+    def cone_mismatch(rng):
         c = rng.uniform(-1.5, 1.5, size=3)
         rho = density_of(BlochMatrix(np.zeros(3), np.zeros(3), np.diag(c)))
         lam_min = float(np.linalg.eigvalsh(rho)[0])
         if abs(lam_min) < 1e-7:
-            continue
-        cone = lmm_positive_cone_check(lmm_invariants(np.diag(c)))
-        if cone != (lam_min >= 0.0):
-            bad += 1
+            return False
+        return lmm_positive_cone_check(lmm_invariants(np.diag(c))) != (lam_min >= 0.0)
+
+    bad = sum(map(cone_mismatch, _rngs(seed, "lmm", 450000, max(1, samples // 2))))
     checks.append(
         CheckResult("positive_cone_characterization", bad == 0, float(bad),
                     f"{bad} mismatches vs eigenvalue test")
     )
 
-    res = 0.0
     half = 0.5 * np.eye(2)
-    for name in ("phi+", "phi-", "psi+", "psi-"):
+
+    def bell_residual(name):
         rho = bell_projector(name)
-        res = max(res, norm_inf(partial_trace(rho, 1) - half))
-        res = max(res, norm_inf(partial_trace(rho, 2) - half))
         inv = lmm_invariants(bloch_of(rho).C)
-        res = max(res, abs(inv.t2 - 3.0), abs(inv.t3 + 1.0), abs(inv.t4 - 3.0))
-        # Saturation of all three positivity bounds.
-        res = max(res, abs(inv.t3 - 0.5 * (1.0 - inv.t2)))
-        res = max(res, abs(inv.t4 - (-2.0 * inv.t3 + 0.25 * (1.0 - inv.t2) ** 2)))
+        # t2 = 3 and the last two terms: all three positivity bounds saturate.
+        return _worst((norm_inf(partial_trace(rho, 1) - half),
+                       norm_inf(partial_trace(rho, 2) - half),
+                       abs(inv.t2 - 3.0), abs(inv.t3 + 1.0), abs(inv.t4 - 3.0),
+                       abs(inv.t3 - 0.5 * (1.0 - inv.t2)),
+                       abs(inv.t4 - (-2.0 * inv.t3 + 0.25 * (1.0 - inv.t2) ** 2))))
+
+    res = _worst(map(bell_residual, ("phi+", "phi-", "psi+", "psi-")))
     checks.append(CheckResult("bell_states", res < 1e-12, res))
 
-    n_rank = min(samples, 1000)
-    full = 0
-    for t in range(n_rank):
-        rng = trial_rng(seed, "lmm", 500000 + t)
+    def full_rank(rng):
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
-        sv = np.linalg.svd(lmm_invariants_jacobian(c), compute_uv=False)
-        if sv[2] > 1e-8:
-            full += 1
+        return bool(np.linalg.svd(lmm_invariants_jacobian(c), compute_uv=False)[2] > 1e-8)
+
+    n_rank = min(samples, 1000)
+    full = sum(map(full_rank, _rngs(seed, "lmm", 500000, n_rank)))
     frac = full / n_rank
     checks.append(
         CheckResult("invariant_jacobian_rank", frac >= 0.99, 1.0 - frac,
                     f"rank 3 at {full}/{n_rank} points")
     )
 
-    recon_res = 0.0
-    orth_res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "lmm", 600000 + t)
+    def eig_residuals(rng):
         a = _generic_symmetric(rng, gap=0.0)
-        scale = max(1.0, norm_inf(a))
         eig = linalg_mod.eig_sym3(a)
         recon = eig.rotation @ a @ eig.rotation.T - np.diag(eig.eigenvalues)
-        recon_res = max(recon_res, norm_inf(recon) / scale)
-        orth_res = max(orth_res, rotation_residual(eig.rotation))
-    passed = recon_res < 1e-10 and orth_res < 1e-12
+        return norm_inf(recon) / max(1.0, norm_inf(a)), rotation_residual(eig.rotation)
+
+    recon, orth = zip(*map(eig_residuals, _rngs(seed, "lmm", 600000, samples)))
+    recon_res, orth_res = _worst(recon), _worst(orth)
     checks.append(
-        CheckResult("kernel_eig_sym3", passed, max(recon_res, orth_res),
+        CheckResult("kernel_eig_sym3", recon_res < 1e-10 and orth_res < 1e-12,
+                    _worst((recon_res, orth_res)),
                     f"reconstruction {recon_res:.1e}, orthogonality {orth_res:.1e}")
     )
 
@@ -407,74 +392,64 @@ def _suite_lmm(samples, seed):
 def _suite_sym(samples, seed):
     checks = []
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "sym", t)
-        v = rng.uniform(-2.0, 2.0, size=3)
-        p = octahedral_invariants(v)
+    def p4_squared_is_p9(rng):
+        p = octahedral_invariants(rng.uniform(-2.0, 2.0, size=3))
         lhs = p.p4 * p.p4
-        rhs = invariants_mod.p9_eval(p.p1, p.p2, p.p3)
-        res = max(res, abs(lhs - rhs) / max(1.0, lhs))
+        return abs(lhs - invariants_mod.p9_eval(p.p1, p.p2, p.p3)) / max(1.0, lhs)
+
     spot = octahedral_invariants(np.array([1.0, 2.0, 3.0]))
-    res = max(res, abs(spot.p4**2 - 518400.0))
-    res = max(res, abs(invariants_mod.p9_eval(spot.p1, spot.p2, spot.p3) - 518400.0))
+    res = _worst((
+        *map(p4_squared_is_p9, _rngs(seed, "sym", 0, samples)),
+        abs(spot.p4**2 - 518400.0),
+        abs(invariants_mod.p9_eval(spot.p1, spot.p2, spot.p3) - 518400.0),
+    ))
     checks.append(CheckResult("octahedral_relation_p4_p9", res < 1e-9, res))
 
-    res = 0.0
     group = octahedral_group()
-    for t in range(max(1, samples // 10)):
-        rng = trial_rng(seed, "sym", 100000 + t)
+
+    def octahedral_spread(rng):
         v = _generic_vector(rng, floor=0.01)
-        base = octahedral_invariants(v)
-        ref = (base.p1, base.p2, base.p3, base.p4, base.X, base.Y, base.Z)
-        for g in group:
-            img = octahedral_invariants(g.apply(v))
-            vals = (img.p1, img.p2, img.p3, img.p4, img.X, img.Y, img.Z)
-            res = max(res, max(abs(a - b) for a, b in zip(ref, vals)))
+        ref = octahedral_invariants(v).as_dict().values()
+        return _worst(abs(a - b) for g in group
+                      for a, b in zip(ref, octahedral_invariants(g.apply(v)).as_dict().values()))
+
+    res = _worst(map(octahedral_spread, _rngs(seed, "sym", 100000, max(1, samples // 10))))
     checks.append(CheckResult("octahedral_exact_invariance", res == 0.0, res))
 
-    res = 0.0
-    for t in range(max(1, samples // 10)):
-        rng = trial_rng(seed, "sym", 200000 + t)
+    def g_oracle(rng):
         a = _generic_symmetric(rng, gap=0.0)
         v = rng.uniform(-1.0, 1.0, size=3)
-        direct = invariants_mod.g_invariant(v, a)
-        oracle = _g_index_sum(v, a)
-        res = max(res, abs(direct - oracle) / max(1.0, abs(direct), abs(oracle)))
+        return rel_dist(invariants_mod.g_invariant(v, a), _g_index_sum(v, a))
+
+    res = _worst(map(g_oracle, _rngs(seed, "sym", 200000, max(1, samples // 10))))
     checks.append(CheckResult("g_index_sum_oracle", res < 1e-10, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "sym", 300000 + t)
+    def g_diagonal(rng):
         lam = _generic_spectrum(rng)
         v = rng.uniform(-1.0, 1.0, size=3)
-        value = r_invariant(v, np.diag(lam))
-        expected = (v[0] * v[1] * v[2]) ** 2
-        res = max(res, abs(value - expected) / max(1.0, value, expected))
+        return rel_dist(r_invariant(v, np.diag(lam)), (v[0] * v[1] * v[2]) ** 2)
+
+    res = _worst(map(g_diagonal, _rngs(seed, "sym", 300000, samples)))
     checks.append(CheckResult("g_diagonal_restriction", res < 1e-8, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "sym", 400000 + t)
+    def r_rotation(rng):
         a = _generic_symmetric(rng, gap=1e-2, disc=1e-2)
         v = _generic_vector(rng)
         r = haar_so3(rng)
-        res = max(
-            res,
-            abs(r_invariant(r @ v, r @ a @ r.T) - r_invariant(v, a))
-            / max(1.0, abs(r_invariant(v, a))),
-        )
+        base = r_invariant(v, a)
+        return abs(r_invariant(r @ v, r @ a @ r.T) - base) / max(1.0, abs(base))
+
+    res = _worst(map(r_rotation, _rngs(seed, "sym", 400000, samples)))
     checks.append(CheckResult("r_rotation_invariance", res < 1e-8, res))
 
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "sym", 500000 + t)
+    def six_invariants(rng):
         a = _generic_symmetric(rng, gap=1e-2, disc=1e-2)
         v = _generic_vector(rng, floor=0.1)
         r = haar_so3(rng)
-        s_ref = sym_invariants(v, a).as_tuple()
-        s_rot = sym_invariants(r @ v, r @ a @ r.T).as_tuple()
-        res = max(res, rel_dist(s_ref, s_rot))
+        return rel_dist(sym_invariants(v, a).as_tuple(),
+                        sym_invariants(r @ v, r @ a @ r.T).as_tuple())
+
+    res = _worst(map(six_invariants, _rngs(seed, "sym", 500000, samples)))
     checks.append(CheckResult("six_invariant_invariance", res < 1e-8, res))
     return checks
 
@@ -524,19 +499,16 @@ def _suite_group(samples, seed):
                     float(closure_bad), f"|W|={len(weyl)}")
     )
 
-    bad = 0
-    for g in weyl:
+    probes = [rng.uniform(-1.0, 1.0, size=3)
+              for rng in _rngs(seed, "group", 100000, max(1, samples // 100))]
+
+    def realized(g):
         r1, r2 = lmm_weyl_pair(g)
-        if round(det3(r1)) != 1 or round(det3(r2)) != 1:
-            bad += 1
-            continue
-        for t in range(max(1, samples // 100)):
-            rng = trial_rng(seed, "group", 100000 + t)
-            c = rng.uniform(-1.0, 1.0, size=3)
-            img = r1 @ np.diag(c) @ r2.T
-            if norm_inf(img - np.diag(g.apply(c))) != 0.0:
-                bad += 1
-                break
+        return (round(det3(r1)) == 1 and round(det3(r2)) == 1
+                and all(norm_inf(r1 @ np.diag(c) @ r2.T - np.diag(g.apply(c))) == 0.0
+                        for c in probes))
+
+    bad = sum(not realized(g) for g in weyl)
     checks.append(CheckResult("weyl_pair_realization", bad == 0, float(bad)))
 
     pairs = lmm_normalizer_pairs()
@@ -563,21 +535,21 @@ def _suite_group(samples, seed):
                     f"{len(induced)}/24 elements induced by {len(pairs)} pairs")
     )
 
-    res = 0.0
-    acc = np.zeros((3, 3))
-    n = max(30, samples)
-    for t in range(n):
-        rng = trial_rng(seed, "group", 200000 + t)
+    def haar_draw(rng):
         u = haar_su2(rng)
-        res = max(res, norm_inf(u.conj().T @ u - np.eye(2)))
-        res = max(res, abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0))
-        acc += so3_of_u2(u)
-    mean = norm_inf(acc / n)
+        res = _worst((norm_inf(u.conj().T @ u - np.eye(2)),
+                      abs(u[0, 0] * u[1, 1] - u[0, 1] * u[1, 0] - 1.0)))
+        return res, so3_of_u2(u)
+
+    n = max(30, samples)
+    unitarity, images = zip(*map(haar_draw, _rngs(seed, "group", 200000, n)))
+    res = _worst(unitarity)
+    mean = norm_inf(sum(images, np.zeros((3, 3))) / n)
     # 5 sigma on each of the nine entries: a broken sampler shifts the mean
     # by O(1), while a correct one stays inside for essentially every seed.
     bound = 5.0 * np.sqrt(1.0 / (3.0 * n))
     checks.append(
-        CheckResult("haar_su2", res < 1e-12 and mean < bound, max(res, mean),
+        CheckResult("haar_su2", res < 1e-12 and mean < bound, _worst((res, mean)),
                     f"mean entry {mean:.3e}, 5-sigma bound {bound:.3e}")
     )
     return checks
@@ -630,92 +602,79 @@ def _generic_lmm_state(rng):
 def _suite_orbit(samples, seed):
     checks = []
 
-    bad = 0
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "orbit", t)
+    def lmm_complete(rng):
         ca, cb = _synthetic_lmm_pair(rng)
         verdict = decide_equiv_lmm(ca, cb, tol=1e-8)
         if verdict.verdict is not Verdict.EQUIVALENT:
-            bad += 1
-            continue
+            return 0.0, True
         r1, r2 = verdict.witness
-        res = max(res, norm_inf(r1 @ ca @ r2.T - cb))
+        return norm_inf(r1 @ ca @ r2.T - cb), False
+
+    res, bad = _fold(map(lmm_complete, _rngs(seed, "orbit", 0, samples)))
     checks.append(
         CheckResult("lmm_completeness", bad == 0 and res < 1e-7, res, f"{bad} failures")
     )
 
-    bad = 0
-    res = 0.0
-    for t in range(samples):
-        rng = trial_rng(seed, "orbit", 100000 + t)
+    def sym_complete(rng):
         (va, aa), (vb, ab) = _synthetic_sym_pair(rng)
         verdict = decide_equiv_sym((va, aa), (vb, ab), tol=1e-8)
         if verdict.verdict is not Verdict.EQUIVALENT:
-            bad += 1
-            continue
+            return 0.0, True
         r = verdict.witness
-        res = max(res, norm_inf(r @ va - vb), norm_inf(r @ aa @ r.T - ab))
+        return _worst((norm_inf(r @ va - vb), norm_inf(r @ aa @ r.T - ab))), False
+
+    res, bad = _fold(map(sym_complete, _rngs(seed, "orbit", 100000, samples)))
     checks.append(
         CheckResult("sym_completeness", bad == 0 and res < 1e-7, res, f"{bad} failures")
     )
 
-    bad = 0
-    for t in range(samples):
-        rng = trial_rng(seed, "orbit", 200000 + t)
+    def lmm_collision(rng):
         ca = _generic_lmm_state(rng)
         cb = _generic_lmm_state(rng)
-        if decide_equiv_lmm(ca, cb, tol=1e-8).verdict is not Verdict.NOT_EQUIVALENT:
-            bad += 1
+        return decide_equiv_lmm(ca, cb, tol=1e-8).verdict is not Verdict.NOT_EQUIVALENT
+
+    bad = sum(map(lmm_collision, _rngs(seed, "orbit", 200000, samples)))
     checks.append(CheckResult("lmm_separation", bad == 0, float(bad), f"{bad} collisions"))
 
-    bad = 0
-    for t in range(samples):
-        rng = trial_rng(seed, "orbit", 300000 + t)
+    def sym_collision(rng):
         sa = (_generic_vector(rng), _generic_symmetric(rng, disc=1e-3))
         sb = (_generic_vector(rng), _generic_symmetric(rng, disc=1e-3))
-        if decide_equiv_sym(sa, sb, tol=1e-8).verdict is not Verdict.NOT_EQUIVALENT:
-            bad += 1
+        return decide_equiv_sym(sa, sb, tol=1e-8).verdict is not Verdict.NOT_EQUIVALENT
+
+    bad = sum(map(sym_collision, _rngs(seed, "orbit", 300000, samples)))
     checks.append(CheckResult("sym_separation", bad == 0, float(bad), f"{bad} collisions"))
 
-    res_cont = 0.0
-    res_finite = 0.0
-    for t in range(max(1, samples // 10)):
-        rng = trial_rng(seed, "orbit", 400000 + t)
-        c = _generic_lmm_state(rng)
-        form = lmm_canonical(c)
+    def idempotence(rng):
+        form = lmm_canonical(_generic_lmm_state(rng))
         again = lmm_canonical(np.diag(form.diag))
-        res_cont = max(res_cont, norm_inf(again.diag - form.diag))
         lam = _generic_spectrum(rng)
         w = _generic_vector(rng)
         sform = sym_canonical(w, np.diag(lam))
         sagain = sym_canonical(sform.w, np.diag(sform.eigs))
-        res_finite = max(
-            res_finite,
-            norm_inf(sagain.w - sform.w),
-            norm_inf(sagain.eigs - sform.eigs),
-        )
-    passed = res_cont < 1e-10 and res_finite == 0.0
+        return (norm_inf(again.diag - form.diag),
+                _worst((norm_inf(sagain.w - sform.w), norm_inf(sagain.eigs - sform.eigs))))
+
+    cont, finite = zip(*map(idempotence, _rngs(seed, "orbit", 400000, max(1, samples // 10))))
+    res_cont, res_finite = _worst(cont), _worst(finite)
     checks.append(
-        CheckResult("canonical_idempotence", passed, max(res_cont, res_finite),
+        CheckResult("canonical_idempotence", res_cont < 1e-10 and res_finite == 0.0,
+                    _worst((res_cont, res_finite)),
                     f"finite-stage residual {res_finite:.1e}")
     )
 
-    res = 0.0
-    weyl = lmm_weyl_action_group()
-    for t in range(max(1, samples // 10)):
-        rng = trial_rng(seed, "orbit", 500000 + t)
+    weyl_pairs = [lmm_weyl_pair(g) for g in lmm_weyl_action_group()]
+
+    def weyl_spread(rng):
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
         base = lmm_canonical(c).diag
-        for g in weyl:
-            r1, r2 = lmm_weyl_pair(g)
-            moved = lmm_canonical(r1 @ c @ r2.T).diag
-            res = max(res, norm_inf(moved - base))
+        return _worst(norm_inf(lmm_canonical(r1 @ c @ r2.T).diag - base) for r1, r2 in weyl_pairs)
+
+    res = _worst(map(weyl_spread, _rngs(seed, "orbit", 500000, max(1, samples // 10))))
     checks.append(CheckResult("lmm_canonical_weyl_invariance", res < 1e-10, res))
 
     origin = decide_equiv_lmm(np.zeros((3, 3)), np.zeros((3, 3)))
     ok = origin.verdict is Verdict.EQUIVALENT
-    ok = ok and max(rotation_residual(r) for r in origin.witness) < 1e-11
+    ok = ok and _worst(map(rotation_residual, origin.witness)) < 1e-11
     ok = ok and decide_equiv_sym(
         (np.array([0.2, 0.3, 0.4]), np.eye(3)),
         (np.array([0.2, 0.3, 0.4]), np.eye(3)),
@@ -728,12 +687,9 @@ def _suite_orbit(samples, seed):
     ok = ok and decide_equiv_sym((v, a), (2.0 * v, a)).verdict is Verdict.NOT_EQUIVALENT
     checks.append(CheckResult("degenerate_and_reject_verdicts", ok, 0.0 if ok else 1.0))
 
-    bad = 0
-    res = 0.0
-    n_deg = max(1, samples // 10)
     zero = np.zeros(3)
-    for t in range(n_deg):
-        rng = trial_rng(seed, "orbit", 600000 + t)
+
+    def degenerate_decisions(t, rng):
         d = _TIED_DIAGONALS[t % len(_TIED_DIAGONALS)]
         ca, cb, cf = (haar_so3(rng) @ np.diag(x) @ haar_so3(rng).T
                       for x in (d, d, (d[0], d[1], -d[2])))
@@ -749,15 +705,18 @@ def _suite_orbit(samples, seed):
         rejects = [decide_equiv_sym((zero, aa), (zero, am), tol=1e-8)]
         if d[2] != 0.0:
             rejects.append(decide_equiv_lmm(ca, cf, tol=1e-8))
-        bad += sum(v.verdict is not Verdict.NOT_EQUIVALENT for v in rejects)
-        if all(v.verdict is Verdict.EQUIVALENT for v in (lmm, sym, axis)):
-            (r1, r2), r, q = lmm.witness, sym.witness, axis.witness
-            # The axis pair has norm below 1, so its residual is already relative.
-            res = max(res, norm_inf(r1 @ ca @ r2.T - cb) / max(1.0, norm_inf(cb)),
-                      norm_inf(r @ aa @ r.T - ab) / max(1.0, norm_inf(ab)),
-                      norm_inf(q @ sa[0] - sb[0]), norm_inf(q @ sa[1] @ q.T - sb[1]))
-        else:
-            bad += 1
+        wrong = sum(x.verdict is not Verdict.NOT_EQUIVALENT for x in rejects)
+        if not all(x.verdict is Verdict.EQUIVALENT for x in (lmm, sym, axis)):
+            return 0.0, wrong + 1
+        (r1, r2), r, q = lmm.witness, sym.witness, axis.witness
+        # The axis pair has norm below 1, so its residual is already relative.
+        return _worst((norm_inf(r1 @ ca @ r2.T - cb) / max(1.0, norm_inf(cb)),
+                       norm_inf(r @ aa @ r.T - ab) / max(1.0, norm_inf(ab)),
+                       norm_inf(q @ sa[0] - sb[0]), norm_inf(q @ sa[1] @ q.T - sb[1]))), wrong
+
+    n_deg = max(1, samples // 10)
+    res, bad = _fold(degenerate_decisions(t, rng)
+                     for t, rng in enumerate(_rngs(seed, "orbit", 600000, n_deg)))
     checks.append(
         CheckResult("degenerate_orbit_decisions", bad == 0 and res <= 1e-7, res,
                     f"{bad} wrong verdicts in {n_deg} trials")

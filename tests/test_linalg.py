@@ -26,6 +26,7 @@ class TestPredicates:
     def test_rotation(self):
         assert rotation_residual(np.eye(3)) <= 1e-11
         assert rotation_residual(np.diag([1.0, 1.0, -1.0])) > 1e-11  # reflection
+        assert np.isnan(rotation_residual(np.full((3, 3), np.nan)))
 
     def test_kron_convention(self):
         # Left factor is the slow index:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from blochinv import linalg
-from blochinv.errors import DegenerateSpectrum, ZeroVector
+from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
 from blochinv.invariants import sym_invariants
 from blochinv.linalg import norm_inf, rotation_residual
@@ -170,6 +170,14 @@ class TestDecideLmm:
             r1, r2 = verdict.witness
             assert norm_inf(r1 @ ca @ r2.T - cb) <= 1e-7 * max(1.0, norm_inf(cb))
 
+    def test_canonical_distance_rejects(self):
+        # The invariants agree to 5.2e-9 <= tol, so only the distance between
+        # the canonical diagonals, 3e-5, tells the two orbits apart.
+        verdict = decide_equiv_lmm(np.diag([1.0 + 3e-5, 1.0 - 3e-5, 0.5]),
+                                   np.diag([1.0, 1.0, 0.5]))
+        assert verdict.verdict is Verdict.NOT_EQUIVALENT
+        assert verdict.invariant_distance == pytest.approx(3e-5, rel=1e-6)
+
     def test_independent_states_separate(self):
         rng = np.random.default_rng(7)
         for _ in range(200):
@@ -250,6 +258,16 @@ class TestDecideSym:
         pair = (bad_state, good) if side == 0 else (good, bad_state)
         with pytest.raises(ValueError, match="decide_equiv_sym input contains NaN or Inf"):
             decide_equiv_sym(*pair)
+
+    @pytest.mark.parametrize("other", [(0.7, 0.2, -0.4), (0.9, 0.2, -0.4)])
+    def test_asymmetric_matrix_raises(self, other):
+        # The upper-triangular A has the trace triple of diag(0.7, 0.2, -0.4),
+        # so only the intake check catches it on both sides of the gate.
+        a = np.diag([0.7, 0.2, -0.4])
+        a[0, 1] = 0.3
+        v = np.array([0.2, 0.3, 0.4])
+        with pytest.raises(NotSymmetric):
+            decide_equiv_sym((v, a), (v, np.diag(other)))
 
     @pytest.mark.parametrize("w", [(0.0, 0.3, 0.5), (0.0, 0.0, 0.5), (0.3, 0.0, 0.0)])
     def test_axis_aligned_vector_same_orbit(self, w):
@@ -390,3 +408,8 @@ def test_rel_dist_metric():
     assert rel_dist([1.0], [1.0]) == 0.0
     assert rel_dist([0.0], [0.5]) == 0.5
     assert rel_dist([100.0], [101.0]) == pytest.approx(1.0 / 101.0)
+    # A NaN or infinite entry gives NaN in every position.
+    for bad in (np.nan, np.inf, -np.inf):
+        assert np.isnan(rel_dist([bad, 1.0], [1.0, 2.0]))
+        assert np.isnan(rel_dist([1.0, bad], [1.0, 2.0]))
+        assert np.isnan(rel_dist([1.0, 2.0], [1.0, bad]))

@@ -1,11 +1,15 @@
 """Tests for the verification battery itself: determinism across runs,
 trial-order independence, and sensitivity to injected faults."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import blochinv.invariants
 import blochinv.linalg
+import blochinv.verify
+from blochinv.states import BlochMatrix
 from blochinv.verify import (
     SUITES,
     report_json,
@@ -41,6 +45,17 @@ class TestBattery:
         for fwd, rev in zip(draws_fwd, reversed(draws_rev)):
             np.testing.assert_array_equal(fwd, rev)
 
+    def test_each_trial_stream_requested_once(self, monkeypatch):
+        requests = Counter()
+
+        def counting(seed, suite, trial):
+            requests[suite, trial] += 1
+            return trial_rng(seed, suite, trial)
+
+        monkeypatch.setattr(blochinv.verify, "trial_rng", counting)
+        run_all(40, 0)
+        assert requests and max(requests.values()) == 1
+
     def test_report_formats(self):
         reports = run_all(20, 1, suites=("group",))
         table = report_table(reports)
@@ -73,3 +88,41 @@ class TestFaultInjection:
         report = run_suite("lmm", 200, 0)
         failed = [c.name for c in report.checks if not c.passed]
         assert "kernel_signed_svd3" in failed
+
+    def _check(self, report, name):
+        return next(c for c in report.checks if c.name == name)
+
+    def test_nan_correlations_fail_equivariance(self, monkeypatch):
+        # Python's max(res, nan) keeps res; the battery must not.
+        true_act = blochinv.verify.act_bloch
+
+        def mutant(r1, r2, b):
+            img = true_act(r1, r2, b)
+            return BlochMatrix(img.u, img.v, np.full((3, 3), np.nan))
+
+        monkeypatch.setattr(blochinv.verify, "act_bloch", mutant)
+        chk = self._check(run_suite("bloch", 20, 0), "equivariance")
+        assert not chk.passed and np.isnan(chk.max_residual)
+
+    def test_nan_invariant_fails_six_invariant_invariance(self, monkeypatch):
+        true_sym = blochinv.verify.sym_invariants
+
+        def mutant(v, a):
+            inv = true_sym(v, a)
+            inv.pZ = np.nan
+            return inv
+
+        monkeypatch.setattr(blochinv.verify, "sym_invariants", mutant)
+        chk = self._check(run_suite("sym", 20, 0), "six_invariant_invariance")
+        assert not chk.passed and np.isnan(chk.max_residual)
+
+    def test_nan_rotation_fails_kernel_eig_sym3(self, monkeypatch):
+        true_eig = blochinv.linalg.eig_sym3
+
+        def mutant(a):
+            eig = true_eig(a)
+            return eig._replace(rotation=np.full((3, 3), np.nan))
+
+        monkeypatch.setattr(blochinv.linalg, "eig_sym3", mutant)
+        chk = self._check(run_suite("lmm", 20, 0), "kernel_eig_sym3")
+        assert not chk.passed and np.isnan(chk.max_residual)
