@@ -8,6 +8,7 @@ command with a --seed is byte-identical across runs.
 """
 
 import argparse
+import math
 import sys
 
 from . import verify as verify_mod
@@ -211,6 +212,13 @@ def _positive_int(text):
     return value
 
 
+def _tolerance(text):
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and positive")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="blochinv",
@@ -232,7 +240,8 @@ def build_parser():
     p = sub.add_parser("equiv", help="decide local-unitary equivalence of two states")
     p.add_argument("file_a")
     p.add_argument("file_b")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL,
+                   help="decision tolerance, finite and positive (default %(default)g)")
     add_common(p)
     p.set_defaults(func=cmd_equiv)
 

@@ -20,13 +20,13 @@ import numpy as np
 from .errors import DegenerateSpectrum, ZeroVector
 from .linalg import (
     _det3_rows,
+    _eig_rows,
+    _matvec3,
     _pow2_floor,
     _rows3,
     _sym_rows3,
     _trace_invariants,
     _vec3,
-    eig_sym3,
-    norm_inf,
 )
 
 # A symmetric spectrum counts as degenerate when its discriminant (the
@@ -251,35 +251,37 @@ def g_invariant(v, a):
     Downstream use is g^2 / disc, which does not see the global sign.
     """
     v = _vec3(v, "g_invariant input")
-    return _g_unchecked(v, np.array(_sym_rows3(a, "g_invariant input")[0]))
+    return _g_unchecked(v, _sym_rows3(a, "g_invariant input")[0])
 
 
-def _g_unchecked(v, a):
-    """g_invariant on a 3-vector and a matrix already checked (finite, and
-    the matrix symmetric)."""
-    av = a @ v
-    aav = a @ av
-    return _det3_rows(*np.column_stack([v, av, aav]).tolist())
+def _g_unchecked(v, rows):
+    """g_invariant on a 3-vector and the rows of a matrix, as Python floats
+    already checked (finite, and the matrix symmetric)."""
+    av = _matvec3(rows, v)
+    aav = _matvec3(rows, av)
+    return _det3_rows(*zip(v, av, aav))
 
 
-def _nondegenerate_eig(a, message):
-    """eig_sym3 of a symmetric matrix, the power of two s that brings
-    max(1, |a|_inf) into [1, 2), and the discriminant of a / s as its product
-    of squared eigenvalue gaps, from one diagonalization. Dividing by s is
-    exact, so neither the degeneracy test nor g^2 / disc overflows.
+def _nondegenerate_eig(rows, norm, message):
+    """The eigenvalues and rotation rows of a symmetric matrix, given as rows
+    already checked by _sym_rows3 with their entrywise infinity norm; the
+    power of two s that brings max(1, norm) into [1, 2); and the
+    discriminant of a / s as its product of squared eigenvalue gaps, from
+    one diagonalization. Dividing by s is exact, so neither the degeneracy
+    test nor g^2 / disc overflows.
 
     Raises:
         DegenerateSpectrum(message): if the discriminant is below DISC_TOL
-        relative to max(1, |a|_inf)^6.
+        relative to max(1, norm)^6.
     """
-    eig = eig_sym3(a)
-    norm = max(1.0, norm_inf(a))
+    eigenvalues, rotation = _eig_rows(rows, norm)
+    norm = max(1.0, norm)
     scale = _pow2_floor(norm)
-    l0, l1, l2 = (eig.eigenvalues / scale).tolist()
+    l0, l1, l2 = (x / scale for x in eigenvalues)
     disc = ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
     if abs(disc) <= DISC_TOL * (norm / scale) ** 6:
         raise DegenerateSpectrum(message)
-    return eig, scale, disc
+    return eigenvalues, rotation, scale, disc
 
 
 def r_invariant(v, a):
@@ -289,8 +291,10 @@ def r_invariant(v, a):
     when the discriminant is below DISC_TOL relative to scale^6.
     """
     v = _vec3(v, "r_invariant input")
-    _, scale, disc = _nondegenerate_eig(a, "discriminant vanishes; invariant undefined")
-    g = _g_unchecked(v, np.asarray(a, dtype=float) / scale)
+    rows, norm = _sym_rows3(a, "r_invariant input")
+    _, _, scale, disc = _nondegenerate_eig(rows, norm,
+                                           "discriminant vanishes; invariant undefined")
+    g = _g_unchecked(v, [[x / scale for x in row] for row in rows])
     return (g * g) / disc
 
 
@@ -309,10 +313,12 @@ def sym_invariants(v, a):
         ZeroVector: if |v|_inf <= ZERO_VECTOR_TOL.
     """
     v = _vec3(v, "sym_invariants input")
-    eig, _, _ = _nondegenerate_eig(a, "repeated eigenvalues; invariants undefined")
+    rows, norm = _sym_rows3(a, "sym_invariants input")
+    _, rotation, _, _ = _nondegenerate_eig(rows, norm,
+                                           "repeated eigenvalues; invariants undefined")
     if all(abs(x) <= ZERO_VECTOR_TOL for x in v):
         raise ZeroVector("zero 1-point vector; pX, pY, pZ undefined")
-    oct_inv = octahedral_invariants(eig.rotation @ v)
-    tr_a, tr_a2, det_a = _trace_invariants(np.asarray(a, dtype=float).tolist())
+    oct_inv = octahedral_invariants(_matvec3(rotation, v))
+    tr_a, tr_a2, det_a = _trace_invariants(rows)
     return SymInvariants(pX=oct_inv.X, pY=oct_inv.Y, pZ=oct_inv.Z,
                          trA=tr_a, trA2=tr_a2, detA=det_a)

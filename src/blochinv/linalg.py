@@ -5,7 +5,11 @@ of the scalar core.
 
 Each 3x3 input is converted to Python floats and checked once, by _rows3
 (shape and finiteness) or _sym_rows3 (also symmetry); each 3-vector input
-by _vec3 (shape and finiteness).
+by _vec3 (shape and finiteness). eig_sym3 is the checked entry of the
+eigen kernel _eig_rows, which the symmetric stratum calls directly on rows
+it has checked. _matvec3 and _matmul3 are that stratum's 3x3 products,
+each summed in one fixed order, so its digits do not depend on the BLAS
+build.
 
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient
@@ -40,10 +44,27 @@ def require_finite(a, what):
 
 
 def rotation_residual(r):
-    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|;
-    NaN or Inf, not an error, for a non-finite matrix."""
-    r = np.asarray(r, dtype=float)
-    return max(norm_inf(r.T @ r - np.eye(3)), abs(_det3_rows(*r.tolist()) - 1.0))
+    """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|,
+    on Python floats; NaN or Inf, not an error or a warning, for a
+    non-finite matrix."""
+    rows = np.asarray(r, dtype=float).tolist()
+    gram = _matmul3(list(zip(*rows)), rows)
+    devs = [abs(x - float(i == j)) for i, row in enumerate(gram) for j, x in enumerate(row)]
+    devs.append(abs(_det3_rows(*rows) - 1.0))
+    return math.nan if any(x != x for x in devs) else max(devs)
+
+
+def _matmul3(a, b):
+    """a @ b on 3x3 rows of floats, each entry summed left to right:
+    (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j, the same order on every platform."""
+    cols = list(zip(*b))
+    return [[x0 * y0 + x1 * y1 + x2 * y2 for y0, y1, y2 in cols] for x0, x1, x2 in a]
+
+
+def _matvec3(a, x):
+    """a @ x on 3x3 rows and a 3-vector of floats, summed as in _matmul3."""
+    y0, y1, y2 = x
+    return [x0 * y0 + x1 * y1 + x2 * y2 for x0, x1, x2 in a]
 
 
 def _det3_rows(r0, r1, r2):
@@ -90,12 +111,12 @@ def _sym_rows3(a, what):
 
 
 def _trace_invariants(rows):
-    """(tr A, tr A^2, det A) of a 3x3 matrix given as rows of floats."""
-    tr2 = 0.0
-    for i in range(3):
-        for j in range(3):
-            tr2 += rows[i][j] * rows[j][i]
-    return rows[0][0] + rows[1][1] + rows[2][2], tr2, _det3_rows(*rows)
+    """(tr A, tr A^2, det A) of a 3x3 matrix given as rows of floats;
+    tr A^2 sums a_ij a_ji left to right in row-major order of (i, j)."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    tr2 = (a00 * a00 + a01 * a10 + a02 * a20 + a10 * a01 + a11 * a11
+           + a12 * a21 + a20 * a02 + a21 * a12 + a22 * a22)
+    return a00 + a11 + a22, tr2, _det3_rows(*rows)
 
 
 def det3(m):
@@ -145,55 +166,75 @@ def eig_sym3(a):
         ValueError: if the input has NaN or Inf entries.
         NotSymmetric: if the input fails the symmetry precondition.
     """
-    # Every check and sweep runs on Python floats, converted once.
-    rows, norm = _sym_rows3(a, "eig_sym3 input")
+    eigenvalues, rotation = _eig_rows(*_sym_rows3(a, "eig_sym3 input"))
+    return EigenSym3(eigenvalues=np.array(eigenvalues), rotation=np.array(rotation))
 
-    # Symmetrize to remove representation noise.
-    m = [[0.5 * (rows[i][j] + rows[j][i]) for j in range(3)] for i in range(3)]
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+
+def _jacobi_rotation(app, aqq, apq):
+    """Tangent, cosine and sine of the Jacobi rotation that zeroes the
+    off-diagonal entry apq of the pivot block [[app, apq], [apq, aqq]]."""
+    theta = 0.5 * (aqq - app) / apq
+    if abs(theta) > 1e154:
+        t = 0.5 / theta
+    else:
+        t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
+    c = 1.0 / math.sqrt(t * t + 1.0)
+    return t, c, t * c
+
+
+def _eig_rows(rows, norm):
+    """eig_sym3 on rows of floats already checked by _sym_rows3, with their
+    entrywise infinity norm: (eigenvalues, rotation rows) as lists.
+
+    The six distinct entries of the symmetrized matrix and the nine of the
+    accumulated rotation V are named locals; each pivot (p, q) of a sweep
+    applies one rotation from _jacobi_rotation to the rows and columns
+    p, q of the matrix and to the columns p, q of V.
+    """
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    # Symmetrize to remove representation noise; the diagonal goes through
+    # the same 0.5 * (x + x), which is x unless x + x overflows.
+    a00, a11, a22 = 0.5 * (r00 + r00), 0.5 * (r11 + r11), 0.5 * (r22 + r22)
+    a01, a02, a12 = 0.5 * (r01 + r10), 0.5 * (r02 + r20), 0.5 * (r12 + r21)
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     thresh = JACOBI_OFFDIAG_FACTOR * norm
 
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = abs(m[0][1]) + abs(m[0][2]) + abs(m[1][2])
-        if off <= thresh:
+        if abs(a01) + abs(a02) + abs(a12) <= thresh:
             break
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            apq = m[p][q]
-            if apq == 0.0:
-                continue
-            theta = 0.5 * (m[q][q] - m[p][p]) / apq
-            if abs(theta) > 1e154:
-                t = 0.5 / theta
-            else:
-                t = math.copysign(1.0, theta) / (abs(theta) + math.sqrt(theta * theta + 1.0))
-            c = 1.0 / math.sqrt(t * t + 1.0)
-            s = t * c
-            app = m[p][p]
-            aqq = m[q][q]
-            m[p][p] = app - t * apq
-            m[q][q] = aqq + t * apq
-            m[p][q] = 0.0
-            m[q][p] = 0.0
-            r = 3 - p - q  # the remaining index
-            arp = m[r][p]
-            arq = m[r][q]
-            m[r][p] = c * arp - s * arq
-            m[p][r] = m[r][p]
-            m[r][q] = s * arp + c * arq
-            m[q][r] = m[r][q]
-            for k in range(3):
-                vkp = v[k][p]
-                vkq = v[k][q]
-                v[k][p] = c * vkp - s * vkq
-                v[k][q] = s * vkp + c * vkq
+        if a01 != 0.0:  # pivot (0, 1); the remaining index is 2
+            t, c, s = _jacobi_rotation(a00, a11, a01)
+            a00, a11, a01 = a00 - t * a01, a11 + t * a01, 0.0
+            a02, a12 = c * a02 - s * a12, s * a02 + c * a12
+            v00, v01 = c * v00 - s * v01, s * v00 + c * v01
+            v10, v11 = c * v10 - s * v11, s * v10 + c * v11
+            v20, v21 = c * v20 - s * v21, s * v20 + c * v21
+        if a02 != 0.0:  # pivot (0, 2); the remaining index is 1
+            t, c, s = _jacobi_rotation(a00, a22, a02)
+            a00, a22, a02 = a00 - t * a02, a22 + t * a02, 0.0
+            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+            v00, v02 = c * v00 - s * v02, s * v00 + c * v02
+            v10, v12 = c * v10 - s * v12, s * v10 + c * v12
+            v20, v22 = c * v20 - s * v22, s * v20 + c * v22
+        if a12 != 0.0:  # pivot (1, 2); the remaining index is 0
+            t, c, s = _jacobi_rotation(a11, a22, a12)
+            a11, a22, a12 = a11 - t * a12, a22 + t * a12, 0.0
+            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+            v01, v02 = c * v01 - s * v02, s * v01 + c * v02
+            v11, v12 = c * v11 - s * v12, s * v11 + c * v12
+            v21, v22 = c * v21 - s * v22, s * v21 + c * v22
 
-    # Rows of rot are the eigenvectors, in descending order; the sign test
-    # expands det3 over their column matrix.
-    order = sorted(range(3), key=lambda k: -m[k][k])
-    rot = [[v[0][k], v[1][k], v[2][k]] for k in order]
-    if _det3_rows(*zip(*rot)) < 0.0:
-        rot[2] = [-x for x in rot[2]]
-    return EigenSym3(eigenvalues=np.array([m[k][k] for k in order]), rotation=np.array(rot))
+    # Rows of rot are the columns of V (the eigenvectors), in descending
+    # order of eigenvalue, ties kept in axis order; the sign test expands
+    # det3 over their column matrix.
+    diag = (a00, a11, a22)
+    cols = ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22))
+    i, j, k = sorted(range(3), key=(-a00, -a11, -a22).__getitem__)
+    rot = [list(cols[i]), list(cols[j]), list(cols[k])]
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rot
+    if _det3_rows((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)) < 0.0:
+        rot[2] = [-x2, -y2, -z2]
+    return [diag[i], diag[j], diag[k]], rot
 
 
 def _pow2_floor(x):

@@ -18,6 +18,7 @@ into [1, 2), 1 below norm 2, so that no invariant overflows; distances and
 residuals are those of the divided inputs.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,6 +27,8 @@ import numpy as np
 from .errors import DegenerateSpectrum
 from .invariants import _lmm_triple, _nondegenerate_eig
 from .linalg import (
+    _matmul3,
+    _matvec3,
     _pow2_floor,
     _rows3,
     _sym_rows3,
@@ -104,8 +107,12 @@ def rel_dist(a, b):
     """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the uniform comparison
     metric used throughout the package, on Python floats (the inputs are
     short). NaN if any entry is NaN or infinite."""
-    pairs = zip(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)), strict=True)
-    return _worst(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in pairs)
+    return _rel_dist(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)))
+
+
+def _rel_dist(xs, ys):
+    """rel_dist on two equally long sequences of Python floats."""
+    return _worst(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(xs, ys, strict=True))
 
 
 def lmm_canonical(c):
@@ -131,13 +138,29 @@ def sym_canonical(v, a):
         that locus the orbit has no slice-unique representative.
     """
     v = _vec3(v, "sym_canonical input")
-    eig, _, _ = _nondegenerate_eig(a, "repeated eigenvalues; no canonical form")
-    w0 = eig.rotation @ v
-    coords = w0.tolist()
+    eigs, w, witness = _sym_canonical_rows(v, *_sym_rows3(a, "sym_canonical input"))
+    return SymCanonicalForm(eigs=np.array(eigs), w=np.array(w), witness=np.array(witness))
+
+
+def _sym_canonical_rows(v, rows, norm):
+    """sym_canonical on a 1-point vector and matrix rows already checked by
+    _vec3 and _sym_rows3, given with the matrix's entrywise infinity norm:
+    (eigenvalues, w, witness rows) as lists of Python floats."""
+    eigs, rotation, _, _ = _nondegenerate_eig(rows, norm,
+                                              "repeated eigenvalues; no canonical form")
+    w0 = _matvec3(rotation, v)
     # The first flip whose image of w0 is lexicographically greatest.
-    flips = np.array(max(EVEN_SIGN_FLIPS, key=lambda f: [s * t for s, t in zip(f, coords)]))
-    witness = flips[:, None] * eig.rotation
-    return SymCanonicalForm(eigs=eig.eigenvalues.copy(), w=flips * w0, witness=witness)
+    flip = max(EVEN_SIGN_FLIPS, key=lambda f: [s * t for s, t in zip(f, w0)])
+    w = [s * t for s, t in zip(flip, w0)]
+    return eigs, w, [[s * x for x in row] for s, row in zip(flip, rotation)]
+
+
+def _check_tol(tol):
+    """ValueError unless the decision tolerance is finite and positive: a
+    negative one rejects a state against itself, an infinite one certifies
+    any pair and a NaN one decides nothing."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
 
 
 def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
@@ -148,11 +171,16 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
     between canonical diagonals; EQUIVALENT only from a composed witness
     (R1, R2) with |R1 C R2^T - M|_inf <= 10 tol max(1, |M|_inf), which tied
     singular values leave non-unique but valid; INDETERMINATE otherwise.
+
+    Raises:
+        ValueError: if tol is not finite and positive, or if C or M has the
+        wrong shape or a NaN or Inf entry.
     """
+    _check_tol(tol)
     (rows_c, norm_c), (rows_m, norm_m) = (_rows3(x, "decide_equiv_lmm input") for x in (c, m))
     scale = _pow2_floor(max(1.0, norm_c, norm_m))
-    dist = rel_dist(*(_lmm_triple([[x / scale for x in row] for row in rows])
-                      for rows in (rows_c, rows_m)))
+    dist = _rel_dist(*(_lmm_triple([[x / scale for x in row] for row in rows])
+                       for rows in (rows_c, rows_m)))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
     c, m = np.array(rows_c) / scale, np.array(rows_m) / scale
@@ -177,42 +205,47 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     eigenvalues and w, the latter up to even sign flips; EQUIVALENT only
     from a witness R with (R v, R A R^T) within 10 tol max(1, |A'|_inf,
     |v'|_inf) of (v', A'), a zero v included; INDETERMINATE otherwise, or
-    for a (near-)repeated spectrum.
+    for a (near-)repeated spectrum. Every step after the input checks runs
+    on Python floats; the witness is composed and applied in a fixed
+    association order.
 
     Raises:
-        ValueError: if v, v', A or A' has the wrong shape or a NaN or Inf
-        entry.
+        ValueError: if tol is not finite and positive, or if v, v', A or A'
+        has the wrong shape or a NaN or Inf entry.
         NotSymmetric: if A or A' is not symmetric within linalg.SYM_TOL.
     """
+    _check_tol(tol)
     (v1, a1), (v2, a2) = state_a, state_b
     v1, v2 = (_vec3(v, "decide_equiv_sym input") for v in (v1, v2))
     (rows1, norm1), (rows2, norm2) = (_sym_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
     scale = _pow2_floor(max(1.0, norm1, norm2))
-    base1, base2 = (_trace_invariants([[x / scale for x in row] for row in rows])
-                    for rows in (rows1, rows2))
-    dist = rel_dist(base1, base2)
+    a1, a2 = ([[x / scale for x in row] for row in rows] for rows in (rows1, rows2))
+    dist = _rel_dist(_trace_invariants(a1), _trace_invariants(a2))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    v1, a1, v2, a2 = (np.array(x) / scale for x in (v1, rows1, v2, rows2))
+    v1, v2 = ([x / scale for x in v] for v in (v1, v2))
     try:
-        ca, cb = sym_canonical(v1, a1), sym_canonical(v2, a2)
+        eigs_a, wa, witness_a = _sym_canonical_rows(v1, a1, norm1 / scale)
+        eigs_b, wb, witness_b = _sym_canonical_rows(v2, a2, norm2 / scale)
     except DegenerateSpectrum:
         return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
     # The lexicographic w jumps where a coordinate vanishes, so take
     # rel_dist(f * w_a, w_b) for f in EVEN_SIGN_FLIPS (-x - y = -(x + y)); the
     # first minimum keeps the identity wherever it attains it.
-    wa, wb = ca.w.tolist(), cb.w.tolist()
     den = [max(1.0, abs(x), abs(y)) for x, y in zip(wa, wb)]
     s0, s1, s2 = (abs(x - y) / d for x, y, d in zip(wa, wb, den))
     f0, f1, f2 = (abs(x + y) / d for x, y, d in zip(wa, wb, den))
     w_dists = [max(s0, s1, s2), max(s0, f1, f2), max(f0, s1, f2), max(f0, f1, s2)]
     w_dist = min(w_dists)
-    dist = max(dist, rel_dist(ca.eigs, cb.eigs), w_dist)
+    dist = max(dist, _rel_dist(eigs_a, eigs_b), w_dist)
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    flip = np.array(EVEN_SIGN_FLIPS[w_dists.index(w_dist)])
-    r = cb.witness.T @ (flip[:, None] * ca.witness)
-    residual = max(norm_inf(r @ v1 - v2), norm_inf(r @ a1 @ r.T - a2))
-    if residual <= 10.0 * tol * max(1.0, norm2 / scale, norm_inf(v2)):
-        return EquivalenceVerdict(Verdict.EQUIVALENT, r, dist)
+    # R = W_b^T (flip W_a), then the residuals of R v - v' and (R A) R^T - A'.
+    flip = EVEN_SIGN_FLIPS[w_dists.index(w_dist)]
+    r = _matmul3(list(zip(*witness_b)), [[f * x for x in row] for f, row in zip(flip, witness_a)])
+    moved = _matmul3(_matmul3(r, a1), list(zip(*r)))
+    residual = _worst([*(abs(x - y) for x, y in zip(_matvec3(r, v1), v2)),
+                       *(abs(x - y) for row, ref in zip(moved, a2) for x, y in zip(row, ref))])
+    if residual <= 10.0 * tol * max(1.0, norm2 / scale, *map(abs, v2)):
+        return EquivalenceVerdict(Verdict.EQUIVALENT, np.array(r), dist)
     return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)

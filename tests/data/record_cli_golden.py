@@ -2,11 +2,19 @@
 
     PYTHONPATH=src python tests/data/record_cli_golden.py > tests/data/cli_golden.json
 
-Run it on the commit whose CLI output is the reference. Witnesses and
-rotated vectors come from numpy 3x3 products, whose last bits depend on the
-BLAS build, so a machine with a different BLAS needs its own recording.
+Run it on the commit whose CLI output is the reference. The state documents
+are drawn with numpy 3x3 products, whose last bits depend on the BLAS
+build; to re-record only the command outputs, keep the documents of an
+earlier recording:
+
+    PYTHONPATH=src python tests/data/record_cli_golden.py \
+        --states tests/data/cli_golden.json > new.json
+
+The symmetric stratum composes its rotations on Python floats in a fixed
+order; the lmm witnesses still come from numpy matrix products.
 """
 
+import argparse
 import contextlib
 import io
 import itertools
@@ -82,8 +90,7 @@ def command_lines(names):
     return argvs
 
 
-def record():
-    docs = states()
+def record(docs):
     runs = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in docs.items():
@@ -100,5 +107,13 @@ def record():
 
 
 if __name__ == "__main__":
-    json.dump(record(), sys.stdout, indent=1)
+    parser = argparse.ArgumentParser(description="Record the CLI golden file on stdout.")
+    parser.add_argument("--states", help="golden file whose state documents to keep")
+    args = parser.parse_args()
+    if args.states:
+        with open(args.states) as fh:
+            docs = json.load(fh)["states"]
+    else:
+        docs = states()
+    json.dump(record(docs), sys.stdout, indent=1)
     sys.stdout.write("\n")

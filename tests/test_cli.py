@@ -127,6 +127,14 @@ class TestEquiv:
         assert all(rotation_residual(np.array(out["witness"][k])) <= 1e-11
                    for k in ("R1", "R2"))
 
+    @pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
+    def test_tol_must_be_finite_and_positive(self, mixed_file, tol):
+        # Each would give a meaningless verdict (see the library test), so
+        # the CLI rejects it as a usage error.
+        with pytest.raises(SystemExit) as exc:
+            main(["equiv", mixed_file, mixed_file, "--tol", tol])
+        assert exc.value.code == 2
+
     def test_class_mismatch_exit_3(self, tmp_path, bell_file):
         g = bloch_file(tmp_path, "g.json", [0.5, 0, 0], [0, 0, -0.5],
                        np.diag([0.3, 0.2, 0.1]))

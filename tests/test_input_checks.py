@@ -41,8 +41,11 @@ SITES = [
     ("lmm_section_jacobian", "lmm_section_jacobian",
      lambda x: invariants.lmm_section_jacobian(x), V),
     ("r_invariant", "r_invariant", lambda x: invariants.r_invariant(x, A), V),
+    ("r_invariant-a", "r_invariant", lambda x: invariants.r_invariant(V, x), A),
     ("sym_invariants", "sym_invariants", lambda x: invariants.sym_invariants(x, A), V),
+    ("sym_invariants-a", "sym_invariants", lambda x: invariants.sym_invariants(V, x), A),
     ("sym_canonical", "sym_canonical", lambda x: orbits.sym_canonical(x, A), V),
+    ("sym_canonical-a", "sym_canonical", lambda x: orbits.sym_canonical(V, x), A),
 ]
 
 SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,)]

@@ -1,6 +1,7 @@
 """Tests for the fixed-size linear algebra kernel."""
 
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -27,6 +28,15 @@ class TestPredicates:
         assert rotation_residual(np.eye(3)) <= 1e-11
         assert rotation_residual(np.diag([1.0, 1.0, -1.0])) > 1e-11  # reflection
         assert np.isnan(rotation_residual(np.full((3, 3), np.nan)))
+
+    def test_rotation_residual_of_inf_entry_is_non_finite_without_warning(self):
+        # R^T R is formed on Python floats: inf * 0 gives NaN there, not a
+        # numpy "invalid value encountered in matmul" warning.
+        r = np.eye(3)
+        r[0, 1] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not np.isfinite(rotation_residual(r))
 
     def test_kron_convention(self):
         # Left factor is the slow index:

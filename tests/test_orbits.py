@@ -349,8 +349,10 @@ class TestExtremeScale:
 
 @pytest.fixture
 def eig_sym3_calls(monkeypatch):
-    """Count eig_sym3 calls made through every module attribute bound to it."""
-    original = linalg.eig_sym3
+    """Count calls of the eigen kernel body, linalg._eig_rows, made through
+    every module attribute bound to it: the public eig_sym3 and the
+    symmetric stratum all diagonalize through it."""
+    original = linalg._eig_rows
     calls = []
 
     def counted(*args, **kwargs):
@@ -361,7 +363,7 @@ def eig_sym3_calls(monkeypatch):
              for name, module in list(sys.modules.items())
              if name == "blochinv" or name.startswith("blochinv.")
              for attr, value in list(vars(module).items()) if value is original]
-    assert (linalg, "eig_sym3") in bound
+    assert (linalg, "_eig_rows") in bound
     for module, attr in bound:
         monkeypatch.setattr(module, attr, counted)
     return calls
@@ -413,3 +415,15 @@ def test_rel_dist_metric():
         assert np.isnan(rel_dist([bad, 1.0], [1.0, 2.0]))
         assert np.isnan(rel_dist([1.0, bad], [1.0, 2.0]))
         assert np.isnan(rel_dist([1.0, 2.0], [1.0, bad]))
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, np.inf, np.nan], ids=["-1", "0", "inf", "nan"])
+def test_tol_must_be_finite_and_positive(tol):
+    # A negative tol rejects a state against itself, an infinite one
+    # certifies any pair and a NaN one decides nothing.
+    c = np.diag([0.7, 0.2, -0.4])
+    state = (np.array([0.3, -0.2, 0.5]), c)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        decide_equiv_lmm(c, c, tol=tol)
+    with pytest.raises(ValueError, match="tol must be finite and positive"):
+        decide_equiv_sym(state, state, tol=tol)
