@@ -20,13 +20,13 @@ import numpy as np
 from .errors import DegenerateSpectrum, ZeroVector
 from .linalg import (
     _det3_rows,
-    _eig_rows,
     _matvec3,
     _pow2_floor,
     _rows3,
     _sym_rows3,
     _trace_invariants,
     _vec3,
+    eig_sym3,
 )
 
 # A symmetric spectrum counts as degenerate when its discriminant (the
@@ -251,30 +251,32 @@ def g_invariant(v, a):
     Downstream use is g^2 / disc, which does not see the global sign.
     """
     v = _vec3(v, "g_invariant input")
-    return _g_unchecked(v, _sym_rows3(a, "g_invariant input")[0])
+    return _g_unchecked(v, np.array(_sym_rows3(a, "g_invariant input")[0]))
 
 
-def _g_unchecked(v, rows):
-    """g_invariant on a 3-vector and the rows of a matrix, as Python floats
-    already checked (finite, and the matrix symmetric)."""
-    av = _matvec3(rows, v)
-    aav = _matvec3(rows, av)
-    return _det3_rows(*zip(v, av, aav))
+def _g_unchecked(v, a):
+    """g_invariant on a 3-vector and a matrix already checked (finite, and
+    the matrix symmetric)."""
+    av = a @ v
+    aav = a @ av
+    return _det3_rows(*np.column_stack([v, av, aav]).tolist())
 
 
 def _nondegenerate_eig(rows, norm, message):
-    """The eigenvalues and rotation rows of a symmetric matrix, given as rows
-    already checked by _sym_rows3 with their entrywise infinity norm; the
-    power of two s that brings max(1, norm) into [1, 2); and the
-    discriminant of a / s as its product of squared eigenvalue gaps, from
-    one diagonalization. Dividing by s is exact, so neither the degeneracy
-    test nor g^2 / disc overflows.
+    """The eigenvalues and rotation rows, as lists, of a matrix given as the
+    rows and entrywise infinity norm from _rows3, from eig_sym3, which makes
+    the symmetry check; the power of two s that brings max(1, norm) into
+    [1, 2); and the discriminant of a / s as its product of squared
+    eigenvalue gaps, from that one diagonalization. Dividing by s is exact,
+    so neither the degeneracy test nor g^2 / disc overflows.
 
     Raises:
+        NotSymmetric: if the matrix is not symmetric within linalg.SYM_TOL.
         DegenerateSpectrum(message): if the discriminant is below DISC_TOL
         relative to max(1, norm)^6.
     """
-    eigenvalues, rotation = _eig_rows(rows, norm)
+    eig = eig_sym3(rows)
+    eigenvalues, rotation = eig.eigenvalues.tolist(), eig.rotation.tolist()
     norm = max(1.0, norm)
     scale = _pow2_floor(norm)
     l0, l1, l2 = (x / scale for x in eigenvalues)
@@ -291,10 +293,10 @@ def r_invariant(v, a):
     when the discriminant is below DISC_TOL relative to scale^6.
     """
     v = _vec3(v, "r_invariant input")
-    rows, norm = _sym_rows3(a, "r_invariant input")
+    rows, norm = _rows3(a, "r_invariant input")
     _, _, scale, disc = _nondegenerate_eig(rows, norm,
                                            "discriminant vanishes; invariant undefined")
-    g = _g_unchecked(v, [[x / scale for x in row] for row in rows])
+    g = _g_unchecked(v, np.array(rows) / scale)
     return (g * g) / disc
 
 
@@ -313,7 +315,7 @@ def sym_invariants(v, a):
         ZeroVector: if |v|_inf <= ZERO_VECTOR_TOL.
     """
     v = _vec3(v, "sym_invariants input")
-    rows, norm = _sym_rows3(a, "sym_invariants input")
+    rows, norm = _rows3(a, "sym_invariants input")
     _, rotation, _, _ = _nondegenerate_eig(rows, norm,
                                            "repeated eigenvalues; invariants undefined")
     if all(abs(x) <= ZERO_VECTOR_TOL for x in v):

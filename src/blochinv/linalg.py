@@ -6,10 +6,10 @@ of the scalar core.
 Each 3x3 input is converted to Python floats and checked once, by _rows3
 (shape and finiteness) or _sym_rows3 (also symmetry); each 3-vector input
 by _vec3 (shape and finiteness). eig_sym3 is the checked entry of the
-eigen kernel _eig_rows, which the symmetric stratum calls directly on rows
-it has checked. _matvec3 and _matmul3 are that stratum's 3x3 products,
-each summed in one fixed order, so its digits do not depend on the BLAS
-build.
+straight-line eigen kernel _eig_rows; every diagonalization in the package
+goes through it. _matvec3 and _matmul3 are the 3x3 products of the
+symmetric stratum's rotations and residuals, each summed in one fixed
+order, so those digits do not depend on the BLAS build.
 
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient
@@ -104,8 +104,8 @@ def _vec3(v, what):
 def _sym_rows3(a, what):
     """_rows3, plus NotSymmetric unless |a - a^T|_inf <= SYM_TOL max(1, |a|_inf)."""
     rows, norm = _rows3(a, what)
-    asym = max(abs(rows[i][j] - rows[j][i]) for i, j in ((0, 1), (0, 2), (1, 2)))
-    if asym > SYM_TOL * max(1.0, norm):
+    (_, a01, a02), (a10, _, a12), (a20, a21, _) = rows
+    if max(abs(a01 - a10), abs(a02 - a20), abs(a12 - a21)) > SYM_TOL * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return rows, norm
 

@@ -138,21 +138,14 @@ def sym_canonical(v, a):
         that locus the orbit has no slice-unique representative.
     """
     v = _vec3(v, "sym_canonical input")
-    eigs, w, witness = _sym_canonical_rows(v, *_sym_rows3(a, "sym_canonical input"))
-    return SymCanonicalForm(eigs=np.array(eigs), w=np.array(w), witness=np.array(witness))
-
-
-def _sym_canonical_rows(v, rows, norm):
-    """sym_canonical on a 1-point vector and matrix rows already checked by
-    _vec3 and _sym_rows3, given with the matrix's entrywise infinity norm:
-    (eigenvalues, w, witness rows) as lists of Python floats."""
-    eigs, rotation, _, _ = _nondegenerate_eig(rows, norm,
+    eigs, rotation, _, _ = _nondegenerate_eig(*_rows3(a, "sym_canonical input"),
                                               "repeated eigenvalues; no canonical form")
     w0 = _matvec3(rotation, v)
     # The first flip whose image of w0 is lexicographically greatest.
     flip = max(EVEN_SIGN_FLIPS, key=lambda f: [s * t for s, t in zip(f, w0)])
-    w = [s * t for s, t in zip(flip, w0)]
-    return eigs, w, [[s * x for x in row] for s, row in zip(flip, rotation)]
+    witness = [[s * x for x in row] for s, row in zip(flip, rotation)]
+    return SymCanonicalForm(eigs=np.array(eigs), w=np.array([s * t for s, t in zip(flip, w0)]),
+                            witness=np.array(witness))
 
 
 def _check_tol(tol):
@@ -205,9 +198,9 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     eigenvalues and w, the latter up to even sign flips; EQUIVALENT only
     from a witness R with (R v, R A R^T) within 10 tol max(1, |A'|_inf,
     |v'|_inf) of (v', A'), a zero v included; INDETERMINATE otherwise, or
-    for a (near-)repeated spectrum. Every step after the input checks runs
-    on Python floats; the witness is composed and applied in a fixed
-    association order.
+    for a (near-)repeated spectrum. The canonical forms are sym_canonical's
+    of the divided inputs; the distances, the witness and the residuals run
+    on Python floats, composed and applied in a fixed association order.
 
     Raises:
         ValueError: if tol is not finite and positive, or if v, v', A or A'
@@ -225,10 +218,11 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
     v1, v2 = ([x / scale for x in v] for v in (v1, v2))
     try:
-        eigs_a, wa, witness_a = _sym_canonical_rows(v1, a1, norm1 / scale)
-        eigs_b, wb, witness_b = _sym_canonical_rows(v2, a2, norm2 / scale)
+        forms = [sym_canonical(v1, a1), sym_canonical(v2, a2)]
     except DegenerateSpectrum:
         return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
+    (eigs_a, wa, witness_a), (eigs_b, wb, witness_b) = (
+        (f.eigs.tolist(), f.w.tolist(), f.witness.tolist()) for f in forms)
     # The lexicographic w jumps where a coordinate vanishes, so take
     # rel_dist(f * w_a, w_b) for f in EVEN_SIGN_FLIPS (-x - y = -(x + y)); the
     # first minimum keeps the identity wherever it attains it.

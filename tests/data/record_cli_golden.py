@@ -1,26 +1,22 @@
-"""Record tests/data/cli_golden.json from the blochinv on PYTHONPATH.
+"""Re-record tests/data/cli_golden.json, in place, from the blochinv on
+PYTHONPATH:
 
-    PYTHONPATH=src python tests/data/record_cli_golden.py > tests/data/cli_golden.json
+    PYTHONPATH=src python tests/data/record_cli_golden.py
 
 Run it on the commit whose CLI output is the reference. The state documents
 are drawn with numpy 3x3 products, whose last bits depend on the BLAS
-build; to re-record only the command outputs, keep the documents of an
-earlier recording:
-
-    PYTHONPATH=src python tests/data/record_cli_golden.py \
-        --states tests/data/cli_golden.json > new.json
-
-The symmetric stratum composes its rotations on Python floats in a fixed
-order; the lmm witnesses still come from numpy matrix products.
+build, so every document already in the file is kept as recorded and only
+the names missing from it are drawn; the command outputs are all recorded
+afresh. The symmetric stratum composes its rotations on Python floats in a
+fixed order; the lmm witnesses still come from numpy matrix products.
 """
 
-import argparse
 import contextlib
 import io
 import itertools
 import json
 import os
-import sys
+import pathlib
 import tempfile
 
 import numpy as np
@@ -29,6 +25,8 @@ import blochinv.cli as cli
 from blochinv.groups import haar_so3
 from blochinv.serialize import bloch_document, density_document
 from blochinv.states import BlochMatrix, bell_projector, random_state
+
+GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_golden.json"
 
 
 def bloch(u, v, c):
@@ -106,14 +104,12 @@ def record(docs):
     return {"states": docs, "runs": runs}
 
 
+def kept_states():
+    """states(), with the documents of the names already in GOLDEN as
+    recorded there."""
+    kept = json.loads(GOLDEN.read_text())["states"] if GOLDEN.exists() else {}
+    return {name: kept.get(name, doc) for name, doc in states().items()}
+
+
 if __name__ == "__main__":
-    parser = argparse.ArgumentParser(description="Record the CLI golden file on stdout.")
-    parser.add_argument("--states", help="golden file whose state documents to keep")
-    args = parser.parse_args()
-    if args.states:
-        with open(args.states) as fh:
-            docs = json.load(fh)["states"]
-    else:
-        docs = states()
-    json.dump(record(docs), sys.stdout, indent=1)
-    sys.stdout.write("\n")
+    GOLDEN.write_text(json.dumps(record(kept_states()), indent=1) + "\n")

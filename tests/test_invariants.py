@@ -374,8 +374,9 @@ class TestRInvariant:
             r_invariant(np.ones(3), np.eye(3))
 
     def test_checks_matrix_once(self, monkeypatch):
-        # eig_sym3 makes the finiteness and symmetry check; g is evaluated
-        # unchecked afterwards, with the same errors for bad input.
+        # r_invariant checks A's shape and finiteness with _rows3 and
+        # eig_sym3 makes the one _sym_rows3 call, the symmetry check; g is
+        # evaluated unchecked afterwards, with the same errors for bad input.
         original = linalg._sym_rows3
         calls = []
 

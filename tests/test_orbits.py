@@ -350,8 +350,8 @@ class TestExtremeScale:
 @pytest.fixture
 def eig_sym3_calls(monkeypatch):
     """Count calls of the eigen kernel body, linalg._eig_rows, made through
-    every module attribute bound to it: the public eig_sym3 and the
-    symmetric stratum all diagonalize through it."""
+    every module attribute bound to it: every diagonalization goes through
+    eig_sym3 and so through it."""
     original = linalg._eig_rows
     calls = []
 
