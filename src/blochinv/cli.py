@@ -22,6 +22,7 @@ from .invariants import (
 )
 from .orbits import (
     DEFAULT_TOL,
+    LmmCanonicalForm,
     Verdict,
     decide_equiv_lmm,
     decide_equiv_sym,
@@ -129,27 +130,24 @@ def cmd_equiv(args):
     return codes.get(verdict.verdict, EXIT_DEGENERATE)
 
 
-def cmd_canonical(args):
+def _canonical_form(args, what):
+    """lmm_canonical or sym_canonical of the state in args.file, by class."""
     rho, bloch = _load(args.file)
     cls = classify(rho, tol=args.class_tol)
     if _is_lmm(cls):
-        form = lmm_canonical(bloch.C)
-        out = {
-            "class": "lmm",
-            "diag": form.diag,
-            "degenerate": form.degenerate,
-            "witness": {"R1": form.witness[0], "R2": form.witness[1]},
-        }
-    elif cls is StateClass.SYMMETRIC:
-        form = sym_canonical(*_sym_state(bloch))
-        out = {
-            "class": "sym",
-            "eigs": form.eigs,
-            "w": form.w,
-            "witness": {"R": form.witness},
-        }
+        return lmm_canonical(bloch.C)
+    if cls is StateClass.SYMMETRIC:
+        return sym_canonical(*_sym_state(bloch))
+    raise CliError(f"general states have no {what} in scope", EXIT_CLASS)
+
+
+def cmd_canonical(args):
+    form = _canonical_form(args, "canonical form")
+    if isinstance(form, LmmCanonicalForm):
+        out = {"class": "lmm", "diag": form.diag, "degenerate": form.degenerate,
+               "witness": {"R1": form.witness[0], "R2": form.witness[1]}}
     else:
-        raise CliError("general states have no canonical form in scope", EXIT_CLASS)
+        out = {"class": "sym", "eigs": form.eigs, "w": form.w, "witness": {"R": form.witness}}
     print(dumps(out))
     return EXIT_OK
 
@@ -166,29 +164,14 @@ def cmd_random(args):
 
 
 def cmd_restrict(args):
-    rho, bloch = _load(args.file)
-    cls = classify(rho, tol=args.class_tol)
-    if _is_lmm(cls):
-        form = lmm_canonical(bloch.C)
-        section = lmm_section_invariants(form.diag)
-        out = {
-            "class": "lmm",
-            "x": form.diag,
-            "degenerate": form.degenerate,
-            "witness": {"R1": form.witness[0], "R2": form.witness[1]},
-        }
-        out.update(section.as_dict())
-    elif cls is StateClass.SYMMETRIC:
-        form = sym_canonical(*_sym_state(bloch))
-        out = {
-            "class": "sym",
-            "w": form.w,
-            "lambda": form.eigs,
-            "witness": {"R": form.witness},
-        }
-        out.update(octahedral_invariants(form.w).as_dict())
+    form = _canonical_form(args, "slice restriction")
+    if isinstance(form, LmmCanonicalForm):
+        out = {"class": "lmm", "x": form.diag, "degenerate": form.degenerate,
+               "witness": {"R1": form.witness[0], "R2": form.witness[1]},
+               **lmm_section_invariants(form.diag).as_dict()}
     else:
-        raise CliError("general states have no slice restriction in scope", EXIT_CLASS)
+        out = {"class": "sym", "w": form.w, "lambda": form.eigs, "witness": {"R": form.witness},
+               **octahedral_invariants(form.w).as_dict()}
     print(dumps(out))
     return EXIT_OK
 
@@ -219,6 +202,13 @@ def _tolerance(text):
     return value
 
 
+def _class_tolerance(text):
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError("must be finite and non-negative")
+    return value
+
+
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="blochinv",
@@ -227,8 +217,9 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p):
-        p.add_argument("--class-tol", type=float, default=DEFAULT_CLASS_TOL,
-                       help="tolerance for state classification (default %(default)g)")
+        p.add_argument("--class-tol", type=_class_tolerance, default=DEFAULT_CLASS_TOL,
+                       help="tolerance for state classification, finite and "
+                            "non-negative (default %(default)g)")
 
     p = sub.add_parser("invariants", help="invariant report for a state file")
     p.add_argument("file")

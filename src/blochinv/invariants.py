@@ -20,6 +20,7 @@ import numpy as np
 from .errors import DegenerateSpectrum, ZeroVector
 from .linalg import (
     _det3_rows,
+    _matmul3,
     _matvec3,
     _pow2_floor,
     _rows3,
@@ -186,14 +187,14 @@ def lmm_invariants_jacobian(c):
     """3x9 Jacobian of (t2, t3, t4) in the nine entries of C:
     grad t2 = 2C, grad t3 = cofactor matrix of C, grad t4 = 4 C C^T C."""
     m = _rows3(c, "lmm_invariants_jacobian input")[0]
-    c = np.array(m)
     # Cyclic indices carry the cofactor signs:
     # cof_ij = c[i+1][j+1] c[i+2][j+2] - c[i+1][j+2] c[i+2][j+1] (mod 3).
-    cof = [[m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
-            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
-            for j in range(3)] for i in range(3)]
-    rows = [2.0 * c, np.array(cof), 4.0 * (c @ c.T @ c)]
-    return np.stack([r.reshape(9) for r in rows])
+    cof = [m[(i + 1) % 3][(j + 1) % 3] * m[(i + 2) % 3][(j + 2) % 3]
+           - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
+           for i in range(3) for j in range(3)]
+    cct_c = _matmul3(_matmul3(m, list(zip(*m))), m)
+    return np.array([[2.0 * x for row in m for x in row], cof,
+                     [4.0 * x for row in cct_c for x in row]])
 
 
 def octahedral_invariants(v):
@@ -214,12 +215,12 @@ def octahedral_invariants(v):
     vand = ((x1 - x0) * (x2 - x0)) * (x2 - x1)
     q0, q1, q2 = v0**2, v1**2, v2**2
     # The product of the signs of the coordinates and of the squared-
-    # coordinate differences, each 1.0, -1.0 or 0.0 (a float, so that the
-    # sign bit of a zero p4 follows the coordinates).
+    # coordinate differences, each 1.0, -1.0 or 0.0; + 0.0 makes a zero p4
+    # +0.0 whatever the signs, so that its sign bit is invariant too.
     sign = 1.0
     for x in (v0, v1, v2, q0 - q1, q0 - q2, q1 - q2):
         sign *= (x > 0.0) - (x < 0.0)
-    p4 = sign * (mag * vand)
+    p4 = sign * (mag * vand) + 0.0
     return OctahedralInvariants(p1=p1, p2=p2, p3=p3, p4=p4)
 
 
@@ -251,15 +252,14 @@ def g_invariant(v, a):
     Downstream use is g^2 / disc, which does not see the global sign.
     """
     v = _vec3(v, "g_invariant input")
-    return _g_unchecked(v, np.array(_sym_rows3(a, "g_invariant input")[0]))
+    return _g_unchecked(v, _sym_rows3(a, "g_invariant input")[0])
 
 
-def _g_unchecked(v, a):
-    """g_invariant on a 3-vector and a matrix already checked (finite, and
-    the matrix symmetric)."""
-    av = a @ v
-    aav = a @ av
-    return _det3_rows(*np.column_stack([v, av, aav]).tolist())
+def _g_unchecked(v, rows):
+    """g_invariant on a 3-vector and the rows of a matrix already checked
+    (finite, and the matrix symmetric)."""
+    av = _matvec3(rows, v)
+    return _det3_rows(*zip(v, av, _matvec3(rows, av)))
 
 
 def _nondegenerate_eig(rows, norm, message):
@@ -296,7 +296,7 @@ def r_invariant(v, a):
     rows, norm = _rows3(a, "r_invariant input")
     _, _, scale, disc = _nondegenerate_eig(rows, norm,
                                            "discriminant vanishes; invariant undefined")
-    g = _g_unchecked(v, np.array(rows) / scale)
+    g = _g_unchecked(v, [[x / scale for x in row] for row in rows])
     return (g * g) / disc
 
 
@@ -308,7 +308,7 @@ def sym_invariants(v, a):
     there; tr A, tr A^2 and det A are evaluated directly. The residual
     freedom in R is an even sign flip of the eigenbasis, under which
     X, Y, Z are invariant, so the result does not depend on the
-    eigendecomposition branch.
+    eigendecomposition branch. pX, pY and pZ are finite at any scale of v.
 
     Raises:
         DegenerateSpectrum: if A has (near-)repeated eigenvalues.
@@ -320,7 +320,10 @@ def sym_invariants(v, a):
                                            "repeated eigenvalues; invariants undefined")
     if all(abs(x) <= ZERO_VECTOR_TOL for x in v):
         raise ZeroVector("zero 1-point vector; pX, pY, pZ undefined")
-    oct_inv = octahedral_invariants(_matvec3(rotation, v))
+    # X, Y have degree 0 in v and Z degree 1 (Z^2 = p1 P9(1, X, Y)); taking them
+    # on R v / s, s = 2^floor(log2 |v|_inf), is exact and overflows no p_k.
+    scale = _pow2_floor(max(map(abs, v)))
+    oct_inv = octahedral_invariants(_matvec3(rotation, [x / scale for x in v]))
     tr_a, tr_a2, det_a = _trace_invariants(rows)
-    return SymInvariants(pX=oct_inv.X, pY=oct_inv.Y, pZ=oct_inv.Z,
+    return SymInvariants(pX=oct_inv.X, pY=oct_inv.Y, pZ=oct_inv.Z * scale,
                          trA=tr_a, trA2=tr_a2, detA=det_a)

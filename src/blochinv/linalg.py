@@ -7,9 +7,9 @@ Each 3x3 input is converted to Python floats and checked once, by _rows3
 (shape and finiteness) or _sym_rows3 (also symmetry); each 3-vector input
 by _vec3 (shape and finiteness). eig_sym3 is the checked entry of the
 straight-line eigen kernel _eig_rows; every diagonalization in the package
-goes through it. _matvec3 and _matmul3 are the 3x3 products of the
-symmetric stratum's rotations and residuals, each summed in one fixed
-order, so those digits do not depend on the BLAS build.
+goes through it. _matvec3 and _matmul3 are the only 3x3 products of the
+scalar core (linalg, invariants, orbits), each summed in one fixed order,
+so its digits do not depend on the BLAS build.
 
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient

@@ -14,8 +14,9 @@ Both groups are compact, so every orbit is closed and the canonical forms
 separate all of them: decide_equiv_* need no gate beyond the invariant fast
 reject, the canonical-form distance and the witness residual. Both first
 divide their inputs by the power of two that brings max(1, |matrix|_inf)
-into [1, 2), 1 below norm 2, so that no invariant overflows; distances and
-residuals are those of the divided inputs.
+into [1, 2), 1 below norm 2, so that no invariant overflows, and take the
+canonical forms of the divided inputs; distances, witnesses and residuals
+run on Python floats, composed and applied in a fixed association order.
 """
 
 import math
@@ -34,7 +35,6 @@ from .linalg import (
     _sym_rows3,
     _trace_invariants,
     _vec3,
-    norm_inf,
     signed_svd3,
 )
 
@@ -123,11 +123,10 @@ def lmm_canonical(c):
     no longer unique (the diagonal still is a complete orbit datum).
     """
     svd = signed_svd3(c)
-    scale = max(1.0, float(svd.diag[0]))
-    s = np.abs(svd.diag)
-    degenerate = bool(s[0] - s[1] <= TIE_TOL * scale or s[1] - s[2] <= TIE_TOL * scale)
-    witness = (svd.left.T.copy(), svd.right.T.copy())
-    return LmmCanonicalForm(diag=svd.diag.copy(), witness=witness, degenerate=degenerate)
+    d0, d1, d2 = svd.diag.tolist()
+    tie = TIE_TOL * max(1.0, d0)
+    return LmmCanonicalForm(diag=svd.diag, witness=(svd.left.T, svd.right.T),
+                            degenerate=d0 - d1 <= tie or d1 - abs(d2) <= tie)
 
 
 def sym_canonical(v, a):
@@ -172,20 +171,20 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
     _check_tol(tol)
     (rows_c, norm_c), (rows_m, norm_m) = (_rows3(x, "decide_equiv_lmm input") for x in (c, m))
     scale = _pow2_floor(max(1.0, norm_c, norm_m))
-    dist = _rel_dist(*(_lmm_triple([[x / scale for x in row] for row in rows])
-                       for rows in (rows_c, rows_m)))
+    c, m = ([[x / scale for x in row] for row in rows] for rows in (rows_c, rows_m))
+    dist = _rel_dist(_lmm_triple(c), _lmm_triple(m))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    c, m = np.array(rows_c) / scale, np.array(rows_m) / scale
     ca, cb = lmm_canonical(c), lmm_canonical(m)
-    dist = max(dist, rel_dist(ca.diag, cb.diag))
+    dist = max(dist, _rel_dist(ca.diag.tolist(), cb.diag.tolist()))
     if dist > tol:
         return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    r1 = cb.witness[0].T @ ca.witness[0]
-    r2 = cb.witness[1].T @ ca.witness[1]
-    residual = norm_inf(r1 @ c @ r2.T - m)
+    # R1 = W_b1^T W_a1 and R2 = W_b2^T W_a2, then the residual (R1 C) R2^T - M.
+    r1, r2 = (_matmul3(wb.T.tolist(), wa.tolist()) for wa, wb in zip(ca.witness, cb.witness))
+    moved = _matmul3(_matmul3(r1, c), list(zip(*r2)))
+    residual = _worst(abs(x - y) for row, ref in zip(moved, m) for x, y in zip(row, ref))
     if residual <= 10.0 * tol * max(1.0, norm_m / scale):
-        return EquivalenceVerdict(Verdict.EQUIVALENT, (r1, r2), dist)
+        return EquivalenceVerdict(Verdict.EQUIVALENT, (np.array(r1), np.array(r2)), dist)
     return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
 
 
@@ -198,9 +197,7 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     eigenvalues and w, the latter up to even sign flips; EQUIVALENT only
     from a witness R with (R v, R A R^T) within 10 tol max(1, |A'|_inf,
     |v'|_inf) of (v', A'), a zero v included; INDETERMINATE otherwise, or
-    for a (near-)repeated spectrum. The canonical forms are sym_canonical's
-    of the divided inputs; the distances, the witness and the residuals run
-    on Python floats, composed and applied in a fixed association order.
+    for a (near-)repeated spectrum.
 
     Raises:
         ValueError: if tol is not finite and positive, or if v, v', A or A'

@@ -144,8 +144,11 @@ def classify(rho, tol=DEFAULT_CLASS_TOL):
 
     Locally maximally mixed: both 1-point vectors vanish. Symmetric:
     u = v and C is symmetric (equivalently the state commutes with the
-    tensor swap). Both conditions together give SYMMETRIC_LMM.
+    tensor swap). Both conditions together give SYMMETRIC_LMM. ValueError
+    unless tol is finite and non-negative; 0 classifies exact coordinates.
     """
+    if not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     b = bloch_of(rho)
     lmm = norm_inf(b.u) <= tol and norm_inf(b.v) <= tol
     sym = norm_inf(b.u - b.v) <= tol and norm_inf(b.C - b.C.T) <= tol

@@ -7,8 +7,9 @@ Run it on the commit whose CLI output is the reference. The state documents
 are drawn with numpy 3x3 products, whose last bits depend on the BLAS
 build, so every document already in the file is kept as recorded and only
 the names missing from it are drawn; the command outputs are all recorded
-afresh. The symmetric stratum composes its rotations on Python floats in a
-fixed order; the lmm witnesses still come from numpy matrix products.
+afresh. Only those documents depend on the BLAS build: the invariants,
+canonical forms, witnesses and residuals of both strata are composed on
+Python floats in a fixed order.
 """
 
 import contextlib

@@ -80,6 +80,22 @@ class TestInvariants:
         assert main(["invariants", path]) == 3
         assert main(["invariants", path, "--class", "lmm"]) == 3
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
+    def test_class_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
+        # --class-tol inf classified this general state as symlmm and printed
+        # lmm invariants with exit 0; NaN or -1 made every state general.
+        path = bloch_file(tmp_path, "g.json", [0.5, 0, 0], [0, 0, -0.5],
+                          np.diag([0.3, 0.2, 0.1]))
+        for argv in (["invariants", path], ["equiv", path, path], ["restrict", path]):
+            with pytest.raises(SystemExit) as exc:
+                main([*argv, f"--class-tol={tol}"])
+            assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    def test_class_tol_zero_on_exact_coordinates(self, mixed_file, capsys):
+        assert main(["invariants", mixed_file, "--class-tol", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["class"] == "symlmm"
+
     def test_degenerate_exit_4(self, tmp_path):
         # Symmetric with repeated eigenvalues of the 2-point block.
         path = bloch_file(tmp_path, "d.json", [0.3, 0.1, 0.2], [0.3, 0.1, 0.2],

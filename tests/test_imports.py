@@ -1,6 +1,9 @@
-"""Every name a package module imports is used in that module.
+"""Every name a package module imports is used in that module, and the
+scalar core multiplies 3x3 matrices only through linalg._matmul3 and
+_matvec3.
 
-__init__.py is exempt: its imports are the public re-exports.
+__init__.py is exempt from the import check: its imports are the public
+re-exports.
 """
 
 import ast
@@ -10,6 +13,8 @@ import pytest
 
 PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "blochinv"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+# The scalar core: its products are summed in one fixed order, not by BLAS.
+SCALAR_CORE = [PACKAGE / name for name in ("linalg.py", "invariants.py", "orbits.py")]
 
 
 def unused_imports(source):
@@ -39,3 +44,19 @@ def test_no_unused_imports(path):
 def test_detects_unused():
     source = "import math\nimport numpy as np\nfrom .errors import A, B\nB(np.pi)\n"
     assert unused_imports(source) == [(1, "math"), (3, "A")]
+
+
+def matmul_lines(source):
+    """Lines of source that use the @ operator, in an expression or as @=."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(getattr(node, "op", None), ast.MatMult))
+
+
+@pytest.mark.parametrize("path", SCALAR_CORE, ids=lambda p: p.name)
+def test_scalar_core_has_no_matmul_operator(path):
+    assert matmul_lines(path.read_text()) == []
+
+
+def test_detects_matmul():
+    source = "@decorator\ndef f(a, b):\n    c = a @ b\n    c @= a\n    return a * b\n"
+    assert matmul_lines(source) == [3, 4]

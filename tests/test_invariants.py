@@ -247,7 +247,7 @@ class TestOctahedralInvariants:
 
     def test_matches_numpy_formulation_bitwise(self):
         # The same expressions on numpy sort, abs and sign are the
-        # reference; signed zeros must come out with the same sign bit.
+        # reference; a zero p4 must come out as +0.0 on both.
         def reference(v):
             v = np.asarray(v, dtype=float)
             a = np.sort(np.abs(v))
@@ -259,7 +259,7 @@ class TestOctahedralInvariants:
             sgn = float(np.sign(v[0]) * np.sign(v[1]) * np.sign(v[2]))
             tau = float(np.sign(q0 - q1) * np.sign(q0 - q2) * np.sign(q1 - q2))
             return ((x0 + x1) + x2, (x0 * x1 + x0 * x2) + x1 * x2, (x0 * x1) * x2,
-                    (sgn * tau) * (mag * vand))
+                    (sgn * tau) * (mag * vand) + 0.0)
 
         rng = np.random.default_rng(16)
         vectors = [[0.0, 0.3, 0.5], [-0.0, 0.3, 0.5], [0.0, -0.3, 0.5]]
@@ -280,8 +280,29 @@ class TestOctahedralInvariants:
                 p = octahedral_invariants(w)
                 got = [x.hex() for x in (p.p1, p.p2, p.p3, p.p4)]
                 assert got == [x.hex() for x in reference(w)], w
-        assert octahedral_invariants([0.0, 0.3, 0.5]).p4.hex() == "-0x0.0p+0"
+        assert octahedral_invariants([0.0, 0.3, 0.5]).p4.hex() == "0x0.0p+0"
         assert octahedral_invariants([0.0, -0.3, 0.5]).p4.hex() == "0x0.0p+0"
+
+    def test_zero_p4_is_bitwise_invariant(self):
+        # Where p4 vanishes (a zero coordinate or tied |coordinates|), the
+        # signs of the coordinates must not reach the sign bit of p4 or Z:
+        # (1, 2, 0) and its image (1, -2, -0.0) gave -0.0 and +0.0.
+        def bits(v):
+            p = octahedral_invariants(v)
+            return [x.hex() for x in (p.p1, p.p2, p.p3, p.p4, p.X, p.Y, p.Z)]
+
+        rng = np.random.default_rng(23)
+        vectors = [[1.0, 2.0, 0.0], [0.0, -0.0, 0.7], [0.3, -0.3, 0.3], [-1.0, 1.0, 2.0]]
+        for k in range(60):
+            v = rng.uniform(-2, 2, size=3)
+            v[k % 3] = -v[(k + 1) % 3] if k % 2 else rng.choice([0.0, -0.0])
+            vectors.append(v)
+        group = octahedral_group()
+        for v in vectors:
+            ref = bits(np.asarray(v, dtype=float))
+            assert ref[3] == "0x0.0p+0"
+            for g in group:
+                assert bits(g.apply(np.asarray(v, dtype=float))) == ref, (v, g)
 
     def test_zero_vector(self):
         p = octahedral_invariants(np.zeros(3))
@@ -507,6 +528,17 @@ class TestExtremeScale:
         np.testing.assert_allclose(form.eigs / 1e60, ref.eigs, rtol=1e-14)
         np.testing.assert_allclose(form.w, ref.w, rtol=1e-12, atol=1e-15)
 
+    def test_any_scale_of_v(self):
+        # pX, pY have degree 0 in v and pZ degree 1: every power-of-two scale
+        # of v keeps pX, pY bit for bit and scales pZ exactly, with no inf,
+        # NaN or OverflowError from the degree-9 p4 (before, inf from 2^115).
+        v, a = np.array([0.3, -0.7, 1.1]), np.diag([1.0, 2.0, 3.0])
+        ref = sym_invariants(v, a)
+        for k in range(-30, 1001):
+            inv = sym_invariants(2.0**k * v, a)
+            assert [inv.pX.hex(), inv.pY.hex()] == [ref.pX.hex(), ref.pY.hex()], k
+            assert inv.pZ == 2.0**k * ref.pZ, k
+
     def test_degeneracy_still_detected(self):
         with pytest.raises(DegenerateSpectrum):
             sym_invariants(np.ones(3), 1e60 * np.diag([2.0, 2.0, 1.0]))
@@ -520,11 +552,10 @@ class TestSymGenerators:
         # same fixed-order product, and the canonical w is that R v up to an
         # even sign flip, which pX, pY, pZ must not see, bit for bit: on
         # random states, where a coordinate of w is zero (exactly, or up to
-        # the roundoff of the eigenbasis) and on a near-tied spectrum. Only
-        # the sign of a zero pZ may differ, since it follows the signs of the
-        # coordinates; + 0.0 folds -0.0 into 0.0 and keeps every other value.
+        # the roundoff of the eigenbasis) and on a near-tied spectrum; a zero
+        # pZ is +0.0 on both.
         def bits(*xs):
-            return [(x + 0.0).hex() for x in xs]
+            return [x.hex() for x in xs]
 
         rng = np.random.default_rng(17)
         cases = []

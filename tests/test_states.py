@@ -190,6 +190,17 @@ class TestClassify:
             cls = list(StateClass)[k % 4]
             assert classify(density_of(random_bloch(cls, rng))) is cls
 
+    @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, -1.0])
+    def test_tolerance_must_be_finite_and_non_negative(self, tol):
+        # An infinite tol made every state SYMMETRIC_LMM, a NaN or negative
+        # one every state GENERAL.
+        with pytest.raises(ValueError, match="finite and non-negative"):
+            classify(MAX_MIXED, tol=tol)
+
+    def test_zero_tolerance_classifies_exact_coordinates(self):
+        assert classify(MAX_MIXED, tol=0.0) is StateClass.SYMMETRIC_LMM
+        assert classify(density_of(random_bloch("lmm", 5)), tol=0.0) is StateClass.LMM
+
 
 class TestPositivity:
     def test_examples(self):
