@@ -11,6 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
+from .linalg import det3
 from .states import BlochMatrix, _as_rng
 
 # Tolerance of the unitarity precondition of so3_of_u2.
@@ -88,13 +89,7 @@ class SignedPerm:
         return m
 
     def determinant(self):
-        parity = 1
-        p = self.perm
-        for a in range(3):
-            for b in range(a + 1, 3):
-                if p[a] > p[b]:
-                    parity = -parity
-        return parity * self.signs[0] * self.signs[1] * self.signs[2]
+        return int(det3(self.matrix()))
 
     def sign_product(self):
         return self.signs[0] * self.signs[1] * self.signs[2]
@@ -157,20 +152,10 @@ def lmm_weyl_pair(sp):
 
 def lmm_normalizer_pairs():
     """All 96 pairs (E1 P, E2 P) of determinant +1 that map diagonal
-    matrices to diagonal matrices under (R1, R2): C -> R1 C R2^T."""
-    pairs = []
-    for perm in itertools.permutations(range(3)):
-        unsigned = SignedPerm(perm=perm, signs=(1, 1, 1))
-        pm = unsigned.matrix()
-        parity = unsigned.determinant()
-        sign_patterns = [
-            np.array(s) for s in itertools.product((1, -1), repeat=3)
-            if s[0] * s[1] * s[2] == parity
-        ]
-        for s1 in sign_patterns:
-            for s2 in sign_patterns:
-                pairs.append((np.diag(s1) @ pm, np.diag(s2) @ pm))
-    return pairs
+    matrices to diagonal matrices under (R1, R2): C -> R1 C R2^T, i.e. the
+    pairs of octahedral rotations with the same permutation part."""
+    group = octahedral_group()
+    return [(g.matrix(), h.matrix()) for g in group for h in group if g.perm == h.perm]
 
 
 def haar_su2(seed):

@@ -69,7 +69,8 @@ class OctahedralInvariants(_Record):
     p1, p2, p3 are the elementary symmetric polynomials in the squared
     coordinates; p4 is the product of the coordinates times the squared-
     coordinate Vandermonde. X, Y, Z are the scale-normalized generators
-    p2/p1^2, p3/p1^3, p4/p1^4, defined only for nonzero vectors.
+    p2/p1^2, p3/p1^3, p4/p1^4, defined (else ZeroVector) only where that
+    power of p1 is positive: not at 0 nor where the power underflows.
     """
 
     p1: float
@@ -77,24 +78,22 @@ class OctahedralInvariants(_Record):
     p3: float
     p4: float
 
-    def _check_nonzero(self):
-        if self.p1 <= 0.0:
-            raise ZeroVector("X, Y, Z are undefined for the zero vector")
+    def _ratio(self, p, power):
+        if power > 0.0:
+            return p / power
+        raise ZeroVector("X, Y, Z are undefined: p1 or its power is 0")
 
     @property
     def X(self):
-        self._check_nonzero()
-        return self.p2 / (self.p1 * self.p1)
+        return self._ratio(self.p2, self.p1 * self.p1)
 
     @property
     def Y(self):
-        self._check_nonzero()
-        return self.p3 / (self.p1 * self.p1 * self.p1)
+        return self._ratio(self.p3, self.p1 * self.p1 * self.p1)
 
     @property
     def Z(self):
-        self._check_nonzero()
-        return self.p4 / (self.p1 * self.p1 * self.p1 * self.p1)
+        return self._ratio(self.p4, self.p1 * self.p1 * self.p1 * self.p1)
 
     def as_dict(self):
         return {**super().as_dict(), "X": self.X, "Y": self.Y, "Z": self.Z}

@@ -38,11 +38,6 @@ def norm_inf(a):
     return float(np.abs(a).max())
 
 
-def require_finite(a, what):
-    if not np.all(np.isfinite(np.asarray(a, dtype=complex))):
-        raise ValueError(f"{what} contains NaN or Inf entries")
-
-
 def rotation_residual(r):
     """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|,
     on Python floats; NaN or Inf, not an error or a warning, for a
@@ -50,8 +45,22 @@ def rotation_residual(r):
     rows = np.asarray(r, dtype=float).tolist()
     gram = _matmul3(list(zip(*rows)), rows)
     devs = [abs(x - float(i == j)) for i, row in enumerate(gram) for j, x in enumerate(row)]
-    devs.append(abs(_det3_rows(*rows) - 1.0))
-    return math.nan if any(x != x for x in devs) else max(devs)
+    return _worst(devs + [abs(_det3_rows(*rows) - 1.0)])
+
+
+def _worst(values):
+    """The largest of values, 0.0 for none, or the first NaN among them.
+
+    rotation_residual, rel_dist and every battery residual reduce through
+    it: Python's max keeps its running value against a NaN, hiding it.
+    """
+    worst = 0.0
+    for x in values:
+        if x != x:
+            return x
+        if x > worst:
+            worst = x
+    return worst
 
 
 def _matmul3(a, b):
@@ -257,8 +266,9 @@ def signed_svd3(c):
 
     One-sided (Hestenes) Jacobi on C itself (Demmel & Veselic 1992): plane
     rotations V orthogonalize the columns of A = C V relative to their
-    norms, and the sorted column norms are the singular values, accurate to
-    about eps |C| also on graded and rank-deficient input. C is first scaled
+    norms, each the _jacobi_rotation of eig_sym3 on the 2x2 Gram block of
+    the pair, and the sorted column norms are the singular values, accurate
+    to about eps |C| also on graded and rank-deficient input. C is scaled
     exactly, by the power of two that puts its largest entry in [1, 2), so
     squared norms stay in range at any input scale. A reflection in V moves
     onto the last column of A; three Givens rotations then make A triangular
@@ -287,10 +297,7 @@ def signed_svd3(c):
             if abs(gamma) <= JACOBI_ORTH_FACTOR * math.sqrt(sq[p] * sq[q]):
                 continue
             rotated = True
-            zeta = 0.5 * (sq[q] - sq[p]) / gamma
-            t = math.copysign(1.0, zeta) / (abs(zeta) + math.hypot(zeta, 1.0))
-            cs = 1.0 / math.sqrt(t * t + 1.0)
-            sn = t * cs
+            _, cs, sn = _jacobi_rotation(sq[p], sq[q], gamma)
             x, y, z = a[p] = [cs * ap0 - sn * aq0, cs * ap1 - sn * aq1, cs * ap2 - sn * aq2]
             sq[p] = x * x + y * y + z * z
             x, y, z = a[q] = [sn * ap0 + cs * aq0, sn * ap1 + cs * aq1, sn * ap2 + cs * aq2]

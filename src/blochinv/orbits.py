@@ -35,6 +35,7 @@ from .linalg import (
     _sym_rows3,
     _trace_invariants,
     _vec3,
+    _worst,
     signed_svd3,
 )
 
@@ -86,21 +87,6 @@ class EquivalenceVerdict:
     verdict: Verdict
     witness: object
     invariant_distance: float
-
-
-def _worst(values):
-    """The largest of values, 0.0 for none, or the first NaN among them.
-
-    rel_dist and every residual of the verify battery reduce through it:
-    Python's max keeps its running value against a NaN, which would hide it.
-    """
-    worst = 0.0
-    for x in values:
-        if x != x:
-            return x
-        if x > worst:
-            worst = x
-    return worst
 
 
 def rel_dist(a, b):

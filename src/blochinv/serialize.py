@@ -15,6 +15,7 @@ import math
 import numpy as np
 
 from .errors import StateFormatError
+from .linalg import _rows3, _vec3
 from .states import BlochMatrix, validate_density
 
 
@@ -60,11 +61,12 @@ def density_document(rho):
 
 
 def bloch_document(bloch):
+    """State document of a BlochMatrix, checked as density_of checks it."""
     return {
         "format": "bloch",
-        "u": [float(x) for x in bloch.u],
-        "v": [float(x) for x in bloch.v],
-        "C": [[float(bloch.C[i, j]) for j in range(3)] for i in range(3)],
+        "u": _vec3(bloch.u, "bloch_document input"),
+        "v": _vec3(bloch.v, "bloch_document input"),
+        "C": _rows3(bloch.C, "bloch_document input")[0],
     }
 
 

@@ -14,7 +14,7 @@ from enum import Enum
 import numpy as np
 
 from .errors import NonHermitianInput, StateFormatError
-from .linalg import norm_inf, require_finite
+from .linalg import _rows3, _vec3, norm_inf
 
 PAULI = np.array(
     [
@@ -73,7 +73,8 @@ def validate_density(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise StateFormatError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    require_finite(rho, "density matrix")
+    if not np.isfinite(rho).all():
+        raise ValueError("density matrix contains NaN or Inf entries")
     tol = DENSITY_TOL * max(1.0, norm_inf(rho))
     if norm_inf(rho - rho.conj().T) > tol:
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
@@ -110,14 +111,12 @@ def density_of(bloch):
     """Density operator with the given Bloch matrix.
 
     Inverts the correlation map through Pauli orthogonality:
-    rho = (1/4) sum_ij B_ij sigma_i (x) sigma_j with B_00 = 1.
+    rho = (1/4) sum_ij B_ij sigma_i (x) sigma_j with B_00 = 1. ValueError
+    unless u, v have shape (3,), C shape (3, 3) and every entry is finite.
     """
-    b = np.empty((4, 4))
-    b[0, 0] = 1.0
-    b[1:, 0] = np.asarray(bloch.u, dtype=float)
-    b[0, 1:] = np.asarray(bloch.v, dtype=float)
-    b[1:, 1:] = np.asarray(bloch.C, dtype=float)
-    require_finite(b, "Bloch matrix")
+    u, v = (_vec3(x, "density_of input") for x in (bloch.u, bloch.v))
+    rows = _rows3(bloch.C, "density_of input")[0]
+    b = np.array([[1.0, *v], *([x, *row] for x, row in zip(u, rows))])
     return 0.25 * np.einsum("ab,abij->ij", b, PAULI_KRON)
 
 

@@ -9,7 +9,7 @@ checks' trial streams are disjoint only for samples up to 50,000, since
 the closest offsets are 50,000 apart (lmm 400000/450000 and 700000/750000).
 
 A check runs one trial body per generator and folds the trials with
-orbits._worst for residuals and with sum for wrong-verdict flags. _worst
+linalg._worst for residuals and with sum for wrong-verdict flags. _worst
 returns the first NaN it meets, and every bound is a comparison that NaN
 makes false, so a check with a NaN residual fails and reports nan.
 """
@@ -42,10 +42,9 @@ from .invariants import (
     r_invariant,
     sym_invariants,
 )
-from .linalg import det3, norm_inf, rotation_residual
+from .linalg import _worst, det3, norm_inf, rotation_residual
 from .orbits import (
     Verdict,
-    _worst,
     decide_equiv_lmm,
     decide_equiv_sym,
     lmm_canonical,

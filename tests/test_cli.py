@@ -251,6 +251,20 @@ class TestRestrict:
         # sign flips: components are a signed permutation of the input.
         assert sorted(np.abs(out["w"])) == pytest.approx([1.0, 2.0, 3.0], abs=1e-12)
 
+    @pytest.mark.parametrize("command", ["restrict", "invariants"])
+    @pytest.mark.parametrize("scale", [1e-60, 1e-100])
+    def test_tiny_vector_exit_4(self, tmp_path, capsys, command, scale):
+        # p1 > 0, but p1^3 (at 1e-60) or p1^2 (at 1e-100) underflows to 0,
+        # so X, Y, Z are undefined: a typed error, not a ZeroDivisionError.
+        v = [scale * 0.1, scale * 0.2, scale * 0.3]
+        path = bloch_file(tmp_path, "tiny.json", v, v, np.diag([0.1, 0.2, 0.3]))
+        assert main([command, path, "--class-tol", "0"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "Traceback" not in captured.err
+
 
 class TestCrossProcessDeterminism:
     def test_random_output_identical_across_processes(self):

@@ -1,6 +1,7 @@
-"""Every name a package module imports is used in that module, and the
+"""Every name a package module imports is used in that module, the
 scalar core multiplies 3x3 matrices only through linalg._matmul3 and
-_matvec3.
+_matvec3, and no package module calls a LAPACK determinant (linalg.det3
+is the only one).
 
 __init__.py is exempt from the import check: its imports are the public
 re-exports.
@@ -60,3 +61,31 @@ def test_scalar_core_has_no_matmul_operator(path):
 def test_detects_matmul():
     source = "@decorator\ndef f(a, b):\n    c = a @ b\n    c @= a\n    return a * b\n"
     assert matmul_lines(source) == [3, 4]
+
+
+def lapack_det_lines(source):
+    """Lines of source that name a linalg.det or linalg.slogdet attribute, or
+    import det or slogdet from a linalg module."""
+    names = ("det", "slogdet")
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            owner = node.value
+            if getattr(owner, "attr", getattr(owner, "id", None)) == "linalg":
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("linalg"):
+            if any(alias.name in names for alias in node.names):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_lapack_determinant(path):
+    assert lapack_det_lines(path.read_text()) == []
+
+
+def test_detects_lapack_determinant():
+    source = ("import numpy as np\nfrom numpy import linalg\nfrom numpy.linalg import slogdet\n"
+              "d = np.linalg.det(a)\ns = numpy.linalg.slogdet(a)\ndet = linalg.det\n"
+              "x = det3(a)\ny = g.det\nfrom .linalg import det3\n")
+    assert lapack_det_lines(source) == [3, 4, 5, 6]

@@ -1,5 +1,5 @@
-"""Every 3x3 and 3-vector argument of the scalar core is checked once, on
-entry: a wrong shape or a NaN or Inf entry raises ValueError naming the
+"""Every 3x3 and 3-vector argument of the scalar core and of
+states.density_of is checked once, on entry: a wrong shape or a NaN or Inf entry raises ValueError naming the
 function, never a numpy warning, another error type or a value computed
 from part of the input."""
 
@@ -8,7 +8,8 @@ import warnings
 import numpy as np
 import pytest
 
-from blochinv import invariants, linalg, orbits
+from blochinv import invariants, linalg, orbits, states
+from blochinv.states import BlochMatrix
 
 C = np.array([[0.9, -0.2, 0.1], [0.3, 0.5, -0.4], [0.05, 0.2, -0.3]])
 A = np.array([[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
@@ -46,9 +47,12 @@ SITES = [
     ("sym_invariants-a", "sym_invariants", lambda x: invariants.sym_invariants(V, x), A),
     ("sym_canonical", "sym_canonical", lambda x: orbits.sym_canonical(x, A), V),
     ("sym_canonical-a", "sym_canonical", lambda x: orbits.sym_canonical(V, x), A),
+    ("density_of-u", "density_of", lambda x: states.density_of(BlochMatrix(x, V, C)), V),
+    ("density_of-v", "density_of", lambda x: states.density_of(BlochMatrix(V, x, C)), V),
+    ("density_of-c", "density_of", lambda x: states.density_of(BlochMatrix(V, V, x)), C),
 ]
 
-SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,)]
+SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,), (1,), ()]
 NON_FINITE = [np.nan, np.inf, -np.inf]
 
 
@@ -74,7 +78,8 @@ def test_valid_input_passes(site):
 
 
 @pytest.mark.parametrize("case", SHAPES + NON_FINITE,
-                         ids=["x".join(map(str, s)) for s in SHAPES] + ["nan", "inf", "-inf"])
+                         ids=["x".join(map(str, s)) or "scalar" for s in SHAPES]
+                         + ["nan", "inf", "-inf"])
 @pytest.mark.parametrize("site", SITES, ids=[s[0] for s in SITES])
 def test_rejects_bad_input(site, case):
     _, name, call, valid = site
@@ -83,3 +88,10 @@ def test_rejects_bad_input(site, case):
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match=f"{name} input"):
                 call(x)
+
+
+def test_density_of_rejects_vector_for_c():
+    # A 3-vector C broadcasts over the rows of the 4x4 Bloch array unless
+    # its shape is checked.
+    with pytest.raises(ValueError, match="density_of input"):
+        states.density_of(BlochMatrix(V, V, V))

@@ -310,6 +310,22 @@ class TestOctahedralInvariants:
         with pytest.raises(ZeroVector):
             _ = p.X
 
+    def test_underflowing_power_of_p1(self):
+        # p1 > 0 at both scales; from 1e-60 p1^3 and p1^4 underflow to 0,
+        # from 1e-100 also p1^2.
+        v = np.array([0.1, 0.2, 0.3])
+        p = octahedral_invariants(1e-60 * v)
+        assert p.p1 > 0.0 and p.X == p.p2 / (p.p1 * p.p1)
+        for name in ("Y", "Z"):
+            with pytest.raises(ZeroVector):
+                getattr(p, name)
+        p = octahedral_invariants(1e-100 * v)
+        for name in ("X", "Y", "Z"):
+            with pytest.raises(ZeroVector):
+                getattr(p, name)
+        with pytest.raises(ZeroVector):
+            p.as_dict()
+
 
 class TestP9:
     def test_oracle_gate(self):

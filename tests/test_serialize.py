@@ -67,6 +67,28 @@ class TestStateDocuments:
         assert set(doc) == {"format", "u", "v", "C"}
         assert len(doc["C"]) == 3 and len(doc["C"][0]) == 3
 
+    @pytest.mark.parametrize("field, value", [
+        ("u", np.array([0.1, -0.2, 0.3, 0.4])),
+        ("v", np.array([0.5])),
+        ("C", np.arange(12, dtype=float).reshape(3, 4)),
+        ("C", np.arange(3, dtype=float)),
+        ("C", np.diag([0.1, np.nan, 0.3])),
+        ("u", np.array([0.1, np.inf, 0.3])),
+    ], ids=["u-4", "v-1", "C-3x4", "C-3", "C-nan", "u-inf"])
+    def test_bloch_rejects_wrong_shape_or_non_finite(self, field, value):
+        # A wrong-shape field is never truncated or written into a document
+        # that load_state_file would then reject.
+        fields = {"u": np.zeros(3), "v": np.zeros(3), "C": np.eye(3), field: value}
+        with pytest.raises(ValueError, match="bloch_document input"):
+            bloch_document(BlochMatrix(**fields))
+
+    def test_bloch_accepts_nested_lists(self):
+        c = [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]
+        listed = bloch_document(BlochMatrix(u=[0.1, 0.2, 0.3], v=[0.0, 0.0, 0.0], C=c))
+        arrays = bloch_document(BlochMatrix(u=np.array([0.1, 0.2, 0.3]), v=np.zeros(3),
+                                            C=np.array(c)))
+        assert dumps(listed) == dumps(arrays)
+
 
 class TestParseErrors:
     def test_bad_json(self):

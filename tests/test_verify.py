@@ -89,6 +89,20 @@ class TestFaultInjection:
         failed = [c.name for c in report.checks if not c.passed]
         assert "kernel_signed_svd3" in failed
 
+    def test_flipped_jacobi_sine_fails_both_kernels(self, monkeypatch):
+        # eig_sym3 and signed_svd3 share one Jacobi rotation; a wrong sign
+        # of its sine must show in the checks of both.
+        true_rotation = blochinv.linalg._jacobi_rotation
+
+        def mutant(app, aqq, apq):
+            t, c, s = true_rotation(app, aqq, apq)
+            return t, c, -s
+
+        monkeypatch.setattr(blochinv.linalg, "_jacobi_rotation", mutant)
+        report = run_suite("lmm", 200, 0)
+        failed = {c.name for c in report.checks if not c.passed}
+        assert failed >= {"kernel_eig_sym3", "kernel_signed_svd3", "kernel_signed_svd3_graded"}
+
     def _check(self, report, name):
         return next(c for c in report.checks if c.name == name)
 
