@@ -1,6 +1,10 @@
 """Command-line interface.
 
 Subcommands: invariants, equiv, canonical, random, restrict, verify.
+invariants, equiv, canonical and restrict load and classify each state
+once, at --class-tol, and work on one stratum by the stratum rule: lmm if
+every state is lmm or symlmm, else sym if every state is sym or symlmm,
+else exit 3 with a message naming the classes.
 Exit codes: 0 ok / equivalent, 1 check failed / not equivalent, 2 parse
 error, 3 class mismatch, 4 degenerate or indeterminate input. Commands
 never emit partial JSON: output is built in full before printing, and any
@@ -22,7 +26,6 @@ from .invariants import (
 )
 from .orbits import (
     DEFAULT_TOL,
-    LmmCanonicalForm,
     Verdict,
     decide_equiv_lmm,
     decide_equiv_sym,
@@ -54,72 +57,50 @@ class CliError(Exception):
         self.code = code
 
 
-def _load(path):
-    fmt, payload = load_state_file(path)
-    if fmt == "bloch":
-        return density_of(payload), payload
-    return payload, bloch_of(payload)
-
-
-def _is_lmm(cls):
-    return cls in (StateClass.LMM, StateClass.SYMMETRIC_LMM)
-
-
-def _is_sym(cls):
-    return cls in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM)
-
-
-def _sym_state(bloch):
-    """(v, A) of a symmetric state, with C symmetrized exactly."""
-    return bloch.v, 0.5 * (bloch.C + bloch.C.T)
+def _stratum(paths, class_tol):
+    """Load and classify the state in each file once, and pick their stratum
+    by the stratum rule. Returns the stratum and, per file, (class, rho, x):
+    x is C on lmm and (v, A), A = (C + C^T)/2 symmetrized exactly, on sym."""
+    states = []
+    for path in paths:
+        fmt, payload = load_state_file(path)
+        states.append((density_of(payload), payload) if fmt == "bloch"
+                      else (payload, bloch_of(payload)))
+    classes = [classify(rho, tol=class_tol) for rho, _ in states]
+    # The classes on each stratum, in the order the stratum rule tries them.
+    strata = {"lmm": (StateClass.LMM, StateClass.SYMMETRIC_LMM),
+              "sym": (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM)}
+    stratum = next((name for name, members in strata.items()
+                    if all(cls in members for cls in classes)), None)
+    if stratum is None:
+        raise CliError(
+            f"classified as {' and '.join(cls.value for cls in classes)}; expected "
+            "every state lmm or symlmm, or every state sym or symlmm", EXIT_CLASS)
+    return stratum, [
+        (cls, rho, b.C if stratum == "lmm" else (b.v, 0.5 * (b.C + b.C.T)))
+        for cls, (rho, b) in zip(classes, states)]
 
 
 def cmd_invariants(args):
-    rho, bloch = _load(args.file)
-    cls = classify(rho, tol=args.class_tol)
-    requested = args.state_class
-    if requested == "auto":
-        if cls is StateClass.GENERAL:
-            raise CliError(
-                "general states have no invariant set in scope; "
-                "expected an lmm or symmetric state", EXIT_CLASS)
-        requested = "sym" if cls is StateClass.SYMMETRIC else "lmm"
-    if requested == "lmm" and not _is_lmm(cls):
-        raise CliError(f"state classified as {cls.value}, not lmm", EXIT_CLASS)
-    if requested == "sym" and not _is_sym(cls):
-        raise CliError(f"state classified as {cls.value}, not symmetric", EXIT_CLASS)
-
-    out = {"class": cls.value}
-    if requested == "lmm":
-        inv = lmm_invariants(bloch.C)
-        out.update(inv.as_dict())
-        out["positive"] = is_positive(rho)
-        out["bounds_ok"] = lmm_positive_cone_check(inv)
+    stratum, [(cls, rho, x)] = _stratum([args.file], args.class_tol)
+    if stratum == "lmm":
+        inv = lmm_invariants(x)
+        out = {"class": cls.value, **inv.as_dict(), "positive": is_positive(rho),
+               "bounds_ok": lmm_positive_cone_check(inv)}
     else:
-        inv = sym_invariants(*_sym_state(bloch))
-        out.update(inv.as_dict())
-        out["positive"] = is_positive(rho)
+        out = {"class": cls.value, **sym_invariants(*x).as_dict(), "positive": is_positive(rho)}
     print(dumps(out))
     return EXIT_OK
 
 
 def cmd_equiv(args):
-    rho_a, bloch_a = _load(args.file_a)
-    rho_b, bloch_b = _load(args.file_b)
-    cls_a = classify(rho_a, tol=args.class_tol)
-    cls_b = classify(rho_b, tol=args.class_tol)
-    if _is_lmm(cls_a) and _is_lmm(cls_b):
-        verdict = decide_equiv_lmm(bloch_a.C, bloch_b.C, tol=args.tol)
-        pair = verdict.witness
-        witness = None if pair is None else {"R1": pair[0], "R2": pair[1]}
-    elif _is_sym(cls_a) and _is_sym(cls_b):
-        verdict = decide_equiv_sym(_sym_state(bloch_a), _sym_state(bloch_b), tol=args.tol)
-        witness = None if verdict.witness is None else {"R": verdict.witness}
+    stratum, [(_, _, a), (_, _, b)] = _stratum([args.file_a, args.file_b], args.class_tol)
+    if stratum == "lmm":
+        verdict = decide_equiv_lmm(a, b, tol=args.tol)
+        witness = None if verdict.witness is None else dict(zip(("R1", "R2"), verdict.witness))
     else:
-        raise CliError(
-            f"states classified as {cls_a.value} and {cls_b.value}; "
-            "equivalence is decided for matching lmm or symmetric classes",
-            EXIT_CLASS)
+        verdict = decide_equiv_sym(a, b, tol=args.tol)
+        witness = None if verdict.witness is None else {"R": verdict.witness}
     out = {
         "verdict": verdict.verdict.value,
         "invariant_distance": float(verdict.invariant_distance),
@@ -130,23 +111,14 @@ def cmd_equiv(args):
     return codes.get(verdict.verdict, EXIT_DEGENERATE)
 
 
-def _canonical_form(args, what):
-    """lmm_canonical or sym_canonical of the state in args.file, by class."""
-    rho, bloch = _load(args.file)
-    cls = classify(rho, tol=args.class_tol)
-    if _is_lmm(cls):
-        return lmm_canonical(bloch.C)
-    if cls is StateClass.SYMMETRIC:
-        return sym_canonical(*_sym_state(bloch))
-    raise CliError(f"general states have no {what} in scope", EXIT_CLASS)
-
-
 def cmd_canonical(args):
-    form = _canonical_form(args, "canonical form")
-    if isinstance(form, LmmCanonicalForm):
+    stratum, [(_, _, x)] = _stratum([args.file], args.class_tol)
+    if stratum == "lmm":
+        form = lmm_canonical(x)
         out = {"class": "lmm", "diag": form.diag, "degenerate": form.degenerate,
                "witness": {"R1": form.witness[0], "R2": form.witness[1]}}
     else:
+        form = sym_canonical(*x)
         out = {"class": "sym", "eigs": form.eigs, "w": form.w, "witness": {"R": form.witness}}
     print(dumps(out))
     return EXIT_OK
@@ -164,12 +136,14 @@ def cmd_random(args):
 
 
 def cmd_restrict(args):
-    form = _canonical_form(args, "slice restriction")
-    if isinstance(form, LmmCanonicalForm):
+    stratum, [(_, _, x)] = _stratum([args.file], args.class_tol)
+    if stratum == "lmm":
+        form = lmm_canonical(x)
         out = {"class": "lmm", "x": form.diag, "degenerate": form.degenerate,
                "witness": {"R1": form.witness[0], "R2": form.witness[1]},
                **lmm_section_invariants(form.diag).as_dict()}
     else:
+        form = sym_canonical(*x)
         out = {"class": "sym", "w": form.w, "lambda": form.eigs, "witness": {"R": form.witness},
                **octahedral_invariants(form.w).as_dict()}
     print(dumps(out))
@@ -188,11 +162,13 @@ def cmd_verify(args):
     return EXIT_OK if all(r.passed for r in reports) else EXIT_FAIL
 
 
-def _positive_int(text):
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError("must be at least 1")
-    return value
+def _int_at_least(low):
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}")
+        return value
+    return parse
 
 
 def _tolerance(text):
@@ -223,8 +199,6 @@ def build_parser():
 
     p = sub.add_parser("invariants", help="invariant report for a state file")
     p.add_argument("file")
-    p.add_argument("--class", dest="state_class", choices=("auto", "lmm", "sym"),
-                   default="auto", help="override the auto-detected class")
     add_common(p)
     p.set_defaults(func=cmd_invariants)
 
@@ -244,7 +218,7 @@ def build_parser():
     p = sub.add_parser("random", help="emit a random state file on stdout")
     p.add_argument("--class", dest="state_class",
                    choices=[c.value for c in StateClass], required=True)
-    p.add_argument("--seed", type=int, required=True)
+    p.add_argument("--seed", type=_int_at_least(0), required=True)
     p.add_argument("--positive", action="store_true",
                    help="draw a positive semidefinite state")
     p.set_defaults(func=cmd_random)
@@ -256,7 +230,7 @@ def build_parser():
 
     p = sub.add_parser("verify", help="run the seeded verification battery")
     p.add_argument("--suite", choices=("all",) + verify_mod.SUITES, default="all")
-    p.add_argument("--samples", type=_positive_int, default=1000)
+    p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=cmd_verify)

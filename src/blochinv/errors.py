@@ -14,7 +14,7 @@ class NotUnitary(BlochInvError):
 
 
 class NonHermitianInput(BlochInvError):
-    """A correlation value came out with a non-negligible imaginary part."""
+    """A matrix required to be Hermitian is not, beyond tolerance."""
 
 
 class DegenerateSpectrum(BlochInvError):

@@ -12,7 +12,7 @@ import numpy as np
 
 from .errors import NotUnitary
 from .linalg import det3
-from .states import BlochMatrix, _as_rng
+from .states import BlochMatrix, _as_rng, validate_density
 
 # Tolerance of the unitarity precondition of so3_of_u2.
 UNITARY_TOL = 1e-12
@@ -58,9 +58,10 @@ def so3_of_u2(u):
 
 
 def act_density(u1, u2, rho):
-    """Conjugate a two-qubit state by the local unitary pair (U1, U2)."""
+    """Conjugate a two-qubit state, checked by validate_density, by the
+    local unitary pair (U1, U2)."""
     g = np.kron(u1, u2)
-    return g @ np.asarray(rho, dtype=complex) @ g.conj().T
+    return g @ validate_density(rho) @ g.conj().T
 
 
 def act_bloch(r1, r2, bloch):

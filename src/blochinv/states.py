@@ -66,6 +66,9 @@ class BlochMatrix:
 def validate_density(rho):
     """Check the trace-one Hermitian invariants of a density operator.
 
+    The one check of every two-qubit state argument. StateFormatError unless
+    rho is 4x4 with unit trace, ValueError for a NaN or Inf entry and
+    NonHermitianInput unless rho is Hermitian, to DENSITY_TOL * max(1, |rho|_inf).
     Positivity is deliberately not required: states range over the whole
     trace-one Hermitian affine space, and positivity is reported separately
     by is_positive.
@@ -83,27 +86,23 @@ def validate_density(rho):
     return rho
 
 
-def correlation(rho, i, j):
-    """Correlation function tr(rho sigma_i (x) sigma_j), as a real number.
+def _table(rho):
+    """Correlation table tr(rho sigma_a (x) sigma_b), a, b in 0..3."""
+    # validate_density bounds |rho - rho^dagger|_inf relative to |rho|_inf,
+    # so the imaginary residue is already small at the scale of rho.
+    return np.einsum("abij,ji->ab", PAULI_KRON, validate_density(rho)).real
 
-    Raises NonHermitianInput if the imaginary residue exceeds
-    1e-10 max(1, |rho|_inf).
-    """
+
+def correlation(rho, i, j):
+    """Correlation function tr(rho sigma_i (x) sigma_j), as a real number."""
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise IndexError("correlation indices must lie in 0..3")
-    rho = np.asarray(rho, dtype=complex)
-    val = complex(np.einsum("ij,ji->", rho, PAULI_KRON[i, j]))
-    if abs(val.imag) > 1e-10 * max(1.0, norm_inf(rho)):
-        raise NonHermitianInput(f"correlation ({i},{j}) has imaginary part {val.imag:g}")
-    return val.real
+    return float(_table(rho)[i, j])
 
 
 def bloch_of(rho):
     """Bloch-matrix representation of a density operator."""
-    rho = validate_density(rho)
-    # validate_density bounds |rho - rho^dagger|_inf relative to |rho|_inf,
-    # so the imaginary residue is already small at the scale of rho.
-    b = np.einsum("abij,ji->ab", PAULI_KRON, rho).real
+    b = _table(rho)
     return BlochMatrix(u=b[1:, 0].copy(), v=b[0, 1:].copy(), C=b[1:, 1:].copy())
 
 
@@ -124,7 +123,7 @@ def partial_trace(rho, which):
     """Partial trace over the other factor: which=1 returns the reduced
     state of qubit 1 (trace over qubit 2), which=2 the reduced state of
     qubit 2."""
-    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    rho = validate_density(rho).reshape(2, 2, 2, 2)
     if which == 1:
         return np.trace(rho, axis1=1, axis2=3)
     if which == 2:
@@ -162,7 +161,7 @@ def classify(rho, tol=DEFAULT_CLASS_TOL):
 
 def is_positive(rho):
     """True if all eigenvalues of the 4x4 matrix are >= -POSITIVITY_TOL."""
-    eigs = np.linalg.eigvalsh(np.asarray(rho, dtype=complex))
+    eigs = np.linalg.eigvalsh(validate_density(rho))
     return bool(eigs[0] >= -POSITIVITY_TOL)
 
 

@@ -14,6 +14,7 @@ returns the first NaN it meets, and every bound is a comparison that NaN
 makes false, so a check with a NaN residual fails and reports nan.
 """
 
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -769,6 +770,7 @@ def report_table(reports):
 
 
 def report_json(reports):
+    """The report as a dict for serialize.dumps; a non-finite max_residual is None."""
     return {
         "passed": all(r.passed for r in reports),
         "suites": [
@@ -781,7 +783,7 @@ def report_json(reports):
                     {
                         "name": c.name,
                         "passed": c.passed,
-                        "max_residual": c.max_residual,
+                        "max_residual": c.max_residual if math.isfinite(c.max_residual) else None,
                         "detail": c.detail,
                     }
                     for c in r.checks

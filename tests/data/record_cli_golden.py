@@ -83,8 +83,6 @@ def states():
 
 def command_lines(names):
     argvs = [[cmd, name] for name in names for cmd in ("invariants", "canonical", "restrict")]
-    argvs += [["invariants", "--class", "sym", name] for name in ("sym_zero_v", "bell", "mixed")]
-    argvs.append(["invariants", "--class", "lmm", "sym_a"])
     argvs += [["equiv", a, b] for a, b in itertools.combinations_with_replacement(names, 2)]
     return argvs
 

@@ -78,7 +78,10 @@ class TestInvariants:
         path = bloch_file(tmp_path, "g.json", [0.5, 0, 0], [0, 0, -0.5],
                           np.diag([0.3, 0.2, 0.1]))
         assert main(["invariants", path]) == 3
-        assert main(["invariants", path, "--class", "lmm"]) == 3
+        # The stratum follows from the class alone; there is no override.
+        with pytest.raises(SystemExit) as exc:
+            main(["invariants", path, "--class", "lmm"])
+        assert exc.value.code == 2
 
     @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1"])
     def test_class_tol_must_be_finite_and_non_negative(self, tmp_path, capsys, tol):
@@ -213,6 +216,15 @@ class TestRandom:
         assert doc["format"] == "density"
         _, rho = parse_state_document(doc)
         assert is_positive(rho)
+
+    @pytest.mark.parametrize("positive", [[], ["--positive"]])
+    def test_negative_seed_usage_error(self, capsys, positive):
+        # numpy would reject a negative seed with a traceback; the parser
+        # rejects it first.
+        with pytest.raises(SystemExit) as exc:
+            main(["random", "--class", "lmm", "--seed", "-1", *positive])
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err
 
     def test_byte_identical(self, capsys):
         assert main(["random", "--class", "general", "--seed", "7", "--positive"]) == 0

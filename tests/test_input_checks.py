@@ -1,14 +1,17 @@
-"""Every 3x3 and 3-vector argument of the scalar core and of
-states.density_of is checked once, on entry: a wrong shape or a NaN or Inf entry raises ValueError naming the
-function, never a numpy warning, another error type or a value computed
-from part of the input."""
+"""Every argument is checked once, on entry, by the one check of its shape.
+
+Every 3x3 and 3-vector argument of the scalar core and of
+states.density_of: a wrong shape or a NaN or Inf entry raises ValueError
+naming the function, never a numpy warning, another error type or a value
+computed from part of the input. Every two-qubit state argument: the
+function raises exactly what states.validate_density raises."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from blochinv import invariants, linalg, orbits, states
+from blochinv import groups, invariants, linalg, orbits, states
 from blochinv.states import BlochMatrix
 
 C = np.array([[0.9, -0.2, 0.1], [0.3, 0.5, -0.4], [0.05, 0.2, -0.3]])
@@ -95,3 +98,48 @@ def test_density_of_rejects_vector_for_c():
     # its shape is checked.
     with pytest.raises(ValueError, match="density_of input"):
         states.density_of(BlochMatrix(V, V, V))
+
+
+MAX_MIXED = 0.25 * np.eye(4)
+I2 = np.eye(2)
+
+# (id, call with the state argument x).
+STATE_SITES = [
+    ("correlation", lambda x: states.correlation(x, 0, 0)),
+    ("partial_trace", lambda x: states.partial_trace(x, 1)),
+    ("is_positive", states.is_positive),
+    ("act_density", lambda x: groups.act_density(I2, I2, x)),
+    ("bloch_of", states.bloch_of),
+    ("classify", states.classify),
+]
+
+
+def _with_entry(value):
+    x = MAX_MIXED.astype(complex)
+    x[1, 2] = value
+    return x
+
+
+BAD_STATES = [
+    ("3x3", np.full((3, 3), 1.0 / 3.0)),
+    ("16", MAX_MIXED.ravel()),
+    ("nan", _with_entry(np.nan)),
+    ("inf", _with_entry(np.inf)),
+    ("non-hermitian", _with_entry(0.1)),
+    ("trace-2", 2.0 * MAX_MIXED),
+]
+
+
+@pytest.mark.parametrize("bad", BAD_STATES, ids=[b[0] for b in BAD_STATES])
+@pytest.mark.parametrize("site", STATE_SITES, ids=[s[0] for s in STATE_SITES])
+def test_state_argument_checked_by_validate_density(site, bad):
+    _, call = site
+    x = bad[1]
+    with pytest.raises(Exception) as expected:
+        states.validate_density(x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Exception) as raised:
+            call(x)
+    assert raised.type is expected.type
+    assert str(raised.value) == str(expected.value)

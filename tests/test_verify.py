@@ -1,6 +1,7 @@
 """Tests for the verification battery itself: determinism across runs,
 trial-order independence, and sensitivity to injected faults."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -9,9 +10,13 @@ import pytest
 import blochinv.invariants
 import blochinv.linalg
 import blochinv.verify
+from blochinv.cli import main
+from blochinv.serialize import dumps
 from blochinv.states import BlochMatrix
 from blochinv.verify import (
     SUITES,
+    CheckResult,
+    SuiteReport,
     report_json,
     report_table,
     run_all,
@@ -64,6 +69,18 @@ class TestBattery:
         assert doc["passed"] is True
         assert doc["suites"][0]["suite"] == "group"
 
+    def test_non_finite_residual_is_null_in_json(self):
+        # dumps refuses NaN and Inf; a failing check must still serialize.
+        checks = [CheckResult("nan", False, float("nan")), CheckResult("inf", False, np.inf),
+                  CheckResult("finite", True, 1e-15)]
+        reports = [SuiteReport(suite="bloch", samples=1, seed=0, checks=checks)]
+        doc = json.loads(dumps(report_json(reports)))
+        assert doc["passed"] is False and doc["suites"][0]["passed"] is False
+        assert [(c["max_residual"], c["passed"]) for c in doc["suites"][0]["checks"]] == [
+            (None, False), (None, False), (1e-15, True)]
+        lines = report_table(reports).splitlines()
+        assert "FAIL" in lines[2] and "nan" in lines[2] and "inf" in lines[3]
+
     def test_unknown_suite_rejected(self):
         with pytest.raises(ValueError):
             run_suite("nope", 10, 0)
@@ -106,8 +123,9 @@ class TestFaultInjection:
     def _check(self, report, name):
         return next(c for c in report.checks if c.name == name)
 
-    def test_nan_correlations_fail_equivariance(self, monkeypatch):
-        # Python's max(res, nan) keeps res; the battery must not.
+    @pytest.fixture
+    def nan_correlations(self, monkeypatch):
+        """act_bloch with an all-NaN C: the equivariance residual is NaN."""
         true_act = blochinv.verify.act_bloch
 
         def mutant(r1, r2, b):
@@ -115,8 +133,18 @@ class TestFaultInjection:
             return BlochMatrix(img.u, img.v, np.full((3, 3), np.nan))
 
         monkeypatch.setattr(blochinv.verify, "act_bloch", mutant)
+
+    def test_nan_correlations_fail_equivariance(self, nan_correlations):
+        # Python's max(res, nan) keeps res; the battery must not.
         chk = self._check(run_suite("bloch", 20, 0), "equivariance")
         assert not chk.passed and np.isnan(chk.max_residual)
+
+    def test_nan_check_cli_json_exits_1(self, nan_correlations, capsys):
+        # The table prints nan; --json must print null, not a traceback.
+        assert main(["verify", "--suite", "bloch", "--samples", "4", "--seed", "0", "--json"]) == 1
+        doc = json.loads(capsys.readouterr().out)
+        chk = next(c for c in doc["suites"][0]["checks"] if c["name"] == "equivariance")
+        assert doc["passed"] is False and chk == {**chk, "passed": False, "max_residual": None}
 
     def test_nan_invariant_fails_six_invariant_invariance(self, monkeypatch):
         true_sym = blochinv.verify.sym_invariants
