@@ -231,7 +231,7 @@ def build_parser():
     p = sub.add_parser("verify", help="run the seeded verification battery")
     p.add_argument("--suite", choices=("all",) + verify_mod.SUITES, default="all")
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
     p.set_defaults(func=cmd_verify)
     return parser

@@ -115,8 +115,9 @@ def density_of(bloch):
     """
     u, v = (_vec3(x, "density_of input") for x in (bloch.u, bloch.v))
     rows = _rows3(bloch.C, "density_of input")[0]
-    b = np.array([[1.0, *v], *([x, *row] for x, row in zip(u, rows))])
-    return 0.25 * np.einsum("ab,abij->ij", b, PAULI_KRON)
+    # Scaling first keeps every partial sum within max |B|, so rho is finite.
+    b = 0.25 * np.array([[1.0, *v], *([x, *row] for x, row in zip(u, rows))])
+    return np.einsum("ab,abij->ij", b, PAULI_KRON)
 
 
 def partial_trace(rho, which):

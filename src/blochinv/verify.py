@@ -3,7 +3,9 @@
 Five suites (bloch, lmm, sym, group, orbit) re-derive every identity the
 package relies on, at a sample size and seed chosen by the caller. Each
 trial draws from its own generator seeded by (seed, suite, trial index),
-so results are independent of evaluation order and safe to parallelize.
+so results are independent of evaluation order and safe to parallelize;
+the seed is any non-negative integer, and distinct seeds seed distinct
+generators.
 Each check numbers its trials from its own offset within the suite; two
 checks' trial streams are disjoint only for samples up to 50,000, since
 the closest offsets are 50,000 apart (lmm 400000/450000 and 700000/750000).
@@ -23,6 +25,7 @@ import numpy as np
 from . import invariants as invariants_mod
 from . import linalg as linalg_mod
 from .groups import (
+    SignedPerm,
     act_bloch,
     act_density,
     haar_so3,
@@ -68,7 +71,7 @@ from .states import (
 )
 
 SUITES = ("bloch", "lmm", "sym", "group", "orbit")
-_SEED_MASK = (1 << 63) - 1
+_IDENTITY = SignedPerm(perm=(0, 1, 2), signs=(1, 1, 1))
 
 _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -99,7 +102,7 @@ class SuiteReport:
 
 def trial_rng(seed, suite, trial):
     """Independent generator for one trial, stable under reordering."""
-    ss = np.random.SeedSequence(entropy=[seed & _SEED_MASK, SUITES.index(suite), trial])
+    ss = np.random.SeedSequence(entropy=[seed, SUITES.index(suite), trial])
     return np.random.default_rng(ss)
 
 
@@ -132,12 +135,10 @@ def _generic_spectrum(rng, gap=1e-3, disc=1e-3):
             return lam
 
 
-def _generic_symmetric(rng, gap=1e-3, disc=None):
-    """Random symmetric matrix with eigenvalue gaps above the margin."""
-    if disc is None:
-        lam = _gapped_descending(rng, -2.0, 2.0, gap)
-    else:
-        lam = _generic_spectrum(rng, gap=gap, disc=disc)
+def _generic_symmetric(rng, gap=1e-3, disc=0.0):
+    """Random symmetric matrix whose spectrum has the margins of
+    _generic_spectrum; the default disc=0.0 bounds the value gaps only."""
+    lam = _generic_spectrum(rng, gap=gap, disc=disc)
     r = haar_so3(rng)
     return r.T @ np.diag(lam) @ r
 
@@ -457,47 +458,28 @@ def _suite_sym(samples, seed):
 # ----------------------------------------------------------------- group
 
 
-def _closure_failures(group, keys):
-    """Number of products g h over g, h in group whose (perm, signs) is not
-    in keys; each product is composed once."""
-    bad = 0
-    for g in group:
-        for h in group:
-            gh = g.compose(h)
-            if (gh.perm, gh.signs) not in keys:
-                bad += 1
-    return bad
+def _group_order_24(name, label, group, member):
+    """A group of 24 distinct signed permutations (equal, and hashed, by
+    perm and signs): the identity, member(g) for every element, closure with
+    each product composed once (its failures are the residual), and compose
+    matching the matrix product."""
+    elements = set(group)
+    closure_bad = sum(g.compose(h) not in elements for g in group for h in group)
+    ok = (len(group) == 24 and len(elements) == 24 and _IDENTITY in elements
+          and all(map(member, group)) and closure_bad == 0
+          and all(np.array_equal(g.compose(h).matrix(), g.matrix() @ h.matrix())
+                  for g in group[:6] for h in group[:6]))
+    return CheckResult(name, ok, float(closure_bad), f"|{label}|={len(group)}")
 
 
 def _suite_group(samples, seed):
-    checks = []
-
-    group = octahedral_group()
-    keys = {(g.perm, g.signs) for g in group}
-    ok = len(group) == 24 and len(keys) == 24
-    ok = ok and ((0, 1, 2), (1, 1, 1)) in keys
-    ok = ok and all(g.determinant() == 1 for g in group)
-    closure_bad = _closure_failures(group, keys)
-    matrix_ok = all(
-        np.array_equal(g.compose(h).matrix(), g.matrix() @ h.matrix())
-        for g in group[:6]
-        for h in group[:6]
-    )
-    checks.append(
-        CheckResult("octahedral_group_order_24", ok and closure_bad == 0 and matrix_ok,
-                    float(closure_bad), f"|G|={len(group)}")
-    )
-
     weyl = lmm_weyl_action_group()
-    wkeys = {(g.perm, g.signs) for g in weyl}
-    ok = len(weyl) == 24 and ((0, 1, 2), (1, 1, 1)) in wkeys
-    ok = ok and all(g.sign_product() == 1 for g in weyl)
-    ok = ok and ((0, 1, 2), (-1, -1, -1)) not in wkeys
-    closure_bad = _closure_failures(weyl, wkeys)
-    checks.append(
-        CheckResult("weyl_action_group_order_24", ok and closure_bad == 0,
-                    float(closure_bad), f"|W|={len(weyl)}")
-    )
+    checks = [
+        _group_order_24("octahedral_group_order_24", "G", octahedral_group(),
+                        lambda g: g.determinant() == 1),
+        _group_order_24("weyl_action_group_order_24", "W", weyl,
+                        lambda g: g.sign_product() == 1),
+    ]
 
     probes = [rng.uniform(-1.0, 1.0, size=3)
               for rng in _rngs(seed, "group", 100000, max(1, samples // 100))]
@@ -512,27 +494,25 @@ def _suite_group(samples, seed):
     checks.append(CheckResult("weyl_pair_realization", bad == 0, float(bad)))
 
     pairs = lmm_normalizer_pairs()
+    # The probe's magnitudes are distinct, so its 24 images are too; on
+    # finite entries tuple equality is the exact test (0.0 == -0.0).
     probe = np.array([0.3, -0.7, 1.1])
-    induced = set()
-    bad = 0
-    for r1, r2 in pairs:
+    weyl_of_image = {tuple(g.apply(probe)): g for g in weyl}
+
+    def induced(r1, r2):
+        """The Weyl element the pair induces on the probe, or None."""
         img = r1 @ np.diag(probe) @ r2.T
         if norm_inf(img - np.diag(np.diag(img))) != 0.0:
-            bad += 1
-            continue
-        matched = None
-        for g in weyl:
-            if norm_inf(np.diag(img) - g.apply(probe)) == 0.0:
-                matched = (g.perm, g.signs)
-                break
-        if matched is None:
-            bad += 1
-        else:
-            induced.add(matched)
-    ok = bad == 0 and len(pairs) == 96 and induced == wkeys
+            return None
+        return weyl_of_image.get(tuple(np.diag(img)))
+
+    images = [induced(r1, r2) for r1, r2 in pairs]
+    bad = images.count(None)
+    found = set(images) - {None}
+    ok = bad == 0 and len(pairs) == 96 and found == set(weyl)
     checks.append(
         CheckResult("normalizer_induces_weyl_action", ok, float(bad),
-                    f"{len(induced)}/24 elements induced by {len(pairs)} pairs")
+                    f"{len(found)}/24 elements induced by {len(pairs)} pairs")
     )
 
     def haar_draw(rng):
@@ -560,7 +540,6 @@ def _suite_group(samples, seed):
 
 def _synthetic_lmm_pair(rng):
     d = _gapped_descending(rng, 0.1, 2.0, 1e-3)
-    d = d.copy()
     if rng.uniform() < 0.5:
         d[2] = -d[2]
     c0 = np.diag(d)
@@ -738,6 +717,8 @@ def run_suite(name, samples, seed):
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     if samples < 1:
         raise ValueError("samples must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be non-negative")
     start = time.perf_counter()
     checks = _SUITE_FUNCS[name](samples, seed)
     elapsed = time.perf_counter() - start

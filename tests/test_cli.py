@@ -181,6 +181,14 @@ class TestEquiv:
         assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
         assert main(["invariants", path]) == 0
 
+    def test_top_of_double_range_exit_0(self, tmp_path, capsys):
+        # 1e308 I is finite; its density operator must be too.
+        path = bloch_file(tmp_path, "top.json", [0, 0, 0], [0, 0, 0], 1e308 * np.eye(3))
+        assert main(["equiv", path, path]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
+        assert main(["canonical", path]) == 0
+        assert json.loads(capsys.readouterr().out)["diag"] == [1e308] * 3
+
 
 class TestCanonical:
     def test_bell(self, bell_file, capsys):
@@ -309,3 +317,9 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--samples", "0"])
         assert exc.value.code == 2
+
+    def test_negative_seed_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--suite", "group", "--samples", "1", "--seed", "-5"])
+        assert exc.value.code == 2
+        assert "must be at least 0" in capsys.readouterr().err

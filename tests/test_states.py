@@ -130,6 +130,23 @@ class TestBlochMap:
             rho = density_of(random_bloch(StateClass.GENERAL, rng))
             validate_density(rho)
 
+    def test_density_of_finite_at_top_of_range(self):
+        c = np.array([[1.7e308, -1.7e308, 1.7e308]] * 3)
+        rho = density_of(BlochMatrix(np.full(3, -1.7e308), np.full(3, 1.7e308), c))
+        assert np.isfinite(rho).all()
+
+    def test_density_of_matches_sum_then_scale(self):
+        # Scaling by 0.25 before the Pauli sum is exact in the normal range.
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            u, v, c = (10.0 ** rng.uniform(-300, 300, size=n) * rng.choice([-1, 1], size=n)
+                       for n in (3, 3, (3, 3)))
+            b = np.block([[np.ones((1, 1)), v[None, :]], [u[:, None], c]])
+            old = 0.25 * np.einsum("ab,abij->ij", b, PAULI_KRON)
+            new = density_of(BlochMatrix(u, v, c))
+            assert [z.real.hex() + z.imag.hex() for z in new.ravel().tolist()] == [
+                z.real.hex() + z.imag.hex() for z in old.ravel().tolist()]
+
     def test_round_trip(self):
         rng = np.random.default_rng(1)
         for k in range(500):

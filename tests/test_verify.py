@@ -7,6 +7,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+import blochinv.groups
 import blochinv.invariants
 import blochinv.linalg
 import blochinv.verify
@@ -86,6 +87,15 @@ class TestBattery:
             run_suite("nope", 10, 0)
         with pytest.raises(ValueError):
             run_suite("sym", 0, 0)
+
+    def test_seed_rule(self):
+        # Every non-negative seed has its own streams; no negative one runs.
+        def checks(seed):
+            return [r[3] for r in strip_times(run_all(3, seed))]
+
+        assert checks(2**63) != checks(0)
+        with pytest.raises(ValueError, match="seed"):
+            run_suite("group", 1, -1)
 
 
 class TestFaultInjection:
@@ -168,3 +178,25 @@ class TestFaultInjection:
         monkeypatch.setattr(blochinv.linalg, "eig_sym3", mutant)
         chk = self._check(run_suite("lmm", 20, 0), "kernel_eig_sym3")
         assert not chk.passed and np.isnan(chk.max_residual)
+
+    def test_odd_element_fails_octahedral_group(self, monkeypatch):
+        group = blochinv.groups.octahedral_group()
+        group[5] = blochinv.groups.SignedPerm(perm=(0, 1, 2), signs=(-1, -1, -1))
+        monkeypatch.setattr(blochinv.verify, "octahedral_group", lambda: group)
+        assert not self._check(run_suite("group", 20, 0), "octahedral_group_order_24").passed
+
+    def test_repeated_element_fails_weyl_group(self, monkeypatch):
+        weyl = blochinv.groups.lmm_weyl_action_group()
+        weyl[7] = weyl[3]
+        monkeypatch.setattr(blochinv.verify, "lmm_weyl_action_group", lambda: weyl)
+        assert not self._check(run_suite("group", 20, 0), "weyl_action_group_order_24").passed
+
+    def test_mismatched_pair_fails_normalizer(self, monkeypatch):
+        # R2 with another permutation than R1 maps diag(probe) off the slice.
+        pairs = blochinv.groups.lmm_normalizer_pairs()
+        r1, r2 = pairs[0]
+        other = next(q for p, q in pairs if not np.array_equal(abs(q), abs(r2)))
+        pairs[0] = (r1, other)
+        monkeypatch.setattr(blochinv.verify, "lmm_normalizer_pairs", lambda: pairs)
+        chk = self._check(run_suite("group", 20, 0), "normalizer_induces_weyl_action")
+        assert not chk.passed and chk.max_residual >= 1.0
