@@ -11,6 +11,7 @@ from .errors import (
     BlochInvError,
     DegenerateSpectrum,
     NonHermitianInput,
+    NotRepresentable,
     NotSymmetric,
     NotUnitary,
     StateFormatError,

@@ -6,8 +6,9 @@ once, at --class-tol, and work on one stratum by the stratum rule: lmm if
 every state is lmm or symlmm, else sym if every state is sym or symlmm,
 else exit 3 with a message naming the classes.
 Exit codes: 0 ok / equivalent, 1 check failed / not equivalent, 2 parse
-error, 3 class mismatch, 4 degenerate or indeterminate input. Commands
-never emit partial JSON: output is built in full before printing, and any
+error, 3 class mismatch, 4 indeterminate verdict or another typed error (a
+degenerate input, an invariant too large to represent). Commands never
+emit partial JSON: output is built in full before printing, and any
 command with a --seed is byte-identical across runs.
 """
 
@@ -16,7 +17,7 @@ import math
 import sys
 
 from . import verify as verify_mod
-from .errors import DegenerateSpectrum, StateFormatError, ZeroVector
+from .errors import BlochInvError, StateFormatError
 from .invariants import (
     lmm_invariants,
     lmm_positive_cone_check,
@@ -51,7 +52,7 @@ EXIT_CLASS = 3
 EXIT_DEGENERATE = 4
 
 
-class CliError(Exception):
+class CliError(BlochInvError):
     def __init__(self, message, code):
         super().__init__(message)
         self.code = code
@@ -242,7 +243,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, StateFormatError, DegenerateSpectrum, ZeroVector) as exc:
+    except BlochInvError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, CliError):
             return exc.code

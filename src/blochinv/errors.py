@@ -27,5 +27,9 @@ class ZeroVector(BlochInvError):
     are undefined."""
 
 
+class NotRepresentable(BlochInvError):
+    """A computed invariant is not a finite double at this scale."""
+
+
 class StateFormatError(BlochInvError):
     """A state file or JSON document does not match the expected schema."""

@@ -12,12 +12,13 @@ the diagonal restriction identities and the finite-group invariance of the
 octahedral polynomials hold bit for bit, not just within tolerance.
 """
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import DegenerateSpectrum, ZeroVector
+from .errors import DegenerateSpectrum, NotRepresentable, ZeroVector
 from .linalg import (
     _det3_rows,
     _matmul3,
@@ -39,7 +40,12 @@ ZERO_VECTOR_TOL = 1e-12
 
 class _Record:
     """as_dict and as_tuple of a dataclass record, in field order: its
-    instance dict holds exactly the fields, set in that order by __init__."""
+    instance dict holds exactly the fields, set in that order by __init__.
+    Every field is a finite number, else NotRepresentable."""
+
+    def __post_init__(self):
+        if not all(map(math.isfinite, vars(self).values())):
+            raise NotRepresentable(f"{self}: an invariant is not a finite double")
 
     def as_dict(self):
         return dict(vars(self))
@@ -212,7 +218,7 @@ def octahedral_invariants(v):
     p3 = (x0 * x1) * x2
     mag = (a0 * a1) * a2
     vand = ((x1 - x0) * (x2 - x0)) * (x2 - x1)
-    q0, q1, q2 = v0**2, v1**2, v2**2
+    q0, q1, q2 = v0 * v0, v1 * v1, v2 * v2
     # The product of the signs of the coordinates and of the squared-
     # coordinate differences, each 1.0, -1.0 or 0.0; + 0.0 makes a zero p4
     # +0.0 whatever the signs, so that its sign bit is invariant too.

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from .errors import StateFormatError
+from .errors import BlochInvError, StateFormatError
 from .linalg import _rows3, _vec3
 from .states import BlochMatrix, validate_density
 
@@ -55,8 +55,8 @@ def dumps(obj):
 
 
 def density_document(rho):
-    rho = np.asarray(rho, dtype=complex)
-    matrix = [[[rho[i, j].real, rho[i, j].imag] for j in range(4)] for i in range(4)]
+    """State document of a two-qubit state, checked by validate_density."""
+    matrix = [[[z.real, z.imag] for z in row] for row in validate_density(rho).tolist()]
     return {"format": "density", "matrix": matrix}
 
 
@@ -73,27 +73,26 @@ def bloch_document(bloch):
 def _real(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise StateFormatError(f"{path}: expected a number, got {value!r}")
-    if not math.isfinite(float(value)):
-        raise StateFormatError(f"{path}: non-finite number")
-    return float(value)
+    try:
+        if math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an integer beyond the double range
+        pass
+    raise StateFormatError(f"{path}: non-finite number")
 
 
-def _vector3(value, path):
-    if not isinstance(value, list) or len(value) != 3:
-        raise StateFormatError(f"{path}: expected a list of 3 numbers")
-    return np.array([_real(value[i], f"{path}[{i}]") for i in range(3)])
-
-
-def _matrix3(value, path):
-    if not isinstance(value, list) or len(value) != 3:
-        raise StateFormatError(f"{path}: expected a 3x3 array")
-    return np.array([_vector3(value[i], f"{path}[{i}]") for i in range(3)])
+def _array(value, path, shape, leaf):
+    """Nested lists of the given shape with leaf(entry, path) at each entry;
+    StateFormatError names the path of the first list of the wrong length."""
+    if not shape:
+        return leaf(value, path)
+    if not isinstance(value, list) or len(value) != shape[0]:
+        raise StateFormatError(f"{path}: expected a list of {shape[0]} entries")
+    return [_array(x, f"{path}[{i}]", shape[1:], leaf) for i, x in enumerate(value)]
 
 
 def _complex_entry(value, path):
-    if not isinstance(value, list) or len(value) != 2:
-        raise StateFormatError(f"{path}: expected an [re, im] pair")
-    return complex(_real(value[0], f"{path}[0]"), _real(value[1], f"{path}[1]"))
+    return complex(*_array(value, path, (2,), _real))
 
 
 def parse_state_document(doc):
@@ -105,28 +104,16 @@ def parse_state_document(doc):
         raise StateFormatError("$: expected a JSON object")
     fmt = doc.get("format")
     if fmt == "density":
-        raw = doc.get("matrix")
-        if not isinstance(raw, list) or len(raw) != 4:
-            raise StateFormatError("matrix: expected a 4x4 array")
-        rho = np.empty((4, 4), dtype=complex)
-        for i in range(4):
-            row = raw[i]
-            if not isinstance(row, list) or len(row) != 4:
-                raise StateFormatError(f"matrix[{i}]: expected a row of 4 entries")
-            for j in range(4):
-                rho[i, j] = _complex_entry(row[j], f"matrix[{i}][{j}]")
+        rho = np.array(_array(doc.get("matrix"), "matrix", (4, 4), _complex_entry))
         try:
             validate_density(rho)
-        except Exception as exc:
+        except (BlochInvError, ValueError) as exc:
             raise StateFormatError(f"matrix: {exc}") from exc
         return "density", rho
     if fmt == "bloch":
-        bloch = BlochMatrix(
-            u=_vector3(doc.get("u"), "u"),
-            v=_vector3(doc.get("v"), "v"),
-            C=_matrix3(doc.get("C"), "C"),
-        )
-        return "bloch", bloch
+        u, v, c = (np.array(_array(doc.get(key), key, shape, _real))
+                   for key, shape in (("u", (3,)), ("v", (3,)), ("C", (3, 3))))
+        return "bloch", BlochMatrix(u=u, v=v, C=c)
     raise StateFormatError("format: expected 'density' or 'bloch'")
 
 

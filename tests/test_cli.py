@@ -23,6 +23,14 @@ def bloch_file(tmp_path, name, u, v, c):
     return write_state(tmp_path, name, doc)
 
 
+def assert_one_error_line(capsys):
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    assert "Traceback" not in captured.err
+
+
 @pytest.fixture
 def bell_file(tmp_path):
     return write_state(tmp_path, "bell.json", density_document(bell_projector("phi+")))
@@ -145,6 +153,16 @@ class TestEquiv:
         assert out["verdict"] == "equivalent"
         assert all(rotation_residual(np.array(out["witness"][k])) <= 1e-11
                    for k in ("R1", "R2"))
+
+    def test_valid_tol_same_orbit_exit_0(self, tmp_path, capsys):
+        from blochinv.groups import haar_so3
+
+        c = np.diag([1.4, 0.8, 0.3])
+        a = bloch_file(tmp_path, "a.json", [0, 0, 0], [0, 0, 0], c)
+        b = bloch_file(tmp_path, "b.json", [0, 0, 0], [0, 0, 0],
+                       haar_so3(np.random.default_rng(2)) @ c)
+        assert main(["equiv", a, b, "--tol", "1e-6"]) == 0
+        assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
 
     @pytest.mark.parametrize("tol", ["-1", "0", "inf", "nan"])
     def test_tol_must_be_finite_and_positive(self, mixed_file, tol):
@@ -279,11 +297,43 @@ class TestRestrict:
         v = [scale * 0.1, scale * 0.2, scale * 0.3]
         path = bloch_file(tmp_path, "tiny.json", v, v, np.diag([0.1, 0.2, 0.3]))
         assert main([command, path, "--class-tol", "0"]) == 4
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "Traceback" not in captured.err
+        assert_one_error_line(capsys)
+
+
+class TestTypedErrors:
+    """Every failure at the state-file boundary is one error line and an exit
+    code, never a traceback."""
+
+    @pytest.mark.parametrize("command, u, c", [
+        ("invariants", [0, 0, 0], 1e77 * np.eye(3)),
+        ("restrict", [0, 0, 0], 1e77 * np.eye(3)),
+        ("invariants", [0, 0, 0], 1e160 * np.eye(3)),
+        ("restrict", [0, 0, 0], 1e160 * np.eye(3)),
+        ("invariants", [0.1, 0.2, 0.3], 1e160 * np.diag([3.0, 2.0, 1.0])),
+        ("restrict", [1e150, 2e150, -1e150], np.diag([3.0, 2.0, 1.0])),
+        ("restrict", [1e160, 2e160, -1e160], np.diag([3.0, 2.0, 1.0])),
+    ], ids=["invariants-lmm-1e77", "restrict-lmm-1e77", "invariants-lmm-1e160",
+            "restrict-lmm-1e160", "invariants-sym-A-1e160", "restrict-sym-v-1e150",
+            "restrict-sym-v-1e160"])
+    def test_invariant_overflow_exit_4(self, tmp_path, capsys, command, u, c):
+        # An invariant of positive degree overflows the double range.
+        path = bloch_file(tmp_path, "big.json", u, u, c)
+        assert main([command, path]) == 4
+        assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("doc", [
+        {"format": "bloch", "u": [10**400, 0, 0], "v": [0, 0, 0], "C": [[0, 0, 0]] * 3},
+        {"format": "bloch", "u": [0, 0, 0], "v": [0, 0, 0],
+         "C": [[10**400, 0, 0], [0, 0, 0], [0, 0, 0]]},
+        {"format": "density",
+         "matrix": [[[10**400 if i == j == 0 else 0.25 * (i == j), 0] for j in range(4)]
+                    for i in range(4)]},
+    ], ids=["bloch-u", "bloch-C", "density"])
+    def test_integer_beyond_double_range_exit_2(self, tmp_path, capsys, doc):
+        path = tmp_path / "int.json"
+        path.write_text(json.dumps(doc))
+        assert main(["invariants", str(path)]) == 2
+        assert_one_error_line(capsys)
 
 
 class TestCrossProcessDeterminism:

@@ -1,7 +1,8 @@
 """Every name a package module imports is used in that module, the
 scalar core multiplies 3x3 matrices only through linalg._matmul3 and
-_matvec3, and no package module calls a LAPACK determinant (linalg.det3
-is the only one).
+_matvec3, no package module calls a LAPACK determinant (linalg.det3
+is the only one), and no package module catches every exception (a bare
+except, or except Exception or BaseException).
 
 __init__.py is exempt from the import check: its imports are the public
 re-exports.
@@ -89,3 +90,28 @@ def test_detects_lapack_determinant():
               "d = np.linalg.det(a)\ns = numpy.linalg.slogdet(a)\ndet = linalg.det\n"
               "x = det3(a)\ny = g.det\nfrom .linalg import det3\n")
     assert lapack_det_lines(source) == [3, 4, 5, 6]
+
+
+def catch_all_lines(source):
+    """Lines of source with a bare except or an except naming Exception or
+    BaseException, alone or in a tuple."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler):
+            caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            if any(t is None or getattr(t, "id", None) in ("Exception", "BaseException")
+                   for t in caught):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_catch_all_except(path):
+    assert catch_all_lines(path.read_text()) == []
+
+
+def test_detects_catch_all_except():
+    source = ("try:\n    f()\nexcept:\n    pass\ntry:\n    f()\nexcept Exception:\n    pass\n"
+              "try:\n    f()\nexcept (ValueError, BaseException) as e:\n    pass\n"
+              "try:\n    f()\nexcept (ValueError, errors.BlochInvError):\n    pass\n")
+    assert catch_all_lines(source) == [3, 7, 11]

@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from blochinv import groups, invariants, linalg, orbits, states
+from blochinv import groups, invariants, linalg, orbits, serialize, states
 from blochinv.states import BlochMatrix
 
 C = np.array([[0.9, -0.2, 0.1], [0.3, 0.5, -0.4], [0.05, 0.2, -0.3]])
@@ -111,6 +111,7 @@ STATE_SITES = [
     ("act_density", lambda x: groups.act_density(I2, I2, x)),
     ("bloch_of", states.bloch_of),
     ("classify", states.classify),
+    ("density_document", serialize.density_document),
 ]
 
 

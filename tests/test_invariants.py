@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blochinv import invariants, linalg
-from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
+from blochinv.errors import DegenerateSpectrum, NotRepresentable, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, octahedral_group
 from blochinv.invariants import (
     LmmInvariants,
@@ -560,6 +560,23 @@ class TestExtremeScale:
             sym_invariants(np.ones(3), 1e60 * np.diag([2.0, 2.0, 1.0]))
         with pytest.raises(DegenerateSpectrum):
             r_invariant(np.ones(3), 1e300 * np.eye(3))
+
+    @pytest.mark.parametrize("call", [
+        lambda: lmm_invariants(1e77 * np.eye(3)),
+        lambda: lmm_invariants(1e160 * np.eye(3)),
+        lambda: lmm_section_invariants([1e77, 1e77, 1e77]),
+        lambda: lmm_section_invariants([1e160, 1e160, 1e160]),
+        lambda: sym_invariants([0.1, 0.2, 0.3], 1e160 * np.diag([3.0, 2.0, 1.0])),
+        lambda: octahedral_invariants([1e150, 2e150, -1e150]),
+        lambda: octahedral_invariants([1e160, 2e160, -1e160]),
+    ], ids=["lmm-1e77", "lmm-1e160", "section-1e77", "section-1e160", "sym-A-1e160",
+            "octahedral-1e150", "octahedral-1e160"])
+    def test_positive_degree_overflow_is_typed(self, call):
+        # t4, s3, tr A^2, det A and p2..p4 overflow at these scales (and v0**2
+        # raised OverflowError at 1e160): a typed error, never inf, NaN or a
+        # bare arithmetic error.
+        with pytest.raises(NotRepresentable, match="not a finite double"):
+            call()
 
 
 class TestSymGenerators:

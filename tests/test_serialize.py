@@ -90,7 +90,42 @@ class TestStateDocuments:
         assert dumps(listed) == dumps(arrays)
 
 
+def _bloch_doc(**fields):
+    return {"format": "bloch", "u": [0.1, 0.2, 0.3], "v": [0.0, 0.0, 0.0],
+            "C": [[0.5, 0.0, 0.0], [0.0, 0.4, 0.0], [0.0, 0.0, 0.3]], **fields}
+
+
+def _density_doc(i=0, j=0, entry=None, rows=4, cols=4):
+    """0.25 I as a density document, with entry (i, j) replaced by entry."""
+    matrix = [[[0.25 if r == c else 0.0, 0.0] for c in range(cols)] for r in range(rows)]
+    if entry is not None:
+        matrix[i][j] = entry
+    return {"format": "density", "matrix": matrix}
+
+
+BIG_INT = 10**400  # a JSON integer beyond the double range
+
+MALFORMED = [
+    ("non-object", [1, 2, 3], "$"),
+    ("missing-u", {"format": "bloch", "v": [0, 0, 0], "C": [[0, 0, 0]] * 3}, "u"),
+    ("u-length-2", _bloch_doc(u=[0.1, 0.2]), "u"),
+    ("C-row-length-4", _bloch_doc(C=[[0, 0, 0], [0, 0, 0, 0], [0, 0, 0]]), "C[1]"),
+    ("matrix-3-rows", _density_doc(rows=3), "matrix"),
+    ("row-of-5", _density_doc(cols=5), "matrix[0]"),
+    ("entry-length-1", _density_doc(2, 1, [1.0]), "matrix[2][1]"),
+    ("u-big-int", _bloch_doc(u=[0.1, BIG_INT, 0.3]), "u[1]"),
+    ("matrix-big-int", _density_doc(3, 2, [BIG_INT, 0.0]), "matrix[3][2][0]"),
+]
+
+
 class TestParseErrors:
+    @pytest.mark.parametrize("doc, path", [m[1:] for m in MALFORMED],
+                             ids=[m[0] for m in MALFORMED])
+    def test_malformed_document_names_path(self, doc, path):
+        with pytest.raises(StateFormatError) as exc:
+            parse_state_document(doc)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_bad_json(self):
         with pytest.raises(StateFormatError, match="line"):
             loads_state("{not json")
