@@ -38,14 +38,19 @@ DISC_TOL = 1e-12
 ZERO_VECTOR_TOL = 1e-12
 
 
+def _finite(owner, values):
+    """NotRepresentable, naming owner, unless every value is a finite double."""
+    if not all(map(math.isfinite, values)):
+        raise NotRepresentable(f"{owner}: an invariant is not a finite double")
+
+
 class _Record:
     """as_dict and as_tuple of a dataclass record, in field order: its
     instance dict holds exactly the fields, set in that order by __init__.
     Every field is a finite number, else NotRepresentable."""
 
     def __post_init__(self):
-        if not all(map(math.isfinite, vars(self).values())):
-            raise NotRepresentable(f"{self}: an invariant is not a finite double")
+        _finite(self, vars(self).values())
 
     def as_dict(self):
         return dict(vars(self))
@@ -255,9 +260,12 @@ def g_invariant(v, a):
     v_n; on diagonal A = diag(l1, l2, l3) it evaluates to
     v1 v2 v3 (l2 - l1)(l3 - l1)(l3 - l2), the ascending Vandermonde order.
     Downstream use is g^2 / disc, which does not see the global sign.
+    Raises NotRepresentable when g is not a finite double.
     """
     v = _vec3(v, "g_invariant input")
-    return _g_unchecked(v, _sym_rows3(a, "g_invariant input")[0])
+    g = _g_unchecked(v, _sym_rows3(a, "g_invariant input")[0])
+    _finite("g_invariant", (g,))
+    return g
 
 
 def _g_unchecked(v, rows):
@@ -295,14 +303,17 @@ def r_invariant(v, a):
     """The rotation invariant g(v, A)^2 / disc(A).
 
     On diagonal A it restricts to (v1 v2 v3)^2. Raises DegenerateSpectrum
-    when the discriminant is below DISC_TOL relative to scale^6.
+    when the discriminant is below DISC_TOL relative to scale^6, and
+    NotRepresentable when the value is not a finite double.
     """
     v = _vec3(v, "r_invariant input")
     rows, norm = _rows3(a, "r_invariant input")
     _, _, scale, disc = _nondegenerate_eig(rows, norm,
                                            "discriminant vanishes; invariant undefined")
     g = _g_unchecked(v, [[x / scale for x in row] for row in rows])
-    return (g * g) / disc
+    r = (g * g) / disc
+    _finite("r_invariant", (r,))
+    return r
 
 
 def sym_invariants(v, a):

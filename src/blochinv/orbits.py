@@ -17,6 +17,11 @@ divide their inputs by the power of two that brings max(1, |matrix|_inf)
 into [1, 2), 1 below norm 2, so that no invariant overflows, and take the
 canonical forms of the divided inputs; distances, witnesses and residuals
 run on Python floats, composed and applied in a fixed association order.
+
+The verdict rule is written once, in _decide; each stratum supplies only
+its gate sequence (_lmm_gates, _sym_gates), a generator that yields its
+gate distances in order and returns its witness and the entries the
+residual compares. A fix to one gate changes one yield.
 """
 
 import math
@@ -133,12 +138,40 @@ def sym_canonical(v, a):
                             witness=np.array(witness))
 
 
-def _check_tol(tol):
-    """ValueError unless the decision tolerance is finite and positive: a
-    negative one rejects a state against itself, an infinite one certifies
-    any pair and a NaN one decides nothing."""
+def _decide(tol, gates):
+    """The verdict rule of both deciders, run on one stratum's gates.
+
+    gates is a generator that reads and divides its inputs, yields each
+    gate's distance in order and returns (witness, moved, target, size):
+    moved holds the rows of the witness's image of the first state, target
+    those of the second state, and size scales the residual bound.
+    NOT_EQUIVALENT comes once the largest distance so far exceeds tol;
+    INDETERMINATE when a gate raises DegenerateSpectrum; EQUIVALENT only
+    when every |moved - target| <= 10 tol max(1, size); INDETERMINATE
+    otherwise. invariant_distance is the largest distance of the gates that
+    ran, reduced through linalg._worst.
+
+    Raises:
+        ValueError: if tol is not finite and positive, before gates reads
+        any input: a negative tol rejects a state against itself, an
+        infinite one certifies any pair and a NaN one decides nothing.
+    """
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    dist = 0.0
+    try:
+        while True:
+            dist = _worst((dist, next(gates)))
+            if dist > tol:
+                return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
+    except StopIteration as done:
+        witness, moved, target, size = done.value
+    except DegenerateSpectrum:
+        return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
+    residual = _worst(abs(x - y) for row, ref in zip(moved, target) for x, y in zip(row, ref))
+    if residual <= 10.0 * tol * max(1.0, size):
+        return EquivalenceVerdict(Verdict.EQUIVALENT, witness, dist)
+    return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
 
 
 def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
@@ -154,24 +187,23 @@ def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
         ValueError: if tol is not finite and positive, or if C or M has the
         wrong shape or a NaN or Inf entry.
     """
-    _check_tol(tol)
+    return _decide(tol, _lmm_gates(c, m))
+
+
+def _lmm_gates(c, m):
+    """The gates of decide_equiv_lmm: the invariant triple, then the
+    canonical diagonals; returns the witness (R1, R2), then R1 C R2^T, M and
+    |M|_inf of the divided inputs."""
     (rows_c, norm_c), (rows_m, norm_m) = (_rows3(x, "decide_equiv_lmm input") for x in (c, m))
     scale = _pow2_floor(max(1.0, norm_c, norm_m))
     c, m = ([[x / scale for x in row] for row in rows] for rows in (rows_c, rows_m))
-    dist = _rel_dist(_lmm_triple(c), _lmm_triple(m))
-    if dist > tol:
-        return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
+    yield _rel_dist(_lmm_triple(c), _lmm_triple(m))
     ca, cb = lmm_canonical(c), lmm_canonical(m)
-    dist = max(dist, _rel_dist(ca.diag.tolist(), cb.diag.tolist()))
-    if dist > tol:
-        return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    # R1 = W_b1^T W_a1 and R2 = W_b2^T W_a2, then the residual (R1 C) R2^T - M.
+    yield _rel_dist(ca.diag.tolist(), cb.diag.tolist())
+    # R1 = W_b1^T W_a1 and R2 = W_b2^T W_a2, then (R1 C) R2^T.
     r1, r2 = (_matmul3(wb.T.tolist(), wa.tolist()) for wa, wb in zip(ca.witness, cb.witness))
     moved = _matmul3(_matmul3(r1, c), list(zip(*r2)))
-    residual = _worst(abs(x - y) for row, ref in zip(moved, m) for x, y in zip(row, ref))
-    if residual <= 10.0 * tol * max(1.0, norm_m / scale):
-        return EquivalenceVerdict(Verdict.EQUIVALENT, (np.array(r1), np.array(r2)), dist)
-    return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
+    return (np.array(r1), np.array(r2)), moved, m, norm_m / scale
 
 
 def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
@@ -190,20 +222,22 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
         has the wrong shape or a NaN or Inf entry.
         NotSymmetric: if A or A' is not symmetric within linalg.SYM_TOL.
     """
-    _check_tol(tol)
+    return _decide(tol, _sym_gates(state_a, state_b))
+
+
+def _sym_gates(state_a, state_b):
+    """The gates of decide_equiv_sym: the trace invariants, then the larger
+    of the eigenvalue and the flip-matched w distance as one gate; returns
+    the witness R, then (R v, R A R^T), (v', A') and max(|A'|_inf, |v'|_inf)
+    of the divided inputs."""
     (v1, a1), (v2, a2) = state_a, state_b
     v1, v2 = (_vec3(v, "decide_equiv_sym input") for v in (v1, v2))
     (rows1, norm1), (rows2, norm2) = (_sym_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
     scale = _pow2_floor(max(1.0, norm1, norm2))
     a1, a2 = ([[x / scale for x in row] for row in rows] for rows in (rows1, rows2))
-    dist = _rel_dist(_trace_invariants(a1), _trace_invariants(a2))
-    if dist > tol:
-        return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
+    yield _rel_dist(_trace_invariants(a1), _trace_invariants(a2))
     v1, v2 = ([x / scale for x in v] for v in (v1, v2))
-    try:
-        forms = [sym_canonical(v1, a1), sym_canonical(v2, a2)]
-    except DegenerateSpectrum:
-        return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
+    forms = [sym_canonical(v1, a1), sym_canonical(v2, a2)]
     (eigs_a, wa, witness_a), (eigs_b, wb, witness_b) = (
         (f.eigs.tolist(), f.w.tolist(), f.witness.tolist()) for f in forms)
     # The lexicographic w jumps where a coordinate vanishes, so take
@@ -214,15 +248,9 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
     f0, f1, f2 = (abs(x + y) / d for x, y, d in zip(wa, wb, den))
     w_dists = [max(s0, s1, s2), max(s0, f1, f2), max(f0, s1, f2), max(f0, f1, s2)]
     w_dist = min(w_dists)
-    dist = max(dist, _rel_dist(eigs_a, eigs_b), w_dist)
-    if dist > tol:
-        return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
-    # R = W_b^T (flip W_a), then the residuals of R v - v' and (R A) R^T - A'.
+    yield max(_rel_dist(eigs_a, eigs_b), w_dist)
+    # R = W_b^T (flip W_a), then R v and (R A) R^T.
     flip = EVEN_SIGN_FLIPS[w_dists.index(w_dist)]
     r = _matmul3(list(zip(*witness_b)), [[f * x for x in row] for f, row in zip(flip, witness_a)])
     moved = _matmul3(_matmul3(r, a1), list(zip(*r)))
-    residual = _worst([*(abs(x - y) for x, y in zip(_matvec3(r, v1), v2)),
-                       *(abs(x - y) for row, ref in zip(moved, a2) for x, y in zip(row, ref))])
-    if residual <= 10.0 * tol * max(1.0, norm2 / scale, *map(abs, v2)):
-        return EquivalenceVerdict(Verdict.EQUIVALENT, np.array(r), dist)
-    return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
+    return np.array(r), [_matvec3(r, v1), *moved], [v2, *a2], max(norm2 / scale, *map(abs, v2))

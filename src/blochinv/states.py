@@ -8,13 +8,14 @@ Index conventions, fixed once for the whole package:
   * the tensor-swap involution exchanges basis states |01> and |10>.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .errors import NonHermitianInput, StateFormatError
-from .linalg import _rows3, _vec3, norm_inf
+from .linalg import _pow2_floor, _rows3, _vec3, norm_inf
 
 PAULI = np.array(
     [
@@ -69,6 +70,8 @@ def validate_density(rho):
     The one check of every two-qubit state argument. StateFormatError unless
     rho is 4x4 with unit trace, ValueError for a NaN or Inf entry and
     NonHermitianInput unless rho is Hermitian, to DENSITY_TOL * max(1, |rho|_inf).
+    Both tests run on rho divided by a power of two, so that they stay finite
+    up to the top of the double range.
     Positivity is deliberately not required: states range over the whole
     trace-one Hermitian affine space, and positivity is reported separately
     by is_positive.
@@ -76,12 +79,19 @@ def validate_density(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise StateFormatError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    if not np.isfinite(rho).all():
+    # The largest real or imaginary part; NaN or Inf if any entry is.
+    part = float(np.abs(np.ascontiguousarray(rho).view(float)).max())
+    if not part < math.inf:
         raise ValueError("density matrix contains NaN or Inf entries")
-    tol = DENSITY_TOL * max(1.0, norm_inf(rho))
-    if norm_inf(rho - rho.conj().T) > tol:
+    # Both sides of each test divided by the power of two that brings
+    # max(1, part) into [1, 2), exact and 1 below 2, so that neither
+    # |rho|_inf, rho - rho^dagger nor the trace overflows.
+    scale = _pow2_floor(max(1.0, part))
+    scaled = rho / scale
+    tol = DENSITY_TOL * max(1.0 / scale, norm_inf(scaled))
+    if norm_inf(scaled - scaled.conj().T) > tol:
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho) - 1.0) > tol:
+    if abs(np.trace(scaled) - 1.0 / scale) > tol:
         raise StateFormatError("matrix does not have unit trace")
     return rho
 

@@ -335,6 +335,28 @@ class TestTypedErrors:
         assert main(["invariants", str(path)]) == 2
         assert_one_error_line(capsys)
 
+    @staticmethod
+    def _density(diag, entries):
+        matrix = [[[d if i == j else 0.0, 0.0] for j, d in enumerate(diag)]
+                  for i in range(4)]
+        for (i, j), z in entries.items():
+            matrix[i][j] = [z.real, z.imag]
+        return {"format": "density", "matrix": matrix}
+
+    @pytest.mark.parametrize("diag, entries, code", [
+        ([1.7e308, 1.7e308, -1.7e308, -1.7e308], {}, 3),
+        ([0.25] * 4, {(0, 1): 1.7e308, (1, 0): -1.7e308}, 2),
+        ([0.25] * 4, {(0, 1): 1.7e308 + 1.7e308j, (1, 0): 1.7e308 + 1.7e308j}, 2),
+    ], ids=["trace-0-general", "non-hermitian", "non-hermitian-complex"])
+    def test_density_near_top_of_double_range(self, tmp_path, capsys, diag, entries, code):
+        # The Hermitian and trace tests stay finite: the trace-0 state is
+        # within the relative tolerance of unit trace and classified
+        # general, the others are not Hermitian; no numpy warning.
+        path = tmp_path / "top.json"
+        path.write_text(json.dumps(self._density(diag, entries)))
+        assert main(["invariants", str(path)]) == code
+        assert_one_error_line(capsys)
+
 
 class TestCrossProcessDeterminism:
     def test_random_output_identical_across_processes(self):

@@ -1,8 +1,10 @@
 """Every name a package module imports is used in that module, the
 scalar core multiplies 3x3 matrices only through linalg._matmul3 and
 _matvec3, no package module calls a LAPACK determinant (linalg.det3
-is the only one), and no package module catches every exception (a bare
-except, or except Exception or BaseException).
+is the only one), no package module catches every exception (a bare
+except, or except Exception or BaseException), and one function,
+orbits._decide, builds every EquivalenceVerdict and is the only one to
+catch DegenerateSpectrum.
 
 __init__.py is exempt from the import check: its imports are the public
 re-exports.
@@ -115,3 +117,40 @@ def test_detects_catch_all_except():
               "try:\n    f()\nexcept (ValueError, BaseException) as e:\n    pass\n"
               "try:\n    f()\nexcept (ValueError, errors.BlochInvError):\n    pass\n")
     assert catch_all_lines(source) == [3, 7, 11]
+
+
+def verdict_sites(source):
+    """(line, function) of every EquivalenceVerdict call and every except
+    naming DegenerateSpectrum, alone or in a tuple, in source; function is
+    the enclosing top-level function, None at module level."""
+    def named(node, name):
+        return getattr(node, "id", getattr(node, "attr", None)) == name
+
+    sites = []
+    for top in ast.parse(source).body:
+        owner = top.name if isinstance(top, ast.FunctionDef) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and named(node.func, "EquivalenceVerdict"):
+                sites.append((node.lineno, owner))
+            elif isinstance(node, ast.ExceptHandler) and node.type is not None:
+                caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+                if any(named(t, "DegenerateSpectrum") for t in caught):
+                    sites.append((node.lineno, owner))
+    return sorted(sites)
+
+
+def test_one_function_decides():
+    owners = {(path.name, owner) for path in MODULES
+              for _, owner in verdict_sites(path.read_text())}
+    assert owners == {("orbits.py", "_decide")}
+
+
+def test_detects_verdict_sites():
+    source = ("def _decide(g):\n    try:\n        next(g)\n    except DegenerateSpectrum:\n"
+              "        return EquivalenceVerdict(1)\n"
+              "def other():\n    try:\n        f()\n"
+              "    except (ValueError, errors.DegenerateSpectrum):\n"
+              "        pass\n    return orbits.EquivalenceVerdict(2)\n"
+              "v = EquivalenceVerdict(3)\nisinstance(v, EquivalenceVerdict)\n")
+    assert verdict_sites(source) == [(4, "_decide"), (5, "_decide"), (9, "other"),
+                                     (11, "other"), (12, None)]

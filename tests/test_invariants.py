@@ -569,12 +569,19 @@ class TestExtremeScale:
         lambda: sym_invariants([0.1, 0.2, 0.3], 1e160 * np.diag([3.0, 2.0, 1.0])),
         lambda: octahedral_invariants([1e150, 2e150, -1e150]),
         lambda: octahedral_invariants([1e160, 2e160, -1e160]),
+        lambda: r_invariant([1e100, 2e100, -1e100], np.diag([1.0, 2.0, 3.0])),
+        lambda: r_invariant([1e110, 2e110, -1e110], np.diag([1.0, 2.0, 3.0])),
+        lambda: r_invariant([1e160, 2e160, -1e160], np.diag([1.0, 2.0, 3.0])),
+        lambda: g_invariant([1e110, 2e110, -1e110], np.diag([1.0, 2.0, 3.0])),
+        lambda: g_invariant([1e160, 2e160, -1e160], np.diag([1.0, 2.0, 3.0])),
     ], ids=["lmm-1e77", "lmm-1e160", "section-1e77", "section-1e160", "sym-A-1e160",
-            "octahedral-1e150", "octahedral-1e160"])
+            "octahedral-1e150", "octahedral-1e160", "r-v-1e100", "r-v-1e110", "r-v-1e160",
+            "g-v-1e110", "g-v-1e160"])
     def test_positive_degree_overflow_is_typed(self, call):
-        # t4, s3, tr A^2, det A and p2..p4 overflow at these scales (and v0**2
-        # raised OverflowError at 1e160): a typed error, never inf, NaN or a
-        # bare arithmetic error.
+        # t4, s3, tr A^2, det A, p2..p4, g and r overflow at these scales (and
+        # v0**2 raised OverflowError at 1e160; r was inf at 1e100, g and r NaN
+        # from 1e110): a typed error, never inf, NaN or a bare arithmetic
+        # error.
         with pytest.raises(NotRepresentable, match="not a finite double"):
             call()
 

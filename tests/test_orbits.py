@@ -421,9 +421,13 @@ def test_rel_dist_metric():
 def test_tol_must_be_finite_and_positive(tol):
     # A negative tol rejects a state against itself, an infinite one
     # certifies any pair and a NaN one decides nothing.
+    # The tol check comes first, before any input is read: NaN inputs too
+    # get the tol error.
     c = np.diag([0.7, 0.2, -0.4])
     state = (np.array([0.3, -0.2, 0.5]), c)
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        decide_equiv_lmm(c, c, tol=tol)
-    with pytest.raises(ValueError, match="tol must be finite and positive"):
-        decide_equiv_sym(state, state, tol=tol)
+    nan = np.full((3, 3), np.nan)
+    for lmm_pair, sym_pair in [((c, c), (state, state)), ((nan, c), ((nan[0], nan), state))]:
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            decide_equiv_lmm(*lmm_pair, tol=tol)
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            decide_equiv_sym(*sym_pair, tol=tol)
