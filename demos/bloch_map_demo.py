@@ -42,7 +42,7 @@ b = bloch_of(bell)
 print("both partial traces equal I/2:")
 print(partial_trace(bell, 1).real)
 print("u =", b.u, " v =", b.v)
-print("C = diag(1, -1, 1):\n", b.C.round(12))
+print("C = diag(1, -1, 1):\n", np.round(b.C, 12))
 
 print()
 print("=" * 70)

@@ -41,8 +41,8 @@ d_true = np.array([1.4, 0.9, -0.3])
 c = haar_so3(rng) @ np.diag(d_true) @ haar_so3(rng).T
 print("scrambled C =\n", c.round(4))
 form = lmm_canonical(c)
-print("recovered diagonal:", form.diag.round(12), " (true:", d_true, ")")
-r1, r2 = form.witness
+print("recovered diagonal:", np.round(form.diag, 12), " (true:", d_true, ")")
+r1, r2 = map(np.asarray, form.witness)
 print("witness residual |R1 C R2^T - diag|:",
       np.max(np.abs(r1 @ c @ r2.T - np.diag(form.diag))))
 
@@ -54,7 +54,7 @@ ca = haar_so3(rng) @ np.diag(d_true) @ haar_so3(rng).T
 cb = haar_so3(rng) @ np.diag(d_true) @ haar_so3(rng).T
 verdict = decide_equiv_lmm(ca, cb)
 print("two scrambles of the same diagonal:", verdict.verdict.value)
-w1, w2 = verdict.witness
+w1, w2 = map(np.asarray, verdict.witness)
 print("witness maps the first onto the second, residual:",
       np.max(np.abs(w1 @ ca @ w2.T - cb)))
 

@@ -84,9 +84,9 @@ sa = (ra.T @ v, ra.T @ a @ ra)
 sb = (rb.T @ v, rb.T @ a @ rb)
 verdict = decide_equiv_sym(sa, sb)
 print("two scrambles of the same slice point:", verdict.verdict.value)
+r = np.asarray(verdict.witness)
 print("witness residual:",
-      max(np.max(np.abs(verdict.witness @ sa[0] - sb[0])),
-          np.max(np.abs(verdict.witness @ sa[1] @ verdict.witness.T - sb[1]))))
+      max(np.max(np.abs(r @ sa[0] - sb[0])), np.max(np.abs(r @ sa[1] @ r.T - sb[1]))))
 
 verdict = decide_equiv_sym((v, a), (2.0 * v, a))
 print("(v, A) vs (2v, A):", verdict.verdict.value,

@@ -5,6 +5,10 @@ maximally mixed states, the six generating invariants of symmetric
 states, canonical forms on the diagonal slices, and constructive
 local-unitary equivalence decisions with rotation witnesses, together
 with a seeded verification battery for every identity these rest on.
+
+Importing the package does not import numpy: the group machinery
+(blochinv.groups) and the battery (blochinv.verify) load on first use of
+one of their names.
 """
 
 from .errors import (
@@ -16,17 +20,6 @@ from .errors import (
     NotUnitary,
     StateFormatError,
     ZeroVector,
-)
-from .groups import (
-    SignedPerm,
-    act_bloch,
-    act_density,
-    haar_so3,
-    haar_su2,
-    lmm_weyl_action_group,
-    lmm_weyl_pair,
-    octahedral_group,
-    so3_of_u2,
 )
 from .invariants import (
     LmmInvariants,
@@ -70,6 +63,33 @@ from .states import (
     random_bloch,
     random_state,
 )
-from .verify import run_all, run_suite
 
 __version__ = "0.1.0"
+
+# The battery's suites, in the order that seeds their trial generators
+# (verify.trial_rng); defined here so that the command line lists them
+# without importing the battery.
+SUITES = ("bloch", "lmm", "sym", "group", "orbit")
+
+# Names of the two modules that import numpy when loaded, resolved on first
+# use (PEP 562), so that `import blochinv` does not load numpy.
+_LAZY = {
+    **dict.fromkeys(("SignedPerm", "act_bloch", "act_density", "haar_so3", "haar_su2",
+                     "lmm_weyl_action_group", "lmm_weyl_pair", "octahedral_group",
+                     "so3_of_u2"), "groups"),
+    **dict.fromkeys(("run_all", "run_suite"), "verify"),
+}
+
+
+def __getattr__(name):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    value = getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *_LAZY})

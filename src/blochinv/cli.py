@@ -16,7 +16,7 @@ import argparse
 import math
 import sys
 
-from . import verify as verify_mod
+from . import SUITES
 from .errors import BlochInvError, StateFormatError
 from .invariants import (
     lmm_invariants,
@@ -78,8 +78,13 @@ def _stratum(paths, class_tol):
             f"classified as {' and '.join(cls.value for cls in classes)}; expected "
             "every state lmm or symlmm, or every state sym or symlmm", EXIT_CLASS)
     return stratum, [
-        (cls, rho, b.C if stratum == "lmm" else (b.v, 0.5 * (b.C + b.C.T)))
+        (cls, rho, b.C if stratum == "lmm" else (b.v, _symmetrized(b.C)))
         for cls, (rho, b) in zip(classes, states)]
+
+
+def _symmetrized(c):
+    """(C + C^T) / 2 of rows of floats, entry by entry."""
+    return [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(c, zip(*c))]
 
 
 def cmd_invariants(args):
@@ -152,7 +157,9 @@ def cmd_restrict(args):
 
 
 def cmd_verify(args):
-    suites = verify_mod.SUITES if args.suite == "all" else (args.suite,)
+    from . import verify as verify_mod
+
+    suites = SUITES if args.suite == "all" else (args.suite,)
     reports = verify_mod.run_all(args.samples, args.seed, suites=suites)
     if args.json:
         print(dumps(verify_mod.report_json(reports)))
@@ -230,7 +237,7 @@ def build_parser():
     p.set_defaults(func=cmd_restrict)
 
     p = sub.add_parser("verify", help="run the seeded verification battery")
-    p.add_argument("--suite", choices=("all",) + verify_mod.SUITES, default="all")
+    p.add_argument("--suite", choices=("all",) + SUITES, default="all")
     p.add_argument("--samples", type=_int_at_least(1), default=1000)
     p.add_argument("--seed", type=_int_at_least(0), default=0)
     p.add_argument("--json", action="store_true", help="emit the report as JSON")

@@ -60,8 +60,9 @@ def so3_of_u2(u):
 def act_density(u1, u2, rho):
     """Conjugate a two-qubit state, checked by validate_density, by the
     local unitary pair (U1, U2)."""
+    validate_density(rho)
     g = np.kron(u1, u2)
-    return g @ validate_density(rho) @ g.conj().T
+    return g @ np.asarray(rho, dtype=complex) @ g.conj().T
 
 
 def act_bloch(r1, r2, bloch):

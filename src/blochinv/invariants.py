@@ -14,9 +14,6 @@ octahedral polynomials hold bit for bit, not just within tolerance.
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-
-import numpy as np
 
 from .errors import DegenerateSpectrum, NotRepresentable, ZeroVector
 from .linalg import (
@@ -196,6 +193,8 @@ def lmm_positive_cone_check(inv, tol=1e-9):
 def lmm_invariants_jacobian(c):
     """3x9 Jacobian of (t2, t3, t4) in the nine entries of C:
     grad t2 = 2C, grad t3 = cofactor matrix of C, grad t4 = 4 C C^T C."""
+    import numpy as np
+
     m = _rows3(c, "lmm_invariants_jacobian input")[0]
     # Cyclic indices carry the cofactor signs:
     # cof_ij = c[i+1][j+1] c[i+2][j+2] - c[i+1][j+2] c[i+2][j+1] (mod 3).
@@ -242,6 +241,8 @@ def p9_eval(p1, p2, p3):
     five terms cancel down to machine epsilon times their magnitude, which
     a plain double evaluation cannot resolve.
     """
+    from fractions import Fraction  # here: no command-line path evaluates P9
+
     q1, q2, q3 = Fraction(float(p1)), Fraction(float(p2)), Fraction(float(p3))
     value = q3 * (
         q1 * q1 * q2 * q2
@@ -288,8 +289,7 @@ def _nondegenerate_eig(rows, norm, message):
         DegenerateSpectrum(message): if the discriminant is below DISC_TOL
         relative to max(1, norm)^6.
     """
-    eig = eig_sym3(rows)
-    eigenvalues, rotation = eig.eigenvalues.tolist(), eig.rotation.tolist()
+    eigenvalues, rotation = eig_sym3(rows)
     norm = max(1.0, norm)
     scale = _pow2_floor(norm)
     l0, l1, l2 = (x / scale for x in eigenvalues)

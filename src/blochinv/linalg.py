@@ -3,13 +3,17 @@ cyclic Jacobi rotations, a one-sided Jacobi signed SVD with both factors
 in SO(3), the 3x3 determinant and trace invariants, and the input checks
 of the scalar core.
 
-Each 3x3 input is converted to Python floats and checked once, by _rows3
-(shape and finiteness) or _sym_rows3 (also symmetry); each 3-vector input
-by _vec3 (shape and finiteness). eig_sym3 is the checked entry of the
-straight-line eigen kernel _eig_rows; every diagonalization in the package
-goes through it. _matvec3 and _matmul3 are the only 3x3 products of the
-scalar core (linalg, invariants, orbits), each summed in one fixed order,
-so its digits do not depend on the BLAS build.
+Each 3x3 input, an array or nested lists or tuples, is converted to Python
+floats and checked once, by _rows3 (shape and finiteness) or _sym_rows3
+(also symmetry); each 3-vector input by _vec3 (shape and finiteness).
+Neither imports numpy: an array is read through its tolist. The records
+returned here hold lists of Python floats (rows for a matrix); only
+norm_inf, which takes arrays of any shape, imports numpy, inside its body.
+eig_sym3 is the checked entry of the straight-line eigen kernel _eig_rows;
+every diagonalization in the package goes through it. _matvec3 and
+_matmul3 are the only 3x3 products of the scalar core (linalg, invariants,
+orbits), each summed in one fixed order, so its digits do not depend on
+the BLAS build.
 
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient
@@ -18,8 +22,6 @@ affine space is unbounded.
 
 import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .errors import NotSymmetric
 
@@ -32,6 +34,8 @@ SYM_TOL = 1e-12
 
 def norm_inf(a):
     """Entrywise infinity norm (max absolute entry)."""
+    import numpy as np
+
     a = np.asarray(a)
     if a.size == 0:
         return 0.0
@@ -42,7 +46,7 @@ def rotation_residual(r):
     """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|,
     on Python floats; NaN or Inf, not an error or a warning, for a
     non-finite matrix."""
-    rows = np.asarray(r, dtype=float).tolist()
+    rows = [list(map(float, row)) for row in (r.tolist() if hasattr(r, "tolist") else r)]
     gram = _matmul3(list(zip(*rows)), rows)
     devs = [abs(x - float(i == j)) for i, row in enumerate(gram) for j, x in enumerate(row)]
     return _worst(devs + [abs(_det3_rows(*rows) - 1.0)])
@@ -70,6 +74,11 @@ def _matmul3(a, b):
     return [[x0 * y0 + x1 * y1 + x2 * y2 for y0, y1, y2 in cols] for x0, x1, x2 in a]
 
 
+def _transpose(a):
+    """The transpose of a matrix given as rows, as rows (lists)."""
+    return list(map(list, zip(*a)))
+
+
 def _matvec3(a, x):
     """a @ x on 3x3 rows and a 3-vector of floats, summed as in _matmul3."""
     y0, y1, y2 = x
@@ -85,13 +94,45 @@ def _det3_rows(r0, r1, r2):
     )
 
 
+_SEQUENCE = (list, tuple)
+
+
+def _shape(a):
+    """The shape numpy would give nested lists or tuples, read along their
+    first entries; () for anything else. Only error messages use it."""
+    shape = ()
+    while isinstance(a, _SEQUENCE):
+        shape += (len(a),)
+        if not a:
+            break
+        a = a[0]
+    return shape
+
+
+def _shape_error(what, shape, a):
+    return ValueError(f"{what} must have shape {shape}, got {_shape(a)}")
+
+
+def _entry_error(what, a):
+    """The error for an entry that float() refuses: a sequence nested one
+    level too deep (the shape names it) or a complex number or object."""
+    return ValueError(f"{what} must have real number entries, got shape {_shape(a)}")
+
+
 def _rows3(a, what):
     """Rows of a 3x3 input as Python floats and its entrywise infinity norm;
     ValueError unless the shape is (3, 3) and every entry is finite."""
-    a = np.asarray(a, dtype=float)
-    if a.shape != (3, 3):
-        raise ValueError(f"{what} must have shape (3, 3), got {a.shape}")
-    rows = a.tolist()
+    a = a.tolist() if hasattr(a, "tolist") else a
+    if not (isinstance(a, _SEQUENCE) and len(a) == 3):
+        raise _shape_error(what, (3, 3), a)
+    r0, r1, r2 = a
+    if not (isinstance(r0, _SEQUENCE) and isinstance(r1, _SEQUENCE)
+            and isinstance(r2, _SEQUENCE) and len(r0) == len(r1) == len(r2) == 3):
+        raise _shape_error(what, (3, 3), a)
+    try:
+        rows = [list(map(float, r0)), list(map(float, r1)), list(map(float, r2))]
+    except TypeError:
+        raise _entry_error(what, a) from None
     flat = rows[0] + rows[1] + rows[2]
     if not all(map(math.isfinite, flat)):
         raise ValueError(f"{what} contains NaN or Inf entries")
@@ -101,10 +142,13 @@ def _rows3(a, what):
 def _vec3(v, what):
     """A 3-vector input as a list of three Python floats; ValueError unless
     the shape is (3,) and every entry is finite."""
-    v = np.asarray(v, dtype=float)
-    if v.shape != (3,):
-        raise ValueError(f"{what} must have shape (3,), got {v.shape}")
-    x = v.tolist()
+    v = v.tolist() if hasattr(v, "tolist") else v
+    if not (isinstance(v, _SEQUENCE) and len(v) == 3):
+        raise _shape_error(what, (3,), v)
+    try:
+        x = list(map(float, v))
+    except TypeError:
+        raise _entry_error(what, v) from None
     if not all(map(math.isfinite, x)):
         raise ValueError(f"{what} contains NaN or Inf entries")
     return x
@@ -141,12 +185,13 @@ def det3(m):
 class EigenSym3(NamedTuple):
     """Spectral data of a symmetric 3x3 matrix.
 
-    eigenvalues: sorted descending.
-    rotation: R in SO(3) with R A R^T diagonal (diagonal = eigenvalues).
+    eigenvalues: sorted descending, a list of three floats.
+    rotation: R in SO(3) with R A R^T diagonal (diagonal = eigenvalues),
+    as three rows of floats.
     """
 
-    eigenvalues: np.ndarray
-    rotation: np.ndarray
+    eigenvalues: list
+    rotation: list
 
 
 class SignedSVD3(NamedTuple):
@@ -154,11 +199,12 @@ class SignedSVD3(NamedTuple):
 
     left and right are in SO(3); diag satisfies d1 >= d2 >= |d3| with
     d1, d2 >= 0 and sign(d1*d2*d3) = sign(det C) (zero when det C is zero).
+    left and right are three rows of floats each, diag a list of three floats.
     """
 
-    left: np.ndarray
-    right: np.ndarray
-    diag: np.ndarray
+    left: list
+    right: list
+    diag: list
 
 
 def eig_sym3(a):
@@ -175,8 +221,7 @@ def eig_sym3(a):
         ValueError: if the input has NaN or Inf entries.
         NotSymmetric: if the input fails the symmetry precondition.
     """
-    eigenvalues, rotation = _eig_rows(*_sym_rows3(a, "eig_sym3 input"))
-    return EigenSym3(eigenvalues=np.array(eigenvalues), rotation=np.array(rotation))
+    return EigenSym3(*_eig_rows(*_sym_rows3(a, "eig_sym3 input")))
 
 
 def _jacobi_rotation(app, aqq, apq):
@@ -313,7 +358,7 @@ def signed_svd3(c):
     v, a = _orient_right([v[k] for k in order], [a[k] for k in order])
 
     # Givens QR of A, on its rows; qt accumulates Q^T.
-    r = [list(x) for x in zip(*a)]
+    r = _transpose(a)
     qt = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
     for i, j, k in ((0, 1, 0), (0, 2, 0), (1, 2, 1)):
         h = math.hypot(r[i][k], r[j][k])
@@ -329,4 +374,4 @@ def signed_svd3(c):
     diag = [scale * math.sqrt(sq[k]) for k in order]
     if r[2][2] < 0.0:
         diag[2] = -diag[2]
-    return SignedSVD3(left=np.array(qt).T, right=np.array(v).T, diag=np.array(diag))
+    return SignedSVD3(left=_transpose(qt), right=_transpose(v), diag=diag)

@@ -17,6 +17,8 @@ divide their inputs by the power of two that brings max(1, |matrix|_inf)
 into [1, 2), 1 below norm 2, so that no invariant overflows, and take the
 canonical forms of the divided inputs; distances, witnesses and residuals
 run on Python floats, composed and applied in a fixed association order.
+The records hold lists of floats: rows for a matrix, including each
+witness rotation.
 
 The verdict rule is written once, in _decide; each stratum supplies only
 its gate sequence (_lmm_gates, _sym_gates), a generator that yields its
@@ -28,8 +30,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
-
 from .errors import DegenerateSpectrum
 from .invariants import _lmm_triple, _nondegenerate_eig
 from .linalg import (
@@ -39,6 +39,7 @@ from .linalg import (
     _rows3,
     _sym_rows3,
     _trace_invariants,
+    _transpose,
     _vec3,
     _worst,
     signed_svd3,
@@ -67,9 +68,9 @@ class Verdict(Enum):
 class LmmCanonicalForm:
     """Slice representative of a 2-point matrix: diag entries in the sign
     and order convention above, plus the rotation pair that moves the input
-    onto diag(diag)."""
+    onto diag(diag): a list of three floats and (R1, R2) as rows."""
 
-    diag: np.ndarray
+    diag: list
     witness: tuple
     degenerate: bool
 
@@ -77,11 +78,12 @@ class LmmCanonicalForm:
 @dataclass
 class SymCanonicalForm:
     """Slice representative of a symmetric state: sorted eigenvalues, the
-    canonicalized 1-point vector, and the rotation that realizes them."""
+    canonicalized 1-point vector, and the rotation that realizes them, as
+    lists of floats (the rotation as rows)."""
 
-    eigs: np.ndarray
-    w: np.ndarray
-    witness: np.ndarray
+    eigs: list
+    w: list
+    witness: list
 
 
 @dataclass
@@ -98,6 +100,8 @@ def rel_dist(a, b):
     """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the uniform comparison
     metric used throughout the package, on Python floats (the inputs are
     short). NaN if any entry is NaN or infinite."""
+    import numpy as np
+
     return _rel_dist(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)))
 
 
@@ -114,9 +118,9 @@ def lmm_canonical(c):
     no longer unique (the diagonal still is a complete orbit datum).
     """
     svd = signed_svd3(c)
-    d0, d1, d2 = svd.diag.tolist()
+    d0, d1, d2 = svd.diag
     tie = TIE_TOL * max(1.0, d0)
-    return LmmCanonicalForm(diag=svd.diag, witness=(svd.left.T, svd.right.T),
+    return LmmCanonicalForm(diag=svd.diag, witness=(_transpose(svd.left), _transpose(svd.right)),
                             degenerate=d0 - d1 <= tie or d1 - abs(d2) <= tie)
 
 
@@ -134,8 +138,7 @@ def sym_canonical(v, a):
     # The first flip whose image of w0 is lexicographically greatest.
     flip = max(EVEN_SIGN_FLIPS, key=lambda f: [s * t for s, t in zip(f, w0)])
     witness = [[s * x for x in row] for s, row in zip(flip, rotation)]
-    return SymCanonicalForm(eigs=np.array(eigs), w=np.array([s * t for s, t in zip(flip, w0)]),
-                            witness=np.array(witness))
+    return SymCanonicalForm(eigs=eigs, w=[s * t for s, t in zip(flip, w0)], witness=witness)
 
 
 def _decide(tol, gates):
@@ -199,11 +202,11 @@ def _lmm_gates(c, m):
     c, m = ([[x / scale for x in row] for row in rows] for rows in (rows_c, rows_m))
     yield _rel_dist(_lmm_triple(c), _lmm_triple(m))
     ca, cb = lmm_canonical(c), lmm_canonical(m)
-    yield _rel_dist(ca.diag.tolist(), cb.diag.tolist())
+    yield _rel_dist(ca.diag, cb.diag)
     # R1 = W_b1^T W_a1 and R2 = W_b2^T W_a2, then (R1 C) R2^T.
-    r1, r2 = (_matmul3(wb.T.tolist(), wa.tolist()) for wa, wb in zip(ca.witness, cb.witness))
+    r1, r2 = (_matmul3(list(zip(*wb)), wa) for wa, wb in zip(ca.witness, cb.witness))
     moved = _matmul3(_matmul3(r1, c), list(zip(*r2)))
-    return (np.array(r1), np.array(r2)), moved, m, norm_m / scale
+    return (r1, r2), moved, m, norm_m / scale
 
 
 def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
@@ -237,9 +240,8 @@ def _sym_gates(state_a, state_b):
     a1, a2 = ([[x / scale for x in row] for row in rows] for rows in (rows1, rows2))
     yield _rel_dist(_trace_invariants(a1), _trace_invariants(a2))
     v1, v2 = ([x / scale for x in v] for v in (v1, v2))
-    forms = [sym_canonical(v1, a1), sym_canonical(v2, a2)]
     (eigs_a, wa, witness_a), (eigs_b, wb, witness_b) = (
-        (f.eigs.tolist(), f.w.tolist(), f.witness.tolist()) for f in forms)
+        (f.eigs, f.w, f.witness) for f in (sym_canonical(v1, a1), sym_canonical(v2, a2)))
     # The lexicographic w jumps where a coordinate vanishes, so take
     # rel_dist(f * w_a, w_b) for f in EVEN_SIGN_FLIPS (-x - y = -(x + y)); the
     # first minimum keeps the identity wherever it attains it.
@@ -253,4 +255,4 @@ def _sym_gates(state_a, state_b):
     flip = EVEN_SIGN_FLIPS[w_dists.index(w_dist)]
     r = _matmul3(list(zip(*witness_b)), [[f * x for x in row] for f, row in zip(flip, witness_a)])
     moved = _matmul3(_matmul3(r, a1), list(zip(*r)))
-    return np.array(r), [_matvec3(r, v1), *moved], [v2, *a2], max(norm2 / scale, *map(abs, v2))
+    return r, [_matvec3(r, v1), *moved], [v2, *a2], max(norm2 / scale, *map(abs, v2))

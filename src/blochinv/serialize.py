@@ -12,8 +12,6 @@ every double round-trips exactly and output is byte-identical across runs.
 import json
 import math
 
-import numpy as np
-
 from .errors import BlochInvError, StateFormatError
 from .linalg import _rows3, _vec3
 from .states import BlochMatrix, validate_density
@@ -29,19 +27,23 @@ def format_float(x):
 
 
 def dumps(obj):
-    """Serialize to JSON with deterministic float formatting."""
+    """Serialize to JSON with deterministic float formatting.
+
+    An object with a tolist method (a numpy array or scalar) is written as
+    what tolist returns.
+    """
+    if hasattr(obj, "tolist"):
+        obj = obj.tolist()
     if obj is None:
         return "null"
-    if isinstance(obj, (bool, np.bool_)):
+    if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, str):
         return json.dumps(obj)
-    if isinstance(obj, (int, np.integer)):
+    if isinstance(obj, int):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, np.ndarray):
-        return dumps(obj.tolist())
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(dumps(x) for x in obj) + "]"
     if isinstance(obj, dict):
@@ -56,7 +58,7 @@ def dumps(obj):
 
 def density_document(rho):
     """State document of a two-qubit state, checked by validate_density."""
-    matrix = [[[z.real, z.imag] for z in row] for row in validate_density(rho).tolist()]
+    matrix = [[[z.real, z.imag] for z in row] for row in validate_density(rho)]
     return {"format": "density", "matrix": matrix}
 
 
@@ -104,14 +106,14 @@ def parse_state_document(doc):
         raise StateFormatError("$: expected a JSON object")
     fmt = doc.get("format")
     if fmt == "density":
-        rho = np.array(_array(doc.get("matrix"), "matrix", (4, 4), _complex_entry))
+        rho = _array(doc.get("matrix"), "matrix", (4, 4), _complex_entry)
         try:
             validate_density(rho)
         except (BlochInvError, ValueError) as exc:
             raise StateFormatError(f"matrix: {exc}") from exc
         return "density", rho
     if fmt == "bloch":
-        u, v, c = (np.array(_array(doc.get(key), key, shape, _real))
+        u, v, c = (_array(doc.get(key), key, shape, _real)
                    for key, shape in (("u", (3,)), ("v", (3,)), ("C", (3, 3))))
         return "bloch", BlochMatrix(u=u, v=v, C=c)
     raise StateFormatError("format: expected 'density' or 'bloch'")

@@ -3,38 +3,38 @@ affine space, the Bloch-matrix representation built from 1- and 2-point
 spin correlation functions, partial traces, state classification, and
 seeded random generation.
 
+The check of a state, the Bloch map and its inverse, classification and
+the positivity test run on Python complex numbers and floats: a state is
+read from nested lists or an array and comes back as rows of Python
+complex numbers, Bloch fields as lists of floats. The Bloch map and its
+inverse are closed forms summed in the order of the einsum over the Pauli
+basis sigma_a (x) sigma_b, so they match it in float.hex. Only the
+functions that return arrays (partial_trace, bloch_vector,
+bell_projector, the random draws) import numpy, inside their bodies.
+
 Index conventions, fixed once for the whole package:
   * qubit 1 is the left tensor factor, composite index = 2*i1 + i2;
   * the tensor-swap involution exchanges basis states |01> and |10>.
 """
 
+import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
-import numpy as np
+from .errors import NonHermitianInput, NotRepresentable, StateFormatError
+from .linalg import _SEQUENCE, _pow2_floor, _rows3, _shape, _vec3
 
-from .errors import NonHermitianInput, StateFormatError
-from .linalg import _pow2_floor, _rows3, _vec3, norm_inf
-
-PAULI = np.array(
-    [
-        [[1, 0], [0, 1]],
-        [[0, 1], [1, 0]],
-        [[0, -1j], [1j, 0]],
-        [[1, 0], [0, -1]],
-    ],
-    dtype=complex,
+# The Pauli matrices sigma_0..sigma_3 and the tensor swap, as rows.
+PAULI = (
+    [[1, 0], [0, 1]],
+    [[0, 1], [1, 0]],
+    [[0, -1j], [1j, 0]],
+    [[1, 0], [0, -1]],
 )
 
-# PAULI_KRON[i, j] = sigma_i (x) sigma_j, the 16-element trace-orthogonal
-# basis of 4x4 Hermitian matrices (tr products = 4 * delta).
-PAULI_KRON = np.array([[np.kron(PAULI[i], PAULI[j]) for j in range(4)] for i in range(4)])
-
-SWAP = np.array(
-    [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]],
-    dtype=complex,
-)
+SWAP = [[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
 
 DEFAULT_CLASS_TOL = 1e-9
 # Relative tolerance of the Hermitian and unit-trace checks of validate_density.
@@ -56,85 +56,171 @@ class BlochMatrix:
 
     u, v are the 1-point correlation vectors of qubit 1 and qubit 2;
     C is the 3x3 matrix of 2-point correlations. The implicit (0,0)
-    entry is 1 by trace normalization.
+    entry is 1 by trace normalization. bloch_of fills them with lists of
+    Python floats (C as rows); density_of reads any 3-vectors and 3x3
+    matrix, arrays included.
     """
 
-    u: np.ndarray
-    v: np.ndarray
-    C: np.ndarray
+    u: list
+    v: list
+    C: list
 
 
 def validate_density(rho):
     """Check the trace-one Hermitian invariants of a density operator.
 
-    The one check of every two-qubit state argument. StateFormatError unless
-    rho is 4x4 with unit trace, ValueError for a NaN or Inf entry and
-    NonHermitianInput unless rho is Hermitian, to DENSITY_TOL * max(1, |rho|_inf).
-    Both tests run on rho divided by a power of two, so that they stay finite
-    up to the top of the double range.
+    The one check of every two-qubit state argument: rho is nested lists or
+    an array (read through its tolist), and the result is its rows of Python
+    complex numbers. StateFormatError unless rho is 4x4 with unit trace,
+    ValueError for a NaN or Inf entry and NonHermitianInput unless rho is
+    Hermitian, to DENSITY_TOL * max(1, |rho|_inf). Both tests run on rho
+    divided by a power of two, so that they stay finite up to the top of
+    the double range.
     Positivity is deliberately not required: states range over the whole
     trace-one Hermitian affine space, and positivity is reported separately
     by is_positive.
     """
-    rho = np.asarray(rho, dtype=complex)
-    if rho.shape != (4, 4):
-        raise StateFormatError(f"expected a 4x4 matrix, got shape {rho.shape}")
-    # The largest real or imaginary part; NaN or Inf if any entry is.
-    part = float(np.abs(np.ascontiguousarray(rho).view(float)).max())
-    if not part < math.inf:
+    return _checked_density(rho)[0]
+
+
+def _four(x):
+    """x itself if it is a list or tuple of four entries; TypeError otherwise."""
+    if isinstance(x, _SEQUENCE) and len(x) == 4:
+        return x
+    raise TypeError("expected four entries")
+
+
+# Row-major indices of the entries on and above the diagonal, and of their
+# transposes.
+_UPPER = operator.itemgetter(0, 1, 2, 3, 5, 6, 7, 10, 11, 15)
+_LOWER = operator.itemgetter(0, 4, 8, 12, 5, 9, 13, 10, 14, 15)
+
+
+def _checked_density(rho):
+    """validate_density's check. Returns the rows of rho; the real and the
+    imaginary parts of rho / s, each as 16 floats in row-major order; and
+    s, the power of two that brings max(1, largest real or imaginary part)
+    into [1, 2), 1 below 2."""
+    rho = rho.tolist() if hasattr(rho, "tolist") else rho
+    try:
+        rows = [list(map(complex, _four(row))) for row in _four(rho)]
+    except TypeError:
+        raise StateFormatError(f"expected a 4x4 matrix, got shape {_shape(rho)}") from None
+    flat = rows[0] + rows[1] + rows[2] + rows[3]
+    if not all(map(cmath.isfinite, flat)):
         raise ValueError("density matrix contains NaN or Inf entries")
-    # Both sides of each test divided by the power of two that brings
-    # max(1, part) into [1, 2), exact and 1 below 2, so that neither
-    # |rho|_inf, rho - rho^dagger nor the trace overflows.
-    scale = _pow2_floor(max(1.0, part))
-    scaled = rho / scale
-    tol = DENSITY_TOL * max(1.0 / scale, norm_inf(scaled))
-    if norm_inf(scaled - scaled.conj().T) > tol:
+    re = [z.real for z in flat]
+    im = [z.imag for z in flat]
+    # Both sides of each test divided by s, exact, so that neither
+    # |rho|_inf, rho - rho^dagger nor the trace overflows. |z| is hypot.
+    scale = _pow2_floor(max(1.0, max(map(abs, re + im))))
+    re = [x / scale for x in re]
+    im = [y / scale for y in im]
+    tol = DENSITY_TOL * max(1.0 / scale, max(map(math.hypot, re, im)))
+    # |rho_kl - conj(rho_lk)|, the same for (k, l) and (l, k).
+    if max(map(math.hypot, map(operator.sub, _UPPER(re), _LOWER(re)),
+               map(operator.add, _UPPER(im), _LOWER(im)))) > tol:
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    if abs(np.trace(scaled) - 1.0 / scale) > tol:
+    if math.hypot(re[0] + re[5] + re[10] + re[15] - 1.0 / scale,
+                  im[0] + im[5] + im[10] + im[15]) > tol:
         raise StateFormatError("matrix does not have unit trace")
-    return rho
+    return rows, re, im, scale
 
 
 def _table(rho):
-    """Correlation table tr(rho sigma_a (x) sigma_b), a, b in 0..3."""
-    # validate_density bounds |rho - rho^dagger|_inf relative to |rho|_inf,
-    # so the imaginary residue is already small at the scale of rho.
-    return np.einsum("abij,ji->ab", PAULI_KRON, validate_density(rho)).real
+    """Correlation table tr(rho sigma_a (x) sigma_b), a, b in 0..3, as rows.
+
+    Each entry is the real part of sum_ij (sigma_a (x) sigma_b)_ij rho_ji,
+    its four nonzero terms summed in increasing i from +0.0, as
+    einsum("abij,ji->ab") sums them, on rho / s and multiplied back by s
+    (s from validate_density), so that no partial sum overflows.
+    validate_density bounds |rho - rho^dagger|_inf relative to |rho|_inf,
+    so the imaginary residue is already small at the scale of rho.
+
+    Raises:
+        NotRepresentable: if an entry is not a finite double.
+    """
+    _, re, im, scale = _checked_density(rho)
+    x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = re
+    _, y01, y02, y03, y10, _, y12, y13, y20, y21, _, y23, y30, y31, y32, _ = im
+    table = (
+        x00 + x11 + x22 + x33, x10 + x01 + x32 + x23,
+        y10 - y01 + y32 - y23, x00 - x11 + x22 - x33,
+        x20 + x31 + x02 + x13, x30 + x21 + x12 + x03,
+        y30 - y21 + y12 - y03, x20 - x31 + x02 - x13,
+        y20 + y31 - y02 - y13, y30 + y21 - y12 - y03,
+        -x30 + x21 + x12 - x03, y20 - y31 - y02 + y13,
+        x00 + x11 - x22 - x33, x10 + x01 - x32 - x23,
+        y10 - y01 - y32 + y23, x00 - x11 - x22 + x33,
+    )
+    # + 0.0 turns the -0.0 of an all-negative-zero sum into the +0.0 of a
+    # sum started from +0.0.
+    table = [(t + 0.0) * scale for t in table]
+    if not all(map(math.isfinite, table)):
+        raise NotRepresentable("a Bloch coordinate is not a finite double")
+    return [table[0:4], table[4:8], table[8:12], table[12:16]]
 
 
 def correlation(rho, i, j):
     """Correlation function tr(rho sigma_i (x) sigma_j), as a real number."""
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise IndexError("correlation indices must lie in 0..3")
-    return float(_table(rho)[i, j])
+    return _table(rho)[i][j]
 
 
 def bloch_of(rho):
-    """Bloch-matrix representation of a density operator."""
-    b = _table(rho)
-    return BlochMatrix(u=b[1:, 0].copy(), v=b[0, 1:].copy(), C=b[1:, 1:].copy())
+    """Bloch-matrix representation of a density operator, as lists of floats.
+
+    Raises:
+        NotRepresentable: if a coordinate is not a finite double.
+    """
+    (_, *v), *rest = _table(rho)
+    return BlochMatrix(u=[row[0] for row in rest], v=v, C=[row[1:] for row in rest])
 
 
 def density_of(bloch):
-    """Density operator with the given Bloch matrix.
+    """Density operator with the given Bloch matrix, as rows of Python
+    complex numbers.
 
     Inverts the correlation map through Pauli orthogonality:
-    rho = (1/4) sum_ij B_ij sigma_i (x) sigma_j with B_00 = 1. ValueError
-    unless u, v have shape (3,), C shape (3, 3) and every entry is finite.
+    rho = (1/4) sum_ab B_ab sigma_a (x) sigma_b with B_00 = 1, each entry's
+    real and imaginary parts summed over increasing (a, b) from +0.0, as
+    einsum("ab,abij->ij") sums them. ValueError unless u, v have shape (3,),
+    C shape (3, 3) and every entry is finite.
     """
     u, v = (_vec3(x, "density_of input") for x in (bloch.u, bloch.v))
     rows = _rows3(bloch.C, "density_of input")[0]
     # Scaling first keeps every partial sum within max |B|, so rho is finite.
-    b = 0.25 * np.array([[1.0, *v], *([x, *row] for x, row in zip(u, rows))])
-    return np.einsum("ab,abij->ij", b, PAULI_KRON)
+    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = (
+        [0.25 * x for x in row] for row in ([1.0, *v], *([x, *row] for x, row in zip(u, rows))))
+    # The upper triangle; + 0.0 as in _table.
+    d0, d1 = b00 + b03 + b30 + b33 + 0.0, b00 - b03 + b30 - b33 + 0.0
+    d2, d3 = b00 + b03 - b30 - b33 + 0.0, b00 - b03 - b30 + b33 + 0.0
+    z01 = complex(b01 + b31 + 0.0, -b02 - b32 + 0.0)
+    z02 = complex(b10 + b13 + 0.0, -b20 - b23 + 0.0)
+    z03 = complex(b11 - b22 + 0.0, -b12 - b21 + 0.0)
+    z12 = complex(b11 + b22 + 0.0, b12 - b21 + 0.0)
+    z13 = complex(b10 - b13 + 0.0, -b20 + b23 + 0.0)
+    z23 = complex(b01 - b31 + 0.0, -b02 + b32 + 0.0)
+    # The lower triangle is the conjugate: its terms are the negated ones.
+    c01, c02, c03, c12, c13, c23 = (
+        complex(z.real, -z.imag + 0.0) for z in (z01, z02, z03, z12, z13, z23))
+    return [
+        [complex(d0, 0.0), z01, z02, z03],
+        [c01, complex(d1, 0.0), z12, z13],
+        [c02, c12, complex(d2, 0.0), z23],
+        [c03, c13, c23, complex(d3, 0.0)],
+    ]
 
 
 def partial_trace(rho, which):
     """Partial trace over the other factor: which=1 returns the reduced
     state of qubit 1 (trace over qubit 2), which=2 the reduced state of
-    qubit 2."""
-    rho = validate_density(rho).reshape(2, 2, 2, 2)
+    qubit 2, as a 2x2 array."""
+    import numpy as np
+
+    validate_density(rho)
+    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
     if which == 1:
         return np.trace(rho, axis1=1, axis2=3)
     if which == 2:
@@ -143,9 +229,11 @@ def partial_trace(rho, which):
 
 
 def bloch_vector(rho2):
-    """Bloch vector of a single-qubit density matrix."""
+    """Bloch vector of a single-qubit density matrix, as an array."""
+    import numpy as np
+
     rho2 = np.asarray(rho2, dtype=complex)
-    return np.array([np.trace(rho2 @ PAULI[i]).real for i in (1, 2, 3)])
+    return np.array([np.trace(rho2 @ np.array(PAULI[i])).real for i in (1, 2, 3)])
 
 
 def classify(rho, tol=DEFAULT_CLASS_TOL):
@@ -156,11 +244,12 @@ def classify(rho, tol=DEFAULT_CLASS_TOL):
     tensor swap). Both conditions together give SYMMETRIC_LMM. ValueError
     unless tol is finite and non-negative; 0 classifies exact coordinates.
     """
-    if not 0.0 <= tol < np.inf:
+    if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
     b = bloch_of(rho)
-    lmm = norm_inf(b.u) <= tol and norm_inf(b.v) <= tol
-    sym = norm_inf(b.u - b.v) <= tol and norm_inf(b.C - b.C.T) <= tol
+    (_, c01, c02), (c10, _, c12), (c20, c21, _) = b.C
+    lmm = max(map(abs, b.u + b.v)) <= tol
+    sym = max(abs(x - y) for x, y in zip(b.u + [c01, c02, c12], b.v + [c10, c20, c21])) <= tol
     if lmm and sym:
         return StateClass.SYMMETRIC_LMM
     if lmm:
@@ -171,26 +260,52 @@ def classify(rho, tol=DEFAULT_CLASS_TOL):
 
 
 def is_positive(rho):
-    """True if all eigenvalues of the 4x4 matrix are >= -POSITIVITY_TOL."""
-    eigs = np.linalg.eigvalsh(validate_density(rho))
-    return bool(eigs[0] >= -POSITIVITY_TOL)
+    """True if all eigenvalues of the 4x4 matrix are >= -POSITIVITY_TOL.
+
+    Tested as the Cholesky factorization of rho / s + (POSITIVITY_TOL / s) I,
+    s the power of two of validate_density, read from its lower triangle as
+    numpy's eigvalsh reads it: every pivot must be positive. Cholesky is
+    backward stable (Higham 2002, ch. 10), so the two tests can differ only
+    where the smallest eigenvalue lies within a few eps |rho|_inf of
+    -POSITIVITY_TOL.
+    """
+    _, re, im, scale = _checked_density(rho)
+    m = list(map(complex, re, im))
+    shift = POSITIVITY_TOL / scale
+    lower = []  # rows of L with rho / s + shift I = L L^dagger; a float diagonal
+    for i, row in enumerate((m[0:4], m[4:8], m[8:12], m[12:16])):
+        li = []
+        for j, lj in enumerate(lower):
+            li.append((row[j] - sum(li[k] * lj[k].conjugate() for k in range(j))) / lj[j])
+        pivot = row[i].real + shift - sum(z.real * z.real + z.imag * z.imag for z in li)
+        if not pivot > 0.0:
+            return False
+        li.append(math.sqrt(pivot))
+        lower.append(li)
+    return True
 
 
+_H = 1.0 / math.sqrt(2.0)
 BELL_KETS = {
-    "phi+": np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2),
-    "phi-": np.array([1, 0, 0, -1], dtype=complex) / np.sqrt(2),
-    "psi+": np.array([0, 1, 1, 0], dtype=complex) / np.sqrt(2),
-    "psi-": np.array([0, 1, -1, 0], dtype=complex) / np.sqrt(2),
+    "phi+": (_H, 0.0, 0.0, _H),
+    "phi-": (_H, 0.0, 0.0, -_H),
+    "psi+": (0.0, _H, _H, 0.0),
+    "psi-": (0.0, _H, -_H, 0.0),
 }
 
 
 def bell_projector(which):
-    """Projector onto one of the four Bell states: phi+, phi-, psi+, psi-."""
-    ket = BELL_KETS[which]
+    """Projector onto one of the four Bell states: phi+, phi-, psi+, psi-,
+    as a 4x4 array."""
+    import numpy as np
+
+    ket = np.array(BELL_KETS[which], dtype=complex)
     return np.outer(ket, ket.conj())
 
 
 def _as_rng(seed):
+    import numpy as np
+
     if isinstance(seed, np.random.Generator):
         return seed
     return np.random.default_rng(seed)
@@ -199,7 +314,10 @@ def _as_rng(seed):
 def random_bloch(state_class, seed):
     """Random Bloch coordinates with entries uniform in [-1, 1], respecting
     the linear constraints of the class exactly (zero 1-point vectors for
-    LMM, shared vector and symmetric C for symmetric states)."""
+    LMM, shared vector and symmetric C for symmetric states); the fields
+    are arrays."""
+    import numpy as np
+
     rng = _as_rng(seed)
     state_class = StateClass(state_class)
     if state_class in (StateClass.LMM, StateClass.SYMMETRIC_LMM):
@@ -225,11 +343,11 @@ def random_bloch(state_class, seed):
 def _ginibre_state(rng):
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return rho / rho.trace().real
 
 
 def random_state(state_class, seed, positive=False):
-    """Seeded random density operator of the given class.
+    """Seeded random density operator of the given class, as a 4x4 array.
 
     With positive=True the draw is GG*/tr(GG*) for a complex Gaussian G,
     then projected onto the class: symmetric states average the state with
@@ -238,16 +356,17 @@ def random_state(state_class, seed, positive=False):
     the state is a uniform draw in Bloch coordinates and is generally not
     positive semidefinite.
     """
+    import numpy as np
+
     rng = _as_rng(seed)
     state_class = StateClass(state_class)
     if not positive:
-        return density_of(random_bloch(state_class, rng))
+        return np.array(density_of(random_bloch(state_class, rng)))
     rho = _ginibre_state(rng)
     if state_class in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM):
-        rho = 0.5 * (rho + SWAP @ rho @ SWAP)
+        swap = np.array(SWAP, dtype=complex)
+        rho = 0.5 * (rho + swap @ rho @ swap)
     if state_class in (StateClass.LMM, StateClass.SYMMETRIC_LMM):
-        b = bloch_of(rho)
-        b.u[:] = 0.0
-        b.v[:] = 0.0
-        rho = density_of(b)
+        zero = [0.0, 0.0, 0.0]
+        rho = np.array(density_of(BlochMatrix(zero, zero, bloch_of(rho).C)))
     return rho

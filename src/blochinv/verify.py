@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import SUITES
 from . import invariants as invariants_mod
 from . import linalg as linalg_mod
 from .groups import (
@@ -70,7 +71,6 @@ from .states import (
     random_state,
 )
 
-SUITES = ("bloch", "lmm", "sym", "group", "orbit")
 _IDENTITY = SignedPerm(perm=(0, 1, 2), signs=(1, 1, 1))
 
 _EPS3 = np.zeros((3, 3, 3))
@@ -172,7 +172,7 @@ def _signed_svd3_check(name, samples, seed, offset, draw):
     def trial(rng):
         c, sign = draw(rng)
         svd = linalg_mod.signed_svd3(c)
-        recon = svd.left @ np.diag(svd.diag) @ svd.right.T - c
+        recon = np.asarray(svd.left) @ np.diag(svd.diag) @ np.asarray(svd.right).T - c
         d = svd.diag
         return (norm_inf(recon) / max(1.0, norm_inf(c)),
                 _worst((rotation_residual(svd.left), rotation_residual(svd.right))),
@@ -193,7 +193,8 @@ def _g_index_sum(v, a):
 
 def _bloch_dist(a, b):
     """Worst entrywise difference of two Bloch matrices."""
-    return _worst((norm_inf(a.u - b.u), norm_inf(a.v - b.v), norm_inf(a.C - b.C)))
+    return _worst((norm_inf(np.asarray(a.u) - b.u), norm_inf(np.asarray(a.v) - b.v),
+                   norm_inf(np.asarray(a.C) - b.C)))
 
 
 # ----------------------------------------------------------------- bloch
@@ -215,7 +216,7 @@ def _suite_bloch(samples, seed):
         rho = random_state(list(StateClass)[t % 4], rng, positive=(t % 2 == 0))
         b = bloch_of(rho)
         back = density_of(b)
-        return _worst((norm_inf(back - rho) / max(1.0, norm_inf(rho)),
+        return _worst((norm_inf(np.asarray(back) - rho) / max(1.0, norm_inf(rho)),
                        _bloch_dist(bloch_of(back), b)))
 
     res = _worst(roundtrip(t, rng) for t, rng in enumerate(_rngs(seed, "bloch", 100000, samples)))
@@ -369,7 +370,8 @@ def _suite_lmm(samples, seed):
     def eig_residuals(rng):
         a = _generic_symmetric(rng, gap=0.0)
         eig = linalg_mod.eig_sym3(a)
-        recon = eig.rotation @ a @ eig.rotation.T - np.diag(eig.eigenvalues)
+        rotation = np.asarray(eig.rotation)
+        recon = rotation @ a @ rotation.T - np.diag(eig.eigenvalues)
         return norm_inf(recon) / max(1.0, norm_inf(a)), rotation_residual(eig.rotation)
 
     recon, orth = zip(*map(eig_residuals, _rngs(seed, "lmm", 600000, samples)))
@@ -586,7 +588,7 @@ def _suite_orbit(samples, seed):
         verdict = decide_equiv_lmm(ca, cb, tol=1e-8)
         if verdict.verdict is not Verdict.EQUIVALENT:
             return 0.0, True
-        r1, r2 = verdict.witness
+        r1, r2 = map(np.asarray, verdict.witness)
         return norm_inf(r1 @ ca @ r2.T - cb), False
 
     res, bad = _fold(map(lmm_complete, _rngs(seed, "orbit", 0, samples)))
@@ -599,7 +601,7 @@ def _suite_orbit(samples, seed):
         verdict = decide_equiv_sym((va, aa), (vb, ab), tol=1e-8)
         if verdict.verdict is not Verdict.EQUIVALENT:
             return 0.0, True
-        r = verdict.witness
+        r = np.asarray(verdict.witness)
         return _worst((norm_inf(r @ va - vb), norm_inf(r @ aa @ r.T - ab))), False
 
     res, bad = _fold(map(sym_complete, _rngs(seed, "orbit", 100000, samples)))
@@ -630,8 +632,9 @@ def _suite_orbit(samples, seed):
         w = _generic_vector(rng)
         sform = sym_canonical(w, np.diag(lam))
         sagain = sym_canonical(sform.w, np.diag(sform.eigs))
-        return (norm_inf(again.diag - form.diag),
-                _worst((norm_inf(sagain.w - sform.w), norm_inf(sagain.eigs - sform.eigs))))
+        return (norm_inf(np.asarray(again.diag) - form.diag),
+                _worst((norm_inf(np.asarray(sagain.w) - sform.w),
+                        norm_inf(np.asarray(sagain.eigs) - sform.eigs))))
 
     cont, finite = zip(*map(idempotence, _rngs(seed, "orbit", 400000, max(1, samples // 10))))
     res_cont, res_finite = _worst(cont), _worst(finite)
@@ -645,7 +648,7 @@ def _suite_orbit(samples, seed):
 
     def weyl_spread(rng):
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
-        base = lmm_canonical(c).diag
+        base = np.asarray(lmm_canonical(c).diag)
         return _worst(norm_inf(lmm_canonical(r1 @ c @ r2.T).diag - base) for r1, r2 in weyl_pairs)
 
     res = _worst(map(weyl_spread, _rngs(seed, "orbit", 500000, max(1, samples // 10))))
@@ -687,7 +690,8 @@ def _suite_orbit(samples, seed):
         wrong = sum(x.verdict is not Verdict.NOT_EQUIVALENT for x in rejects)
         if not all(x.verdict is Verdict.EQUIVALENT for x in (lmm, sym, axis)):
             return 0.0, wrong + 1
-        (r1, r2), r, q = lmm.witness, sym.witness, axis.witness
+        r1, r2 = map(np.asarray, lmm.witness)
+        r, q = np.asarray(sym.witness), np.asarray(axis.witness)
         # The axis pair has norm below 1, so its residual is already relative.
         return _worst((norm_inf(r1 @ ca @ r2.T - cb) / max(1.0, norm_inf(cb)),
                        norm_inf(r @ aa @ r.T - ab) / max(1.0, norm_inf(ab)),

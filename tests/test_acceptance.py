@@ -275,7 +275,7 @@ def test_criterion_08_six_invariant_separation():
         if verdict.verdict is not Verdict.EQUIVALENT:
             fail_complete += 1
             continue
-        r = verdict.witness
+        r = np.asarray(verdict.witness)
         worst_witness = max(worst_witness,
                             norm_inf(r @ sa[0] - sb[0]),
                             norm_inf(r @ sa[1] @ r.T - sb[1]))

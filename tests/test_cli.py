@@ -344,18 +344,49 @@ class TestTypedErrors:
         return {"format": "density", "matrix": matrix}
 
     @pytest.mark.parametrize("diag, entries, code", [
-        ([1.7e308, 1.7e308, -1.7e308, -1.7e308], {}, 3),
+        ([1.7e308, 1.7e308, -1.7e308, -1.7e308], {}, 4),
         ([0.25] * 4, {(0, 1): 1.7e308, (1, 0): -1.7e308}, 2),
         ([0.25] * 4, {(0, 1): 1.7e308 + 1.7e308j, (1, 0): 1.7e308 + 1.7e308j}, 2),
-    ], ids=["trace-0-general", "non-hermitian", "non-hermitian-complex"])
+        ([0.25] * 4, {(0, 1): 1.7e308 + 1.7e308j, (1, 0): 1.7e308 - 1.7e308j}, 4),
+    ], ids=["trace-0-general", "non-hermitian", "non-hermitian-complex", "hermitian-complex"])
     def test_density_near_top_of_double_range(self, tmp_path, capsys, diag, entries, code):
         # The Hermitian and trace tests stay finite: the trace-0 state is
-        # within the relative tolerance of unit trace and classified
-        # general, the others are not Hermitian; no numpy warning.
+        # within the relative tolerance of unit trace, the non-Hermitian
+        # ones are rejected; the two valid states have a Bloch coordinate
+        # beyond the double range (u_z = 6.8e308 and v_x = 3.4e308), a typed
+        # NotRepresentable (exit 4), not an infinite coordinate.
         path = tmp_path / "top.json"
         path.write_text(json.dumps(self._density(diag, entries)))
         assert main(["invariants", str(path)]) == code
         assert_one_error_line(capsys)
+
+
+class TestNoNumpy:
+    """invariants, equiv, canonical and restrict, each in a process of its
+    own on Bloch and density files, load neither numpy nor the group
+    machinery nor the battery."""
+
+    @pytest.mark.parametrize("state_class, seed", [("lmm", 1), ("sym", 2)])
+    @pytest.mark.parametrize("command", ["invariants", "equiv", "canonical", "restrict"])
+    def test_command_never_imports_numpy(self, tmp_path, capsys, command, state_class, seed):
+        import subprocess
+        import sys
+
+        paths = []
+        for fmt, flags in (("bloch", []), ("density", ["--positive"])):
+            assert main(["random", "--class", state_class, "--seed", str(seed), *flags]) == 0
+            paths.append(write_state(tmp_path, f"{fmt}.json", json.loads(capsys.readouterr().out)))
+        # equiv: the two different states, then the density state with itself.
+        runs = [paths, [paths[1]] * 2] if command == "equiv" else [[path] for path in paths]
+        code = ("import sys\nfrom blochinv.cli import main\n"
+                "codes = [main([sys.argv[1], *files.split(',')]) for files in sys.argv[2:]]\n"
+                "print(codes, [m for m in ('numpy', 'blochinv.verify', 'blochinv.groups') "
+                "if m in sys.modules], file=sys.stderr)\n")
+        proc = subprocess.run([sys.executable, "-c", code, command, *map(",".join, runs)],
+                              capture_output=True, text=True, check=True)
+        codes = "[1, 0]" if command == "equiv" else "[0, 0]"
+        assert proc.stderr.strip() == f"{codes} []"
+        assert proc.stdout.count("\n") == len(runs)
 
 
 class TestCrossProcessDeterminism:

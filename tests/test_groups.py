@@ -74,7 +74,7 @@ class TestCoveringMap:
 def trace_formula(u):
     """R_ij = Re tr(sigma_i U sigma_j U*) / 2 written out with einsum."""
     u = np.asarray(u, dtype=complex)
-    sig = PAULI[1:]
+    sig = np.array(PAULI[1:])
     return 0.5 * np.einsum("iab,bc,jcd,da->ij", sig, u, sig, u.conj().T).real
 
 

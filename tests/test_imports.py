@@ -4,7 +4,9 @@ _matvec3, no package module calls a LAPACK determinant (linalg.det3
 is the only one), no package module catches every exception (a bare
 except, or except Exception or BaseException), and one function,
 orbits._decide, builds every EquivalenceVerdict and is the only one to
-catch DegenerateSpectrum.
+catch DegenerateSpectrum. The modules of the command-line path import
+numpy only inside function bodies, and importing the package loads neither
+blochinv.groups nor blochinv.verify.
 
 __init__.py is exempt from the import check: its imports are the public
 re-exports.
@@ -12,6 +14,8 @@ re-exports.
 
 import ast
 import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -19,6 +23,9 @@ PACKAGE = pathlib.Path(__file__).resolve().parent.parent / "src" / "blochinv"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 # The scalar core: its products are summed in one fixed order, not by BLAS.
 SCALAR_CORE = [PACKAGE / name for name in ("linalg.py", "invariants.py", "orbits.py")]
+# The modules the invariants, equiv, canonical and restrict commands load.
+NUMPY_FREE = [PACKAGE / f"{name}.py" for name in
+              ("errors", "linalg", "invariants", "orbits", "states", "serialize", "cli")]
 
 
 def unused_imports(source):
@@ -154,3 +161,50 @@ def test_detects_verdict_sites():
               "v = EquivalenceVerdict(3)\nisinstance(v, EquivalenceVerdict)\n")
     assert verdict_sites(source) == [(4, "_decide"), (5, "_decide"), (9, "other"),
                                      (11, "other"), (12, None)]
+
+
+def module_level_numpy_imports(source):
+    """Lines of source that import numpy (or a numpy submodule) outside
+    every function body."""
+    lines = []
+
+    def visit(node):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            return
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "numpy" for alias in node.names):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "numpy" and not node.level:
+                lines.append(node.lineno)
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    visit(ast.parse(source))
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", NUMPY_FREE, ids=lambda p: p.name)
+def test_no_module_level_numpy_import(path):
+    assert module_level_numpy_imports(path.read_text()) == []
+
+
+def test_detects_module_level_numpy_import():
+    source = ("import numpy as np\nimport math, numpy.linalg\nfrom numpy import array\n"
+              "def f():\n    import numpy as np\n    return np\n"
+              "class C:\n    from numpy.random import default_rng\n"
+              "    def g(self):\n        from numpy import zeros\n"
+              "if True:\n    import numpy\nfrom .numpy import x\nimport numpyish\n")
+    assert module_level_numpy_imports(source) == [1, 2, 3, 8, 12]
+
+
+def test_package_import_loads_neither_groups_nor_verify():
+    code = ("import sys, blochinv\n"
+            "loaded = [m for m in ('numpy', 'blochinv.groups', 'blochinv.verify')\n"
+            "          if m in sys.modules]\n"
+            "names = dir(blochinv)\n"
+            "print(loaded, 'run_all' in names, 'haar_so3' in names, "
+            "callable(blochinv.run_all), callable(blochinv.haar_so3))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent).stdout
+    assert out.split() == ["[]", "True", "True", "True", "True"]

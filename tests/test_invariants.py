@@ -541,7 +541,7 @@ class TestExtremeScale:
         assert self._xyz(v, big) == pytest.approx(self._xyz(v, a), rel=1e-12, abs=1e-15)
         assert r_invariant(v, big) == pytest.approx(r_invariant(v, a), rel=1e-12)
         form, ref = sym_canonical(v, big), sym_canonical(v, a)
-        np.testing.assert_allclose(form.eigs / 1e60, ref.eigs, rtol=1e-14)
+        np.testing.assert_allclose(np.divide(form.eigs, 1e60), ref.eigs, rtol=1e-14)
         np.testing.assert_allclose(form.w, ref.w, rtol=1e-12, atol=1e-15)
 
     def test_any_scale_of_v(self):

@@ -32,7 +32,7 @@ class TestLmmCanonical:
         form = lmm_canonical(np.diag([1.0, -1.0, 1.0]))
         np.testing.assert_allclose(form.diag, [1.0, 1.0, -1.0], atol=1e-14)
         assert form.degenerate  # all singular values coincide
-        r1, r2 = form.witness
+        r1, r2 = map(np.asarray, form.witness)
         target = r1 @ np.diag([1.0, -1.0, 1.0]) @ r2.T
         np.testing.assert_allclose(target, np.diag(form.diag), atol=1e-13)
 
@@ -49,7 +49,7 @@ class TestLmmCanonical:
             form = lmm_canonical(c)
             np.testing.assert_allclose(form.diag, [3.0, 2.0, 1.0], atol=1e-9)
             assert not form.degenerate
-            r1, r2 = form.witness
+            r1, r2 = map(np.asarray, form.witness)
             assert norm_inf(r1 @ c @ r2.T - np.diag(form.diag)) < 1e-9
 
     def test_fixed_point(self):
@@ -60,7 +60,7 @@ class TestLmmCanonical:
                 d = d.copy()
                 d[2] = -d[2]
             form = lmm_canonical(np.diag(d))
-            assert norm_inf(form.diag - d) < 1e-10
+            assert norm_inf(np.subtract(form.diag, d)) < 1e-10
 
     def test_weyl_invariance(self):
         rng = np.random.default_rng(2)
@@ -70,7 +70,7 @@ class TestLmmCanonical:
             for g in lmm_weyl_action_group():
                 r1, r2 = lmm_weyl_pair(g)
                 moved = lmm_canonical(r1 @ c @ r2.T).diag
-                assert norm_inf(moved - base) < 1e-10
+                assert norm_inf(np.subtract(moved, base)) < 1e-10
 
 
 class TestSymCanonical:
@@ -78,7 +78,8 @@ class TestSymCanonical:
         form = sym_canonical(np.array([-1.0, -2.0, 3.0]), np.diag([3.0, 2.0, 1.0]))
         np.testing.assert_array_equal(form.w, [1.0, 2.0, 3.0])
         np.testing.assert_array_equal(form.eigs, [3.0, 2.0, 1.0])
-        assert norm_inf(form.witness @ np.diag([3.0, 2.0, 1.0]) @ form.witness.T
+        r = np.asarray(form.witness)
+        assert norm_inf(r @ np.diag([3.0, 2.0, 1.0]) @ r.T
                         - np.diag(form.eigs)) < 1e-13
 
     def test_degenerate_raises(self):
@@ -93,8 +94,8 @@ class TestSymCanonical:
         for _ in range(200):
             r = haar_so3(rng)
             form = sym_canonical(r @ v, r @ a @ r.T)
-            assert norm_inf(form.w - ref.w) < 1e-8
-            assert norm_inf(form.eigs - ref.eigs) < 1e-8
+            assert norm_inf(np.subtract(form.w, ref.w)) < 1e-8
+            assert norm_inf(np.subtract(form.eigs, ref.eigs)) < 1e-8
 
     def test_witness_lands_on_slice(self):
         rng = np.random.default_rng(4)
@@ -104,7 +105,8 @@ class TestSymCanonical:
             a = q.T @ np.diag(lam) @ q
             v = rng.uniform(-1, 1, size=3)
             form = sym_canonical(v, a)
-            assert norm_inf(form.witness @ a @ form.witness.T - np.diag(form.eigs)) < 1e-10
+            r = np.asarray(form.witness)
+            assert norm_inf(r @ a @ r.T - np.diag(form.eigs)) < 1e-10
             assert norm_inf(form.witness @ v - form.w) < 1e-12
 
     def test_idempotent(self):
@@ -127,7 +129,7 @@ class TestDecideLmm:
             cb = haar_so3(rng) @ d @ haar_so3(rng).T
             verdict = decide_equiv_lmm(ca, cb)
             assert verdict.verdict is Verdict.EQUIVALENT
-            r1, r2 = verdict.witness
+            r1, r2 = map(np.asarray, verdict.witness)
             assert norm_inf(r1 @ ca @ r2.T - cb) < 1e-8
 
     @pytest.mark.parametrize("d3", [5e-8, -5e-8])
@@ -152,7 +154,7 @@ class TestDecideLmm:
         verdict = decide_equiv_lmm(np.zeros((3, 3)), np.zeros((3, 3)))
         assert verdict.verdict is Verdict.EQUIVALENT
         assert verdict.invariant_distance == 0.0
-        r1, r2 = verdict.witness
+        r1, r2 = map(np.asarray, verdict.witness)
         assert norm_inf(r1 @ np.zeros((3, 3)) @ r2.T) == 0.0
         assert rotation_residual(r1) <= 1e-11 and rotation_residual(r2) <= 1e-11
 
@@ -167,7 +169,7 @@ class TestDecideLmm:
             cb = haar_so3(rng) @ np.diag(d) @ haar_so3(rng).T
             verdict = decide_equiv_lmm(ca, cb)
             assert verdict.verdict is Verdict.EQUIVALENT
-            r1, r2 = verdict.witness
+            r1, r2 = map(np.asarray, verdict.witness)
             assert norm_inf(r1 @ ca @ r2.T - cb) <= 1e-7 * max(1.0, norm_inf(cb))
 
     def test_canonical_distance_rejects(self):
@@ -197,7 +199,7 @@ class TestDecideSym:
             sb = (rb.T @ w, rb.T @ np.diag(lam) @ rb)
             verdict = decide_equiv_sym(sa, sb)
             assert verdict.verdict is Verdict.EQUIVALENT
-            r = verdict.witness
+            r = np.asarray(verdict.witness)
             assert norm_inf(r @ sa[0] - sb[0]) < 1e-8
             assert norm_inf(r @ sa[1] @ r.T - sb[1]) < 1e-8
 
@@ -237,7 +239,7 @@ class TestDecideSym:
         assert zero == bool(np.max(np.abs(v)) <= 1e-12)
         verdict = decide_equiv_sym((v, a), (v, a))
         assert verdict.verdict is Verdict.EQUIVALENT
-        r = verdict.witness
+        r = np.asarray(verdict.witness)
         assert max(norm_inf(r @ v - v), norm_inf(r @ a @ r.T - a)) <= 1e-7 * 3.0
 
     def test_extreme_scale_same_orbit(self):
@@ -284,7 +286,7 @@ class TestDecideSym:
             sb = (rb.T @ w, rb.T @ lam @ rb)
             verdict = decide_equiv_sym(sa, sb, tol=tol)
             assert verdict.verdict is Verdict.EQUIVALENT
-            r = verdict.witness
+            r = np.asarray(verdict.witness)
             residual = max(norm_inf(r @ sa[0] - sb[0]), norm_inf(r @ sa[1] @ r.T - sb[1]))
             assert residual <= 10.0 * tol * max(1.0, norm_inf(sb[0]), norm_inf(sb[1]))
 
@@ -320,7 +322,8 @@ class TestExtremeScale:
         far = haar_so3(rng) @ (s * np.diag([3.0, 2.0, 0.5])) @ haar_so3(rng).T
 
         def residual(pair):
-            return norm_inf(pair[0] @ c @ pair[1].T - m)
+            r1, r2 = map(np.asarray, pair)
+            return norm_inf(r1 @ c @ r2.T - m)
 
         self._check(k, decide_equiv_lmm(c, m, tol=self.TOL), True, residual,
                     max(1.0, norm_inf(m)))
@@ -337,6 +340,7 @@ class TestExtremeScale:
         sb = (rb.T @ w, rb.T @ lam @ rb)
 
         def residual(r):
+            r = np.asarray(r)
             return max(norm_inf(r @ sa[0] - sb[0]), norm_inf(r @ sa[1] @ r.T - sb[1]))
 
         self._check(k, decide_equiv_sym(sa, sb, tol=self.TOL), True, residual,
@@ -402,7 +406,7 @@ class TestSingleDiagonalization:
         verdict = decide_equiv_sym((np.zeros(3), sa[1]), (np.zeros(3), sb[1]))
         assert verdict.verdict is Verdict.EQUIVALENT
         assert len(eig_sym3_calls) == 2
-        r = verdict.witness
+        r = np.asarray(verdict.witness)
         assert norm_inf(r @ sa[1] @ r.T - sb[1]) <= 1e-7 * max(1.0, norm_inf(sb[1]))
 
 

@@ -31,6 +31,17 @@ class TestDumps:
         assert dumps([1, 2.5]) == "[1, 2.5]"
         assert dumps({"a": 0.1}) == '{"a": 0.10000000000000001}'
 
+    def test_numpy_values_through_tolist(self):
+        # numpy scalars and arrays are written as what tolist returns.
+        assert dumps(np.float64(0.1)) == "0.10000000000000001"
+        assert dumps(np.int64(-7)) == "-7"
+        assert dumps(np.bool_(True)) == "true"
+        assert dumps(np.array(2.5)) == "2.5"
+        row = "[1.0, 0.5, 3.0]"
+        assert dumps(np.array([[1.0, 0.5, 3.0]] * 3)) == f"[{row}, {row}, {row}]"
+        assert dumps(-0.0) == "-0.0"
+        assert dumps(np.float64(-0.0)) == "-0.0"
+
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             dumps(float("nan"))

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from blochinv.errors import NonHermitianInput
+from blochinv.errors import NonHermitianInput, NotRepresentable
 from blochinv.linalg import norm_inf
 from blochinv.states import (
+    DEFAULT_CLASS_TOL,
     PAULI,
-    PAULI_KRON,
+    POSITIVITY_TOL,
     SWAP,
     BlochMatrix,
     StateClass,
@@ -26,13 +27,44 @@ from blochinv.states import (
 
 MAX_MIXED = 0.25 * np.eye(4, dtype=complex)
 
+# The basis of the einsum oracles of the closed forms in states:
+# PAULI_KRON[a, b] = sigma_a (x) sigma_b, trace-orthogonal (tr products = 4 delta).
+PAULI_NP = np.array(PAULI)
+PAULI_KRON = np.array([[np.kron(p, q) for q in PAULI_NP] for p in PAULI_NP])
+SWAP_NP = np.array(SWAP, dtype=complex)
+
+
+def table_oracle(rho):
+    """tr(rho sigma_a (x) sigma_b) as one einsum over the Pauli basis."""
+    return np.einsum("abij,ji->ab", PAULI_KRON, np.asarray(rho, dtype=complex)).real
+
+
+def density_oracle(u, v, c):
+    """(1/4) sum_ab B_ab sigma_a (x) sigma_b, B scaled by 1/4 first."""
+    b = 0.25 * np.array([[1.0, *v], *([x, *row] for x, row in zip(u, c))])
+    return np.einsum("ab,abij->ij", b, PAULI_KRON)
+
+
+def class_oracle(table, tol=DEFAULT_CLASS_TOL):
+    u, v, c = table[1:, 0], table[0, 1:], table[1:, 1:]
+    lmm = norm_inf(u) <= tol and norm_inf(v) <= tol
+    sym = norm_inf(u - v) <= tol and norm_inf(c - c.T) <= tol
+    return {(True, True): StateClass.SYMMETRIC_LMM, (True, False): StateClass.LMM,
+            (False, True): StateClass.SYMMETRIC, (False, False): StateClass.GENERAL}[lmm, sym]
+
+
+def hex_entries(x):
+    """float.hex of every real entry, or of the real and imaginary parts."""
+    return [part.hex() for z in np.ravel(np.asarray(x)).tolist()
+            for part in ((z.real, z.imag) if isinstance(z, complex) else (float(z),))]
+
 
 class TestPauliBasis:
     def test_hermitian_and_orthogonal(self):
         for i in range(4):
-            np.testing.assert_array_equal(PAULI[i], PAULI[i].conj().T)
+            np.testing.assert_array_equal(PAULI_NP[i], PAULI_NP[i].conj().T)
             for j in range(4):
-                tr = np.trace(PAULI[i] @ PAULI[j])
+                tr = np.trace(PAULI_NP[i] @ PAULI_NP[j])
                 assert tr == pytest.approx(2.0 if i == j else 0.0)
 
     def test_kron_basis_trace_orthogonal(self):
@@ -43,10 +75,10 @@ class TestPauliBasis:
                 assert tr == pytest.approx(4.0 if a == b else 0.0)
 
     def test_swap_exchanges_factors(self):
-        np.testing.assert_array_equal(SWAP @ SWAP, np.eye(4))
+        np.testing.assert_array_equal(SWAP_NP @ SWAP_NP, np.eye(4))
         for i in range(4):
             for j in range(4):
-                lhs = SWAP @ PAULI_KRON[i, j] @ SWAP
+                lhs = SWAP_NP @ PAULI_KRON[i, j] @ SWAP_NP
                 np.testing.assert_array_equal(lhs, PAULI_KRON[j, i])
 
 
@@ -144,7 +176,7 @@ class TestBlochMap:
             b = np.block([[np.ones((1, 1)), v[None, :]], [u[:, None], c]])
             old = 0.25 * np.einsum("ab,abij->ij", b, PAULI_KRON)
             new = density_of(BlochMatrix(u, v, c))
-            assert [z.real.hex() + z.imag.hex() for z in new.ravel().tolist()] == [
+            assert [z.real.hex() + z.imag.hex() for row in new for z in row] == [
                 z.real.hex() + z.imag.hex() for z in old.ravel().tolist()]
 
     def test_round_trip(self):
@@ -154,6 +186,108 @@ class TestBlochMap:
             rho = random_state(cls, rng, positive=(k % 2 == 0))
             b = bloch_of(rho)
             assert norm_inf(density_of(b) - rho) <= 1e-12 * max(1.0, norm_inf(rho))
+
+
+class TestEinsumOracle:
+    """The closed forms of states match one einsum over the Pauli basis in
+    float.hex: every Bloch field, correlation, density entry and class."""
+
+    @staticmethod
+    def _states(n=1600):
+        """Bloch data of general, lmm and sym states, some with exact (and
+        negative) zero fields, scaled by 2^k, k in [-500, 500]; and the
+        density matrix, every other one perturbed off the diagonal within the
+        Hermitian tolerance so that the summation order shows."""
+        rng = np.random.default_rng(41)
+        for t in range(n):
+            u, v = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
+            c = rng.uniform(-1, 1, (3, 3))
+            kind = t % 4
+            if kind == 1:
+                u, v = np.zeros(3), np.zeros(3)
+            elif kind == 2:
+                v, c = u.copy(), 0.5 * (c + c.T)
+            elif kind == 3:
+                u = np.where(rng.uniform(size=3) < 0.5, -0.0, u)
+                c = np.where(rng.uniform(size=(3, 3)) < 0.5, 0.0, c)
+            scale = 2.0 ** int(rng.integers(-500, 501))
+            u, v, c = u * scale, v * scale, c * scale
+            rho = density_oracle(u, v, c)
+            if t % 2:
+                noise = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+                rho = rho + 1e-14 * max(1.0, scale) * (noise - np.diag(np.diag(noise)))
+            yield t, (u, v, c), rho
+
+    def test_fields_correlations_and_class(self):
+        for t, (u, v, c), rho in self._states():
+            assert hex_entries(density_of(BlochMatrix(u, v, c))) == \
+                hex_entries(density_oracle(u, v, c))
+            table = table_oracle(rho)
+            b = bloch_of(rho)
+            assert hex_entries(b.u) == hex_entries(table[1:, 0])
+            assert hex_entries(b.v) == hex_entries(table[0, 1:])
+            assert hex_entries(b.C) == hex_entries(table[1:, 1:])
+            assert classify(rho) is class_oracle(table)
+            if t % 10 == 0:
+                got = [correlation(rho, i, j) for i in range(4) for j in range(4)]
+                assert hex_entries(got) == hex_entries(table)
+
+    def test_zero_fields_are_positive_zero(self):
+        b = bloch_of(density_oracle(np.full(3, -0.0), np.full(3, -0.0), np.full((3, 3), -0.0)))
+        assert hex_entries([*b.u, *b.v, *sum(b.C, [])]) == [(0.0).hex()] * 15
+
+    @pytest.mark.parametrize("diag, entries", [
+        ((1.7e308, 1.7e308, -1.7e308, -1.7e308), {}),
+        ((0.25,) * 4, {(0, 1): 1.7e308 + 1.7e308j, (1, 0): 1.7e308 - 1.7e308j}),
+    ], ids=["trace-0", "hermitian-complex"])
+    def test_coordinate_beyond_double_range_not_representable(self, diag, entries):
+        # Valid states whose u_z = 6.8e308, resp. v_x = 3.4e308, is not a
+        # double: a typed error, never an infinite coordinate.
+        rho = np.diag(np.array(diag, dtype=complex))
+        for (i, j), z in entries.items():
+            rho[i, j] = z
+        validate_density(rho)
+        for call in (bloch_of, classify, lambda x: correlation(x, 0, 0)):
+            with pytest.raises(NotRepresentable):
+                call(rho)
+
+
+class TestPositivityOracle:
+    """is_positive agrees with eigvalsh(rho)[0] >= -POSITIVITY_TOL."""
+
+    @staticmethod
+    def _states(n=2400):
+        """Pure, rank-2, Ginibre and indefinite states, and spectra whose
+        smallest eigenvalue sits 1e-12 to either side of -POSITIVITY_TOL."""
+        rng = np.random.default_rng(43)
+        for t in range(n):
+            q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+            q = q * (np.diag(r) / np.abs(np.diag(r)))
+            kind = t % 5
+            if kind == 0:
+                lam = np.array([0.0, 0.0, 0.0, 1.0])
+            elif kind == 1:
+                p = rng.uniform()
+                lam = np.array([0.0, 0.0, p, 1.0 - p])
+            elif kind == 2:
+                yield random_state(StateClass.GENERAL, rng, positive=True)
+                continue
+            elif kind == 3:
+                yield random_state(list(StateClass)[t % 4], rng)
+                continue
+            else:
+                low = -POSITIVITY_TOL + rng.choice([-1e-12, 1e-12])
+                lam = np.array([low, *rng.uniform(0.1, 0.5, 2), 0.0])
+                lam[3] = 1.0 - lam[:3].sum()
+            yield (q * lam) @ q.conj().T
+
+    def test_agrees_with_eigvalsh(self):
+        for rho in self._states():
+            assert is_positive(rho) == (np.linalg.eigvalsh(rho)[0] >= -POSITIVITY_TOL)
+
+    def test_boundary_band_has_both_outcomes(self):
+        outcomes = {is_positive(rho) for t, rho in enumerate(self._states(200)) if t % 5 == 4}
+        assert outcomes == {True, False}
 
 
 class TestPartialTrace:
@@ -199,7 +333,7 @@ class TestClassify:
             cls = list(StateClass)[k % 4]
             rho = density_of(random_bloch(cls, rng))
             sym = cls in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM)
-            assert (norm_inf(SWAP @ rho @ SWAP - rho) <= 1e-9) == sym
+            assert (norm_inf(SWAP_NP @ rho @ SWAP_NP - rho) <= 1e-9) == sym
 
     def test_idempotent_with_construction(self):
         rng = np.random.default_rng(4)
