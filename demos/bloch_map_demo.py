@@ -18,9 +18,10 @@ from blochinv import (
     density_of,
     haar_su2,
     partial_trace,
+    random_bloch,
     so3_of_u2,
 )
-from blochinv.states import StateClass, random_bloch
+from blochinv.states import StateClass
 
 rng = np.random.default_rng(2024)
 
@@ -40,7 +41,7 @@ print("=" * 70)
 bell = bell_projector("phi+")
 b = bloch_of(bell)
 print("both partial traces equal I/2:")
-print(partial_trace(bell, 1).real)
+print(np.asarray(partial_trace(bell, 1)).real)
 print("u =", b.u, " v =", b.v)
 print("C = diag(1, -1, 1):\n", np.round(b.C, 12))
 

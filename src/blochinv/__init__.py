@@ -6,9 +6,9 @@ states, canonical forms on the diagonal slices, and constructive
 local-unitary equivalence decisions with rotation witnesses, together
 with a seeded verification battery for every identity these rest on.
 
-Importing the package does not import numpy: the group machinery
-(blochinv.groups) and the battery (blochinv.verify) load on first use of
-one of their names.
+Importing the package does not import numpy: only the group machinery
+with the seeded draws (blochinv.groups) and the battery (blochinv.verify)
+import it, and they load on first use of one of their names.
 """
 
 from .errors import (
@@ -60,8 +60,6 @@ from .states import (
     density_of,
     is_positive,
     partial_trace,
-    random_bloch,
-    random_state,
 )
 
 __version__ = "0.1.0"
@@ -76,7 +74,7 @@ SUITES = ("bloch", "lmm", "sym", "group", "orbit")
 _LAZY = {
     **dict.fromkeys(("SignedPerm", "act_bloch", "act_density", "haar_so3", "haar_su2",
                      "lmm_weyl_action_group", "lmm_weyl_pair", "octahedral_group",
-                     "so3_of_u2"), "groups"),
+                     "random_bloch", "random_state", "so3_of_u2"), "groups"),
     **dict.fromkeys(("run_all", "run_suite"), "verify"),
 }
 

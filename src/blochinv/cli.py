@@ -34,16 +34,7 @@ from .orbits import (
     sym_canonical,
 )
 from .serialize import bloch_document, density_document, dumps, load_state_file
-from .states import (
-    DEFAULT_CLASS_TOL,
-    StateClass,
-    bloch_of,
-    classify,
-    density_of,
-    is_positive,
-    random_bloch,
-    random_state,
-)
+from .states import DEFAULT_CLASS_TOL, StateClass, _class_of, bloch_of, density_of, is_positive
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -61,13 +52,15 @@ class CliError(BlochInvError):
 def _stratum(paths, class_tol):
     """Load and classify the state in each file once, and pick their stratum
     by the stratum rule. Returns the stratum and, per file, (class, rho, x):
-    x is C on lmm and (v, A), A = (C + C^T)/2 symmetrized exactly, on sym."""
+    x is C on lmm and (v, A), A = (C + C^T)/2 symmetrized exactly, on sym.
+    A Bloch file is classified on its own fields, a density file on the
+    fields of its one Bloch table."""
     states = []
     for path in paths:
         fmt, payload = load_state_file(path)
         states.append((density_of(payload), payload) if fmt == "bloch"
                       else (payload, bloch_of(payload)))
-    classes = [classify(rho, tol=class_tol) for rho, _ in states]
+    classes = [_class_of(b, class_tol) for _, b in states]
     # The classes on each stratum, in the order the stratum rule tries them.
     strata = {"lmm": (StateClass.LMM, StateClass.SYMMETRIC_LMM),
               "sym": (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM)}
@@ -83,8 +76,9 @@ def _stratum(paths, class_tol):
 
 
 def _symmetrized(c):
-    """(C + C^T) / 2 of rows of floats, entry by entry."""
-    return [[0.5 * (x + y) for x, y in zip(row, col)] for row, col in zip(c, zip(*c))]
+    """(C + C^T) / 2 of rows of floats, entry by entry, halved before the
+    sum so that it does not overflow."""
+    return [[0.5 * x + 0.5 * y for x, y in zip(row, col)] for row, col in zip(c, zip(*c))]
 
 
 def cmd_invariants(args):
@@ -131,6 +125,8 @@ def cmd_canonical(args):
 
 
 def cmd_random(args):
+    from .groups import random_bloch, random_state
+
     state_class = StateClass(args.state_class)
     if args.positive:
         rho = random_state(state_class, args.seed, positive=True)

@@ -1,7 +1,9 @@
-"""Group machinery: the covering map U(2) -> SO(3), the rotation-pair
-action on Bloch matrices, the chiral octahedral group of signed
-permutations, the effective residual group acting on diagonal correlation
-matrices, and Haar sampling on SU(2)."""
+"""Group machinery and the seeded draws, in one of the two modules that
+import numpy (verify is the other): the covering map U(2) -> SO(3), the
+rotation-pair action on Bloch matrices, the chiral octahedral group of
+signed permutations, the effective residual group acting on diagonal
+correlation matrices, Haar sampling on SU(2), and random Bloch coordinates
+and states of each class."""
 
 import cmath
 import itertools
@@ -12,7 +14,7 @@ import numpy as np
 
 from .errors import NotUnitary
 from .linalg import det3
-from .states import BlochMatrix, _as_rng, validate_density
+from .states import SWAP, BlochMatrix, StateClass, bloch_of, density_of, validate_density
 
 # Tolerance of the unitarity precondition of so3_of_u2.
 UNITARY_TOL = 1e-12
@@ -160,6 +162,12 @@ def lmm_normalizer_pairs():
     return [(g.matrix(), h.matrix()) for g in group for h in group if g.perm == h.perm]
 
 
+def _as_rng(seed):
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(seed)
+
+
 def haar_su2(seed):
     """Haar-random SU(2) element: a normalized pair of complex Gaussians
     placed in the standard special-unitary form."""
@@ -176,3 +184,60 @@ def haar_su2(seed):
 def haar_so3(seed):
     """Haar-random rotation, pushed forward from SU(2) through the cover."""
     return so3_of_u2(haar_su2(seed))
+
+
+def random_bloch(state_class, seed):
+    """Random Bloch coordinates with entries uniform in [-1, 1], respecting
+    the linear constraints of the class exactly (zero 1-point vectors for
+    LMM, shared vector and symmetric C for symmetric states); the fields
+    are arrays."""
+    rng = _as_rng(seed)
+    state_class = StateClass(state_class)
+    if state_class in (StateClass.LMM, StateClass.SYMMETRIC_LMM):
+        u = np.zeros(3)
+        v = np.zeros(3)
+    elif state_class is StateClass.SYMMETRIC:
+        u = rng.uniform(-1.0, 1.0, size=3)
+        v = u.copy()
+    else:
+        u = rng.uniform(-1.0, 1.0, size=3)
+        v = rng.uniform(-1.0, 1.0, size=3)
+    if state_class in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM):
+        c = np.zeros((3, 3))
+        for i in range(3):
+            c[i, i] = rng.uniform(-1.0, 1.0)
+            for j in range(i + 1, 3):
+                c[i, j] = c[j, i] = rng.uniform(-1.0, 1.0)
+    else:
+        c = rng.uniform(-1.0, 1.0, size=(3, 3))
+    return BlochMatrix(u=u, v=v, C=c)
+
+
+def _ginibre_state(rng):
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    rho = g @ g.conj().T
+    return rho / rho.trace().real
+
+
+def random_state(state_class, seed, positive=False):
+    """Seeded random density operator of the given class, as a 4x4 array.
+
+    With positive=True the draw is GG*/tr(GG*) for a complex Gaussian G,
+    then projected onto the class: symmetric states average the state with
+    its swap conjugate, LMM states drop the 1-point blocks in Bloch
+    coordinates (both operations preserve positivity). With positive=False
+    the state is a uniform draw in Bloch coordinates and is generally not
+    positive semidefinite.
+    """
+    rng = _as_rng(seed)
+    state_class = StateClass(state_class)
+    if not positive:
+        return np.array(density_of(random_bloch(state_class, rng)))
+    rho = _ginibre_state(rng)
+    if state_class in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM):
+        swap = np.array(SWAP, dtype=complex)
+        rho = 0.5 * (rho + swap @ rho @ swap)
+    if state_class in (StateClass.LMM, StateClass.SYMMETRIC_LMM):
+        zero = [0.0, 0.0, 0.0]
+        rho = np.array(density_of(BlochMatrix(zero, zero, bloch_of(rho).C)))
+    return rho

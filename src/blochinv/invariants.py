@@ -12,12 +12,12 @@ the diagonal restriction identities and the finite-group invariance of the
 octahedral polynomials hold bit for bit, not just within tolerance.
 """
 
-import math
 from dataclasses import dataclass
 
-from .errors import DegenerateSpectrum, NotRepresentable, ZeroVector
+from .errors import DegenerateSpectrum, ZeroVector
 from .linalg import (
     _det3_rows,
+    _finite,
     _matmul3,
     _matvec3,
     _pow2_floor,
@@ -35,19 +35,13 @@ DISC_TOL = 1e-12
 ZERO_VECTOR_TOL = 1e-12
 
 
-def _finite(owner, values):
-    """NotRepresentable, naming owner, unless every value is a finite double."""
-    if not all(map(math.isfinite, values)):
-        raise NotRepresentable(f"{owner}: an invariant is not a finite double")
-
-
 class _Record:
     """as_dict and as_tuple of a dataclass record, in field order: its
     instance dict holds exactly the fields, set in that order by __init__.
     Every field is a finite number, else NotRepresentable."""
 
     def __post_init__(self):
-        _finite(self, vars(self).values())
+        _finite(self, vars(self).values(), "an invariant")
 
     def as_dict(self):
         return dict(vars(self))
@@ -191,10 +185,9 @@ def lmm_positive_cone_check(inv, tol=1e-9):
 
 
 def lmm_invariants_jacobian(c):
-    """3x9 Jacobian of (t2, t3, t4) in the nine entries of C:
-    grad t2 = 2C, grad t3 = cofactor matrix of C, grad t4 = 4 C C^T C."""
-    import numpy as np
-
+    """3x9 Jacobian of (t2, t3, t4) in the nine entries of C, as three rows
+    of floats: grad t2 = 2C, grad t3 = cofactor matrix of C,
+    grad t4 = 4 C C^T C."""
     m = _rows3(c, "lmm_invariants_jacobian input")[0]
     # Cyclic indices carry the cofactor signs:
     # cof_ij = c[i+1][j+1] c[i+2][j+2] - c[i+1][j+2] c[i+2][j+1] (mod 3).
@@ -202,8 +195,7 @@ def lmm_invariants_jacobian(c):
            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
            for i in range(3) for j in range(3)]
     cct_c = _matmul3(_matmul3(m, list(zip(*m))), m)
-    return np.array([[2.0 * x for row in m for x in row], cof,
-                     [4.0 * x for row in cct_c for x in row]])
+    return [[2.0 * x for row in m for x in row], cof, [4.0 * x for row in cct_c for x in row]]
 
 
 def octahedral_invariants(v):
@@ -265,7 +257,7 @@ def g_invariant(v, a):
     """
     v = _vec3(v, "g_invariant input")
     g = _g_unchecked(v, _sym_rows3(a, "g_invariant input")[0])
-    _finite("g_invariant", (g,))
+    _finite("g_invariant", (g,), "an invariant")
     return g
 
 
@@ -312,7 +304,7 @@ def r_invariant(v, a):
                                            "discriminant vanishes; invariant undefined")
     g = _g_unchecked(v, [[x / scale for x in row] for row in rows])
     r = (g * g) / disc
-    _finite("r_invariant", (r,))
+    _finite("r_invariant", (r,), "an invariant")
     return r
 
 

@@ -6,11 +6,13 @@ of the scalar core.
 Each 3x3 input, an array or nested lists or tuples, is converted to Python
 floats and checked once, by _rows3 (shape and finiteness) or _sym_rows3
 (also symmetry); each 3-vector input by _vec3 (shape and finiteness).
-Neither imports numpy: an array is read through its tolist. The records
-returned here hold lists of Python floats (rows for a matrix); only
-norm_inf, which takes arrays of any shape, imports numpy, inside its body.
-eig_sym3 is the checked entry of the straight-line eigen kernel _eig_rows;
-every diagonalization in the package goes through it. _matvec3 and
+No function here imports numpy: an array is read through its tolist. The
+records returned here hold lists of Python floats (rows for a matrix).
+Both kernels divide their input exactly by a power of two and multiply
+their values back, so they run at any finite scale and raise
+NotRepresentable for a value beyond the double range. eig_sym3 is the
+checked entry of the straight-line eigen kernel _eig_rows; every
+diagonalization in the package goes through it. _matvec3 and
 _matmul3 are the only 3x3 products of the scalar core (linalg, invariants,
 orbits), each summed in one fixed order, so its digits do not depend on
 the BLAS build.
@@ -23,23 +25,13 @@ affine space is unbounded.
 import math
 from typing import NamedTuple
 
-from .errors import NotSymmetric
+from .errors import NotRepresentable, NotSymmetric
 
 JACOBI_OFFDIAG_FACTOR = 1e-14
 JACOBI_MAX_SWEEPS = 40
 JACOBI_ORTH_FACTOR = 1e-15
 # Relative symmetry tolerance of the eig_sym3 / g_invariant precondition.
 SYM_TOL = 1e-12
-
-
-def norm_inf(a):
-    """Entrywise infinity norm (max absolute entry)."""
-    import numpy as np
-
-    a = np.asarray(a)
-    if a.size == 0:
-        return 0.0
-    return float(np.abs(a).max())
 
 
 def rotation_residual(r):
@@ -220,6 +212,7 @@ def eig_sym3(a):
     Raises:
         ValueError: if the input has NaN or Inf entries.
         NotSymmetric: if the input fails the symmetry precondition.
+        NotRepresentable: if an eigenvalue is not a finite double.
     """
     return EigenSym3(*_eig_rows(*_sym_rows3(a, "eig_sym3 input")))
 
@@ -243,15 +236,19 @@ def _eig_rows(rows, norm):
     The six distinct entries of the symmetrized matrix and the nine of the
     accumulated rotation V are named locals; each pivot (p, q) of a sweep
     applies one rotation from _jacobi_rotation to the rows and columns
-    p, q of the matrix and to the columns p, q of V.
+    p, q of the matrix and to the columns p, q of V. Each entry is read
+    divided by the power of two that puts norm in [1, 2), and the
+    eigenvalues are multiplied back, so that no intermediate overflows.
     """
+    scale = _pow2_floor(norm)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    # Symmetrize to remove representation noise; the diagonal goes through
-    # the same 0.5 * (x + x), which is x unless x + x overflows.
-    a00, a11, a22 = 0.5 * (r00 + r00), 0.5 * (r11 + r11), 0.5 * (r22 + r22)
-    a01, a02, a12 = 0.5 * (r01 + r10), 0.5 * (r02 + r20), 0.5 * (r12 + r21)
+    # Symmetrize to remove representation noise; 0.5 * (x + x) is x on the
+    # diagonal.
+    a00, a11, a22 = r00 / scale, r11 / scale, r22 / scale
+    a01, a02 = 0.5 * (r01 / scale + r10 / scale), 0.5 * (r02 / scale + r20 / scale)
+    a12 = 0.5 * (r12 / scale + r21 / scale)
     v00, v01, v02, v10, v11, v12, v20, v21, v22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    thresh = JACOBI_OFFDIAG_FACTOR * norm
+    thresh = JACOBI_OFFDIAG_FACTOR * (norm / scale)
 
     for _ in range(JACOBI_MAX_SWEEPS):
         if abs(a01) + abs(a02) + abs(a12) <= thresh:
@@ -288,7 +285,16 @@ def _eig_rows(rows, norm):
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rot
     if _det3_rows((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)) < 0.0:
         rot[2] = [-x2, -y2, -z2]
-    return [diag[i], diag[j], diag[k]], rot
+    eigenvalues = [scale * diag[i], scale * diag[j], scale * diag[k]]
+    return _finite("eig_sym3", eigenvalues, "an eigenvalue"), rot
+
+
+def _finite(owner, values, what):
+    """values, unless one of them is not a finite double: NotRepresentable
+    naming owner and what the values are."""
+    if not all(map(math.isfinite, values)):
+        raise NotRepresentable(f"{owner}: {what} is not a finite double")
+    return values
 
 
 def _pow2_floor(x):
@@ -325,6 +331,7 @@ def signed_svd3(c):
 
     Raises:
         ValueError: if the input has NaN or Inf entries.
+        NotRepresentable: if a singular value is not a finite double.
     """
     rows, norm = _rows3(c, "signed_svd3 input")
     scale = _pow2_floor(norm)
@@ -371,7 +378,7 @@ def signed_svd3(c):
             m[i] = [cs * x + sn * y for x, y in zip(mi, mj)]
             m[j] = [cs * y - sn * x for x, y in zip(mi, mj)]
 
-    diag = [scale * math.sqrt(sq[k]) for k in order]
+    diag = _finite("signed_svd3", [scale * math.sqrt(sq[k]) for k in order], "a singular value")
     if r[2][2] < 0.0:
         diag[2] = -diag[2]
     return SignedSVD3(left=_transpose(qt), right=_transpose(v), diag=diag)

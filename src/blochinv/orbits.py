@@ -88,7 +88,7 @@ class SymCanonicalForm:
 
 @dataclass
 class EquivalenceVerdict:
-    """invariant_distance is the largest rel_dist among the gates that ran;
+    """invariant_distance is the largest _rel_dist among the gates that ran;
     witness is None unless the verdict is EQUIVALENT."""
 
     verdict: Verdict
@@ -96,17 +96,10 @@ class EquivalenceVerdict:
     invariant_distance: float
 
 
-def rel_dist(a, b):
-    """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the uniform comparison
-    metric used throughout the package, on Python floats (the inputs are
-    short). NaN if any entry is NaN or infinite."""
-    import numpy as np
-
-    return _rel_dist(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)))
-
-
 def _rel_dist(xs, ys):
-    """rel_dist on two equally long sequences of Python floats."""
+    """max_i |x_i - y_i| / max(1, |x_i|, |y_i|), the uniform comparison
+    metric used throughout the package, on two equally long sequences of
+    Python floats. NaN if any entry is NaN or infinite."""
     return _worst(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(xs, ys, strict=True))
 
 

@@ -1,16 +1,15 @@
 """Two-qubit state model: density operators on the trace-one Hermitian
 affine space, the Bloch-matrix representation built from 1- and 2-point
-spin correlation functions, partial traces, state classification, and
-seeded random generation.
+spin correlation functions, partial traces and state classification.
 
-The check of a state, the Bloch map and its inverse, classification and
-the positivity test run on Python complex numbers and floats: a state is
-read from nested lists or an array and comes back as rows of Python
-complex numbers, Bloch fields as lists of floats. The Bloch map and its
-inverse are closed forms summed in the order of the einsum over the Pauli
-basis sigma_a (x) sigma_b, so they match it in float.hex. Only the
-functions that return arrays (partial_trace, bloch_vector,
-bell_projector, the random draws) import numpy, inside their bodies.
+Every function here runs on Python complex numbers and floats and none
+imports numpy: a state is read from nested lists or an array (through its
+tolist) and comes back as rows of Python complex numbers, Bloch fields as
+lists of floats. The Bloch map and its inverse are closed forms summed in
+the order of the einsum over the Pauli basis sigma_a (x) sigma_b, so they
+match it in float.hex; partial_trace, bloch_vector (up to the sign of a
+zero) and bell_projector match numpy's trace, matrix product and outer
+product the same way. The seeded random draws live in groups.
 
 Index conventions, fixed once for the whole package:
   * qubit 1 is the left tensor factor, composite index = 2*i1 + i2;
@@ -216,24 +215,24 @@ def density_of(bloch):
 def partial_trace(rho, which):
     """Partial trace over the other factor: which=1 returns the reduced
     state of qubit 1 (trace over qubit 2), which=2 the reduced state of
-    qubit 2, as a 2x2 array."""
-    import numpy as np
-
-    validate_density(rho)
-    rho = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+    qubit 2, as rows of Python complex numbers. Each entry is the sum of
+    its two terms in increasing order of the traced index, as numpy's
+    trace of the (2, 2, 2, 2) reshape sums them."""
+    r = validate_density(rho)
     if which == 1:
-        return np.trace(rho, axis1=1, axis2=3)
+        return [[r[2 * i][2 * k] + r[2 * i + 1][2 * k + 1] for k in (0, 1)] for i in (0, 1)]
     if which == 2:
-        return np.trace(rho, axis1=0, axis2=2)
+        return [[r[j][l] + r[2 + j][2 + l] for l in (0, 1)] for j in (0, 1)]
     raise ValueError("which must be 1 or 2")
 
 
 def bloch_vector(rho2):
-    """Bloch vector of a single-qubit density matrix, as an array."""
-    import numpy as np
-
-    rho2 = np.asarray(rho2, dtype=complex)
-    return np.array([np.trace(rho2 @ np.array(PAULI[i])).real for i in (1, 2, 3)])
+    """Bloch vector tr(rho2 sigma_i), i = 1, 2, 3, of a single-qubit density
+    matrix, as a list of floats. The real part of each trace is a sum of two
+    exact products with the Pauli entries 0, +-1 and +-i."""
+    rho2 = rho2.tolist() if hasattr(rho2, "tolist") else rho2
+    (r00, r01), (r10, r11) = ([complex(z) for z in row] for row in rho2)
+    return [r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real]
 
 
 def classify(rho, tol=DEFAULT_CLASS_TOL):
@@ -246,7 +245,12 @@ def classify(rho, tol=DEFAULT_CLASS_TOL):
     """
     if not 0.0 <= tol < math.inf:
         raise ValueError(f"tol must be finite and non-negative, got {tol!r}")
-    b = bloch_of(rho)
+    return _class_of(bloch_of(rho), tol)
+
+
+def _class_of(b, tol):
+    """classify's rule on the fields of a BlochMatrix, lists of floats, at a
+    tol already checked."""
     (_, c01, c02), (c10, _, c12), (c20, c21, _) = b.C
     lmm = max(map(abs, b.u + b.v)) <= tol
     sym = max(abs(x - y) for x, y in zip(b.u + [c01, c02, c12], b.v + [c10, c20, c21])) <= tol
@@ -296,77 +300,6 @@ BELL_KETS = {
 
 def bell_projector(which):
     """Projector onto one of the four Bell states: phi+, phi-, psi+, psi-,
-    as a 4x4 array."""
-    import numpy as np
-
-    ket = np.array(BELL_KETS[which], dtype=complex)
-    return np.outer(ket, ket.conj())
-
-
-def _as_rng(seed):
-    import numpy as np
-
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
-
-
-def random_bloch(state_class, seed):
-    """Random Bloch coordinates with entries uniform in [-1, 1], respecting
-    the linear constraints of the class exactly (zero 1-point vectors for
-    LMM, shared vector and symmetric C for symmetric states); the fields
-    are arrays."""
-    import numpy as np
-
-    rng = _as_rng(seed)
-    state_class = StateClass(state_class)
-    if state_class in (StateClass.LMM, StateClass.SYMMETRIC_LMM):
-        u = np.zeros(3)
-        v = np.zeros(3)
-    elif state_class is StateClass.SYMMETRIC:
-        u = rng.uniform(-1.0, 1.0, size=3)
-        v = u.copy()
-    else:
-        u = rng.uniform(-1.0, 1.0, size=3)
-        v = rng.uniform(-1.0, 1.0, size=3)
-    if state_class in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM):
-        c = np.zeros((3, 3))
-        for i in range(3):
-            c[i, i] = rng.uniform(-1.0, 1.0)
-            for j in range(i + 1, 3):
-                c[i, j] = c[j, i] = rng.uniform(-1.0, 1.0)
-    else:
-        c = rng.uniform(-1.0, 1.0, size=(3, 3))
-    return BlochMatrix(u=u, v=v, C=c)
-
-
-def _ginibre_state(rng):
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    rho = g @ g.conj().T
-    return rho / rho.trace().real
-
-
-def random_state(state_class, seed, positive=False):
-    """Seeded random density operator of the given class, as a 4x4 array.
-
-    With positive=True the draw is GG*/tr(GG*) for a complex Gaussian G,
-    then projected onto the class: symmetric states average the state with
-    its swap conjugate, LMM states drop the 1-point blocks in Bloch
-    coordinates (both operations preserve positivity). With positive=False
-    the state is a uniform draw in Bloch coordinates and is generally not
-    positive semidefinite.
-    """
-    import numpy as np
-
-    rng = _as_rng(seed)
-    state_class = StateClass(state_class)
-    if not positive:
-        return np.array(density_of(random_bloch(state_class, rng)))
-    rho = _ginibre_state(rng)
-    if state_class in (StateClass.SYMMETRIC, StateClass.SYMMETRIC_LMM):
-        swap = np.array(SWAP, dtype=complex)
-        rho = 0.5 * (rho + swap @ rho @ swap)
-    if state_class in (StateClass.LMM, StateClass.SYMMETRIC_LMM):
-        zero = [0.0, 0.0, 0.0]
-        rho = np.array(density_of(BlochMatrix(zero, zero, bloch_of(rho).C)))
-    return rho
+    as rows of Python complex numbers, the outer product |k><k| of the ket."""
+    ket = [complex(x) for x in BELL_KETS[which]]
+    return [[x * y.conjugate() for y in ket] for x in ket]

@@ -35,6 +35,8 @@ from .groups import (
     lmm_weyl_action_group,
     lmm_weyl_pair,
     octahedral_group,
+    random_bloch,
+    random_state,
     so3_of_u2,
 )
 from .invariants import (
@@ -47,13 +49,13 @@ from .invariants import (
     r_invariant,
     sym_invariants,
 )
-from .linalg import _worst, det3, norm_inf, rotation_residual
+from .linalg import _worst, det3, rotation_residual
 from .orbits import (
     Verdict,
+    _rel_dist,
     decide_equiv_lmm,
     decide_equiv_sym,
     lmm_canonical,
-    rel_dist,
     sym_canonical,
 )
 from .states import (
@@ -67,8 +69,6 @@ from .states import (
     density_of,
     is_positive,
     partial_trace,
-    random_bloch,
-    random_state,
 )
 
 _IDENTITY = SignedPerm(perm=(0, 1, 2), signs=(1, 1, 1))
@@ -77,6 +77,19 @@ _EPS3 = np.zeros((3, 3, 3))
 for _i, _j, _k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
     _EPS3[_i, _j, _k] = 1.0
     _EPS3[_i, _k, _j] = -1.0
+
+
+def norm_inf(a):
+    """Entrywise infinity norm (max absolute entry)."""
+    a = np.asarray(a)
+    if a.size == 0:
+        return 0.0
+    return float(np.abs(a).max())
+
+
+def rel_dist(a, b):
+    """orbits._rel_dist on arrays or nested lists of any shape, flattened."""
+    return _rel_dist(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)))
 
 
 @dataclass
@@ -225,8 +238,8 @@ def _suite_bloch(samples, seed):
     def partial_traces(rng):
         rho = density_of(random_bloch(StateClass.GENERAL, rng))
         b = bloch_of(rho)
-        return _worst((norm_inf(bloch_vector(partial_trace(rho, 1)) - b.u),
-                       norm_inf(bloch_vector(partial_trace(rho, 2)) - b.v)))
+        return _worst((norm_inf(np.subtract(bloch_vector(partial_trace(rho, 1)), b.u)),
+                       norm_inf(np.subtract(bloch_vector(partial_trace(rho, 2)), b.v))))
 
     res = _worst(map(partial_traces, _rngs(seed, "bloch", 200000, samples)))
     checks.append(CheckResult("partial_trace_consistency", res < 1e-12, res))

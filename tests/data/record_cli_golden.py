@@ -23,9 +23,9 @@ import tempfile
 import numpy as np
 
 import blochinv.cli as cli
-from blochinv.groups import haar_so3
+from blochinv.groups import haar_so3, random_state
 from blochinv.serialize import bloch_document, density_document
-from blochinv.states import BlochMatrix, bell_projector, random_state
+from blochinv.states import BlochMatrix, bell_projector
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_golden.json"
 

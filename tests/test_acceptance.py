@@ -14,7 +14,15 @@ import numpy as np
 
 import blochinv.invariants
 import blochinv.linalg
-from blochinv.groups import act_bloch, act_density, haar_so3, haar_su2, so3_of_u2
+from blochinv.groups import (
+    act_bloch,
+    act_density,
+    haar_so3,
+    haar_su2,
+    random_bloch,
+    random_state,
+    so3_of_u2,
+)
 from blochinv.invariants import (
     lmm_invariants,
     lmm_invariants_jacobian,
@@ -25,7 +33,7 @@ from blochinv.invariants import (
     p9_eval,
     r_invariant,
 )
-from blochinv.linalg import det3, norm_inf
+from blochinv.linalg import det3
 from blochinv.orbits import Verdict, decide_equiv_sym
 from blochinv.states import (
     BlochMatrix,
@@ -35,10 +43,8 @@ from blochinv.states import (
     density_of,
     is_positive,
     partial_trace,
-    random_bloch,
-    random_state,
 )
-from blochinv.verify import SUITES, report_json, run_all, run_suite
+from blochinv.verify import SUITES, norm_inf, report_json, run_all, run_suite
 
 
 def announce(num, name, passed, detail=""):

@@ -361,6 +361,61 @@ class TestTypedErrors:
         assert_one_error_line(capsys)
 
 
+class TestKernelRange:
+    """States whose eigenvalues or singular values lie near or beyond the top
+    of the double range: a verdict or one error line, never a traceback."""
+
+    V = [0.1, 0.2, 0.3]
+    # Eigenvalues +-1.118e308 and 1.
+    NEAR_TOP = [[1e308, 5e307, 0.0], [5e307, -1e308, 0.0], [0.0, 0.0, 1.0]]
+
+    @pytest.mark.parametrize("command, code", [
+        ("canonical", 0), ("restrict", 0), ("invariants", 4), ("equiv", 0)])
+    def test_sym_spectrum_near_top(self, tmp_path, capsys, command, code):
+        # invariants: tr A^2 and det A are beyond the double range.
+        path = bloch_file(tmp_path, "top.json", self.V, self.V, self.NEAR_TOP)
+        assert main([command, path] + [path] * (command == "equiv")) == code
+        if code == 4:
+            assert_one_error_line(capsys)
+        elif command == "equiv":
+            assert json.loads(capsys.readouterr().out)["verdict"] == "equivalent"
+
+    @pytest.mark.parametrize("command", ["canonical", "restrict", "invariants", "equiv"])
+    def test_sym_diagonal_near_top(self, tmp_path, capsys, command):
+        # Relative to 1.7e308 the eigenvalues 1 and -1 coincide: degenerate.
+        path = bloch_file(tmp_path, "diag.json", self.V, self.V, np.diag([1.7e308, 1.0, -1.0]))
+        if command == "equiv":
+            assert main([command, path, path]) == 4
+            assert json.loads(capsys.readouterr().out)["verdict"] == "indeterminate"
+        else:
+            assert main([command, path]) == 4
+            assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("command", ["canonical", "restrict"])
+    def test_lmm_singular_value_beyond_range_exit_4(self, tmp_path, capsys, command):
+        path = bloch_file(tmp_path, "big.json", [0, 0, 0], [0, 0, 0], np.full((3, 3), 1.7e308))
+        assert main([command, path]) == 4
+        assert_one_error_line(capsys)
+
+
+class TestStratumTables:
+    """_stratum classifies a density file on the fields of its one Bloch
+    table and a Bloch file on its own fields, with no table at all."""
+
+    @pytest.mark.parametrize("fmt, tables", [("density", 1), ("bloch", 0)])
+    def test_table_count(self, tmp_path, monkeypatch, capsys, fmt, tables):
+        from blochinv import states
+
+        doc = density_document(bell_projector("phi+"))
+        if fmt == "bloch":
+            doc = bloch_document(states.bloch_of(bell_projector("phi+")))
+        path = write_state(tmp_path, f"{fmt}.json", doc)
+        table, calls = states._table, []
+        monkeypatch.setattr(states, "_table", lambda rho: calls.append(rho) or table(rho))
+        assert main(["invariants", path]) == 0
+        assert len(calls) == tables
+
+
 class TestNoNumpy:
     """invariants, equiv, canonical and restrict, each in a process of its
     own on Bloch and density files, load neither numpy nor the group

@@ -13,11 +13,13 @@ from blochinv.groups import (
     lmm_weyl_action_group,
     lmm_weyl_pair,
     octahedral_group,
+    random_bloch,
     signed_permutations,
     so3_of_u2,
 )
-from blochinv.linalg import norm_inf, rotation_residual
-from blochinv.states import PAULI, StateClass, bloch_of, density_of, random_bloch
+from blochinv.linalg import rotation_residual
+from blochinv.states import PAULI, StateClass, bloch_of, density_of
+from blochinv.verify import norm_inf
 
 
 class TestCoveringMap:

@@ -4,9 +4,11 @@ _matvec3, no package module calls a LAPACK determinant (linalg.det3
 is the only one), no package module catches every exception (a bare
 except, or except Exception or BaseException), and one function,
 orbits._decide, builds every EquivalenceVerdict and is the only one to
-catch DegenerateSpectrum. The modules of the command-line path import
-numpy only inside function bodies, and importing the package loads neither
-blochinv.groups nor blochinv.verify.
+catch DegenerateSpectrum. Only blochinv.groups and blochinv.verify import
+numpy: the modules of the command-line path import it nowhere, not even
+inside a function body, importing the package loads neither of the two,
+and the state and Jacobian functions that used to return arrays run with
+numpy blocked.
 
 __init__.py is exempt from the import check: its imports are the public
 re-exports.
@@ -163,30 +165,24 @@ def test_detects_verdict_sites():
                                      (11, "other"), (12, None)]
 
 
-def module_level_numpy_imports(source):
-    """Lines of source that import numpy (or a numpy submodule) outside
-    every function body."""
+def numpy_imports(source):
+    """Lines of source that import numpy (or a numpy submodule), at module
+    level or inside a function or class body alike."""
     lines = []
-
-    def visit(node):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            return
+    for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Import):
             if any(alias.name.split(".")[0] == "numpy" for alias in node.names):
                 lines.append(node.lineno)
         elif isinstance(node, ast.ImportFrom):
             if (node.module or "").split(".")[0] == "numpy" and not node.level:
                 lines.append(node.lineno)
-        for child in ast.iter_child_nodes(node):
-            visit(child)
-
-    visit(ast.parse(source))
     return sorted(lines)
 
 
 @pytest.mark.parametrize("path", NUMPY_FREE, ids=lambda p: p.name)
 def test_no_module_level_numpy_import(path):
-    assert module_level_numpy_imports(path.read_text()) == []
+    # Function bodies included: these modules import no numpy at all.
+    assert numpy_imports(path.read_text()) == []
 
 
 def test_detects_module_level_numpy_import():
@@ -195,7 +191,7 @@ def test_detects_module_level_numpy_import():
               "class C:\n    from numpy.random import default_rng\n"
               "    def g(self):\n        from numpy import zeros\n"
               "if True:\n    import numpy\nfrom .numpy import x\nimport numpyish\n")
-    assert module_level_numpy_imports(source) == [1, 2, 3, 8, 12]
+    assert numpy_imports(source) == [1, 2, 3, 5, 8, 10, 12]
 
 
 def test_package_import_loads_neither_groups_nor_verify():
@@ -208,3 +204,21 @@ def test_package_import_loads_neither_groups_nor_verify():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, cwd=PACKAGE.parent).stdout
     assert out.split() == ["[]", "True", "True", "True", "True"]
+
+
+def test_array_free_functions_run_with_numpy_blocked():
+    from blochinv.invariants import lmm_invariants_jacobian
+    from blochinv.states import bell_projector, bloch_vector, partial_trace
+
+    rho2 = [[0.75, 0.25 - 0.5j], [0.25 + 0.5j, 0.25]]
+    c = [[0.9, -0.2, 0.1], [0.3, 0.5, -0.4], [0.05, 0.2, -0.3]]
+    code = ("import sys\nsys.modules['numpy'] = None\n"
+            "from blochinv.invariants import lmm_invariants_jacobian\n"
+            "from blochinv.states import bell_projector, bloch_vector, partial_trace\n"
+            "print(repr((partial_trace(bell_projector('phi+'), 1), "
+            f"bloch_vector({rho2!r}), lmm_invariants_jacobian({c!r}))))\n")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, cwd=PACKAGE.parent).stdout
+    expected = (partial_trace(bell_projector("phi+"), 1), bloch_vector(rho2),
+                lmm_invariants_jacobian(c))
+    assert out == repr(expected) + "\n"

@@ -23,8 +23,9 @@ from blochinv.invariants import (
     sym_invariants,
 )
 from blochinv.linalg import det3
-from blochinv.orbits import EVEN_SIGN_FLIPS, rel_dist, sym_canonical
+from blochinv.orbits import EVEN_SIGN_FLIPS, sym_canonical
 from blochinv.states import BlochMatrix, bloch_of, density_of, is_positive
+from blochinv.verify import rel_dist
 
 EPS3 = np.zeros((3, 3, 3))
 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -80,8 +81,8 @@ class TestLmmInvariants:
     def test_unitary_invariance_through_density_route(self):
         # Full pipeline: conjugate the assembled density matrix by a local
         # unitary pair, read the invariants back off its Bloch coordinates.
-        from blochinv.groups import act_density, haar_su2
-        from blochinv.states import StateClass, random_bloch, density_of
+        from blochinv.groups import act_density, haar_su2, random_bloch
+        from blochinv.states import StateClass, density_of
 
         rng = np.random.default_rng(20)
         for _ in range(200):
@@ -172,7 +173,8 @@ class TestBounds:
 
     def test_first_two_bounds_hold_on_positive_states(self):
         rng = np.random.default_rng(5)
-        from blochinv.states import StateClass, random_state
+        from blochinv.groups import random_state
+        from blochinv.states import StateClass
 
         for _ in range(500):
             rho = random_state(StateClass.LMM, rng, positive=True)
@@ -187,7 +189,8 @@ class TestBounds:
         # polynomials in the invariants; these identities are what the cone
         # conditions are made of, so they get their own dual-route check.
         rng = np.random.default_rng(19)
-        from blochinv.states import StateClass, random_state
+        from blochinv.groups import random_state
+        from blochinv.states import StateClass
 
         for k in range(300):
             rho = random_state(StateClass.LMM, rng, positive=(k % 2 == 0))
@@ -622,7 +625,7 @@ class TestInvariantJacobian:
         rng = np.random.default_rng(17)
         for _ in range(20):
             c = rng.uniform(-1, 1, size=(3, 3))
-            jac = lmm_invariants_jacobian(c)
+            jac = np.asarray(lmm_invariants_jacobian(c))
             h = 1e-6
             for row, pick in ((0, lambda i: i.t2), (1, lambda i: i.t3), (2, lambda i: i.t4)):
                 for a in range(3):
@@ -632,6 +635,23 @@ class TestInvariantJacobian:
                         cm[a, b] -= h
                         fd = (pick(lmm_invariants(cp)) - pick(lmm_invariants(cm))) / (2 * h)
                         assert jac[row, 3 * a + b] == pytest.approx(fd, rel=1e-5, abs=1e-6)
+
+    def test_matches_numpy_form_in_float_hex(self):
+        def matmul(a, b):
+            # Each entry summed left to right, as linalg._matmul3 sums it.
+            return (np.outer(a[:, 0], b[0]) + np.outer(a[:, 1], b[1])) + np.outer(a[:, 2], b[2])
+
+        rng = np.random.default_rng(19)
+        for t in range(300):
+            c = rng.uniform(-1, 1, size=(3, 3)) * 10.0 ** (t % 7 - 3)
+            cof = [[c[(i + 1) % 3, (j + 1) % 3] * c[(i + 2) % 3, (j + 2) % 3]
+                    - c[(i + 1) % 3, (j + 2) % 3] * c[(i + 2) % 3, (j + 1) % 3]
+                    for j in range(3)] for i in range(3)]
+            expected = np.array([2.0 * c.ravel(), np.ravel(cof),
+                                 4.0 * matmul(matmul(c, c.T), c).ravel()])
+            jac = lmm_invariants_jacobian(c)
+            assert [[x.hex() for x in row] for row in jac] == [
+                [x.hex() for x in row] for row in expected.tolist()]
 
     def test_generic_rank_three(self):
         rng = np.random.default_rng(18)

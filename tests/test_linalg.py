@@ -6,16 +6,16 @@ import warnings
 import numpy as np
 import pytest
 
-from blochinv.errors import NotSymmetric
+from blochinv.errors import NotRepresentable, NotSymmetric
 from blochinv.groups import haar_so3
 from blochinv.linalg import (
     det3,
     eig_sym3,
-    norm_inf,
     rotation_residual,
     signed_svd3,
 )
 from blochinv.states import PAULI
+from blochinv.verify import norm_inf
 
 
 def random_symmetric(rng, scale=1.0):
@@ -226,6 +226,47 @@ class TestEigSym3Pinned:
         a[pos] = np.nextafter(bound, 1.0)
         with pytest.raises(NotSymmetric):
             eig_sym3(a)
+
+
+class TestKernelScaling:
+    """Both kernels read their input divided by a power of two: eig_sym3 is
+    exactly equivariant under powers of two, and any finite input whose
+    eigenvalues or singular values are finite doubles gives them, any
+    other raises NotRepresentable, never inf or NaN."""
+
+    # Eigenvalues +-sqrt(1.25) 1e308 and 1: the unscaled symmetrization
+    # and Jacobi angle overflowed to [inf, 1.0, -inf].
+    NEAR_TOP = [[1e308, 5e307, 0.0], [5e307, -1e308, 0.0], [0.0, 0.0, 1.0]]
+
+    def test_eig_sym3_spectrum_near_top(self):
+        eig = eig_sym3(self.NEAR_TOP)
+        top = 1e308 * np.sqrt(1.25)
+        np.testing.assert_allclose(eig.eigenvalues, [top, 1.0, -top], rtol=1e-15, atol=0)
+        assert rotation_residual(eig.rotation) <= 1e-15
+
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_eig_sym3_power_of_two_equivariant_in_float_hex(self, k):
+        # Near-tied spectra included: at 2^-1000 their gaps are subnormal
+        # unless the kernel divides the entries first.
+        rng = np.random.default_rng(14)
+        for t in range(100):
+            a = random_symmetric(rng)
+            if t % 2:
+                q = haar_so3(rng)
+                a = q @ np.diag([0.5, 0.5 + 1e-9 * rng.uniform(), -0.3]) @ q.T
+            eig, scaled = eig_sym3(a), eig_sym3(2.0 ** k * a)
+            assert hex_bits(scaled.eigenvalues) == hex_bits([2.0 ** k * x for x in eig.eigenvalues])
+            assert hex_bits(scaled.rotation) == hex_bits(eig.rotation)
+
+    def test_eig_sym3_spectrum_beyond_range_raises(self):
+        # Eigenvalues +-1.98e308.
+        with pytest.raises(NotRepresentable, match="eigenvalue"):
+            eig_sym3([[1.4e308, 1.4e308, 0.0], [1.4e308, -1.4e308, 0.0], [0.0, 0.0, 1.0]])
+
+    def test_signed_svd3_singular_value_beyond_range_raises(self):
+        # The largest singular value is 3 * 1.7e308; the others are 0.
+        with pytest.raises(NotRepresentable, match="singular value"):
+            signed_svd3([[1.7e308] * 3] * 3)
 
 
 class TestSignedSVD3:

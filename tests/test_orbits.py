@@ -9,15 +9,15 @@ from blochinv import linalg
 from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
 from blochinv.invariants import sym_invariants
-from blochinv.linalg import norm_inf, rotation_residual
+from blochinv.linalg import rotation_residual
 from blochinv.orbits import (
     Verdict,
     decide_equiv_lmm,
     decide_equiv_sym,
     lmm_canonical,
-    rel_dist,
     sym_canonical,
 )
+from blochinv.verify import norm_inf, rel_dist
 
 
 def gapped_descending(rng, low, high, gap):
@@ -85,6 +85,13 @@ class TestSymCanonical:
     def test_degenerate_raises(self):
         with pytest.raises(DegenerateSpectrum):
             sym_canonical(np.ones(3), np.eye(3))
+
+    def test_spectrum_near_top_of_double_range_is_finite(self):
+        form = sym_canonical([0.1, 0.2, 0.3],
+                             [[1e308, 5e307, 0.0], [5e307, -1e308, 0.0], [0.0, 0.0, 1.0]])
+        top = 1e308 * np.sqrt(1.25)
+        np.testing.assert_allclose(form.eigs, [top, 1.0, -top], rtol=1e-15, atol=0)
+        assert np.isfinite(form.w).all()
 
     def test_orbit_property(self):
         rng = np.random.default_rng(3)

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from blochinv.errors import NonHermitianInput, NotRepresentable
-from blochinv.linalg import norm_inf
+from blochinv.groups import random_bloch, random_state
 from blochinv.states import (
+    BELL_KETS,
     DEFAULT_CLASS_TOL,
     PAULI,
     POSITIVITY_TOL,
@@ -20,10 +21,9 @@ from blochinv.states import (
     density_of,
     is_positive,
     partial_trace,
-    random_bloch,
-    random_state,
     validate_density,
 )
+from blochinv.verify import norm_inf
 
 MAX_MIXED = 0.25 * np.eye(4, dtype=complex)
 
@@ -313,8 +313,48 @@ class TestPartialTrace:
         for _ in range(300):
             rho = density_of(random_bloch(StateClass.GENERAL, rng))
             b = bloch_of(rho)
-            assert norm_inf(bloch_vector(partial_trace(rho, 1)) - b.u) <= 1e-12
-            assert norm_inf(bloch_vector(partial_trace(rho, 2)) - b.v) <= 1e-12
+            assert norm_inf(np.subtract(bloch_vector(partial_trace(rho, 1)), b.u)) <= 1e-12
+            assert norm_inf(np.subtract(bloch_vector(partial_trace(rho, 2)), b.v)) <= 1e-12
+
+
+def hexes(rows):
+    """float.hex of the real and imaginary parts of rows of complex numbers."""
+    return [[(complex(z).real.hex(), complex(z).imag.hex()) for z in row] for row in rows]
+
+
+class TestNumpyOracles:
+    """partial_trace, bloch_vector and bell_projector on Python complex
+    numbers against the numpy forms they replace, in float.hex."""
+
+    @staticmethod
+    def _states(n=300):
+        rng = np.random.default_rng(41)
+        for t in range(n):
+            yield random_state(list(StateClass)[t % 4], rng, positive=(t % 2 == 0))
+
+    def test_partial_trace(self):
+        for rho in self._states():
+            blocks = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
+            for which, (axis1, axis2) in ((1, (1, 3)), (2, (0, 2))):
+                expected = np.trace(blocks, axis1=axis1, axis2=axis2)
+                assert hexes(partial_trace(rho, which)) == hexes(expected)
+
+    def test_bloch_vector(self):
+        # + 0.0 ignores the sign of zero, which the matrix product may flip.
+        rng = np.random.default_rng(42)
+        general = (rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+                   for _ in range(100))
+        reduced = (partial_trace(rho, which) for rho in self._states() for which in (1, 2))
+        for rho2 in (*reduced, *general):
+            expected = [np.trace(np.asarray(rho2, dtype=complex) @ np.array(PAULI[i])).real
+                        for i in (1, 2, 3)]
+            assert ([(x + 0.0).hex() for x in bloch_vector(rho2)]
+                    == [(float(x) + 0.0).hex() for x in expected])
+
+    def test_bell_projector(self):
+        for name, ket in BELL_KETS.items():
+            ket = np.array(ket, dtype=complex)
+            assert hexes(bell_projector(name)) == hexes(np.outer(ket, ket.conj()))
 
 
 class TestClassify:
