@@ -10,9 +10,11 @@ No function here imports numpy: an array is read through its tolist. The
 records returned here hold lists of Python floats (rows for a matrix).
 Both kernels divide their input exactly by a power of two and multiply
 their values back, so they run at any finite scale and raise
-NotRepresentable for a value beyond the double range. eig_sym3 is the
-checked entry of the straight-line eigen kernel _eig_rows; every
-diagonalization in the package goes through it. _matvec3 and
+NotRepresentable for a value beyond the double range. Both kernels are
+straight-line code on named locals, one per matrix entry: eig_sym3 is the
+checked entry of the eigen kernel _eig_rows, through which every
+diagonalization in the package goes, and signed_svd3 holds A, V and Q^T
+of its one-sided Jacobi and Givens QR in locals. _matvec3 and
 _matmul3 are the only 3x3 products of the scalar core (linalg, invariants,
 orbits), each summed in one fixed order, so its digits do not depend on
 the BLAS build.
@@ -326,6 +328,12 @@ def signed_svd3(c):
     with nonnegative first two diagonal entries, so the left factor is in
     SO(3) and the smallest singular value carries sign(det C).
 
+    Like _eig_rows, the body is straight-line on named locals: aij, vij and
+    qij are the entries (i, j) of A, V and Q^T, and s0, s1, s2 the squared
+    column norms of A. The products with the 1.0 and 0.0 of the identities
+    that V and Q^T start from are formed, not folded: they fix the signs of
+    zeros.
+
     Returns:
         SignedSVD3; tied singular values keep their column order.
 
@@ -335,50 +343,100 @@ def signed_svd3(c):
     """
     rows, norm = _rows3(c, "signed_svd3 input")
     scale = _pow2_floor(norm)
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = rows
+    a00, a01, a02 = c00 / scale, c01 / scale, c02 / scale
+    a10, a11, a12 = c10 / scale, c11 / scale, c12 / scale
+    a20, a21, a22 = c20 / scale, c21 / scale, c22 / scale
+    v00, v01, v02, v10, v11, v12, v20, v21, v22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    s0 = a00 * a00 + a10 * a10 + a20 * a20
+    s1 = a01 * a01 + a11 * a11 + a21 * a21
+    s2 = a02 * a02 + a12 * a12 + a22 * a22
 
-    # Columns of A = C V / scale and of V.
-    a = [[rows[0][j] / scale, rows[1][j] / scale, rows[2][j] / scale] for j in range(3)]
-    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    sq = [x * x + y * y + z * z for x, y, z in a]  # squared column norms
+    # Each pivot (p, q) rotates the columns p, q of A and of V unless they
+    # are already orthogonal relative to their norms.
     for _ in range(JACOBI_MAX_SWEEPS):
         rotated = False
-        for p, q in ((0, 1), (0, 2), (1, 2)):
-            ap0, ap1, ap2 = a[p]
-            aq0, aq1, aq2 = a[q]
-            gamma = ap0 * aq0 + ap1 * aq1 + ap2 * aq2
-            if abs(gamma) <= JACOBI_ORTH_FACTOR * math.sqrt(sq[p] * sq[q]):
-                continue
+        gamma = a00 * a01 + a10 * a11 + a20 * a21
+        if abs(gamma) > JACOBI_ORTH_FACTOR * math.sqrt(s0 * s1):  # pivot (0, 1)
             rotated = True
-            _, cs, sn = _jacobi_rotation(sq[p], sq[q], gamma)
-            x, y, z = a[p] = [cs * ap0 - sn * aq0, cs * ap1 - sn * aq1, cs * ap2 - sn * aq2]
-            sq[p] = x * x + y * y + z * z
-            x, y, z = a[q] = [sn * ap0 + cs * aq0, sn * ap1 + cs * aq1, sn * ap2 + cs * aq2]
-            sq[q] = x * x + y * y + z * z
-            vp0, vp1, vp2 = v[p]
-            vq0, vq1, vq2 = v[q]
-            v[p] = [cs * vp0 - sn * vq0, cs * vp1 - sn * vq1, cs * vp2 - sn * vq2]
-            v[q] = [sn * vp0 + cs * vq0, sn * vp1 + cs * vq1, sn * vp2 + cs * vq2]
+            _, cs, sn = _jacobi_rotation(s0, s1, gamma)
+            a00, a01 = cs * a00 - sn * a01, sn * a00 + cs * a01
+            a10, a11 = cs * a10 - sn * a11, sn * a10 + cs * a11
+            a20, a21 = cs * a20 - sn * a21, sn * a20 + cs * a21
+            s0 = a00 * a00 + a10 * a10 + a20 * a20
+            s1 = a01 * a01 + a11 * a11 + a21 * a21
+            v00, v01 = cs * v00 - sn * v01, sn * v00 + cs * v01
+            v10, v11 = cs * v10 - sn * v11, sn * v10 + cs * v11
+            v20, v21 = cs * v20 - sn * v21, sn * v20 + cs * v21
+        gamma = a00 * a02 + a10 * a12 + a20 * a22
+        if abs(gamma) > JACOBI_ORTH_FACTOR * math.sqrt(s0 * s2):  # pivot (0, 2)
+            rotated = True
+            _, cs, sn = _jacobi_rotation(s0, s2, gamma)
+            a00, a02 = cs * a00 - sn * a02, sn * a00 + cs * a02
+            a10, a12 = cs * a10 - sn * a12, sn * a10 + cs * a12
+            a20, a22 = cs * a20 - sn * a22, sn * a20 + cs * a22
+            s0 = a00 * a00 + a10 * a10 + a20 * a20
+            s2 = a02 * a02 + a12 * a12 + a22 * a22
+            v00, v02 = cs * v00 - sn * v02, sn * v00 + cs * v02
+            v10, v12 = cs * v10 - sn * v12, sn * v10 + cs * v12
+            v20, v22 = cs * v20 - sn * v22, sn * v20 + cs * v22
+        gamma = a01 * a02 + a11 * a12 + a21 * a22
+        if abs(gamma) > JACOBI_ORTH_FACTOR * math.sqrt(s1 * s2):  # pivot (1, 2)
+            rotated = True
+            _, cs, sn = _jacobi_rotation(s1, s2, gamma)
+            a01, a02 = cs * a01 - sn * a02, sn * a01 + cs * a02
+            a11, a12 = cs * a11 - sn * a12, sn * a11 + cs * a12
+            a21, a22 = cs * a21 - sn * a22, sn * a21 + cs * a22
+            s1 = a01 * a01 + a11 * a11 + a21 * a21
+            s2 = a02 * a02 + a12 * a12 + a22 * a22
+            v01, v02 = cs * v01 - sn * v02, sn * v01 + cs * v02
+            v11, v12 = cs * v11 - sn * v12, sn * v11 + cs * v12
+            v21, v22 = cs * v21 - sn * v22, sn * v21 + cs * v22
         if not rotated:
             break
 
-    order = sorted(range(3), key=lambda k: -sq[k])
-    v, a = _orient_right([v[k] for k in order], [a[k] for k in order])
+    # Columns in descending order of norm, ties in column order; a
+    # reflection in V moves onto the last column of A.
+    i, j, k = sorted(range(3), key=(-s0, -s1, -s2).__getitem__)
+    sq = (s0, s1, s2)
+    s0, s1, s2 = sq[i], sq[j], sq[k]
+    cols_v = ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22))
+    cols_a = ((a00, a10, a20), (a01, a11, a21), (a02, a12, a22))
+    ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22)), \
+        ((a00, a10, a20), (a01, a11, a21), (a02, a12, a22)) = _orient_right(
+            [cols_v[i], cols_v[j], cols_v[k]], [cols_a[i], cols_a[j], cols_a[k]])
 
-    # Givens QR of A, on its rows; qt accumulates Q^T.
-    r = _transpose(a)
-    qt = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
-    for i, j, k in ((0, 1, 0), (0, 2, 0), (1, 2, 1)):
-        h = math.hypot(r[i][k], r[j][k])
-        if h == 0.0:
-            continue
-        cs = r[i][k] / h
-        sn = r[j][k] / h
-        for m in (r, qt):
-            mi, mj = m[i], m[j]
-            m[i] = [cs * x + sn * y for x, y in zip(mi, mj)]
-            m[j] = [cs * y - sn * x for x, y in zip(mi, mj)]
+    # Givens QR of A on the row pairs (0, 1), (0, 2) and (1, 2), each
+    # rotation applied to the same rows of Q^T. Only the entries of R that a
+    # later rotation or the sign of r22 reads are formed.
+    q00, q01, q02, q10, q11, q12, q20, q21, q22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
+    h = math.hypot(a00, a10)
+    if h != 0.0:  # zeroes a10
+        cs, sn = a00 / h, a10 / h
+        a00, a01, a02, a11, a12 = (
+            cs * a00 + sn * a10, cs * a01 + sn * a11, cs * a02 + sn * a12,
+            cs * a11 - sn * a01, cs * a12 - sn * a02)
+        q00, q01, q02, q10, q11, q12 = (
+            cs * q00 + sn * q10, cs * q01 + sn * q11, cs * q02 + sn * q12,
+            cs * q10 - sn * q00, cs * q11 - sn * q01, cs * q12 - sn * q02)
+    h = math.hypot(a00, a20)
+    if h != 0.0:  # zeroes a20
+        cs, sn = a00 / h, a20 / h
+        a21, a22 = cs * a21 - sn * a01, cs * a22 - sn * a02
+        q00, q01, q02, q20, q21, q22 = (
+            cs * q00 + sn * q20, cs * q01 + sn * q21, cs * q02 + sn * q22,
+            cs * q20 - sn * q00, cs * q21 - sn * q01, cs * q22 - sn * q02)
+    h = math.hypot(a11, a21)
+    if h != 0.0:  # zeroes a21
+        cs, sn = a11 / h, a21 / h
+        a22 = cs * a22 - sn * a12
+        q10, q11, q12, q20, q21, q22 = (
+            cs * q10 + sn * q20, cs * q11 + sn * q21, cs * q12 + sn * q22,
+            cs * q20 - sn * q10, cs * q21 - sn * q11, cs * q22 - sn * q12)
 
-    diag = _finite("signed_svd3", [scale * math.sqrt(sq[k]) for k in order], "a singular value")
-    if r[2][2] < 0.0:
+    diag = _finite("signed_svd3", [scale * math.sqrt(s0), scale * math.sqrt(s1),
+                                   scale * math.sqrt(s2)], "a singular value")
+    if a22 < 0.0:
         diag[2] = -diag[2]
-    return SignedSVD3(left=_transpose(qt), right=_transpose(v), diag=diag)
+    return SignedSVD3(left=[[q00, q10, q20], [q01, q11, q21], [q02, q12, q22]],
+                      right=[[v00, v01, v02], [v10, v11, v12], [v20, v21, v22]], diag=diag)

@@ -1,6 +1,7 @@
 """Tests for the fixed-size linear algebra kernel."""
 
 import itertools
+import math
 import warnings
 
 import numpy as np
@@ -9,6 +10,15 @@ import pytest
 from blochinv.errors import NotRepresentable, NotSymmetric
 from blochinv.groups import haar_so3
 from blochinv.linalg import (
+    JACOBI_MAX_SWEEPS,
+    JACOBI_ORTH_FACTOR,
+    SignedSVD3,
+    _finite,
+    _jacobi_rotation,
+    _orient_right,
+    _pow2_floor,
+    _rows3,
+    _transpose,
     det3,
     eig_sym3,
     rotation_residual,
@@ -258,6 +268,21 @@ class TestKernelScaling:
             assert hex_bits(scaled.eigenvalues) == hex_bits([2.0 ** k * x for x in eig.eigenvalues])
             assert hex_bits(scaled.rotation) == hex_bits(eig.rotation)
 
+    @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
+    def test_signed_svd3_power_of_two_equivariant_in_float_hex(self, k):
+        # Gaussian and graded inputs: the kernel reads C divided by a power
+        # of two, so both factors keep their bits and diag scales exactly.
+        rng = np.random.default_rng(15)
+        for t in range(100):
+            c = rng.standard_normal((3, 3))
+            if t % 2:
+                sigma = 10.0 ** rng.uniform(-12.0, -2.0)
+                c = haar_so3(rng) @ np.diag([1.0, sigma, -0.3 * sigma]) @ haar_so3(rng).T
+            svd, scaled = signed_svd3(c), signed_svd3(2.0 ** k * c)
+            assert hex_bits(scaled.diag) == hex_bits([2.0 ** k * x for x in svd.diag])
+            assert hex_bits(scaled.left) == hex_bits(svd.left)
+            assert hex_bits(scaled.right) == hex_bits(svd.right)
+
     def test_eig_sym3_spectrum_beyond_range_raises(self):
         # Eigenvalues +-1.98e308.
         with pytest.raises(NotRepresentable, match="eigenvalue"):
@@ -401,3 +426,175 @@ class TestSignedSVD3:
                 dc = det3(c)
                 if abs(dc) > 1e-12 * scale**3:
                     assert np.sign(out[0] * out[1] * out[2]) == np.sign(dc)
+
+
+# Inputs and outputs as float.hex strings, as for eig_sym3. DENSE_C is
+# standard_normal from default_rng(20); GRADED_C is Q1 diag(1, 1e-9, -3e-10)
+# Q2^T for two haar_so3 draws from default_rng(21); SIGNED_ZEROS_C has -0.0
+# entries, unsorted singular values and det < 0. The expected bits are those
+# of the list-based kernel (reference_signed_svd3 below).
+DENSE_C = [
+    ["-0x1.704ced7a0bb8fp-2", "0x1.34240d2be631ep+0", "0x1.6599262a95b0dp+0"],
+    ["0x1.44d97eb85e16dp-2", "0x1.a812cb2bcbd28p-2", "-0x1.f54c8b2f45cbfp-2"],
+    ["-0x1.d407a107b0b62p-1", "-0x1.ccfc11809691fp-1", "-0x1.ff326216a10efp-1"],
+]
+GRADED_C = [
+    ["0x1.b1a2c36029d12p-7", "0x1.bf31e8bfa2a3bp-3", "-0x1.9838e4adc174dp-3"],
+    ["-0x1.aca0249fb6b0ep-6", "-0x1.ba072d7a8bf09p-2", "0x1.93816fc4a6b79p-2"],
+    ["-0x1.1495eb1b7beacp-5", "-0x1.1d3be9b8bfed5p-1", "0x1.046047a46d95ap-1"],
+]
+SIGNED_ZEROS_C = [["-0x1p+0", "-0x0p+0", "0x0p+0"], ["-0x0p+0", "0x1p+1", "0x0p+0"],
+                  ["0x0p+0", "0x0p+0", "-0x0p+0"]]
+PINNED_SIGNED_SVD3 = {
+    "dense": (
+        DENSE_C,
+        ["0x1.8d63e05782b9dp-1", "-0x1.132ee5cd76034p-1", "0x1.51a276b7a2e98p-2",
+         "-0x1.a56526538da08p-6", "0x1.fb62b0c69d8a9p-2", "0x1.bc88bb5f59831p-1",
+         "-0x1.429205c0b0082p-1", "-0x1.5d5e47ab38d86p-1", "0x1.7ba739242319fp-2"],
+        ["0x1.011de5b38786bp-3", "0x1.e0cd2e5b237d0p-1", "-0x1.47abd79e224fbp-2",
+         "0x1.4c0d343864c43p-1", "0x1.54c908d6e0dccp-3", "0x1.7c4c8bd70ebbep-1",
+         "0x1.806342e7d981cp-1", "-0x1.33ff31ab8938bp-2", "-0x1.2d1f455b2dca5p-1"],
+        ["0x1.263d8e5c08884p+1", "0x1.099805074bd85p+0", "0x1.23526484e4e9cp-1"],
+    ),
+    "graded": (
+        GRADED_C,
+        ["0x1.2f0d704adce4ep-2", "-0x1.aef746cc29a9ep-1", "0x1.ce64fe07e799ep-2",
+         "-0x1.2b8d0eb8dfddap-1", "0x1.b62a5ae69dd82p-3", "0x1.90845b8b57e18p-1",
+         "-0x1.82976cd4326a8p-1", "-0x1.fb9835d619d79p-2", "-0x1.b771e26d2c00fp-2"],
+        ["0x1.6e4f07b49ca0ep-5", "0x1.5a3e0253aff16p-1", "0x1.787a88d6fbc77p-1",
+         "0x1.79c33c22c75e6p-1", "0x1.e540f5707bbb3p-2", "-0x1.ec39d67b74791p-2",
+         "-0x1.58d744cc96d4cp-1", "0x1.20c7133a9337ep-1", "-0x1.e93a9a9a28c86p-2"],
+        ["0x1.fffffffffffffp-1", "0x1.12e0be3a5fd04p-30", "-0x1.49da7e51dd78ap-32"],
+    ),
+    "signed_zeros": (
+        SIGNED_ZEROS_C,
+        ["0x0.0p+0", "-0x1.0000000000000p+0", "0x0.0p+0",
+         "0x1.0000000000000p+0", "0x0.0p+0", "0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "0x1.0000000000000p+0"],
+        ["0x0.0p+0", "0x1.0000000000000p+0", "-0x0.0p+0",
+         "0x1.0000000000000p+0", "0x0.0p+0", "-0x0.0p+0",
+         "0x0.0p+0", "0x0.0p+0", "-0x1.0000000000000p+0"],
+        ["0x1.0000000000000p+1", "0x1.0000000000000p+0", "0x0.0p+0"],
+    ),
+}
+
+
+class TestSignedSVD3Pinned:
+    @pytest.mark.parametrize("name", sorted(PINNED_SIGNED_SVD3))
+    def test_bits(self, name):
+        c, left, right, diag = PINNED_SIGNED_SVD3[name]
+        svd = signed_svd3(hex_matrix(c))
+        assert hex_bits(svd.left) == left
+        assert hex_bits(svd.right) == right
+        assert hex_bits(svd.diag) == diag
+        assert all(type(x) is float for x in svd.diag + sum(svd.left + svd.right, []))
+
+
+def reference_signed_svd3(c):
+    """signed_svd3 as it was written over lists of columns, kept as the
+    oracle of the straight-line kernel: the same operations in the same
+    order, so the two agree in float.hex."""
+    rows, norm = _rows3(c, "signed_svd3 input")
+    scale = _pow2_floor(norm)
+
+    # Columns of A = C V / scale and of V.
+    a = [[rows[0][j] / scale, rows[1][j] / scale, rows[2][j] / scale] for j in range(3)]
+    v = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    sq = [x * x + y * y + z * z for x, y, z in a]  # squared column norms
+    for _ in range(JACOBI_MAX_SWEEPS):
+        rotated = False
+        for p, q in ((0, 1), (0, 2), (1, 2)):
+            ap0, ap1, ap2 = a[p]
+            aq0, aq1, aq2 = a[q]
+            gamma = ap0 * aq0 + ap1 * aq1 + ap2 * aq2
+            if abs(gamma) <= JACOBI_ORTH_FACTOR * math.sqrt(sq[p] * sq[q]):
+                continue
+            rotated = True
+            _, cs, sn = _jacobi_rotation(sq[p], sq[q], gamma)
+            x, y, z = a[p] = [cs * ap0 - sn * aq0, cs * ap1 - sn * aq1, cs * ap2 - sn * aq2]
+            sq[p] = x * x + y * y + z * z
+            x, y, z = a[q] = [sn * ap0 + cs * aq0, sn * ap1 + cs * aq1, sn * ap2 + cs * aq2]
+            sq[q] = x * x + y * y + z * z
+            vp0, vp1, vp2 = v[p]
+            vq0, vq1, vq2 = v[q]
+            v[p] = [cs * vp0 - sn * vq0, cs * vp1 - sn * vq1, cs * vp2 - sn * vq2]
+            v[q] = [sn * vp0 + cs * vq0, sn * vp1 + cs * vq1, sn * vp2 + cs * vq2]
+        if not rotated:
+            break
+
+    order = sorted(range(3), key=lambda k: -sq[k])
+    v, a = _orient_right([v[k] for k in order], [a[k] for k in order])
+
+    # Givens QR of A, on its rows; qt accumulates Q^T.
+    r = _transpose(a)
+    qt = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]
+    for i, j, k in ((0, 1, 0), (0, 2, 0), (1, 2, 1)):
+        h = math.hypot(r[i][k], r[j][k])
+        if h == 0.0:
+            continue
+        cs = r[i][k] / h
+        sn = r[j][k] / h
+        for m in (r, qt):
+            mi, mj = m[i], m[j]
+            m[i] = [cs * x + sn * y for x, y in zip(mi, mj)]
+            m[j] = [cs * y - sn * x for x, y in zip(mi, mj)]
+
+    diag = _finite("signed_svd3", [scale * math.sqrt(sq[k]) for k in order], "a singular value")
+    if r[2][2] < 0.0:
+        diag[2] = -diag[2]
+    return SignedSVD3(left=_transpose(qt), right=_transpose(v), diag=diag)
+
+
+def _oracle_input(family, rng):
+    """One 3x3 input of the named family, as a float64 array."""
+    if family == "gaussian":
+        return rng.standard_normal((3, 3))
+    if family == "power_of_two":
+        return 2.0 ** int(rng.integers(-1000, 1001)) * rng.standard_normal((3, 3))
+    if family == "graded":
+        sigma = 10.0 ** rng.uniform(-12.0, -2.0)
+        d3 = rng.choice([-0.3, 0.3]) * sigma
+        return haar_so3(rng) @ np.diag([1.0, sigma, d3]) @ haar_so3(rng).T
+    if family == "tied":
+        a, b = rng.uniform(0.1, 2.0, size=2)
+        d = np.array([a, a, b] if rng.uniform() < 0.5 else [a, a, a])
+        d = d * rng.choice([-1.0, 1.0], size=3)
+        return haar_so3(rng) @ np.diag(d) @ haar_so3(rng).T if rng.uniform() < 0.5 else np.diag(d)
+    if family == "signed_zero_lines":
+        c = rng.standard_normal((3, 3))
+        zeros = np.where(rng.uniform(size=(2, 3)) < 0.5, -0.0, 0.0)
+        i = int(rng.integers(3))
+        if rng.uniform() < 0.5:
+            c[i, :] = zeros[0]
+        else:
+            c[:, i] = zeros[0]
+        if rng.uniform() < 0.3:
+            c[:, (i + 1) % 3] = zeros[1]
+        return c
+    if family == "rank_one":
+        return np.outer(rng.standard_normal(3), rng.standard_normal(3))
+    if family == "small_integers":
+        return rng.integers(-3, 4, size=(3, 3)).astype(float)
+    if family == "signed_diagonal":
+        d = rng.standard_normal(3)
+        if rng.uniform() < 0.3:
+            d[int(rng.integers(3))] = rng.choice([0.0, -0.0])
+        return np.diag(d)
+    raise ValueError(family)
+
+
+ORACLE_FAMILIES = ("gaussian", "power_of_two", "graded", "tied", "signed_zero_lines",
+                   "rank_one", "small_integers", "signed_diagonal")
+
+
+class TestSignedSVD3Oracle:
+    @pytest.mark.parametrize("family", ORACLE_FAMILIES)
+    def test_matches_list_based_kernel_in_float_hex(self, family):
+        # 300 seeded inputs per family, 2,400 in all.
+        rng = np.random.default_rng([20, ORACLE_FAMILIES.index(family)])
+        for _ in range(300):
+            c = _oracle_input(family, rng)
+            svd, ref = signed_svd3(c), reference_signed_svd3(c)
+            assert hex_bits(svd.left) == hex_bits(ref.left)
+            assert hex_bits(svd.right) == hex_bits(ref.right)
+            assert hex_bits(svd.diag) == hex_bits(ref.diag)
