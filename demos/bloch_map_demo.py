@@ -53,7 +53,7 @@ b = random_bloch(StateClass.GENERAL, rng)
 rho = density_of(b)
 back = bloch_of(rho)
 print("round-trip residual:",
-      max(np.max(np.abs(back.u - b.u)), np.max(np.abs(back.C - b.C))))
+      max(np.max(np.abs(np.subtract(back.u, b.u))), np.max(np.abs(np.subtract(back.C, b.C)))))
 
 print()
 print("=" * 70)
@@ -65,7 +65,7 @@ for _ in range(2000):
     b = random_bloch(StateClass.GENERAL, rng)
     lhs = bloch_of(act_density(u1, u2, density_of(b)))
     rhs = act_bloch(so3_of_u2(u1), so3_of_u2(u2), b)
-    worst = max(worst, np.max(np.abs(lhs.C - rhs.C)))
+    worst = max(worst, np.max(np.abs(np.subtract(lhs.C, rhs.C))))
 print("worst residual of B(U rho U*) vs (r(U1), r(U2)) . B(rho) over 2000")
 print("Haar-random triples:", worst)
 

@@ -69,10 +69,11 @@ def act_density(u1, u2, rho):
 
 def act_bloch(r1, r2, bloch):
     """Rotation-pair action on Bloch coordinates:
-    u -> R1 u, v -> R2 v, C -> R1 C R2^T."""
+    u -> R1 u, v -> R2 v, C -> R1 C R2^T, the fields lists of floats."""
     r1 = np.asarray(r1, dtype=float)
     r2 = np.asarray(r2, dtype=float)
-    return BlochMatrix(u=r1 @ bloch.u, v=r2 @ bloch.v, C=r1 @ bloch.C @ r2.T)
+    return BlochMatrix(u=(r1 @ bloch.u).tolist(), v=(r2 @ bloch.v).tolist(),
+                       C=(r1 @ bloch.C @ r2.T).tolist())
 
 
 @dataclass(frozen=True)
@@ -190,7 +191,7 @@ def random_bloch(state_class, seed):
     """Random Bloch coordinates with entries uniform in [-1, 1], respecting
     the linear constraints of the class exactly (zero 1-point vectors for
     LMM, shared vector and symmetric C for symmetric states); the fields
-    are arrays."""
+    are lists of floats, as bloch_of fills them."""
     rng = _as_rng(seed)
     state_class = StateClass(state_class)
     if state_class in (StateClass.LMM, StateClass.SYMMETRIC_LMM):
@@ -210,7 +211,7 @@ def random_bloch(state_class, seed):
                 c[i, j] = c[j, i] = rng.uniform(-1.0, 1.0)
     else:
         c = rng.uniform(-1.0, 1.0, size=(3, 3))
-    return BlochMatrix(u=u, v=v, C=c)
+    return BlochMatrix(u=u.tolist(), v=v.tolist(), C=c.tolist())
 
 
 def _ginibre_state(rng):

@@ -15,9 +15,9 @@ straight-line code on named locals, one per matrix entry: eig_sym3 is the
 checked entry of the eigen kernel _eig_rows, through which every
 diagonalization in the package goes, and signed_svd3 holds A, V and Q^T
 of its one-sided Jacobi and Givens QR in locals. _matvec3 and
-_matmul3 are the only 3x3 products of the scalar core (linalg, invariants,
-orbits), each summed in one fixed order, so its digits do not depend on
-the BLAS build.
+_matmul3, written out on unpacked entries like _transpose, are the only
+3x3 products of the scalar core (linalg, invariants, orbits), each summed
+in one fixed order, so its digits do not depend on the BLAS build.
 
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient
@@ -64,19 +64,30 @@ def _worst(values):
 def _matmul3(a, b):
     """a @ b on 3x3 rows of floats, each entry summed left to right:
     (a_i0 b_0j + a_i1 b_1j) + a_i2 b_2j, the same order on every platform."""
-    cols = list(zip(*b))
-    return [[x0 * y0 + x1 * y1 + x2 * y2 for y0, y1, y2 in cols] for x0, x1, x2 in a]
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = b
+    return [
+        [a00 * b00 + a01 * b10 + a02 * b20, a00 * b01 + a01 * b11 + a02 * b21,
+         a00 * b02 + a01 * b12 + a02 * b22],
+        [a10 * b00 + a11 * b10 + a12 * b20, a10 * b01 + a11 * b11 + a12 * b21,
+         a10 * b02 + a11 * b12 + a12 * b22],
+        [a20 * b00 + a21 * b10 + a22 * b20, a20 * b01 + a21 * b11 + a22 * b21,
+         a20 * b02 + a21 * b12 + a22 * b22],
+    ]
 
 
 def _transpose(a):
-    """The transpose of a matrix given as rows, as rows (lists)."""
-    return list(map(list, zip(*a)))
+    """The transpose of a 3x3 matrix given as rows, as rows (lists)."""
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    return [[a00, a10, a20], [a01, a11, a21], [a02, a12, a22]]
 
 
 def _matvec3(a, x):
     """a @ x on 3x3 rows and a 3-vector of floats, summed as in _matmul3."""
-    y0, y1, y2 = x
-    return [x0 * y0 + x1 * y1 + x2 * y2 for x0, x1, x2 in a]
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = a
+    x0, x1, x2 = x
+    return [a00 * x0 + a01 * x1 + a02 * x2, a10 * x0 + a11 * x1 + a12 * x2,
+            a20 * x0 + a21 * x1 + a22 * x2]
 
 
 def _det3_rows(r0, r1, r2):

@@ -16,9 +16,7 @@ Index conventions, fixed once for the whole package:
   * the tensor-swap involution exchanges basis states |01> and |10>.
 """
 
-import cmath
 import math
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -82,46 +80,52 @@ def validate_density(rho):
     return _checked_density(rho)[0]
 
 
-def _four(x):
-    """x itself if it is a list or tuple of four entries; TypeError otherwise."""
-    if isinstance(x, _SEQUENCE) and len(x) == 4:
-        return x
-    raise TypeError("expected four entries")
-
-
-# Row-major indices of the entries on and above the diagonal, and of their
-# transposes.
-_UPPER = operator.itemgetter(0, 1, 2, 3, 5, 6, 7, 10, 11, 15)
-_LOWER = operator.itemgetter(0, 4, 8, 12, 5, 9, 13, 10, 14, 15)
+def _density_shape_error(rho):
+    return StateFormatError(f"expected a 4x4 matrix, got shape {_shape(rho)}")
 
 
 def _checked_density(rho):
-    """validate_density's check. Returns the rows of rho; the real and the
-    imaginary parts of rho / s, each as 16 floats in row-major order; and
-    s, the power of two that brings max(1, largest real or imaginary part)
-    into [1, 2), 1 below 2."""
+    """validate_density's check: one shape test, one complex coercion and
+    one finiteness test of the 16 entries, then the tolerance tests on
+    their 32 named real and imaginary parts. Returns the rows of rho; the
+    real and the imaginary parts of rho / s, each as 16 floats in row-major
+    order; and s, the power of two that brings max(1, largest real or
+    imaginary part) into [1, 2), 1 below 2."""
     rho = rho.tolist() if hasattr(rho, "tolist") else rho
+    if not (isinstance(rho, _SEQUENCE) and len(rho) == 4):
+        raise _density_shape_error(rho)
+    r0, r1, r2, r3 = rho
+    if not (isinstance(r0, _SEQUENCE) and isinstance(r1, _SEQUENCE) and isinstance(r2, _SEQUENCE)
+            and isinstance(r3, _SEQUENCE) and len(r0) == len(r1) == len(r2) == len(r3) == 4):
+        raise _density_shape_error(rho)
     try:
-        rows = [list(map(complex, _four(row))) for row in _four(rho)]
+        rows = [[*map(complex, r0)], [*map(complex, r1)], [*map(complex, r2)], [*map(complex, r3)]]
     except TypeError:
-        raise StateFormatError(f"expected a 4x4 matrix, got shape {_shape(rho)}") from None
-    flat = rows[0] + rows[1] + rows[2] + rows[3]
-    if not all(map(cmath.isfinite, flat)):
-        raise ValueError("density matrix contains NaN or Inf entries")
+        raise _density_shape_error(rho) from None
+    flat = [*rows[0], *rows[1], *rows[2], *rows[3]]
     re = [z.real for z in flat]
     im = [z.imag for z in flat]
+    parts = re + im
+    if not all(map(math.isfinite, parts)):
+        raise ValueError("density matrix contains NaN or Inf entries")
     # Both sides of each test divided by s, exact, so that neither
     # |rho|_inf, rho - rho^dagger nor the trace overflows. |z| is hypot.
-    scale = _pow2_floor(max(1.0, max(map(abs, re + im))))
-    re = [x / scale for x in re]
-    im = [y / scale for y in im]
-    tol = DENSITY_TOL * max(1.0 / scale, max(map(math.hypot, re, im)))
-    # |rho_kl - conj(rho_lk)|, the same for (k, l) and (l, k).
-    if max(map(math.hypot, map(operator.sub, _UPPER(re), _LOWER(re)),
-               map(operator.add, _UPPER(im), _LOWER(im)))) > tol:
+    scale = _pow2_floor(max(1.0, max(map(abs, parts))))
+    if scale != 1.0:  # x / 1.0 is x
+        re = [x / scale for x in re]
+        im = [y / scale for y in im]
+    x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = re
+    y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33 = im
+    hypot = math.hypot
+    tol = DENSITY_TOL * max(1.0 / scale, max(map(hypot, re, im)))
+    # |rho_kl - conj(rho_lk)|, the same for (k, l) and (l, k); on the
+    # diagonal hypot(0, 2 y) is |2 y|.
+    if max(abs(y00 + y00), hypot(x01 - x10, y01 + y10), hypot(x02 - x20, y02 + y20),
+           hypot(x03 - x30, y03 + y30), abs(y11 + y11), hypot(x12 - x21, y12 + y21),
+           hypot(x13 - x31, y13 + y31), abs(y22 + y22), hypot(x23 - x32, y23 + y32),
+           abs(y33 + y33)) > tol:
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
-    if math.hypot(re[0] + re[5] + re[10] + re[15] - 1.0 / scale,
-                  im[0] + im[5] + im[10] + im[15]) > tol:
+    if hypot(x00 + x11 + x22 + x33 - 1.0 / scale, y00 + y11 + y22 + y33) > tol:
         raise StateFormatError("matrix does not have unit trace")
     return rows, re, im, scale
 
@@ -173,8 +177,9 @@ def bloch_of(rho):
     Raises:
         NotRepresentable: if a coordinate is not a finite double.
     """
-    (_, *v), *rest = _table(rho)
-    return BlochMatrix(u=[row[0] for row in rest], v=v, C=[row[1:] for row in rest])
+    (_, v1, v2, v3), (u1, c11, c12, c13), (u2, c21, c22, c23), (u3, c31, c32, c33) = _table(rho)
+    return BlochMatrix(u=[u1, u2, u3], v=[v1, v2, v3],
+                       C=[[c11, c12, c13], [c21, c22, c23], [c31, c32, c33]])
 
 
 def density_of(bloch):
@@ -251,9 +256,11 @@ def classify(rho, tol=DEFAULT_CLASS_TOL):
 def _class_of(b, tol):
     """classify's rule on the fields of a BlochMatrix, lists of floats, at a
     tol already checked."""
-    (_, c01, c02), (c10, _, c12), (c20, c21, _) = b.C
-    lmm = max(map(abs, b.u + b.v)) <= tol
-    sym = max(abs(x - y) for x, y in zip(b.u + [c01, c02, c12], b.v + [c10, c20, c21])) <= tol
+    (u1, u2, u3), (v1, v2, v3) = b.u, b.v
+    (_, c12, c13), (c21, _, c23), (c31, c32, _) = b.C
+    lmm = max(abs(u1), abs(u2), abs(u3), abs(v1), abs(v2), abs(v3)) <= tol
+    sym = max(abs(u1 - v1), abs(u2 - v2), abs(u3 - v3),
+              abs(c12 - c21), abs(c13 - c31), abs(c23 - c32)) <= tol
     if lmm and sym:
         return StateClass.SYMMETRIC_LMM
     if lmm:

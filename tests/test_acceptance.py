@@ -63,8 +63,8 @@ def test_criterion_01_bloch_equivariance():
         rho = density_of(b)
         lhs = bloch_of(act_density(u1, u2, rho))
         rhs = act_bloch(so3_of_u2(u1), so3_of_u2(u2), b)
-        worst = max(worst, norm_inf(lhs.u - rhs.u), norm_inf(lhs.v - rhs.v),
-                    norm_inf(lhs.C - rhs.C))
+        worst = max(worst, norm_inf(np.subtract(lhs.u, rhs.u)),
+                    norm_inf(np.subtract(lhs.v, rhs.v)), norm_inf(np.subtract(lhs.C, rhs.C)))
     elapsed = time.perf_counter() - start
     ok = worst < 1e-10 and elapsed < 5.0
     announce(1, "Bloch-map equivariance", ok,

@@ -398,6 +398,40 @@ class TestKernelRange:
         assert_one_error_line(capsys)
 
 
+class TestScaleSweep:
+    """invariants, canonical, restrict and equiv on an lmm and a sym state
+    scaled by 2^k, k = -1000..1000 in steps of 100: a Bloch file scaled by
+    2^k and a density file I/4 + 2^k (rho - I/4), which keeps the trace at 1
+    and sends the density check through a scale above 1. Every run exits
+    with a documented code, prints exactly one error line when that code
+    is not 0, and never raises."""
+
+    @pytest.mark.parametrize("state_class", ["lmm", "sym"])
+    def test_documented_exit_and_one_error_line(self, tmp_path, capsys, state_class):
+        from blochinv.groups import random_bloch
+        from blochinv.states import density_of
+
+        b = random_bloch(state_class, 3)
+        rho = np.array(density_of(b))
+        for k in range(-1000, 1001, 100):
+            s = 2.0 ** k
+            docs = {
+                "bloch": bloch_document(BlochMatrix(np.multiply(b.u, s), np.multiply(b.v, s),
+                                                    np.multiply(b.C, s))),
+                "density": density_document(0.25 * np.eye(4) + s * (rho - 0.25 * np.eye(4))),
+            }
+            for fmt, doc in docs.items():
+                path = write_state(tmp_path, f"{fmt}.json", doc)
+                for command in ("invariants", "canonical", "restrict", "equiv"):
+                    code = main([command, path] + [path] * (command == "equiv"))
+                    assert code in (0, 2, 3, 4), (fmt, k, command)
+                    if code:
+                        assert_one_error_line(capsys)
+                    else:
+                        captured = capsys.readouterr()
+                        assert captured.err == "" and json.loads(captured.out)
+
+
 class TestStratumTables:
     """_stratum classifies a density file on the fields of its one Bloch
     table and a Bloch file on its own fields, with no table at all."""

@@ -131,8 +131,8 @@ class TestActions:
         b = random_bloch(StateClass.SYMMETRIC, rng)
         r = haar_so3(rng)
         out = act_bloch(r, r, b)
-        assert norm_inf(out.C - out.C.T) < 1e-13
-        assert norm_inf(out.u - out.v) < 1e-13
+        assert norm_inf(np.subtract(out.C, np.transpose(out.C))) < 1e-13
+        assert norm_inf(np.subtract(out.u, out.v)) < 1e-13
 
     def test_equivariance(self):
         rng = np.random.default_rng(5)
@@ -141,9 +141,9 @@ class TestActions:
             b = random_bloch(StateClass.GENERAL, rng)
             lhs = bloch_of(act_density(u1, u2, density_of(b)))
             rhs = act_bloch(so3_of_u2(u1), so3_of_u2(u2), b)
-            assert norm_inf(lhs.C - rhs.C) < 1e-10
-            assert norm_inf(lhs.u - rhs.u) < 1e-10
-            assert norm_inf(lhs.v - rhs.v) < 1e-10
+            assert norm_inf(np.subtract(lhs.C, rhs.C)) < 1e-10
+            assert norm_inf(np.subtract(lhs.u, rhs.u)) < 1e-10
+            assert norm_inf(np.subtract(lhs.v, rhs.v)) < 1e-10
 
 
 class TestFiniteGroups:

@@ -15,6 +15,8 @@ from blochinv.linalg import (
     SignedSVD3,
     _finite,
     _jacobi_rotation,
+    _matmul3,
+    _matvec3,
     _orient_right,
     _pow2_floor,
     _rows3,
@@ -598,3 +600,61 @@ class TestSignedSVD3Oracle:
             assert hex_bits(svd.left) == hex_bits(ref.left)
             assert hex_bits(svd.right) == hex_bits(ref.right)
             assert hex_bits(svd.diag) == hex_bits(ref.diag)
+
+
+# The comprehension forms of the 3x3 products, the reference of TestProducts.
+def reference_matmul3(a, b):
+    cols = list(zip(*b))
+    return [[x0 * y0 + x1 * y1 + x2 * y2 for y0, y1, y2 in cols] for x0, x1, x2 in a]
+
+
+def reference_matvec3(a, x):
+    y0, y1, y2 = x
+    return [x0 * y0 + x1 * y1 + x2 * y2 for x0, x1, x2 in a]
+
+
+def reference_transpose(a):
+    return list(map(list, zip(*a)))
+
+
+# Entries that make the summation order and the sign of zero show: signed
+# zeros, subnormals, overflowing products and their NaN differences.
+PRODUCT_SPECIALS = (0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 1e300, -1e300, 1.0, -1.0)
+
+
+def product_rows(rng):
+    """3x3 rows of floats: Gaussians times 2^k, k in [-60, 60], with about
+    four in ten entries drawn from PRODUCT_SPECIALS."""
+    m = rng.standard_normal((3, 3)) * 2.0 ** rng.integers(-60, 61, size=(3, 3))
+    special = rng.uniform(size=(3, 3)) < 0.4
+    m[special] = rng.choice(PRODUCT_SPECIALS, size=int(special.sum()))
+    return m.tolist()
+
+
+def hex_rows(rows):
+    """float.hex of each entry of a list of floats or of a list of lists."""
+    assert type(rows) is list and all(type(x) in (float, list) for x in rows)
+    return [x.hex() if type(x) is float else [y.hex() for y in x] for x in rows]
+
+
+class TestProducts:
+    """_matmul3, _matvec3 and _transpose, written out on unpacked entries,
+    equal their comprehension forms in float.hex, on the input kinds the
+    package passes: lists of lists, lists of zip tuples (a transpose as
+    list(zip(*m))) and tuples."""
+
+    @staticmethod
+    def _kinds(rows):
+        return rows, list(zip(*reference_transpose(rows))), tuple(map(tuple, rows))
+
+    def test_match_comprehension_forms(self):
+        rng = np.random.default_rng(21)
+        for _ in range(1000):
+            a, b = product_rows(rng), product_rows(rng)
+            x = product_rows(rng)[0]
+            for ka, kb in itertools.product(self._kinds(a), self._kinds(b)):
+                assert hex_rows(_matmul3(ka, kb)) == hex_rows(reference_matmul3(ka, kb))
+            for ka in self._kinds(a):
+                assert hex_rows(_matvec3(ka, x)) == hex_rows(reference_matvec3(ka, x))
+                assert hex_rows(_matvec3(ka, tuple(x))) == hex_rows(reference_matvec3(ka, x))
+                assert hex_rows(_transpose(ka)) == hex_rows(reference_transpose(ka))

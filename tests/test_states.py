@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from blochinv.errors import NonHermitianInput, NotRepresentable
-from blochinv.groups import random_bloch, random_state
+from blochinv.errors import NonHermitianInput, NotRepresentable, StateFormatError
+from blochinv.groups import act_bloch, random_bloch, random_state
 from blochinv.states import (
     BELL_KETS,
     DEFAULT_CLASS_TOL,
+    DENSITY_TOL,
     PAULI,
     POSITIVITY_TOL,
     SWAP,
@@ -139,6 +140,90 @@ class TestValidateDensity:
         rho = np.kron(np.array([[1.0, 2j], [2j, 3.0]]), np.eye(2)) / 8
         with pytest.raises(NonHermitianInput):
             validate_density(rho)
+
+
+# 2^k is the scale of the edge states' deviation from I/4 (a unit-trace state
+# has an entry of at least 1/4, so below that only the deviation is 2^k).
+EDGE_EXPONENTS = (-1000, -500, 0, 500, 1000)
+
+
+def edge_state(k):
+    """I/4 + 2^k H for a fixed traceless Hermitian H with entries +-1,
+    1 +- i and (1 +- i) / 2: unit trace (exactly, or within the tolerance
+    where 2^k absorbs the 1/4), largest entry sqrt(2) 2^k for k >= 0 and
+    1/4 below."""
+    h = np.array([[1, 0, 0, 1 + 1j], [0, -1, 0.5 + 0.5j, 0], [0, 0.5 - 0.5j, 0, 0],
+                  [1 - 1j, 0, 0, 0]])
+    return 0.25 * np.eye(4, dtype=complex) + 2.0 ** k * h
+
+
+class TestDensityCheckEdges:
+    """validate_density just inside and just outside its two tolerances, at
+    every scale of the double range, and the type and message of each input
+    error. The tolerance is DENSITY_TOL * max(1, |rho|_inf); the perturbations
+    are (1 -+ 2^-10) times it, far beyond the rounding of the check."""
+
+    CHECKS = (validate_density, bloch_of, classify, is_positive,
+              lambda rho: correlation(rho, 0, 0), lambda rho: partial_trace(rho, 1))
+
+    @staticmethod
+    def _tol(rho):
+        return DENSITY_TOL * max(1.0, float(np.max(np.abs(rho))))
+
+    @pytest.mark.parametrize("k", EDGE_EXPONENTS)
+    def test_edge_state_accepted_and_mapped_exactly(self, k):
+        rho = edge_state(k)
+        np.testing.assert_array_equal(validate_density(rho), rho)
+        table = table_oracle(rho)
+        b = bloch_of(rho)
+        assert hex_entries(b.u) == hex_entries(table[1:, 0])
+        assert hex_entries(b.v) == hex_entries(table[0, 1:])
+        assert hex_entries(b.C) == hex_entries(table[1:, 1:])
+
+    @pytest.mark.parametrize("k", EDGE_EXPONENTS)
+    @pytest.mark.parametrize("where, error", [
+        ((1, 2, 1.0), NonHermitianInput), ((1, 2, 1j), NonHermitianInput),
+        ((2, 2, 1.0), StateFormatError), ((2, 2, -1.0), StateFormatError),
+    ], ids=["hermitian-re", "hermitian-im", "trace-up", "trace-down"])
+    def test_tolerance_boundaries(self, k, where, error):
+        # One entry moved by d: rho_12 breaks Hermiticity by |d|, rho_22 the
+        # trace by |d|; neither moves |rho|_inf.
+        i, j, direction = where
+        rho = edge_state(k)
+        tol = self._tol(rho)
+        for factor, accepted in ((1.0 - 2.0 ** -10, True), (1.0 + 2.0 ** -10, False)):
+            moved = rho.copy()
+            moved[i, j] += factor * tol * direction
+            assert self._tol(moved) == tol
+            if accepted:
+                validate_density(moved)
+            else:
+                with pytest.raises(error):
+                    validate_density(moved)
+
+    @pytest.mark.parametrize("rho, error, message", [
+        (np.zeros((3, 4)), StateFormatError, "expected a 4x4 matrix, got shape (3, 4)"),
+        ([[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.25]], StateFormatError,
+         "expected a 4x4 matrix, got shape (4, 4)"),
+        (np.zeros((4, 4, 1)), StateFormatError, "expected a 4x4 matrix, got shape (4, 4, 1)"),
+        (0.25, StateFormatError, "expected a 4x4 matrix, got shape ()"),
+        ("0.25", StateFormatError, "expected a 4x4 matrix, got shape ()"),
+        ([[None] * 4] * 4, StateFormatError, "expected a 4x4 matrix, got shape (4, 4)"),
+        ([["x"] * 4] * 4, ValueError, "complex() arg is a malformed string"),
+        # The shape is tested before any entry is read.
+        ([["x"] * 4, [0] * 4, [0] * 4, [0] * 3], StateFormatError,
+         "expected a 4x4 matrix, got shape (4, 4)"),
+        (np.diag([np.nan, 0.25, 0.25, 0.25]), ValueError, "density matrix contains NaN or Inf entries"),
+        (np.diag([0.25, 0.25, 0.25, complex(0.25, np.inf)]), ValueError,
+         "density matrix contains NaN or Inf entries"),
+        (np.full((4, 4), -np.inf), ValueError, "density matrix contains NaN or Inf entries"),
+    ], ids=["3x4", "ragged", "too-deep", "scalar", "string", "none", "non-numeric",
+            "ragged-non-numeric", "nan", "inf-imag", "inf"])
+    def test_input_errors(self, rho, error, message):
+        for check in self.CHECKS:
+            with pytest.raises(error) as info:
+                check(rho)
+            assert type(info.value) is error and str(info.value) == message
 
 
 class TestBlochMap:
@@ -420,10 +505,27 @@ class TestRandomStates:
             b = random_bloch(StateClass.LMM, rng)
             assert norm_inf(b.u) == 0.0 and norm_inf(b.v) == 0.0
             b = random_bloch(StateClass.SYMMETRIC, rng)
-            assert norm_inf(b.u - b.v) == 0.0
-            assert norm_inf(b.C - b.C.T) == 0.0
+            assert norm_inf(np.subtract(b.u, b.v)) == 0.0
+            assert norm_inf(np.subtract(b.C, np.transpose(b.C))) == 0.0
             b = random_bloch(StateClass.SYMMETRIC_LMM, rng)
-            assert norm_inf(b.u) == 0.0 and norm_inf(b.C - b.C.T) == 0.0
+            assert norm_inf(b.u) == 0.0 and norm_inf(np.subtract(b.C, np.transpose(b.C))) == 0.0
+
+    def test_fields_are_lists_of_floats(self):
+        # random_bloch and act_bloch fill the record as bloch_of does, with
+        # the bits of the arrays they compute.
+        rng = np.random.default_rng(8)
+        r1, r2 = (np.linalg.qr(rng.standard_normal((3, 3)))[0] for _ in range(2))
+        for cls in StateClass:
+            b = random_bloch(cls, 9)
+            moved = act_bloch(r1, r2, b)
+            for rec in (b, moved):
+                assert type(rec.u) is list and type(rec.v) is list and type(rec.C) is list
+                assert all(type(row) is list and len(row) == 3 for row in rec.C)
+                assert all(type(x) is float for x in [*rec.u, *rec.v, *sum(rec.C, [])])
+            u, v, c = (np.asarray(x) for x in (b.u, b.v, b.C))
+            assert hex_entries(moved.u) == hex_entries(r1 @ u)
+            assert hex_entries(moved.v) == hex_entries(r2 @ v)
+            assert hex_entries(moved.C) == hex_entries(r1 @ c @ r2.T)
 
     def test_density_route_respects_class(self):
         rho = random_state(StateClass.LMM, 123)
