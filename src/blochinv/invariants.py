@@ -22,6 +22,7 @@ from .linalg import (
     _matvec3,
     _pow2_floor,
     _rows3,
+    _scaled,
     _sym_rows3,
     _trace_invariants,
     _vec3,
@@ -284,7 +285,8 @@ def _nondegenerate_eig(rows, norm, message):
     eigenvalues, rotation = eig_sym3(rows)
     norm = max(1.0, norm)
     scale = _pow2_floor(norm)
-    l0, l1, l2 = (x / scale for x in eigenvalues)
+    e0, e1, e2 = eigenvalues
+    l0, l1, l2 = e0 / scale, e1 / scale, e2 / scale
     disc = ((l0 - l1) ** 2 * (l0 - l2) ** 2) * ((l1 - l2) ** 2)
     if abs(disc) <= DISC_TOL * (norm / scale) ** 6:
         raise DegenerateSpectrum(message)
@@ -302,7 +304,7 @@ def r_invariant(v, a):
     rows, norm = _rows3(a, "r_invariant input")
     _, _, scale, disc = _nondegenerate_eig(rows, norm,
                                            "discriminant vanishes; invariant undefined")
-    g = _g_unchecked(v, [[x / scale for x in row] for row in rows])
+    g = _g_unchecked(v, _scaled(rows, scale))
     r = (g * g) / disc
     _finite("r_invariant", (r,), "an invariant")
     return r
@@ -326,12 +328,14 @@ def sym_invariants(v, a):
     rows, norm = _rows3(a, "sym_invariants input")
     _, rotation, _, _ = _nondegenerate_eig(rows, norm,
                                            "repeated eigenvalues; invariants undefined")
-    if all(abs(x) <= ZERO_VECTOR_TOL for x in v):
+    x0, x1, x2 = v
+    norm = max(abs(x0), abs(x1), abs(x2))
+    if norm <= ZERO_VECTOR_TOL:
         raise ZeroVector("zero 1-point vector; pX, pY, pZ undefined")
     # X, Y have degree 0 in v and Z degree 1 (Z^2 = p1 P9(1, X, Y)); taking them
     # on R v / s, s = 2^floor(log2 |v|_inf), is exact and overflows no p_k.
-    scale = _pow2_floor(max(map(abs, v)))
-    oct_inv = octahedral_invariants(_matvec3(rotation, [x / scale for x in v]))
+    scale = _pow2_floor(norm)
+    oct_inv = octahedral_invariants(_matvec3(rotation, [x0 / scale, x1 / scale, x2 / scale]))
     tr_a, tr_a2, det_a = _trace_invariants(rows)
     return SymInvariants(pX=oct_inv.X, pY=oct_inv.Y, pZ=oct_inv.Z * scale,
                          trA=tr_a, trA2=tr_a2, detA=det_a)

@@ -6,6 +6,9 @@ of the scalar core.
 Each 3x3 input, an array or nested lists or tuples, is converted to Python
 floats and checked once, by _rows3 (shape and finiteness) or _sym_rows3
 (also symmetry); each 3-vector input by _vec3 (shape and finiteness).
+Each check is one straight-line pass on named locals, with no loop, map
+or generator: a shape test, one float() per entry, one finiteness test
+and, for a matrix, its norm as one max.
 No function here imports numpy: an array is read through its tolist. The
 records returned here hold lists of Python floats (rows for a matrix).
 Both kernels divide their input exactly by a power of two and multiply
@@ -120,13 +123,36 @@ def _shape_error(what, shape, a):
 
 def _entry_error(what, a):
     """The error for an entry that float() refuses: a sequence nested one
-    level too deep (the shape names it) or a complex number or object."""
+    level too deep (the shape names it), a complex number, a string that is
+    not a number or any other object."""
     return ValueError(f"{what} must have real number entries, got shape {_shape(a)}")
+
+
+def _refused(convert, entries):
+    """Whether convert, float or complex, refuses one of entries as not a
+    number. Only an integer beyond the double range makes either overflow,
+    and such an entry counts as non-finite, not as refused."""
+    for x in entries:
+        try:
+            convert(x)
+        except OverflowError:
+            pass
+        except (TypeError, ValueError):
+            return True
+    return False
 
 
 def _rows3(a, what):
     """Rows of a 3x3 input as Python floats and its entrywise infinity norm;
-    ValueError unless the shape is (3, 3) and every entry is finite."""
+    ValueError unless the shape is (3, 3) and every entry is finite.
+
+    One straight-line pass on named locals: a shape test, one float() per
+    entry, one finiteness test (x * 0.0 is 0.0 unless x is NaN or +-Inf)
+    and the norm as one max. The errors come in that order: a wrong shape,
+    an entry float() refuses, then a NaN, an Inf or an integer beyond the
+    double range. float() also reads numeric strings such as "0.25", as
+    numpy's conversion did.
+    """
     a = a.tolist() if hasattr(a, "tolist") else a
     if not (isinstance(a, _SEQUENCE) and len(a) == 3):
         raise _shape_error(what, (3, 3), a)
@@ -134,29 +160,40 @@ def _rows3(a, what):
     if not (isinstance(r0, _SEQUENCE) and isinstance(r1, _SEQUENCE)
             and isinstance(r2, _SEQUENCE) and len(r0) == len(r1) == len(r2) == 3):
         raise _shape_error(what, (3, 3), a)
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = r0, r1, r2
     try:
-        rows = [list(map(float, r0)), list(map(float, r1)), list(map(float, r2))]
-    except TypeError:
-        raise _entry_error(what, a) from None
-    flat = rows[0] + rows[1] + rows[2]
-    if not all(map(math.isfinite, flat)):
+        a00, a01, a02 = float(a00), float(a01), float(a02)
+        a10, a11, a12 = float(a10), float(a11), float(a12)
+        a20, a21, a22 = float(a20), float(a21), float(a22)
+    except (TypeError, ValueError, OverflowError):
+        if _refused(float, (*r0, *r1, *r2)):
+            raise _entry_error(what, a) from None
+        raise ValueError(f"{what} contains NaN or Inf entries") from None
+    if (a00 * 0.0 + a01 * 0.0 + a02 * 0.0 + a10 * 0.0 + a11 * 0.0 + a12 * 0.0
+            + a20 * 0.0 + a21 * 0.0 + a22 * 0.0) != 0.0:
         raise ValueError(f"{what} contains NaN or Inf entries")
-    return rows, max(map(abs, flat))
+    return [[a00, a01, a02], [a10, a11, a12], [a20, a21, a22]], max(
+        abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12),
+        abs(a20), abs(a21), abs(a22))
 
 
 def _vec3(v, what):
     """A 3-vector input as a list of three Python floats; ValueError unless
-    the shape is (3,) and every entry is finite."""
+    the shape is (3,) and every entry is finite. Written and ordered like
+    _rows3."""
     v = v.tolist() if hasattr(v, "tolist") else v
     if not (isinstance(v, _SEQUENCE) and len(v) == 3):
         raise _shape_error(what, (3,), v)
+    x0, x1, x2 = v
     try:
-        x = list(map(float, v))
-    except TypeError:
-        raise _entry_error(what, v) from None
-    if not all(map(math.isfinite, x)):
+        x0, x1, x2 = float(x0), float(x1), float(x2)
+    except (TypeError, ValueError, OverflowError):
+        if _refused(float, v):
+            raise _entry_error(what, v) from None
+        raise ValueError(f"{what} contains NaN or Inf entries") from None
+    if x0 * 0.0 + x1 * 0.0 + x2 * 0.0 != 0.0:
         raise ValueError(f"{what} contains NaN or Inf entries")
-    return x
+    return [x0, x1, x2]
 
 
 def _sym_rows3(a, what):
@@ -166,6 +203,16 @@ def _sym_rows3(a, what):
     if max(abs(a01 - a10), abs(a02 - a20), abs(a12 - a21)) > SYM_TOL * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within tolerance")
     return rows, norm
+
+
+def _scaled(rows, scale):
+    """The rows of a 3x3 matrix divided by scale, a power of two; the rows
+    themselves when scale is 1.0, since x / 1.0 is x."""
+    if scale == 1.0:
+        return rows
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
+    return [[a00 / scale, a01 / scale, a02 / scale], [a10 / scale, a11 / scale, a12 / scale],
+            [a20 / scale, a21 / scale, a22 / scale]]
 
 
 def _trace_invariants(rows):

@@ -37,6 +37,7 @@ from .linalg import (
     _matvec3,
     _pow2_floor,
     _rows3,
+    _scaled,
     _sym_rows3,
     _trace_invariants,
     _transpose,
@@ -127,11 +128,16 @@ def sym_canonical(v, a):
     v = _vec3(v, "sym_canonical input")
     eigs, rotation, _, _ = _nondegenerate_eig(*_rows3(a, "sym_canonical input"),
                                               "repeated eigenvalues; no canonical form")
-    w0 = _matvec3(rotation, v)
-    # The first flip whose image of w0 is lexicographically greatest.
-    flip = max(EVEN_SIGN_FLIPS, key=lambda f: [s * t for s, t in zip(f, w0)])
-    witness = [[s * x for x in row] for s, row in zip(flip, rotation)]
-    return SymCanonicalForm(eigs=eigs, w=[s * t for s, t in zip(flip, w0)], witness=witness)
+    w0, w1, w2 = _matvec3(rotation, v)
+    # The first flip whose image of w is lexicographically greatest; the
+    # images of the flips in EVEN_SIGN_FLIPS, in order (-x is -1.0 * x).
+    images = ((w0, w1, w2), (w0, -w1, -w2), (-w0, w1, -w2), (-w0, -w1, w2))
+    w = max(images)
+    s0, s1, s2 = EVEN_SIGN_FLIPS[images.index(w)]
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rotation
+    witness = [[s0 * r00, s0 * r01, s0 * r02], [s1 * r10, s1 * r11, s1 * r12],
+               [s2 * r20, s2 * r21, s2 * r22]]
+    return SymCanonicalForm(eigs=eigs, w=list(w), witness=witness)
 
 
 def _decide(tol, gates):
@@ -190,15 +196,17 @@ def _lmm_gates(c, m):
     """The gates of decide_equiv_lmm: the invariant triple, then the
     canonical diagonals; returns the witness (R1, R2), then R1 C R2^T, M and
     |M|_inf of the divided inputs."""
-    (rows_c, norm_c), (rows_m, norm_m) = (_rows3(x, "decide_equiv_lmm input") for x in (c, m))
+    rows_c, norm_c = _rows3(c, "decide_equiv_lmm input")
+    rows_m, norm_m = _rows3(m, "decide_equiv_lmm input")
     scale = _pow2_floor(max(1.0, norm_c, norm_m))
-    c, m = ([[x / scale for x in row] for row in rows] for rows in (rows_c, rows_m))
+    c, m = _scaled(rows_c, scale), _scaled(rows_m, scale)
     yield _rel_dist(_lmm_triple(c), _lmm_triple(m))
     ca, cb = lmm_canonical(c), lmm_canonical(m)
     yield _rel_dist(ca.diag, cb.diag)
     # R1 = W_b1^T W_a1 and R2 = W_b2^T W_a2, then (R1 C) R2^T.
-    r1, r2 = (_matmul3(list(zip(*wb)), wa) for wa, wb in zip(ca.witness, cb.witness))
-    moved = _matmul3(_matmul3(r1, c), list(zip(*r2)))
+    (wa1, wa2), (wb1, wb2) = ca.witness, cb.witness
+    r1, r2 = _matmul3(_transpose(wb1), wa1), _matmul3(_transpose(wb2), wa2)
+    moved = _matmul3(_matmul3(r1, c), _transpose(r2))
     return (r1, r2), moved, m, norm_m / scale
 
 
@@ -227,25 +235,33 @@ def _sym_gates(state_a, state_b):
     the witness R, then (R v, R A R^T), (v', A') and max(|A'|_inf, |v'|_inf)
     of the divided inputs."""
     (v1, a1), (v2, a2) = state_a, state_b
-    v1, v2 = (_vec3(v, "decide_equiv_sym input") for v in (v1, v2))
-    (rows1, norm1), (rows2, norm2) = (_sym_rows3(a, "decide_equiv_sym input") for a in (a1, a2))
+    v1, v2 = _vec3(v1, "decide_equiv_sym input"), _vec3(v2, "decide_equiv_sym input")
+    rows1, norm1 = _sym_rows3(a1, "decide_equiv_sym input")
+    rows2, norm2 = _sym_rows3(a2, "decide_equiv_sym input")
     scale = _pow2_floor(max(1.0, norm1, norm2))
-    a1, a2 = ([[x / scale for x in row] for row in rows] for rows in (rows1, rows2))
+    a1, a2 = _scaled(rows1, scale), _scaled(rows2, scale)
     yield _rel_dist(_trace_invariants(a1), _trace_invariants(a2))
-    v1, v2 = ([x / scale for x in v] for v in (v1, v2))
-    (eigs_a, wa, witness_a), (eigs_b, wb, witness_b) = (
-        (f.eigs, f.w, f.witness) for f in (sym_canonical(v1, a1), sym_canonical(v2, a2)))
+    (x0, x1, x2), (y0, y1, y2) = v1, v2
+    if scale != 1.0:  # x / 1.0 is x
+        x0, x1, x2, y0, y1, y2 = (x0 / scale, x1 / scale, x2 / scale,
+                                  y0 / scale, y1 / scale, y2 / scale)
+    v1, v2 = [x0, x1, x2], [y0, y1, y2]
+    fa, fb = sym_canonical(v1, a1), sym_canonical(v2, a2)
     # The lexicographic w jumps where a coordinate vanishes, so take
     # rel_dist(f * w_a, w_b) for f in EVEN_SIGN_FLIPS (-x - y = -(x + y)); the
     # first minimum keeps the identity wherever it attains it.
-    den = [max(1.0, abs(x), abs(y)) for x, y in zip(wa, wb)]
-    s0, s1, s2 = (abs(x - y) / d for x, y, d in zip(wa, wb, den))
-    f0, f1, f2 = (abs(x + y) / d for x, y, d in zip(wa, wb, den))
-    w_dists = [max(s0, s1, s2), max(s0, f1, f2), max(f0, s1, f2), max(f0, f1, s2)]
+    (p0, p1, p2), (q0, q1, q2) = fa.w, fb.w
+    d0, d1, d2 = max(1.0, abs(p0), abs(q0)), max(1.0, abs(p1), abs(q1)), max(1.0, abs(p2), abs(q2))
+    s0, s1, s2 = abs(p0 - q0) / d0, abs(p1 - q1) / d1, abs(p2 - q2) / d2
+    f0, f1, f2 = abs(p0 + q0) / d0, abs(p1 + q1) / d1, abs(p2 + q2) / d2
+    w_dists = (max(s0, s1, s2), max(s0, f1, f2), max(f0, s1, f2), max(f0, f1, s2))
     w_dist = min(w_dists)
-    yield max(_rel_dist(eigs_a, eigs_b), w_dist)
+    yield max(_rel_dist(fa.eigs, fb.eigs), w_dist)
     # R = W_b^T (flip W_a), then R v and (R A) R^T.
-    flip = EVEN_SIGN_FLIPS[w_dists.index(w_dist)]
-    r = _matmul3(list(zip(*witness_b)), [[f * x for x in row] for f, row in zip(flip, witness_a)])
-    moved = _matmul3(_matmul3(r, a1), list(zip(*r)))
-    return r, [_matvec3(r, v1), *moved], [v2, *a2], max(norm2 / scale, *map(abs, v2))
+    g0, g1, g2 = EVEN_SIGN_FLIPS[w_dists.index(w_dist)]
+    (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = fa.witness
+    r = _matmul3(_transpose(fb.witness), [[g0 * b00, g0 * b01, g0 * b02],
+                                          [g1 * b10, g1 * b11, g1 * b12],
+                                          [g2 * b20, g2 * b21, g2 * b22]])
+    moved = _matmul3(_matmul3(r, a1), _transpose(r))
+    return r, [_matvec3(r, v1), *moved], [v2, *a2], max(norm2 / scale, abs(y0), abs(y1), abs(y2))

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NonHermitianInput, NotRepresentable, StateFormatError
-from .linalg import _SEQUENCE, _pow2_floor, _rows3, _shape, _vec3
+from .linalg import _SEQUENCE, _pow2_floor, _refused, _rows3, _shape, _vec3
 
 # The Pauli matrices sigma_0..sigma_3 and the tensor swap, as rows.
 PAULI = (
@@ -68,11 +68,12 @@ def validate_density(rho):
 
     The one check of every two-qubit state argument: rho is nested lists or
     an array (read through its tolist), and the result is its rows of Python
-    complex numbers. StateFormatError unless rho is 4x4 with unit trace,
-    ValueError for a NaN or Inf entry and NonHermitianInput unless rho is
-    Hermitian, to DENSITY_TOL * max(1, |rho|_inf). Both tests run on rho
-    divided by a power of two, so that they stay finite up to the top of
-    the double range.
+    complex numbers. StateFormatError unless rho is a 4x4 matrix of numbers
+    (complex() reads numeric strings too) with unit trace, ValueError for a
+    NaN or Inf entry or an integer beyond the double range, and
+    NonHermitianInput unless rho is Hermitian, to DENSITY_TOL * max(1,
+    |rho|_inf). Both tests run on rho divided by a power of two, so that
+    they stay finite up to the top of the double range.
     Positivity is deliberately not required: states range over the whole
     trace-one Hermitian affine space, and positivity is reported separately
     by is_positive.
@@ -100,8 +101,13 @@ def _checked_density(rho):
         raise _density_shape_error(rho)
     try:
         rows = [[*map(complex, r0)], [*map(complex, r1)], [*map(complex, r2)], [*map(complex, r3)]]
-    except TypeError:
-        raise _density_shape_error(rho) from None
+    except (TypeError, ValueError, OverflowError):
+        if _shape(rho) != (4, 4):  # nested one level too deep
+            raise _density_shape_error(rho) from None
+        if _refused(complex, (*r0, *r1, *r2, *r3)):
+            raise StateFormatError("expected a 4x4 matrix of numbers, got an entry that is not "
+                                   "a number") from None
+        raise ValueError("density matrix contains NaN or Inf entries") from None
     flat = [*rows[0], *rows[1], *rows[2], *rows[3]]
     re = [z.real for z in flat]
     im = [z.imag for z in flat]

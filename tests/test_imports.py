@@ -4,7 +4,9 @@ _matvec3, no package module calls a LAPACK determinant (linalg.det3
 is the only one), no package module catches every exception (a bare
 except, or except Exception or BaseException), and one function,
 orbits._decide, builds every EquivalenceVerdict and is the only one to
-catch DegenerateSpectrum. Only blochinv.groups and blochinv.verify import
+catch DegenerateSpectrum. The input checks linalg._rows3, _vec3 and
+_sym_rows3 are straight-line: no loop, comprehension, generator, lambda,
+map, all or any. Only blochinv.groups and blochinv.verify import
 numpy: the modules of the command-line path import it nowhere, not even
 inside a function body, importing the package loads neither of the two,
 and the state and Jacobian functions that used to return arrays run with
@@ -163,6 +165,45 @@ def test_detects_verdict_sites():
               "v = EquivalenceVerdict(3)\nisinstance(v, EquivalenceVerdict)\n")
     assert verdict_sites(source) == [(4, "_decide"), (5, "_decide"), (9, "other"),
                                      (11, "other"), (12, None)]
+
+
+# The input checks of every 3x3 and 3-vector argument, each one straight-line
+# pass on named locals.
+STRAIGHT_LINE_CHECKS = ("_rows3", "_vec3", "_sym_rows3")
+ITERATION = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
+             ast.GeneratorExp, ast.Lambda)
+
+
+def iteration_lines(source, names):
+    """(line, function) of every loop, comprehension, generator expression,
+    lambda and call of map, all or any in the top-level functions of source
+    named in names."""
+    sites = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name in names:
+            for node in ast.walk(top):
+                if isinstance(node, ITERATION) or (
+                        isinstance(node, ast.Call)
+                        and getattr(node.func, "id", None) in ("map", "all", "any")):
+                    sites.append((node.lineno, top.name))
+    return sorted(sites)
+
+
+def test_input_checks_are_straight_line():
+    source = (PACKAGE / "linalg.py").read_text()
+    defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
+    assert defined >= set(STRAIGHT_LINE_CHECKS)
+    assert iteration_lines(source, STRAIGHT_LINE_CHECKS) == []
+
+
+def test_detects_iteration():
+    source = ("def _rows3(a):\n    for x in a:\n        pass\n    b = [x for x in a]\n"
+              "    c = all(map(f, a))\n    d = (x for x in a)\n    return lambda: {x: 1 for x in a}\n"
+              "def _vec3(v):\n    while v:\n        v = any(v)\n    return max(abs(v[0]), abs(v[1]))\n"
+              "def other(a):\n    return [x for x in a]\n")
+    assert iteration_lines(source, STRAIGHT_LINE_CHECKS) == [
+        (2, "_rows3"), (4, "_rows3"), (5, "_rows3"), (5, "_rows3"), (6, "_rows3"), (7, "_rows3"),
+        (7, "_rows3"), (9, "_vec3"), (10, "_vec3")]
 
 
 def numpy_imports(source):

@@ -57,17 +57,25 @@ SITES = [
 
 SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,), (1,), ()]
 NON_FINITE = [np.nan, np.inf, -np.inf]
+# Entries no float array can hold: an integer beyond the double range
+# (non-finite, as in serialize._real) and two that are not numbers.
+BAD_ENTRIES = [10**400, "abc", None]
 
 
 def _bad_inputs(case, valid):
-    """The wrong-shape input, or the valid input with the non-finite value
-    in each entry in turn."""
+    """The wrong-shape input, or the valid input with the bad value in each
+    entry in turn: in a copy of the array, or in nested lists for a value
+    that no float array holds."""
     if isinstance(case, tuple):
         return [np.full(case, 0.5)]
     bad = []
     for index in np.ndindex(valid.shape):
-        x = valid.copy()
-        x[index] = case
+        if isinstance(case, float):
+            x = valid.copy()
+            x[index] = case
+        else:
+            x = valid.tolist()
+            (x if len(index) == 1 else x[index[0]])[index[-1]] = case
         bad.append(x)
     return bad
 
@@ -80,9 +88,9 @@ def test_valid_input_passes(site):
         call(valid)
 
 
-@pytest.mark.parametrize("case", SHAPES + NON_FINITE,
+@pytest.mark.parametrize("case", SHAPES + NON_FINITE + BAD_ENTRIES,
                          ids=["x".join(map(str, s)) or "scalar" for s in SHAPES]
-                         + ["nan", "inf", "-inf"])
+                         + ["nan", "inf", "-inf", "huge-int", "abc", "none"])
 @pytest.mark.parametrize("site", SITES, ids=[s[0] for s in SITES])
 def test_rejects_bad_input(site, case):
     _, name, call, valid = site
@@ -144,3 +152,86 @@ def test_state_argument_checked_by_validate_density(site, bad):
             call(x)
     assert raised.type is expected.type
     assert str(raised.value) == str(expected.value)
+
+
+def _hex(values):
+    return [float(x).hex() for x in values]
+
+
+class TestRowChecks:
+    """The edges of linalg._rows3 and _vec3, the straight-line checks of every
+    3x3 and 3-vector argument: their values and norm in float.hex, the input
+    kinds the package passes in, and the order of their errors."""
+
+    EDGE = [1.7e308, -1.7e308, -0.0, 0.0, 5e-324, -2.0**-1022, 1.0, -1.5, 2.0**1023]
+
+    def _draws(self):
+        rng = np.random.default_rng(2203)
+        for _ in range(200):
+            yield (rng.standard_normal(9) * 10.0 ** rng.integers(-300, 300)).tolist()
+        for _ in range(100):
+            yield rng.choice(np.array(self.EDGE), size=9).tolist()
+
+    def test_values_and_norm_in_float_hex(self):
+        for flat in self._draws():
+            rows, norm = linalg._rows3([flat[0:3], flat[3:6], flat[6:9]], "probe")
+            assert _hex(sum(rows, [])) == _hex(flat)
+            assert norm.hex() == max(map(abs, flat)).hex()
+            assert _hex(linalg._vec3(flat[:3], "probe")) == _hex(flat[:3])
+
+    def test_extremes_pass(self):
+        big = [[1.7e308, -1.7e308, 0.0], [0.0, -1.7e308, 0.0], [0.0, 0.0, 1.7e308]]
+        assert linalg._rows3(big, "probe")[1] == 1.7e308
+        assert linalg._vec3([1.7e308, -1.7e308, 5e-324], "probe") == [1.7e308, -1.7e308, 5e-324]
+
+    def test_negative_zero_kept(self):
+        rows, norm = linalg._rows3([[-0.0] * 3] * 3, "probe")
+        assert _hex(sum(rows, [])) == ["-0x0.0p+0"] * 9
+        assert norm.hex() == "0x0.0p+0"
+        assert _hex(linalg._vec3([-0.0, 0.0, -0.0], "probe")) == ["-0x0.0p+0", "0x0.0p+0",
+                                                                  "-0x0.0p+0"]
+
+    @pytest.mark.parametrize("a", [
+        np.arange(9).reshape(3, 3) - 4,
+        np.eye(3, dtype=bool),
+        np.array([[0.1, -0.2, 0.3]] * 3, dtype=np.float32),
+        ((1, 2.5, -3), (True, 0, 1e-300), (7, 8, 9)),
+        [[1, 2, 3], (4, 5, 6), [7.0, "8", "-9.5"]],
+    ], ids=["int", "bool", "float32", "tuples", "mixed-and-numeric-strings"])
+    def test_input_kinds(self, a):
+        rows, norm = linalg._rows3(a, "probe")
+        flat = [float(x) for row in (a.tolist() if hasattr(a, "tolist") else a) for x in row]
+        assert all(type(x) is float for row in rows for x in row)
+        assert _hex(sum(rows, [])) == _hex(flat)
+        assert type(norm) is float and norm.hex() == max(map(abs, flat)).hex()
+        v = linalg._vec3(a[1], "probe")
+        assert all(type(x) is float for x in v) and _hex(v) == _hex(flat[3:6])
+
+    @pytest.mark.parametrize("a, message", [
+        # A wrong shape comes first, whatever the entries.
+        ([[np.nan, "abc", 1.0], [0.0] * 3, [0.0] * 2], "must have shape"),
+        ([["abc"] * 3] * 4, "must have shape"),
+        # Then an entry float() refuses, wherever it is.
+        ([[np.nan, 0.0, 0.0], [0.0] * 3, [0.0, 0.0, "abc"]], "must have real number entries"),
+        ([[10**400, 0.0, 0.0], [0.0] * 3, [0.0, 0.0, None]], "must have real number entries"),
+        ([[0.0, 0.0, 0.0], [0.0, 1j, 0.0], [0.0, 0.0, np.inf]], "must have real number entries"),
+        ([[0.0, 0.0, 0.0], [0.0, [1.0], 0.0], [0.0] * 3], "must have real number entries"),
+        # Then a NaN, an Inf or an integer beyond the double range.
+        ([[10**400, 0.0, 0.0], [0.0] * 3, [0.0, 0.0, np.nan]], "contains NaN or Inf entries"),
+        ([[0.0, 0.0, 0.0], [0.0] * 3, [0.0, 0.0, -10**400]], "contains NaN or Inf entries"),
+        ([[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0] * 3], "contains NaN or Inf entries"),
+    ])
+    def test_error_precedence(self, a, message):
+        with pytest.raises(ValueError, match=f"^probe {message}"):
+            linalg._rows3(a, "probe")
+
+    @pytest.mark.parametrize("v, message", [
+        ([np.nan, "abc"], "must have shape"),
+        ([np.nan, 0.0, "abc"], "must have real number entries"),
+        ([10**400, None, 0.0], "must have real number entries"),
+        ([10**400, 0.0, np.nan], "contains NaN or Inf entries"),
+        ([0.0, -10**400, 0.0], "contains NaN or Inf entries"),
+    ])
+    def test_vector_error_precedence(self, v, message):
+        with pytest.raises(ValueError, match=f"^probe {message}"):
+            linalg._vec3(v, "probe")

@@ -1,11 +1,12 @@
 """Tests for canonical forms and the equivalence decision procedure."""
 
+import hashlib
 import sys
 
 import numpy as np
 import pytest
 
-from blochinv import linalg
+from blochinv import linalg, orbits
 from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
 from blochinv.invariants import sym_invariants
@@ -442,3 +443,125 @@ def test_tol_must_be_finite_and_positive(tol):
             decide_equiv_lmm(*lmm_pair, tol=tol)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             decide_equiv_sym(*sym_pair, tol=tol)
+
+
+def _hex_items(x):
+    """float.hex of every float in a nested verdict field, in order."""
+    if isinstance(x, (list, tuple)):
+        return " ".join(_hex_items(y) for y in x)
+    return "None" if x is None else float(x).hex()
+
+
+def _pinned_pairs(stratum):
+    """200 seeded pairs of one stratum, built with the fixed-order
+    linalg._matmul3 so that no input depends on the BLAS build: in turn a
+    same-orbit pair, the same pair with the image perturbed by 1e-9, an
+    unrelated pair and a repeated-spectrum pair, at scales 0.3 to 300 and
+    2^-3 to 2^3, as arrays or lists."""
+    rng = np.random.default_rng(2201 if stratum == "lmm" else 2202)
+    mm, t = linalg._matmul3, linalg._transpose
+    pairs = []
+    for i in range(200):
+        scale = [0.3, 1.0, 1.7, 5.0, 300.0][i % 5] * 2.0 ** int(rng.integers(-3, 4))
+        lam = (scale * rng.uniform(-1.0, 1.0, 3)).tolist()
+        if i % 4 == 3:
+            lam[1] = lam[0]
+        d = np.diag(lam).tolist()
+        r, q = haar_so3(rng).tolist(), haar_so3(rng).tolist()
+        if stratum == "lmm":
+            a = mm(mm(r, d), t(q))
+            b = mm(mm(q, a), t(r)) if i % 4 != 2 else (scale * rng.uniform(-1, 1, (3, 3))).tolist()
+        else:
+            w = (scale * rng.uniform(-1.0, 1.0, 3)).tolist()
+            a = (linalg._matvec3(t(r), w), mm(mm(t(r), d), r))
+            b = (linalg._matvec3(t(q), w), mm(mm(t(q), d), q))
+            if i % 4 == 2:
+                b = (b[0], mm(mm(t(q), np.diag(scale * rng.uniform(-1, 1, 3)).tolist()), q))
+        if i % 4 == 1:
+            perturb = 1.0 + 1e-9 * rng.uniform(-1.0, 1.0)
+            b = [[x * perturb for x in row] for row in b] if stratum == "lmm" else (
+                [x * perturb for x in b[0]], b[1])
+        if i % 2:
+            a, b = (np.array(a), np.array(b)) if stratum == "lmm" else (
+                tuple(map(np.array, a)), tuple(map(np.array, b)))
+        pairs.append((a, b))
+    return pairs
+
+
+class TestDecidePinned:
+    """The decision path in float.hex: 200 seeded pairs per stratum through
+    both deciders at three tolerances, hashed over (verdict, distance,
+    witness), and through each stratum's gate sequence run to its end,
+    hashed over every gate distance and the returned witness, moved and
+    target rows and size, which the residual test reads. The digests were
+    recorded before the argument checks and gate bodies were written out on
+    named locals; a reordering of the gate arithmetic changes them."""
+
+    DIGESTS = {
+        "lmm": "e1b1b55ac800c0cd13c7650bbf24c84d58e96f6ab818c54fdd6010b6b38692d9",
+        "sym": "4284080fcff9e47e4ba8531f67be5a3f6aacd59a047b6877a50ddf14000c63ca",
+    }
+    GATE_DIGESTS = {
+        "lmm": "87515982fa3bd60d68ac27d612444afd383d816778497c8478d908e0609902f0",
+        "sym": "14e439f00ba84d675598f033bb68fb10a6ec39a3b9d2411ee575621104cfdbeb",
+    }
+
+    @pytest.mark.parametrize("stratum", ["lmm", "sym"])
+    def test_digest(self, stratum):
+        decide = decide_equiv_lmm if stratum == "lmm" else decide_equiv_sym
+        lines = []
+        for a, b in _pinned_pairs(stratum):
+            for tol in (1e-8, 1e-12, 1e-15):
+                v = decide(a, b, tol=tol)
+                lines.append(f"{v.verdict.value} {_hex_items(v.invariant_distance)} "
+                             f"{_hex_items(v.witness)}")
+        counts = {k: sum(line.startswith(k.value + " ") for line in lines) for k in Verdict}
+        assert counts[Verdict.EQUIVALENT] and counts[Verdict.NOT_EQUIVALENT], counts
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGESTS[stratum]
+
+    @pytest.mark.parametrize("stratum", ["lmm", "sym"])
+    def test_gate_digest(self, stratum):
+        gates = orbits._lmm_gates if stratum == "lmm" else orbits._sym_gates
+        lines = []
+        for a, b in _pinned_pairs(stratum):
+            run = gates(a, b)
+            distances = []
+            try:
+                while True:
+                    distances.append(next(run))
+            except StopIteration as done:
+                lines.append(f"{_hex_items(distances)} | {_hex_items(done.value)}")
+            except DegenerateSpectrum:
+                lines.append(f"{_hex_items(distances)} | degenerate")
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.GATE_DIGESTS[stratum]
+
+
+class TestDecideUnscaledPath:
+    """A pair whose max(1, |matrix|_inf) is already in [1, 2) is read
+    undivided; the same pair scaled by 2^k for k = 1..4 is divided back to
+    it exactly, so both paths give the same verdict, distance and witness
+    in float.hex."""
+
+    @staticmethod
+    def _times(state, f):
+        if isinstance(state, tuple):
+            return tuple(f * np.asarray(x, dtype=float) for x in state)
+        return f * np.asarray(state, dtype=float)
+
+    @pytest.mark.parametrize("stratum", ["lmm", "sym"])
+    def test_power_of_two_scaling(self, stratum):
+        decide = decide_equiv_lmm if stratum == "lmm" else decide_equiv_sym
+        for a, b in _pinned_pairs(stratum)[:100]:
+            # The larger matrix norm brought into [1, 2) by a power of two.
+            matrices = (a[1], b[1]) if stratum == "sym" else (a, b)
+            f = 1.0 / linalg._pow2_floor(max(norm_inf(x) for x in matrices))
+            a, b = self._times(a, f), self._times(b, f)
+            for tol in (1e-8, 1e-12):
+                base = decide(a, b, tol=tol)
+                for k in range(1, 5):
+                    scaled = decide(self._times(a, 2.0 ** k), self._times(b, 2.0 ** k), tol=tol)
+                    assert scaled.verdict is base.verdict
+                    assert (_hex_items(scaled.invariant_distance)
+                            == _hex_items(base.invariant_distance))
+                    assert _hex_items(scaled.witness) == _hex_items(base.witness)

@@ -163,6 +163,7 @@ class TestDensityCheckEdges:
     error. The tolerance is DENSITY_TOL * max(1, |rho|_inf); the perturbations
     are (1 -+ 2^-10) times it, far beyond the rounding of the check."""
 
+    ENTRY_MESSAGE = "expected a 4x4 matrix of numbers, got an entry that is not a number"
     CHECKS = (validate_density, bloch_of, classify, is_positive,
               lambda rho: correlation(rho, 0, 0), lambda rho: partial_trace(rho, 1))
 
@@ -208,8 +209,16 @@ class TestDensityCheckEdges:
         (np.zeros((4, 4, 1)), StateFormatError, "expected a 4x4 matrix, got shape (4, 4, 1)"),
         (0.25, StateFormatError, "expected a 4x4 matrix, got shape ()"),
         ("0.25", StateFormatError, "expected a 4x4 matrix, got shape ()"),
-        ([[None] * 4] * 4, StateFormatError, "expected a 4x4 matrix, got shape (4, 4)"),
-        ([["x"] * 4] * 4, ValueError, "complex() arg is a malformed string"),
+        ([[None] * 4] * 4, StateFormatError, ENTRY_MESSAGE),
+        ([["x"] * 4] * 4, StateFormatError, ENTRY_MESSAGE),
+        # An integer beyond the double range is non-finite, as in serialize._real,
+        # and an entry that is not a number comes before a non-finite one.
+        ([[10**400, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], ValueError,
+         "density matrix contains NaN or Inf entries"),
+        ([[10**400, 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, None]], StateFormatError,
+         ENTRY_MESSAGE),
+        ([[float("nan"), 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, "x"]], StateFormatError,
+         ENTRY_MESSAGE),
         # The shape is tested before any entry is read.
         ([["x"] * 4, [0] * 4, [0] * 4, [0] * 3], StateFormatError,
          "expected a 4x4 matrix, got shape (4, 4)"),
@@ -218,6 +227,7 @@ class TestDensityCheckEdges:
          "density matrix contains NaN or Inf entries"),
         (np.full((4, 4), -np.inf), ValueError, "density matrix contains NaN or Inf entries"),
     ], ids=["3x4", "ragged", "too-deep", "scalar", "string", "none", "non-numeric",
+            "huge-int", "huge-int-then-none", "nan-then-string",
             "ragged-non-numeric", "nan", "inf-imag", "inf"])
     def test_input_errors(self, rho, error, message):
         for check in self.CHECKS:
