@@ -17,17 +17,33 @@ NotRepresentable for a value beyond the double range. Both kernels are
 straight-line code on named locals, one per matrix entry: eig_sym3 is the
 checked entry of the eigen kernel _eig_rows, through which every
 diagonalization in the package goes, and signed_svd3 holds A, V and Q^T
-of its one-sided Jacobi and Givens QR in locals. _matvec3 and
-_matmul3, written out on unpacked entries like _transpose, are the only
-3x3 products of the scalar core (linalg, invariants, orbits), each summed
-in one fixed order, so its digits do not depend on the BLAS build.
+of its one-sided Jacobi and Givens QR in locals.
+
+Each kernel body (_eig_body, _svd_body) sits behind a memo of its last 16
+distinct inputs (_MEMO_SIZE, an lru_cache), because one decision
+diagonalizes the same matrix several times: sym_invariants, sym_canonical
+and decide_equiv_sym each diagonalize A, and the decider a copy divided by
+a power of two. The key is the bytes of the doubles the body reads after
+that division (for eig_sym3 the six entries of the symmetrized matrix and
+norm / scale, for signed_svd3 the nine entries of C / scale), so -0.0 and
+0.0 are different keys and A and A * 2^k share one. The memo holds the
+body's values before they are multiplied back, as tuples; each call
+multiplies back by its own scale, makes its own NotRepresentable test and
+returns fresh lists. So no output bit depends on the memo's state.
+
+_matvec3 and _matmul3, written out on unpacked entries like _transpose,
+are the only 3x3 products of the scalar core (linalg, invariants,
+orbits), each summed in one fixed order, so its digits do not depend on
+the BLAS build.
 
 All tolerances are relative to max(1, entrywise infinity norm of the input),
 since correlation matrices of physical states are O(1) but the ambient
 affine space is unbounded.
 """
 
+import functools
 import math
+import struct
 from typing import NamedTuple
 
 from .errors import NotRepresentable, NotSymmetric
@@ -37,6 +53,11 @@ JACOBI_MAX_SWEEPS = 40
 JACOBI_ORTH_FACTOR = 1e-15
 # Relative symmetry tolerance of the eig_sym3 / g_invariant precondition.
 SYM_TOL = 1e-12
+# The bound of each kernel body's memo, and the layouts of their keys: the
+# divided entries each body reads, as doubles (see the module docstring).
+_MEMO_SIZE = 16
+_EIG_KEY = struct.Struct("7d")
+_SVD_KEY = struct.Struct("9d")
 
 
 def rotation_residual(r):
@@ -293,22 +314,38 @@ def _eig_rows(rows, norm):
     """eig_sym3 on rows of floats already checked by _sym_rows3, with their
     entrywise infinity norm: (eigenvalues, rotation rows) as lists.
 
-    The six distinct entries of the symmetrized matrix and the nine of the
-    accumulated rotation V are named locals; each pivot (p, q) of a sweep
-    applies one rotation from _jacobi_rotation to the rows and columns
-    p, q of the matrix and to the columns p, q of V. Each entry is read
-    divided by the power of two that puts norm in [1, 2), and the
-    eigenvalues are multiplied back, so that no intermediate overflows.
+    Each entry is read divided by the power of two that puts norm in
+    [1, 2); the Jacobi sweeps of _eig_body run on the six entries of the
+    symmetrized divided matrix and norm / scale, through its memo, and the
+    eigenvalues are multiplied back here, so that no intermediate overflows
+    and NotRepresentable depends on this call's scale.
     """
     scale = _pow2_floor(norm)
     (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
     # Symmetrize to remove representation noise; 0.5 * (x + x) is x on the
     # diagonal.
-    a00, a11, a22 = r00 / scale, r11 / scale, r22 / scale
     a01, a02 = 0.5 * (r01 / scale + r10 / scale), 0.5 * (r02 / scale + r20 / scale)
     a12 = 0.5 * (r12 / scale + r21 / scale)
+    (d0, d1, d2), (x, y, z) = _eig_body(_EIG_KEY.pack(
+        r00 / scale, r11 / scale, r22 / scale, a01, a02, a12, norm / scale))
+    return (_finite("eig_sym3", [scale * d0, scale * d1, scale * d2], "an eigenvalue"),
+            [list(x), list(y), list(z)])
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _eig_body(key):
+    """The cyclic Jacobi sweeps of _eig_rows on the packed entries a00, a11,
+    a22, a01, a02, a12 of the divided matrix and its norm: its eigenvalues,
+    sorted descending, and the rotation rows, as tuples.
+
+    The six distinct entries of the symmetrized matrix and the nine of the
+    accumulated rotation V are named locals; each pivot (p, q) of a sweep
+    applies one rotation from _jacobi_rotation to the rows and columns
+    p, q of the matrix and to the columns p, q of V.
+    """
+    a00, a11, a22, a01, a02, a12, size = _EIG_KEY.unpack(key)
     v00, v01, v02, v10, v11, v12, v20, v21, v22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
-    thresh = JACOBI_OFFDIAG_FACTOR * (norm / scale)
+    thresh = JACOBI_OFFDIAG_FACTOR * size
 
     for _ in range(JACOBI_MAX_SWEEPS):
         if abs(a01) + abs(a02) + abs(a12) <= thresh:
@@ -341,12 +378,10 @@ def _eig_rows(rows, norm):
     diag = (a00, a11, a22)
     cols = ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22))
     i, j, k = sorted(range(3), key=(-a00, -a11, -a22).__getitem__)
-    rot = [list(cols[i]), list(cols[j]), list(cols[k])]
-    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = rot
+    (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = cols[i], cols[j], cols[k]
     if _det3_rows((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)) < 0.0:
-        rot[2] = [-x2, -y2, -z2]
-    eigenvalues = [scale * diag[i], scale * diag[j], scale * diag[k]]
-    return _finite("eig_sym3", eigenvalues, "an eigenvalue"), rot
+        x2, y2, z2 = -x2, -y2, -z2
+    return (diag[i], diag[j], diag[k]), ((x0, y0, z0), (x1, y1, z1), (x2, y2, z2))
 
 
 def _finite(owner, values, what):
@@ -384,13 +419,9 @@ def signed_svd3(c):
     squared norms stay in range at any input scale. A reflection in V moves
     onto the last column of A; three Givens rotations then make A triangular
     with nonnegative first two diagonal entries, so the left factor is in
-    SO(3) and the smallest singular value carries sign(det C).
-
-    Like _eig_rows, the body is straight-line on named locals: aij, vij and
-    qij are the entries (i, j) of A, V and Q^T, and s0, s1, s2 the squared
-    column norms of A. The products with the 1.0 and 0.0 of the identities
-    that V and Q^T start from are formed, not folded: they fix the signs of
-    zeros.
+    SO(3) and the smallest singular value carries sign(det C). The body,
+    _svd_body, runs on the divided entries through its memo, and the
+    singular values are multiplied back here.
 
     Returns:
         SignedSVD3; tied singular values keep their column order.
@@ -402,9 +433,30 @@ def signed_svd3(c):
     rows, norm = _rows3(c, "signed_svd3 input")
     scale = _pow2_floor(norm)
     (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = rows
-    a00, a01, a02 = c00 / scale, c01 / scale, c02 / scale
-    a10, a11, a12 = c10 / scale, c11 / scale, c12 / scale
-    a20, a21, a22 = c20 / scale, c21 / scale, c22 / scale
+    (d0, d1, d2), negative, (l0, l1, l2), (r0, r1, r2) = _svd_body(_SVD_KEY.pack(
+        c00 / scale, c01 / scale, c02 / scale, c10 / scale, c11 / scale, c12 / scale,
+        c20 / scale, c21 / scale, c22 / scale))
+    diag = _finite("signed_svd3", [scale * d0, scale * d1, scale * d2], "a singular value")
+    if negative:
+        diag[2] = -diag[2]
+    return SignedSVD3(left=[list(l0), list(l1), list(l2)],
+                      right=[list(r0), list(r1), list(r2)], diag=diag)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _svd_body(key):
+    """The one-sided Jacobi and the Givens QR of signed_svd3 on the packed
+    entries of the divided matrix, in row-major order: its singular values,
+    whether the last carries a minus sign, and the rows of the left and
+    right factors, as tuples.
+
+    Like _eig_body, the body is straight-line on named locals: aij, vij and
+    qij are the entries (i, j) of A, V and Q^T, and s0, s1, s2 the squared
+    column norms of A. The products with the 1.0 and 0.0 of the identities
+    that V and Q^T start from are formed, not folded: they fix the signs of
+    zeros.
+    """
+    a00, a01, a02, a10, a11, a12, a20, a21, a22 = _SVD_KEY.unpack(key)
     v00, v01, v02, v10, v11, v12, v20, v21, v22 = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0
     s0 = a00 * a00 + a10 * a10 + a20 * a20
     s1 = a01 * a01 + a11 * a11 + a21 * a21
@@ -492,9 +544,6 @@ def signed_svd3(c):
             cs * q10 + sn * q20, cs * q11 + sn * q21, cs * q12 + sn * q22,
             cs * q20 - sn * q10, cs * q21 - sn * q11, cs * q22 - sn * q12)
 
-    diag = _finite("signed_svd3", [scale * math.sqrt(s0), scale * math.sqrt(s1),
-                                   scale * math.sqrt(s2)], "a singular value")
-    if a22 < 0.0:
-        diag[2] = -diag[2]
-    return SignedSVD3(left=[[q00, q10, q20], [q01, q11, q21], [q02, q12, q22]],
-                      right=[[v00, v01, v02], [v10, v11, v12], [v20, v21, v22]], diag=diag)
+    return ((math.sqrt(s0), math.sqrt(s1), math.sqrt(s2)), a22 < 0.0,
+            ((q00, q10, q20), (q01, q11, q21), (q02, q12, q22)),
+            ((v00, v01, v02), (v10, v11, v12), (v20, v21, v22)))

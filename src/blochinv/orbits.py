@@ -30,7 +30,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 
-from .errors import DegenerateSpectrum
+from .errors import DegenerateSpectrum, NotRepresentable
 from .invariants import _lmm_triple, _nondegenerate_eig
 from .linalg import (
     _matmul3,
@@ -124,11 +124,15 @@ def sym_canonical(v, a):
     Raises:
         DegenerateSpectrum: if A has (near-)repeated eigenvalues; outside
         that locus the orbit has no slice-unique representative.
+        NotRepresentable: if a coordinate of w = R v is not a finite
+        double, which only a v near the top of the double range gives.
     """
     v = _vec3(v, "sym_canonical input")
     eigs, rotation, _, _ = _nondegenerate_eig(*_rows3(a, "sym_canonical input"),
                                               "repeated eigenvalues; no canonical form")
     w0, w1, w2 = _matvec3(rotation, v)
+    if w0 * 0.0 + w1 * 0.0 + w2 * 0.0 != 0.0:  # x * 0.0 is 0.0 unless x is NaN or +-Inf
+        raise NotRepresentable("sym_canonical: a coordinate of w is not a finite double")
     # The first flip whose image of w is lexicographically greatest; the
     # images of the flips in EVEN_SIGN_FLIPS, in order (-x is -1.0 * x).
     images = ((w0, w1, w2), (w0, -w1, -w2), (-w0, w1, -w2), (-w0, -w1, w2))
@@ -225,6 +229,9 @@ def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
         ValueError: if tol is not finite and positive, or if v, v', A or A'
         has the wrong shape or a NaN or Inf entry.
         NotSymmetric: if A or A' is not symmetric within linalg.SYM_TOL.
+        NotRepresentable: if a canonical w of the divided inputs is not a
+        finite double (sym_canonical), which only a v or v' near the top of
+        the double range gives.
     """
     return _decide(tol, _sym_gates(state_a, state_b))
 
@@ -256,7 +263,7 @@ def _sym_gates(state_a, state_b):
     f0, f1, f2 = abs(p0 + q0) / d0, abs(p1 + q1) / d1, abs(p2 + q2) / d2
     w_dists = (max(s0, s1, s2), max(s0, f1, f2), max(f0, s1, f2), max(f0, f1, s2))
     w_dist = min(w_dists)
-    yield max(_rel_dist(fa.eigs, fb.eigs), w_dist)
+    yield _worst((_rel_dist(fa.eigs, fb.eigs), w_dist))
     # R = W_b^T (flip W_a), then R v and (R A) R^T.
     g0, g1, g2 = EVEN_SIGN_FLIPS[w_dists.index(w_dist)]
     (b00, b01, b02), (b10, b11, b12), (b20, b21, b22) = fa.witness

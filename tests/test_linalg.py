@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from blochinv import linalg
 from blochinv.errors import NotRepresentable, NotSymmetric
 from blochinv.groups import haar_so3
 from blochinv.linalg import (
@@ -658,3 +659,93 @@ class TestProducts:
                 assert hex_rows(_matvec3(ka, x)) == hex_rows(reference_matvec3(ka, x))
                 assert hex_rows(_matvec3(ka, tuple(x))) == hex_rows(reference_matvec3(ka, x))
                 assert hex_rows(_transpose(ka)) == hex_rows(reference_transpose(ka))
+
+
+def cold_memos():
+    """Empty both kernel memos."""
+    linalg._eig_body.cache_clear()
+    linalg._svd_body.cache_clear()
+
+
+def record_bits(record):
+    """float.hex of every field of an EigenSym3 or SignedSVD3, in order."""
+    return [hex_rows(field) for field in record]
+
+
+class TestKernelMemo:
+    """Each kernel body sits behind a memo of its last linalg._MEMO_SIZE
+    distinct inputs, keyed on the bytes of the divided entries it reads.
+    No output bit, error or record depends on what the memo holds."""
+
+    # Inputs whose results differ only in the sign of a zero: the -0.0 at
+    # pos turns a 0.0 of the cold result into -0.0.
+    SIGNED_ZEROS = [
+        (eig_sym3, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], (1, 1)),
+        (signed_svd3, [[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 1.0]], (2, 1)),
+    ]
+
+    def test_bound(self):
+        for body in (linalg._eig_body, linalg._svd_body):
+            assert body.cache_info().maxsize == linalg._MEMO_SIZE <= 16
+
+    @pytest.mark.parametrize("kernel, a, pos", SIGNED_ZEROS, ids=["eig_sym3", "signed_svd3"])
+    def test_sign_of_zero_is_part_of_the_key(self, kernel, a, pos):
+        signed = [row[:] for row in a]
+        signed[pos[0]][pos[1]] = -0.0
+        cold_memos()
+        plus = record_bits(kernel(a))
+        cold_memos()
+        minus = record_bits(kernel(signed))
+        assert plus != minus
+        # Each input after the other, the other's result in the memo.
+        for _ in range(2):
+            assert record_bits(kernel(a)) == plus
+            assert record_bits(kernel(signed)) == minus
+
+    @pytest.mark.parametrize("kernel", [eig_sym3, signed_svd3])
+    def test_powers_of_two_share_an_entry(self, kernel):
+        a = hex_matrix(DENSE)
+        expected = {}
+        for k in (-600, -3, 0, 5, 900):
+            cold_memos()
+            expected[k] = record_bits(kernel(2.0**k * a))
+        cold_memos()
+        for k in (0, -600, 5, -3, 900):
+            assert record_bits(kernel(2.0**k * a)) == expected[k]
+        body = linalg._eig_body if kernel is eig_sym3 else linalg._svd_body
+        assert body.cache_info().misses == 1
+
+    @pytest.mark.parametrize("kernel", [eig_sym3, signed_svd3])
+    def test_not_representable_at_each_callers_scale(self, kernel):
+        # Spectrum (+-1.5 sqrt 2, 1): at 2^1023 the largest value overflows;
+        # the memo's entry is the same for both scales.
+        a = [[1.5, 1.5, 0.0], [1.5, -1.5, 0.0], [0.0, 0.0, 1.0]]
+        cold_memos()
+        expected = record_bits(kernel(a))
+        with pytest.raises(NotRepresentable):
+            kernel([[2.0**1023 * x for x in row] for row in a])
+        assert record_bits(kernel(a)) == expected
+
+    def test_returned_records_are_fresh(self):
+        a, c = hex_matrix(DENSE), hex_matrix(NEAR)
+        cold_memos()
+        eig, svd = eig_sym3(a), signed_svd3(c)
+        expected = record_bits(eig), record_bits(svd)
+        eig.eigenvalues[0] = 7.0
+        eig.rotation[1][2] = 7.0
+        svd.left[0][0] = svd.right[2][1] = svd.diag[2] = 7.0
+        assert (record_bits(eig_sym3(a)), record_bits(signed_svd3(c))) == expected
+        assert linalg._eig_body.cache_info().misses == linalg._svd_body.cache_info().misses == 1
+
+    def test_evicts_beyond_the_bound(self):
+        # Norms in [1, 2), so no two of these share an entry.
+        mats = [np.diag([1.0 + i / 64.0, 0.5, 0.25]) for i in range(linalg._MEMO_SIZE + 1)]
+        cold_memos()
+        expected = [record_bits(eig_sym3(m)) for m in mats]
+        info = linalg._eig_body.cache_info()
+        assert (info.misses, info.currsize) == (len(mats), linalg._MEMO_SIZE)
+        # The last _MEMO_SIZE inputs are held; the first was evicted.
+        for m, bits in reversed(list(zip(mats, expected))):
+            assert record_bits(eig_sym3(m)) == bits
+        info = linalg._eig_body.cache_info()
+        assert (info.hits, info.misses) == (linalg._MEMO_SIZE, len(mats) + 1)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from blochinv import linalg, orbits
-from blochinv.errors import DegenerateSpectrum, NotSymmetric, ZeroVector
+from blochinv.errors import DegenerateSpectrum, NotRepresentable, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
 from blochinv.invariants import sym_invariants
 from blochinv.linalg import rotation_residual
@@ -93,6 +93,14 @@ class TestSymCanonical:
         top = 1e308 * np.sqrt(1.25)
         np.testing.assert_allclose(form.eigs, [top, 1.0, -top], rtol=1e-15, atol=0)
         assert np.isfinite(form.w).all()
+
+    def test_overflowing_w_raises_not_representable(self):
+        # R v overflows for v near the top of the double range; w was
+        # returned with an infinite coordinate.
+        a = [[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]]
+        with pytest.raises(NotRepresentable, match="sym_canonical"):
+            sym_canonical((1.7e308,) * 3, a)
+        assert np.isfinite(sym_canonical((1e307,) * 3, a).w).all()
 
     def test_orbit_property(self):
         rng = np.random.default_rng(3)
@@ -210,6 +218,29 @@ class TestDecideSym:
             r = np.asarray(verdict.witness)
             assert norm_inf(r @ sa[0] - sb[0]) < 1e-8
             assert norm_inf(r @ sa[1] @ r.T - sb[1]) < 1e-8
+
+    def test_overflowing_w_raises_not_representable(self):
+        # Different orbits (v.Av differs) at the top of the double range:
+        # the decision was INDETERMINATE with invariant_distance 0.0.
+        a = [[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]]
+        with pytest.raises(NotRepresentable, match="sym_canonical"):
+            decide_equiv_sym(((1.7e308,) * 3, a), ((1.7e308, -1.7e308, 1.7e308), a))
+
+    def test_second_gate_keeps_a_nan_w_distance(self, monkeypatch):
+        # Python's max(eig_dist, nan) is eig_dist; the gate reduces through
+        # linalg._worst, which keeps the NaN.
+        true_canonical = orbits.sym_canonical
+
+        def mutant(v, a):
+            form = true_canonical(v, a)
+            form.w[0] = np.nan
+            return form
+
+        monkeypatch.setattr(orbits, "sym_canonical", mutant)
+        state = ([0.3, -0.2, 0.5], [[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
+        gates = orbits._sym_gates(state, state)
+        assert next(gates) == 0.0
+        assert np.isnan(next(gates))
 
     def test_scaling_v_separates(self):
         v = np.array([0.4, -0.8, 1.1])
@@ -416,6 +447,83 @@ class TestSingleDiagonalization:
         assert len(eig_sym3_calls) == 2
         r = np.asarray(verdict.witness)
         assert norm_inf(r @ sa[1] @ r.T - sb[1]) <= 1e-7 * max(1.0, norm_inf(sb[1]))
+
+
+class TestKernelBodyRuns:
+    """One benchmark op runs each kernel body once per distinct matrix: the
+    calls on the same matrix, and on the decider's copies divided by a power
+    of two, are served from the kernel's memo."""
+
+    def test_sym_pair_runs_eigen_body_twice(self):
+        rng = np.random.default_rng(31)
+        lam = np.diag([3.1, 1.2, -2.4])
+        w = rng.uniform(-1, 1, size=3)
+        ra, rb = haar_so3(rng), haar_so3(rng)
+        sa, sb = (ra.T @ w, ra.T @ lam @ ra), (rb.T @ w, rb.T @ lam @ rb)
+        # The decider divides both matrices by a power of two.
+        assert linalg._pow2_floor(max(norm_inf(sa[1]), norm_inf(sb[1]))) > 1.0
+        linalg._eig_body.cache_clear()
+        for v, a in (sa, sb):
+            sym_invariants(v, a)
+            sym_canonical(v, a)
+        assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
+        info = linalg._eig_body.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
+
+    def test_lmm_pair_runs_svd_body_twice(self):
+        rng = np.random.default_rng(32)
+        c = haar_so3(rng) @ np.diag([3.1, 1.2, -0.4]) @ haar_so3(rng).T
+        m = haar_so3(rng) @ c @ haar_so3(rng).T
+        linalg._svd_body.cache_clear()
+        lmm_canonical(c)
+        lmm_canonical(m)
+        assert decide_equiv_lmm(c, m).verdict is Verdict.EQUIVALENT
+        for k in (-40, 3, 200):
+            lmm_canonical(2.0**k * c)
+            assert decide_equiv_lmm(2.0**k * c, 2.0**k * m).verdict is Verdict.EQUIVALENT
+        info = linalg._svd_body.cache_info()
+        assert (info.misses, info.hits) == (2, 11)
+
+
+class TestDecidePinnedMemo:
+    """TestDecidePinned's decision digests with both kernel memos emptied
+    before every decision, and with each state's invariants and canonical
+    form taken first, as one benchmark op does, so that the decider's
+    kernel calls are served from the memo."""
+
+    @staticmethod
+    def _warm(stratum, state):
+        try:
+            if stratum == "lmm":
+                lmm_canonical(state)
+            else:
+                sym_invariants(*state)
+                sym_canonical(*state)
+        except (DegenerateSpectrum, ZeroVector):
+            pass
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    @pytest.mark.parametrize("stratum", ["lmm", "sym"])
+    def test_digest(self, stratum, memo):
+        decide = decide_equiv_lmm if stratum == "lmm" else decide_equiv_sym
+        body = linalg._svd_body if stratum == "lmm" else linalg._eig_body
+        hits = body.cache_info().hits
+        lines = []
+        for a, b in _pinned_pairs(stratum):
+            for tol in (1e-8, 1e-12, 1e-15):
+                if memo == "cold":
+                    linalg._eig_body.cache_clear()
+                    linalg._svd_body.cache_clear()
+                else:
+                    self._warm(stratum, a)
+                    self._warm(stratum, b)
+                v = decide(a, b, tol=tol)
+                lines.append(f"{v.verdict.value} {_hex_items(v.invariant_distance)} "
+                             f"{_hex_items(v.witness)}")
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
+            TestDecidePinned.DIGESTS[stratum])
+        if memo == "warm":
+            assert body.cache_info().hits > hits
 
 
 def test_rel_dist_metric():

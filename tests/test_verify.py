@@ -98,6 +98,18 @@ class TestBattery:
             run_suite("group", 1, -1)
 
 
+@pytest.fixture
+def cold_kernels():
+    """Both kernel memos empty before and after the test: a patched helper
+    of a kernel body then runs on every input, and none of its results
+    stays behind for later tests."""
+    blochinv.linalg._eig_body.cache_clear()
+    blochinv.linalg._svd_body.cache_clear()
+    yield
+    blochinv.linalg._eig_body.cache_clear()
+    blochinv.linalg._svd_body.cache_clear()
+
+
 class TestFaultInjection:
     def test_perturbed_p9_fails_sym_suite(self, monkeypatch):
         true_p9 = blochinv.invariants.p9_eval
@@ -110,13 +122,13 @@ class TestFaultInjection:
         failed = [c.name for c in report.checks if not c.passed]
         assert "octahedral_relation_p4_p9" in failed
 
-    def test_dropped_sign_fix_fails_lmm_suite(self, monkeypatch):
+    def test_dropped_sign_fix_fails_lmm_suite(self, monkeypatch, cold_kernels):
         monkeypatch.setattr(blochinv.linalg, "_orient_right", lambda v, a: (v, a))
         report = run_suite("lmm", 200, 0)
         failed = [c.name for c in report.checks if not c.passed]
         assert "kernel_signed_svd3" in failed
 
-    def test_flipped_jacobi_sine_fails_both_kernels(self, monkeypatch):
+    def test_flipped_jacobi_sine_fails_both_kernels(self, monkeypatch, cold_kernels):
         # eig_sym3 and signed_svd3 share one Jacobi rotation; a wrong sign
         # of its sine must show in the checks of both.
         true_rotation = blochinv.linalg._jacobi_rotation
