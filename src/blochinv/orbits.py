@@ -152,9 +152,10 @@ def _decide(tol, gates):
     moved holds the rows of the witness's image of the first state, target
     those of the second state, and size scales the residual bound.
     NOT_EQUIVALENT comes once the largest distance so far exceeds tol;
-    INDETERMINATE when a gate raises DegenerateSpectrum; EQUIVALENT only
-    when every |moved - target| <= 10 tol max(1, size); INDETERMINATE
-    otherwise. invariant_distance is the largest distance of the gates that
+    INDETERMINATE once it is NaN, which no gate can decide on, or when a
+    gate raises DegenerateSpectrum; EQUIVALENT only when every
+    |moved - target| <= 10 tol max(1, size); INDETERMINATE otherwise.
+    invariant_distance is the largest distance of the gates that
     ran, reduced through linalg._worst.
 
     Raises:
@@ -168,7 +169,9 @@ def _decide(tol, gates):
     try:
         while True:
             dist = _worst((dist, next(gates)))
-            if dist > tol:
+            if not dist <= tol:  # a NaN distance fails this test too
+                if dist != dist:
+                    return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
                 return EquivalenceVerdict(Verdict.NOT_EQUIVALENT, None, dist)
     except StopIteration as done:
         witness, moved, target, size = done.value

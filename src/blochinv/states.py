@@ -11,17 +11,32 @@ match it in float.hex; partial_trace, bloch_vector (up to the sign of a
 zero) and bell_projector match numpy's trace, matrix product and outer
 product the same way. The seeded random draws live in groups.
 
+Every two-qubit state argument is read once by _checked_density, one
+complex() per entry, and its tests and correlation table run in
+_density_body behind a memo of its last 16 distinct inputs (an lru_cache
+of linalg._MEMO_SIZE entries, as the kernel bodies have), because callers
+read the same state several times: classify after bloch_of, or the CLI's
+parse, table and positivity test of one density file. The key is the bytes
+of the 32 doubles of the converted entries, so -0.0 and 0.0 are different
+keys, and an array, its list and its tuple share one. The memo stores
+tuples only and never an error: each call makes its own NotRepresentable
+test on the table and returns fresh lists, validate_density the caller's
+own converted complex numbers. So no output bit depends on the memo's
+state.
+
 Index conventions, fixed once for the whole package:
   * qubit 1 is the left tensor factor, composite index = 2*i1 + i2;
   * the tensor-swap involution exchanges basis states |01> and |10>.
 """
 
+import functools
 import math
+import struct
 from dataclasses import dataclass
 from enum import Enum
 
 from .errors import NonHermitianInput, NotRepresentable, StateFormatError
-from .linalg import _SEQUENCE, _pow2_floor, _refused, _rows3, _shape, _vec3
+from .linalg import _MEMO_SIZE, _SEQUENCE, _pow2_floor, _refused, _rows3, _shape, _vec3
 
 # The Pauli matrices sigma_0..sigma_3 and the tensor swap, as rows.
 PAULI = (
@@ -86,12 +101,12 @@ def _density_shape_error(rho):
 
 
 def _checked_density(rho):
-    """validate_density's check: one shape test, one complex coercion and
-    one finiteness test of the 16 entries, then the tolerance tests on
-    their 32 named real and imaginary parts. Returns the rows of rho; the
-    real and the imaginary parts of rho / s, each as 16 floats in row-major
-    order; and s, the power of two that brings max(1, largest real or
-    imaginary part) into [1, 2), 1 below 2."""
+    """validate_density's check, one straight-line pass on named locals:
+    one shape test and one complex() per entry here, then the finiteness
+    and tolerance tests in _density_body, through its memo, on the packed
+    real and imaginary parts of the 16 entries. Returns the rows of rho,
+    fresh lists of the complex numbers converted here, and the body's
+    tuple (table, re, im, scale)."""
     rho = rho.tolist() if hasattr(rho, "tolist") else rho
     if not (isinstance(rho, _SEQUENCE) and len(rho) == 4):
         raise _density_shape_error(rho)
@@ -99,8 +114,12 @@ def _checked_density(rho):
     if not (isinstance(r0, _SEQUENCE) and isinstance(r1, _SEQUENCE) and isinstance(r2, _SEQUENCE)
             and isinstance(r3, _SEQUENCE) and len(r0) == len(r1) == len(r2) == len(r3) == 4):
         raise _density_shape_error(rho)
+    (z00, z01, z02, z03), (z10, z11, z12, z13), (z20, z21, z22, z23), (z30, z31, z32, z33) = rho
     try:
-        rows = [[*map(complex, r0)], [*map(complex, r1)], [*map(complex, r2)], [*map(complex, r3)]]
+        z00, z01, z02, z03 = complex(z00), complex(z01), complex(z02), complex(z03)
+        z10, z11, z12, z13 = complex(z10), complex(z11), complex(z12), complex(z13)
+        z20, z21, z22, z23 = complex(z20), complex(z21), complex(z22), complex(z23)
+        z30, z31, z32, z33 = complex(z30), complex(z31), complex(z32), complex(z33)
     except (TypeError, ValueError, OverflowError):
         if _shape(rho) != (4, 4):  # nested one level too deep
             raise _density_shape_error(rho) from None
@@ -108,22 +127,59 @@ def _checked_density(rho):
             raise StateFormatError("expected a 4x4 matrix of numbers, got an entry that is not "
                                    "a number") from None
         raise ValueError("density matrix contains NaN or Inf entries") from None
-    flat = [*rows[0], *rows[1], *rows[2], *rows[3]]
-    re = [z.real for z in flat]
-    im = [z.imag for z in flat]
-    parts = re + im
-    if not all(map(math.isfinite, parts)):
+    return [[z00, z01, z02, z03], [z10, z11, z12, z13], [z20, z21, z22, z23],
+            [z30, z31, z32, z33]], _density_body(struct.pack(
+                "32d", z00.real, z01.real, z02.real, z03.real, z10.real, z11.real, z12.real,
+                z13.real, z20.real, z21.real, z22.real, z23.real, z30.real, z31.real, z32.real,
+                z33.real, z00.imag, z01.imag, z02.imag, z03.imag, z10.imag, z11.imag, z12.imag,
+                z13.imag, z20.imag, z21.imag, z22.imag, z23.imag, z30.imag, z31.imag, z32.imag,
+                z33.imag))
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _density_body(key):
+    """The tests and the correlation table of a density matrix, on the
+    packed real and then imaginary parts of its 16 entries in row-major
+    order: the table, tr(rho sigma_a (x) sigma_b) in row-major order; the
+    real and the imaginary parts of rho / s; and s, the power of two that
+    brings max(1, largest real or imaginary part) into [1, 2), 1 below 2.
+    All four as tuples (s a float); an error is raised, never stored.
+
+    One finiteness test of the 32 parts (x * 0.0 is 0.0 unless x is NaN or
+    +-Inf), then the Hermitian and unit-trace tests on the 32 named parts
+    of rho / s, then the 16 table sums.
+    """
+    (x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33,
+     y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33) = (
+        struct.unpack("32d", key))
+    if (x00 * 0.0 + x01 * 0.0 + x02 * 0.0 + x03 * 0.0 + x10 * 0.0 + x11 * 0.0 + x12 * 0.0
+            + x13 * 0.0 + x20 * 0.0 + x21 * 0.0 + x22 * 0.0 + x23 * 0.0 + x30 * 0.0 + x31 * 0.0
+            + x32 * 0.0 + x33 * 0.0 + y00 * 0.0 + y01 * 0.0 + y02 * 0.0 + y03 * 0.0 + y10 * 0.0
+            + y11 * 0.0 + y12 * 0.0 + y13 * 0.0 + y20 * 0.0 + y21 * 0.0 + y22 * 0.0 + y23 * 0.0
+            + y30 * 0.0 + y31 * 0.0 + y32 * 0.0 + y33 * 0.0) != 0.0:
         raise ValueError("density matrix contains NaN or Inf entries")
     # Both sides of each test divided by s, exact, so that neither
     # |rho|_inf, rho - rho^dagger nor the trace overflows. |z| is hypot.
-    scale = _pow2_floor(max(1.0, max(map(abs, parts))))
+    scale = _pow2_floor(max(
+        1.0, abs(x00), abs(x01), abs(x02), abs(x03), abs(x10), abs(x11), abs(x12), abs(x13),
+        abs(x20), abs(x21), abs(x22), abs(x23), abs(x30), abs(x31), abs(x32), abs(x33),
+        abs(y00), abs(y01), abs(y02), abs(y03), abs(y10), abs(y11), abs(y12), abs(y13),
+        abs(y20), abs(y21), abs(y22), abs(y23), abs(y30), abs(y31), abs(y32), abs(y33)))
     if scale != 1.0:  # x / 1.0 is x
-        re = [x / scale for x in re]
-        im = [y / scale for y in im]
-    x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = re
-    y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33 = im
+        (x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33,
+         y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33) = (
+            x00 / scale, x01 / scale, x02 / scale, x03 / scale, x10 / scale, x11 / scale,
+            x12 / scale, x13 / scale, x20 / scale, x21 / scale, x22 / scale, x23 / scale,
+            x30 / scale, x31 / scale, x32 / scale, x33 / scale, y00 / scale, y01 / scale,
+            y02 / scale, y03 / scale, y10 / scale, y11 / scale, y12 / scale, y13 / scale,
+            y20 / scale, y21 / scale, y22 / scale, y23 / scale, y30 / scale, y31 / scale,
+            y32 / scale, y33 / scale)
     hypot = math.hypot
-    tol = DENSITY_TOL * max(1.0 / scale, max(map(hypot, re, im)))
+    tol = DENSITY_TOL * max(
+        1.0 / scale, hypot(x00, y00), hypot(x01, y01), hypot(x02, y02), hypot(x03, y03),
+        hypot(x10, y10), hypot(x11, y11), hypot(x12, y12), hypot(x13, y13), hypot(x20, y20),
+        hypot(x21, y21), hypot(x22, y22), hypot(x23, y23), hypot(x30, y30), hypot(x31, y31),
+        hypot(x32, y32), hypot(x33, y33))
     # |rho_kl - conj(rho_lk)|, the same for (k, l) and (l, k); on the
     # diagonal hypot(0, 2 y) is |2 y|.
     if max(abs(y00 + y00), hypot(x01 - x10, y01 + y10), hypot(x02 - x20, y02 + y20),
@@ -133,11 +189,27 @@ def _checked_density(rho):
         raise NonHermitianInput("matrix is not Hermitian within tolerance")
     if hypot(x00 + x11 + x22 + x33 - 1.0 / scale, y00 + y11 + y22 + y33) > tol:
         raise StateFormatError("matrix does not have unit trace")
-    return rows, re, im, scale
+    # The table of _table; + 0.0 turns the -0.0 of an all-negative-zero sum
+    # into the +0.0 of a sum started from +0.0.
+    table = (
+        (x00 + x11 + x22 + x33 + 0.0) * scale, (x10 + x01 + x32 + x23 + 0.0) * scale,
+        (y10 - y01 + y32 - y23 + 0.0) * scale, (x00 - x11 + x22 - x33 + 0.0) * scale,
+        (x20 + x31 + x02 + x13 + 0.0) * scale, (x30 + x21 + x12 + x03 + 0.0) * scale,
+        (y30 - y21 + y12 - y03 + 0.0) * scale, (x20 - x31 + x02 - x13 + 0.0) * scale,
+        (y20 + y31 - y02 - y13 + 0.0) * scale, (y30 + y21 - y12 - y03 + 0.0) * scale,
+        (-x30 + x21 + x12 - x03 + 0.0) * scale, (y20 - y31 - y02 + y13 + 0.0) * scale,
+        (x00 + x11 - x22 - x33 + 0.0) * scale, (x10 + x01 - x32 - x23 + 0.0) * scale,
+        (y10 - y01 - y32 + y23 + 0.0) * scale, (x00 - x11 - x22 + x33 + 0.0) * scale,
+    )
+    return (table,
+            (x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33),
+            (y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33),
+            scale)
 
 
 def _table(rho):
-    """Correlation table tr(rho sigma_a (x) sigma_b), a, b in 0..3, as rows.
+    """Correlation table tr(rho sigma_a (x) sigma_b), a, b in 0..3, as
+    fresh rows of _density_body's table.
 
     Each entry is the real part of sum_ij (sigma_a (x) sigma_b)_ij rho_ji,
     its four nonzero terms summed in increasing i from +0.0, as
@@ -149,25 +221,14 @@ def _table(rho):
     Raises:
         NotRepresentable: if an entry is not a finite double.
     """
-    _, re, im, scale = _checked_density(rho)
-    x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33 = re
-    _, y01, y02, y03, y10, _, y12, y13, y20, y21, _, y23, y30, y31, y32, _ = im
-    table = (
-        x00 + x11 + x22 + x33, x10 + x01 + x32 + x23,
-        y10 - y01 + y32 - y23, x00 - x11 + x22 - x33,
-        x20 + x31 + x02 + x13, x30 + x21 + x12 + x03,
-        y30 - y21 + y12 - y03, x20 - x31 + x02 - x13,
-        y20 + y31 - y02 - y13, y30 + y21 - y12 - y03,
-        -x30 + x21 + x12 - x03, y20 - y31 - y02 + y13,
-        x00 + x11 - x22 - x33, x10 + x01 - x32 - x23,
-        y10 - y01 - y32 + y23, x00 - x11 - x22 + x33,
-    )
-    # + 0.0 turns the -0.0 of an all-negative-zero sum into the +0.0 of a
-    # sum started from +0.0.
-    table = [(t + 0.0) * scale for t in table]
-    if not all(map(math.isfinite, table)):
+    (t00, t01, t02, t03, t10, t11, t12, t13, t20, t21, t22, t23, t30, t31, t32, t33) = (
+        _checked_density(rho)[1][0])
+    if (t00 * 0.0 + t01 * 0.0 + t02 * 0.0 + t03 * 0.0 + t10 * 0.0 + t11 * 0.0 + t12 * 0.0
+            + t13 * 0.0 + t20 * 0.0 + t21 * 0.0 + t22 * 0.0 + t23 * 0.0 + t30 * 0.0 + t31 * 0.0
+            + t32 * 0.0 + t33 * 0.0) != 0.0:
         raise NotRepresentable("a Bloch coordinate is not a finite double")
-    return [table[0:4], table[4:8], table[8:12], table[12:16]]
+    return [[t00, t01, t02, t03], [t10, t11, t12, t13], [t20, t21, t22, t23],
+            [t30, t31, t32, t33]]
 
 
 def correlation(rho, i, j):
@@ -286,7 +347,7 @@ def is_positive(rho):
     where the smallest eigenvalue lies within a few eps |rho|_inf of
     -POSITIVITY_TOL.
     """
-    _, re, im, scale = _checked_density(rho)
+    _, re, im, scale = _checked_density(rho)[1]
     m = list(map(complex, re, im))
     shift = POSITIVITY_TOL / scale
     lower = []  # rows of L with rho / s + shift I = L L^dagger; a float diagonal

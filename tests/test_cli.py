@@ -450,6 +450,27 @@ class TestStratumTables:
         assert len(calls) == tables
 
 
+class TestDensityReads:
+    """A density file is read through validate_density, bloch_of and, for
+    invariants, is_positive; the checks and the table behind them run once
+    per distinct file, and each later read of the same rows is served from
+    the density memo."""
+
+    @pytest.mark.parametrize("args, files, codes", [
+        (["invariants", "a"], 1, {0}), (["canonical", "a"], 1, {0}),
+        (["equiv", "a", "a"], 1, {0}), (["equiv", "a", "b"], 2, {0, 1}),
+    ], ids=["invariants", "canonical", "equiv-same", "equiv-two"])
+    def test_body_runs_once_per_distinct_file(self, tmp_path, capsys, args, files, codes):
+        from blochinv import states
+
+        paths = {name: write_state(tmp_path, f"{name}.json",
+                                   density_document(bell_projector(which)))
+                 for name, which in (("a", "phi+"), ("b", "psi-"))}
+        states._density_body.cache_clear()
+        assert main([paths.get(arg, arg) for arg in args]) in codes
+        assert states._density_body.cache_info().misses == files
+
+
 class TestNoNumpy:
     """invariants, equiv, canonical and restrict, each in a process of its
     own on Bloch and density files, load neither numpy nor the group

@@ -167,9 +167,11 @@ def test_detects_verdict_sites():
                                      (11, "other"), (12, None)]
 
 
-# The input checks of every 3x3 and 3-vector argument, each one straight-line
-# pass on named locals.
+# The input checks of every 3x3 and 3-vector argument and of every density
+# matrix, each one straight-line pass on named locals, by module.
 STRAIGHT_LINE_CHECKS = ("_rows3", "_vec3", "_sym_rows3")
+STRAIGHT_LINE = {"linalg.py": STRAIGHT_LINE_CHECKS,
+                 "states.py": ("_checked_density", "_density_body")}
 ITERATION = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp, ast.Lambda)
 
@@ -190,10 +192,12 @@ def iteration_lines(source, names):
 
 
 def test_input_checks_are_straight_line():
-    source = (PACKAGE / "linalg.py").read_text()
-    defined = {top.name for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)}
-    assert defined >= set(STRAIGHT_LINE_CHECKS)
-    assert iteration_lines(source, STRAIGHT_LINE_CHECKS) == []
+    for module, names in STRAIGHT_LINE.items():
+        source = (PACKAGE / module).read_text()
+        defined = {top.name for top in ast.parse(source).body
+                   if isinstance(top, ast.FunctionDef)}
+        assert defined >= set(names), module
+        assert iteration_lines(source, names) == [], module
 
 
 def test_detects_iteration():

@@ -203,6 +203,21 @@ class TestDecideLmm:
             cb = rng.uniform(-1, 1, size=(3, 3))
             assert decide_equiv_lmm(ca, cb).verdict is Verdict.NOT_EQUIVALENT
 
+    def test_nan_gate_distance_is_indeterminate(self, monkeypatch):
+        # NaN > tol is false; the decision must not go on to the witness.
+        true_canonical = orbits.lmm_canonical
+
+        def mutant(c):
+            form = true_canonical(c)
+            form.diag[1] = np.nan
+            return form
+
+        monkeypatch.setattr(orbits, "lmm_canonical", mutant)
+        c = [[0.9, 0.1, -0.2], [0.0, -0.5, 0.3], [0.2, 0.1, 0.4]]
+        verdict = decide_equiv_lmm(c, c)
+        assert verdict.verdict is Verdict.INDETERMINATE
+        assert verdict.witness is None and np.isnan(verdict.invariant_distance)
+
 
 class TestDecideSym:
     def test_synthetic_equivalent(self):
@@ -241,6 +256,21 @@ class TestDecideSym:
         gates = orbits._sym_gates(state, state)
         assert next(gates) == 0.0
         assert np.isnan(next(gates))
+
+    def test_nan_gate_distance_is_indeterminate(self, monkeypatch):
+        # NaN > tol is false; the decision must not go on to the witness.
+        true_canonical = orbits.sym_canonical
+
+        def mutant(v, a):
+            form = true_canonical(v, a)
+            form.w[0] = np.nan
+            return form
+
+        monkeypatch.setattr(orbits, "sym_canonical", mutant)
+        state = ([0.3, -0.2, 0.5], [[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
+        verdict = decide_equiv_sym(state, state)
+        assert verdict.verdict is Verdict.INDETERMINATE
+        assert verdict.witness is None and np.isnan(verdict.invariant_distance)
 
     def test_scaling_v_separates(self):
         v = np.array([0.4, -0.8, 1.1])

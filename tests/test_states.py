@@ -1,9 +1,13 @@
 """Tests for the two-qubit state model and the Bloch-matrix maps."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
-from blochinv.errors import NonHermitianInput, NotRepresentable, StateFormatError
+from blochinv import linalg, states
+from blochinv.errors import BlochInvError, NonHermitianInput, NotRepresentable, StateFormatError
 from blochinv.groups import act_bloch, random_bloch, random_state
 from blochinv.states import (
     BELL_KETS,
@@ -552,3 +556,209 @@ class TestRandomStates:
         a = random_state(StateClass.GENERAL, 99, positive=True)
         b = random_state(StateClass.GENERAL, 99, positive=True)
         np.testing.assert_array_equal(a, b)
+
+
+def digest_inputs():
+    """The density inputs of the output digest: seeded states of every
+    class (arrays and their lists), I/4 + 2^k H over the double range,
+    signed zeros, tuple and numeric-string input, and one input for each
+    error."""
+    inputs = []
+    for cls in StateClass:
+        for seed in range(6):
+            for positive in (False, True):
+                rho = random_state(cls, seed, positive=positive)
+                inputs += [rho, rho.tolist()]
+                inputs.append(0.25 * np.eye(4) + 2.0 ** (4 * seed - 10) * (rho - 0.25 * np.eye(4)))
+    inputs += [edge_state(k) for k in range(-1074, 1024, 3)]
+    bell = bell_projector("psi-")
+    signed = [row[:] for row in bell]
+    signed[0][1] = complex(-0.0, 0.0)
+    signed[3][2] = complex(0.0, -0.0)
+    signed[2][2] = complex(-0.0, -0.0)
+    inputs += [bell, signed, [[complex(-0.0, -0.0)] * 4] * 4,
+               [[z.conjugate() for z in row] for row in MAX_MIXED.tolist()],
+               tuple(tuple(row) for row in random_state(StateClass.SYMMETRIC, 7).tolist()),
+               [["0.25", "0", "0", "0.1+0.2j"], ["0", "0.25", "0", "0"],
+                ["0", "0", "0.25", "-0"], ["0.1-0.2j", "0", "0", "0.25"]]]
+    top = [[1.7e308, 0, 0, 0], [0, 1.7e308, 0, 0], [0, 0, -1.7e308, 0], [0, 0, 0, -1.7e308]]
+    inputs += [top, [[x * 2.0**-1074 for x in row] for row in top],
+               [[0.25, 0.5, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+               [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.5]],
+               np.diag([np.nan, 0.25, 0.25, 0.25]), np.full((4, 4), np.inf),
+               [[10**400, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], [["x"] * 4] * 4,
+               np.zeros((3, 4)), 0.25]
+    return inputs
+
+
+DIGEST_CALLS = (
+    ("validate_density", validate_density), ("bloch_of", bloch_of), ("classify", classify),
+    ("classify-0", lambda rho: classify(rho, 0.0)), ("is_positive", is_positive),
+    ("correlation-12", lambda rho: correlation(rho, 1, 2)),
+    ("correlation-30", lambda rho: correlation(rho, 3, 0)),
+    ("partial_trace-1", lambda rho: partial_trace(rho, 1)),
+    ("partial_trace-2", lambda rho: partial_trace(rho, 2)),
+)
+
+
+def outcome_hex(x):
+    """float.hex of every float in a result, parts of complex numbers
+    included, or the value of a class or a bool."""
+    if isinstance(x, BlochMatrix):
+        return [outcome_hex(x.u), outcome_hex(x.v), outcome_hex(x.C)]
+    if isinstance(x, list):
+        return [outcome_hex(y) for y in x]
+    if isinstance(x, complex):
+        return [x.real.hex(), x.imag.hex()]
+    if isinstance(x, float):
+        return x.hex()
+    return x.value if isinstance(x, StateClass) else repr(x)
+
+
+def states_digest(before_call=None):
+    """SHA-256 of the outcome of every DIGEST_CALLS function on every
+    digest input: its float.hex result, or the type and message of its
+    error. before_call, if given, runs before each recorded call."""
+    lines = []
+    for rho in digest_inputs():
+        for name, call in DIGEST_CALLS:
+            if before_call is not None:
+                before_call(call, rho)
+            try:
+                result = outcome_hex(call(rho))
+            except (ValueError, BlochInvError) as exc:
+                result = f"{type(exc).__name__}: {exc}"
+            lines.append(f"{name} {result}")
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def cold_density():
+    """Empty the density memo."""
+    states._density_body.cache_clear()
+
+
+class TestDensityMemo:
+    """The tests and the table of each density matrix sit behind a memo of
+    its last linalg._MEMO_SIZE distinct inputs, keyed on the bytes of the
+    32 doubles of its entries. No output bit, error or result depends on
+    what the memo holds."""
+
+    # float.hex digest of DIGEST_CALLS on digest_inputs(), recorded before
+    # the memo existed.
+    DIGEST = "73b69a32be1ceb0218a0ebeb865ec6c6001a916664530599dafb6e82b8c6994d"
+
+    def test_bound(self):
+        assert states._density_body.cache_info().maxsize == linalg._MEMO_SIZE <= 16
+
+    def test_sign_of_zero_is_part_of_the_key(self):
+        rho = bell_projector("psi-")
+        signed = [row[:] for row in rho]
+        signed[0][1] = complex(-0.0, -0.0)
+        cold_density()
+        for _ in range(2):
+            plus, minus = validate_density(rho)[0][1], validate_density(signed)[0][1]
+            assert (math.copysign(1.0, plus.real), math.copysign(1.0, plus.imag)) == (1.0, 1.0)
+            assert (math.copysign(1.0, minus.real), math.copysign(1.0, minus.imag)) == (-1.0, -1.0)
+        info = states._density_body.cache_info()
+        assert (info.misses, info.hits) == (2, 2)
+
+    def test_array_list_and_tuple_share_an_entry(self):
+        rho = random_state(StateClass.GENERAL, 3)
+        cold_density()
+        expected = outcome_hex(bloch_of(rho))
+        for same in (rho.tolist(), tuple(tuple(row) for row in rho.tolist()), rho):
+            assert outcome_hex(bloch_of(same)) == expected
+        info = states._density_body.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_classify_after_bloch_of_reads_the_table_once(self):
+        rho = random_state(StateClass.LMM, 4, positive=True)
+        cold_density()
+        bloch_of(rho)
+        classify(rho)
+        info = states._density_body.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    @pytest.mark.parametrize("rho, error", [
+        (np.diag([np.nan, 0.25, 0.25, 0.25]), ValueError),
+        (np.full((4, 4), np.inf), ValueError),
+        ([[0.25, 0.5, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0, 0.25]],
+         NonHermitianInput),
+        (np.diag([0.25, 0.25, 0.25, 0.5]), StateFormatError),
+    ], ids=["nan", "inf", "non-hermitian", "trace"])
+    def test_errors_are_raised_again_and_never_stored(self, rho, error):
+        cold_density()
+        messages = set()
+        for check in TestDensityCheckEdges.CHECKS * 2:
+            with pytest.raises(error) as info:
+                check(rho)
+            messages.add(str(info.value))
+        assert len(messages) == 1
+        info = states._density_body.cache_info()
+        assert (info.misses, info.hits, info.currsize) == (
+            2 * len(TestDensityCheckEdges.CHECKS), 0, 0)
+
+    def test_input_errors_never_reach_the_body(self):
+        cold_density()
+        for rho in (np.zeros((3, 4)), [["x"] * 4] * 4, [[10**400, 0, 0, 0], *[[0] * 4] * 3]):
+            with pytest.raises((ValueError, StateFormatError)):
+                validate_density(rho)
+        assert states._density_body.cache_info().misses == 0
+
+    def test_not_representable_on_every_call(self):
+        # Trace 1 and a correlation 2 * 1.7e308 beyond the double range;
+        # the body's entry is stored and each call tests the table itself.
+        rho = [[0.25, 0, 0, 1.7e308], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [1.7e308, 0, 0, 0.25]]
+        cold_density()
+        for _ in range(2):
+            with pytest.raises(NotRepresentable):
+                bloch_of(rho)
+            assert validate_density(rho)[0][3] == 1.7e308
+        info = states._density_body.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+
+    def test_returned_results_are_fresh(self):
+        rho = random_state(StateClass.SYMMETRIC, 5)
+        cold_density()
+        results = (bloch_of(rho), validate_density(rho), states._table(rho),
+                   partial_trace(rho, 1))
+        expected = [outcome_hex(x) for x in results]
+        b, rows, table, reduced = results
+        b.u[0] = b.v[2] = b.C[1][2] = 7.0
+        rows[0][0] = rows[3][1] = 7j
+        table[0][0] = table[2][3] = 7.0
+        reduced[1][1] = 7j
+        again = (bloch_of(rho), validate_density(rho), states._table(rho),
+                 partial_trace(rho, 1))
+        assert [outcome_hex(x) for x in again] == expected
+        assert states._density_body.cache_info().misses == 1
+
+    def test_evicts_beyond_the_bound(self):
+        # Distinct diagonals, so no two share an entry.
+        mats = [np.diag([0.25 + i / 256.0, 0.25, 0.25, 0.25 - i / 256.0])
+                for i in range(linalg._MEMO_SIZE + 1)]
+        cold_density()
+        expected = [outcome_hex(bloch_of(m)) for m in mats]
+        info = states._density_body.cache_info()
+        assert (info.misses, info.currsize) == (len(mats), linalg._MEMO_SIZE)
+        # The last _MEMO_SIZE inputs are held; the first was evicted.
+        for m, bits in reversed(list(zip(mats, expected))):
+            assert outcome_hex(bloch_of(m)) == bits
+        info = states._density_body.cache_info()
+        assert (info.hits, info.misses) == (linalg._MEMO_SIZE, len(mats) + 1)
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    def test_digest(self, memo):
+        hits = states._density_body.cache_info().hits
+
+        def cold(call, rho):
+            cold_density()
+
+        def warm(call, rho):
+            try:
+                call(rho)
+            except (ValueError, BlochInvError):
+                pass
+
+        assert states_digest(cold if memo == "cold" else warm) == self.DIGEST
+        assert (states._density_body.cache_info().hits > hits) == (memo == "warm")
