@@ -269,21 +269,22 @@ def _g_unchecked(v, rows):
     return _det3_rows(*zip(v, av, _matvec3(rows, av)))
 
 
-def _nondegenerate_eig(rows, norm, message):
+def _nondegenerate_eig(pair, message):
     """The eigenvalues and rotation rows, as lists, of a matrix given as the
-    rows and entrywise infinity norm from _rows3, from eig_sym3, which makes
-    the symmetry check; the power of two s that brings max(1, norm) into
-    [1, 2); and the discriminant of a / s as its product of squared
-    eigenvalue gaps, from that one diagonalization. Dividing by s is exact,
-    so neither the degeneracy test nor g^2 / disc overflows.
+    _Checked pair (rows, norm) from _rows3, from eig_sym3, which takes the
+    pair as it is and makes the symmetry check; the power of two s that
+    brings max(1, norm) into [1, 2); and the discriminant of a / s as its
+    product of squared eigenvalue gaps, from that one diagonalization.
+    Dividing by s is exact, so neither the degeneracy test nor g^2 / disc
+    overflows.
 
     Raises:
         NotSymmetric: if the matrix is not symmetric within linalg.SYM_TOL.
         DegenerateSpectrum(message): if the discriminant is below DISC_TOL
         relative to max(1, norm)^6.
     """
-    eigenvalues, rotation = eig_sym3(rows)
-    norm = max(1.0, norm)
+    eigenvalues, rotation = eig_sym3(pair)
+    norm = max(1.0, pair[1])
     scale = _pow2_floor(norm)
     e0, e1, e2 = eigenvalues
     l0, l1, l2 = e0 / scale, e1 / scale, e2 / scale
@@ -301,10 +302,9 @@ def r_invariant(v, a):
     NotRepresentable when the value is not a finite double.
     """
     v = _vec3(v, "r_invariant input")
-    rows, norm = _rows3(a, "r_invariant input")
-    _, _, scale, disc = _nondegenerate_eig(rows, norm,
-                                           "discriminant vanishes; invariant undefined")
-    g = _g_unchecked(v, _scaled(rows, scale))
+    pair = _rows3(a, "r_invariant input")
+    _, _, scale, disc = _nondegenerate_eig(pair, "discriminant vanishes; invariant undefined")
+    g = _g_unchecked(v, _scaled(pair, scale)[0])
     r = (g * g) / disc
     _finite("r_invariant", (r,), "an invariant")
     return r
@@ -325,9 +325,8 @@ def sym_invariants(v, a):
         ZeroVector: if |v|_inf <= ZERO_VECTOR_TOL.
     """
     v = _vec3(v, "sym_invariants input")
-    rows, norm = _rows3(a, "sym_invariants input")
-    _, rotation, _, _ = _nondegenerate_eig(rows, norm,
-                                           "repeated eigenvalues; invariants undefined")
+    pair = _rows3(a, "sym_invariants input")
+    _, rotation, _, _ = _nondegenerate_eig(pair, "repeated eigenvalues; invariants undefined")
     x0, x1, x2 = v
     norm = max(abs(x0), abs(x1), abs(x2))
     if norm <= ZERO_VECTOR_TOL:
@@ -336,6 +335,6 @@ def sym_invariants(v, a):
     # on R v / s, s = 2^floor(log2 |v|_inf), is exact and overflows no p_k.
     scale = _pow2_floor(norm)
     oct_inv = octahedral_invariants(_matvec3(rotation, [x0 / scale, x1 / scale, x2 / scale]))
-    tr_a, tr_a2, det_a = _trace_invariants(rows)
+    tr_a, tr_a2, det_a = _trace_invariants(pair[0])
     return SymInvariants(pX=oct_inv.X, pY=oct_inv.Y, pZ=oct_inv.Z * scale,
                          trA=tr_a, trA2=tr_a2, detA=det_a)

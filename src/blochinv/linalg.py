@@ -9,6 +9,11 @@ floats and checked once, by _rows3 (shape and finiteness) or _sym_rows3
 Each check is one straight-line pass on named locals, with no loop, map
 or generator: a shape test, one float() per entry, one finiteness test
 and, for a matrix, its norm as one max.
+_rows3 returns (rows, norm) as a _Checked pair and a _Checked argument as
+it is, as _sym_rows3 does after its symmetry test (a pair does not imply
+symmetry); _scaled keeps a pair checked. A function hands its pair to the
+public functions it calls, so every call keeps its check while a decision
+converts each matrix once. _vec3 likewise passes a _CheckedVec through.
 No function here imports numpy: an array is read through its tolist. The
 records returned here hold lists of Python floats (rows for a matrix).
 Both kernels divide their input exactly by a power of two and multiply
@@ -163,9 +168,26 @@ def _refused(convert, entries):
     return False
 
 
+class _Checked(tuple):
+    """(rows, norm): the rows of a 3x3 matrix as Python floats, each finite,
+    and its entrywise infinity norm. Only _rows3 and _scaled build one and
+    no public function returns one, so no caller can change its rows after
+    the check."""
+
+    __slots__ = ()
+
+
+class _CheckedVec(tuple):
+    """A 3-vector of finite Python floats: the symmetric decider's checked
+    vectors divided by a power of two >= 1."""
+
+    __slots__ = ()
+
+
 def _rows3(a, what):
-    """Rows of a 3x3 input as Python floats and its entrywise infinity norm;
-    ValueError unless the shape is (3, 3) and every entry is finite.
+    """Rows of a 3x3 input as Python floats and its entrywise infinity norm,
+    as a _Checked pair; ValueError unless the shape is (3, 3) and every
+    entry is finite. A _Checked argument is returned as it is.
 
     One straight-line pass on named locals: a shape test, one float() per
     entry, one finiteness test (x * 0.0 is 0.0 unless x is NaN or +-Inf)
@@ -174,6 +196,8 @@ def _rows3(a, what):
     double range. float() also reads numeric strings such as "0.25", as
     numpy's conversion did.
     """
+    if type(a) is _Checked:
+        return a
     a = a.tolist() if hasattr(a, "tolist") else a
     if not (isinstance(a, _SEQUENCE) and len(a) == 3):
         raise _shape_error(what, (3, 3), a)
@@ -193,15 +217,17 @@ def _rows3(a, what):
     if (a00 * 0.0 + a01 * 0.0 + a02 * 0.0 + a10 * 0.0 + a11 * 0.0 + a12 * 0.0
             + a20 * 0.0 + a21 * 0.0 + a22 * 0.0) != 0.0:
         raise ValueError(f"{what} contains NaN or Inf entries")
-    return [[a00, a01, a02], [a10, a11, a12], [a20, a21, a22]], max(
+    return _Checked(([[a00, a01, a02], [a10, a11, a12], [a20, a21, a22]], max(
         abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12),
-        abs(a20), abs(a21), abs(a22))
+        abs(a20), abs(a21), abs(a22))))
 
 
 def _vec3(v, what):
     """A 3-vector input as a list of three Python floats; ValueError unless
     the shape is (3,) and every entry is finite. Written and ordered like
-    _rows3."""
+    _rows3; a _CheckedVec argument is returned as it is."""
+    if type(v) is _CheckedVec:
+        return v
     v = v.tolist() if hasattr(v, "tolist") else v
     if not (isinstance(v, _SEQUENCE) and len(v) == 3):
         raise _shape_error(what, (3,), v)
@@ -218,22 +244,26 @@ def _vec3(v, what):
 
 
 def _sym_rows3(a, what):
-    """_rows3, plus NotSymmetric unless |a - a^T|_inf <= SYM_TOL max(1, |a|_inf)."""
-    rows, norm = _rows3(a, what)
-    (_, a01, a02), (a10, _, a12), (a20, a21, _) = rows
+    """_rows3, plus NotSymmetric unless |a - a^T|_inf <= SYM_TOL max(1, |a|_inf).
+    A _Checked argument is tested for symmetry too: the pair does not imply it."""
+    pair = _rows3(a, what)
+    ((_, a01, a02), (a10, _, a12), (a20, a21, _)), norm = pair
     if max(abs(a01 - a10), abs(a02 - a20), abs(a12 - a21)) > SYM_TOL * max(1.0, norm):
         raise NotSymmetric("matrix is not symmetric within tolerance")
-    return rows, norm
+    return pair
 
 
-def _scaled(rows, scale):
-    """The rows of a 3x3 matrix divided by scale, a power of two; the rows
-    themselves when scale is 1.0, since x / 1.0 is x."""
+def _scaled(pair, scale):
+    """A _Checked pair with its rows and norm divided by scale, a power of
+    two >= 1, so the entries stay finite; the pair itself when scale is 1.0,
+    since x / 1.0 is x. Rounding is monotone, so norm / scale is the largest
+    |entry| of the divided rows exactly, subnormal ones included."""
     if scale == 1.0:
-        return rows
-    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = rows
-    return [[a00 / scale, a01 / scale, a02 / scale], [a10 / scale, a11 / scale, a12 / scale],
-            [a20 / scale, a21 / scale, a22 / scale]]
+        return pair
+    ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), norm = pair
+    return _Checked(([[a00 / scale, a01 / scale, a02 / scale],
+                      [a10 / scale, a11 / scale, a12 / scale],
+                      [a20 / scale, a21 / scale, a22 / scale]], norm / scale))
 
 
 def _trace_invariants(rows):
@@ -311,8 +341,8 @@ def _jacobi_rotation(app, aqq, apq):
 
 
 def _eig_rows(rows, norm):
-    """eig_sym3 on rows of floats already checked by _sym_rows3, with their
-    entrywise infinity norm: (eigenvalues, rotation rows) as lists.
+    """eig_sym3 on the rows and entrywise infinity norm of a _Checked pair
+    that _sym_rows3 has passed: (eigenvalues, rotation rows) as lists.
 
     Each entry is read divided by the power of two that puts norm in
     [1, 2); the Jacobi sweeps of _eig_body run on the six entries of the
@@ -328,8 +358,10 @@ def _eig_rows(rows, norm):
     a12 = 0.5 * (r12 / scale + r21 / scale)
     (d0, d1, d2), (x, y, z) = _eig_body(_EIG_KEY.pack(
         r00 / scale, r11 / scale, r22 / scale, a01, a02, a12, norm / scale))
-    return (_finite("eig_sym3", [scale * d0, scale * d1, scale * d2], "an eigenvalue"),
-            [list(x), list(y), list(z)])
+    e0, e1, e2 = scale * d0, scale * d1, scale * d2
+    if e0 * 0.0 + e1 * 0.0 + e2 * 0.0 != 0.0:  # x * 0.0 is 0.0 unless x is NaN or +-Inf
+        raise NotRepresentable("eig_sym3: an eigenvalue is not a finite double")
+    return [e0, e1, e2], [list(x), list(y), list(z)]
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

@@ -33,6 +33,7 @@ from enum import Enum
 from .errors import DegenerateSpectrum, NotRepresentable
 from .invariants import _lmm_triple, _nondegenerate_eig
 from .linalg import (
+    _CheckedVec,
     _matmul3,
     _matvec3,
     _pow2_floor,
@@ -99,9 +100,14 @@ class EquivalenceVerdict:
 
 def _rel_dist(xs, ys):
     """max_i |x_i - y_i| / max(1, |x_i|, |y_i|), the uniform comparison
-    metric used throughout the package, on two equally long sequences of
-    Python floats. NaN if any entry is NaN or infinite."""
-    return _worst(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(xs, ys, strict=True))
+    metric used throughout the package, on two triples of Python floats.
+    NaN if any entry is NaN or infinite."""
+    (x0, x1, x2), (y0, y1, y2) = xs, ys
+    d0 = abs(x0 - y0) / max(1.0, abs(x0), abs(y0))
+    d1 = abs(x1 - y1) / max(1.0, abs(x1), abs(y1))
+    d2 = abs(x2 - y2) / max(1.0, abs(x2), abs(y2))
+    nan = d0 + d1 + d2  # NaN exactly when one of them is: none is negative
+    return max(d0, d1, d2) if nan == nan else nan
 
 
 def lmm_canonical(c):
@@ -128,7 +134,7 @@ def sym_canonical(v, a):
         double, which only a v near the top of the double range gives.
     """
     v = _vec3(v, "sym_canonical input")
-    eigs, rotation, _, _ = _nondegenerate_eig(*_rows3(a, "sym_canonical input"),
+    eigs, rotation, _, _ = _nondegenerate_eig(_rows3(a, "sym_canonical input"),
                                               "repeated eigenvalues; no canonical form")
     w0, w1, w2 = _matvec3(rotation, v)
     if w0 * 0.0 + w1 * 0.0 + w2 * 0.0 != 0.0:  # x * 0.0 is 0.0 unless x is NaN or +-Inf
@@ -177,10 +183,12 @@ def _decide(tol, gates):
         witness, moved, target, size = done.value
     except DegenerateSpectrum:
         return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
-    residual = _worst(abs(x - y) for row, ref in zip(moved, target) for x, y in zip(row, ref))
-    if residual <= 10.0 * tol * max(1.0, size):
-        return EquivalenceVerdict(Verdict.EQUIVALENT, witness, dist)
-    return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
+    # Every |moved - target| within the bound; a NaN fails the test.
+    bound = 10.0 * tol * max(1.0, size)
+    for (x0, x1, x2), (y0, y1, y2) in zip(moved, target):
+        if not (abs(x0 - y0) <= bound and abs(x1 - y1) <= bound and abs(x2 - y2) <= bound):
+            return EquivalenceVerdict(Verdict.INDETERMINATE, None, dist)
+    return EquivalenceVerdict(Verdict.EQUIVALENT, witness, dist)
 
 
 def decide_equiv_lmm(c, m, tol=DEFAULT_TOL):
@@ -203,18 +211,19 @@ def _lmm_gates(c, m):
     """The gates of decide_equiv_lmm: the invariant triple, then the
     canonical diagonals; returns the witness (R1, R2), then R1 C R2^T, M and
     |M|_inf of the divided inputs."""
-    rows_c, norm_c = _rows3(c, "decide_equiv_lmm input")
-    rows_m, norm_m = _rows3(m, "decide_equiv_lmm input")
-    scale = _pow2_floor(max(1.0, norm_c, norm_m))
-    c, m = _scaled(rows_c, scale), _scaled(rows_m, scale)
+    pair_c = _rows3(c, "decide_equiv_lmm input")
+    pair_m = _rows3(m, "decide_equiv_lmm input")
+    scale = _pow2_floor(max(1.0, pair_c[1], pair_m[1]))
+    pair_c, pair_m = _scaled(pair_c, scale), _scaled(pair_m, scale)
+    (c, _), (m, norm_m) = pair_c, pair_m
     yield _rel_dist(_lmm_triple(c), _lmm_triple(m))
-    ca, cb = lmm_canonical(c), lmm_canonical(m)
+    ca, cb = lmm_canonical(pair_c), lmm_canonical(pair_m)
     yield _rel_dist(ca.diag, cb.diag)
     # R1 = W_b1^T W_a1 and R2 = W_b2^T W_a2, then (R1 C) R2^T.
     (wa1, wa2), (wb1, wb2) = ca.witness, cb.witness
     r1, r2 = _matmul3(_transpose(wb1), wa1), _matmul3(_transpose(wb2), wa2)
     moved = _matmul3(_matmul3(r1, c), _transpose(r2))
-    return (r1, r2), moved, m, norm_m / scale
+    return (r1, r2), moved, m, norm_m
 
 
 def decide_equiv_sym(state_a, state_b, tol=DEFAULT_TOL):
@@ -246,17 +255,18 @@ def _sym_gates(state_a, state_b):
     of the divided inputs."""
     (v1, a1), (v2, a2) = state_a, state_b
     v1, v2 = _vec3(v1, "decide_equiv_sym input"), _vec3(v2, "decide_equiv_sym input")
-    rows1, norm1 = _sym_rows3(a1, "decide_equiv_sym input")
-    rows2, norm2 = _sym_rows3(a2, "decide_equiv_sym input")
-    scale = _pow2_floor(max(1.0, norm1, norm2))
-    a1, a2 = _scaled(rows1, scale), _scaled(rows2, scale)
+    pair1 = _sym_rows3(a1, "decide_equiv_sym input")
+    pair2 = _sym_rows3(a2, "decide_equiv_sym input")
+    scale = _pow2_floor(max(1.0, pair1[1], pair2[1]))
+    pair1, pair2 = _scaled(pair1, scale), _scaled(pair2, scale)
+    (a1, _), (a2, norm2) = pair1, pair2
     yield _rel_dist(_trace_invariants(a1), _trace_invariants(a2))
     (x0, x1, x2), (y0, y1, y2) = v1, v2
     if scale != 1.0:  # x / 1.0 is x
         x0, x1, x2, y0, y1, y2 = (x0 / scale, x1 / scale, x2 / scale,
                                   y0 / scale, y1 / scale, y2 / scale)
-    v1, v2 = [x0, x1, x2], [y0, y1, y2]
-    fa, fb = sym_canonical(v1, a1), sym_canonical(v2, a2)
+    v1, v2 = _CheckedVec((x0, x1, x2)), _CheckedVec((y0, y1, y2))
+    fa, fb = sym_canonical(v1, pair1), sym_canonical(v2, pair2)
     # The lexicographic w jumps where a coordinate vanishes, so take
     # rel_dist(f * w_a, w_b) for f in EVEN_SIGN_FLIPS (-x - y = -(x + y)); the
     # first minimum keeps the identity wherever it attains it.
@@ -265,7 +275,9 @@ def _sym_gates(state_a, state_b):
     s0, s1, s2 = abs(p0 - q0) / d0, abs(p1 - q1) / d1, abs(p2 - q2) / d2
     f0, f1, f2 = abs(p0 + q0) / d0, abs(p1 + q1) / d1, abs(p2 + q2) / d2
     w_dists = (max(s0, s1, s2), max(s0, f1, f2), max(f0, s1, f2), max(f0, f1, s2))
-    w_dist = min(w_dists)
+    # max and min drop a NaN; the sum of the terms, none negative, keeps it.
+    nan = s0 + s1 + s2 + f0 + f1 + f2
+    w_dist = min(w_dists) if nan == nan else nan
     yield _worst((_rel_dist(fa.eigs, fb.eigs), w_dist))
     # R = W_b^T (flip W_a), then R v and (R A) R^T.
     g0, g1, g2 = EVEN_SIGN_FLIPS[w_dists.index(w_dist)]
@@ -274,4 +286,4 @@ def _sym_gates(state_a, state_b):
                                           [g1 * b10, g1 * b11, g1 * b12],
                                           [g2 * b20, g2 * b21, g2 * b22]])
     moved = _matmul3(_matmul3(r, a1), _transpose(r))
-    return r, [_matvec3(r, v1), *moved], [v2, *a2], max(norm2 / scale, abs(y0), abs(y1), abs(y2))
+    return r, [_matvec3(r, v1), *moved], [v2, *a2], max(norm2, abs(y0), abs(y1), abs(y2))

@@ -52,7 +52,6 @@ from .invariants import (
 from .linalg import _worst, det3, rotation_residual
 from .orbits import (
     Verdict,
-    _rel_dist,
     decide_equiv_lmm,
     decide_equiv_sym,
     lmm_canonical,
@@ -88,8 +87,11 @@ def norm_inf(a):
 
 
 def rel_dist(a, b):
-    """orbits._rel_dist on arrays or nested lists of any shape, flattened."""
-    return _rel_dist(*(np.asarray(x, dtype=float).ravel().tolist() for x in (a, b)))
+    """max_i |a_i - b_i| / max(1, |a_i|, |b_i|), the metric of orbits._rel_dist,
+    on arrays or nested lists of any shape, flattened; NaN if any entry is
+    NaN or infinite."""
+    xs, ys = (np.asarray(x, dtype=float).ravel().tolist() for x in (a, b))
+    return _worst(abs(x - y) / max(1.0, abs(x), abs(y)) for x, y in zip(xs, ys, strict=True))
 
 
 @dataclass

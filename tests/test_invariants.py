@@ -464,8 +464,8 @@ class TestRInvariant:
         for _ in range(500):
             a = rng.uniform(-1, 1, size=(3, 3))
             a = 0.5 * (a + a.T)
-            rows, norm = linalg._sym_rows3(a, "a")
-            _, _, scale, d1 = invariants._nondegenerate_eig(rows, norm, "degenerate")
+            pair = linalg._sym_rows3(a, "a")
+            _, _, scale, d1 = invariants._nondegenerate_eig(pair, "degenerate")
             assert scale == 1.0
             b = -np.trace(a)
             c = 0.5 * (np.trace(a) ** 2 - np.trace(a @ a))

@@ -749,3 +749,49 @@ class TestKernelMemo:
             assert record_bits(eig_sym3(m)) == bits
         info = linalg._eig_body.cache_info()
         assert (info.hits, info.misses) == (linalg._MEMO_SIZE, len(mats) + 1)
+
+
+class TestCheckedPair:
+    """_rows3 returns a checked (rows, norm) pair, linalg._Checked, that
+    unpacks like any pair; a check of a pair returns it as it is, and
+    _scaled keeps it checked."""
+
+    A = [[0.7, 0.1, -0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]]
+
+    def test_unpacks_and_passes_through(self):
+        pair = _rows3(np.array(self.A), "a")
+        rows, norm = pair
+        assert (rows, norm) == (self.A, 0.7) and pair[0] is rows
+        assert _rows3(pair, "again") is pair
+        assert linalg._sym_rows3(pair, "again") is pair
+        assert linalg._scaled(pair, 1.0) is pair
+
+    def test_symmetry_is_tested_on_a_pair(self):
+        pair = _rows3([[1.0, 1e-3, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], "a")
+        with pytest.raises(NotSymmetric):
+            linalg._sym_rows3(pair, "a")
+        with pytest.raises(NotSymmetric):
+            eig_sym3(pair)
+
+    def test_a_plain_pair_is_not_checked(self):
+        rows, norm = _rows3(self.A, "a")
+        with pytest.raises(ValueError, match=r"shape \(3, 3\)"):
+            _rows3((rows, norm), "a")
+
+    def test_scaled_norm_is_the_divided_maximum(self):
+        # The quotients A / 2^k for k = 0..1100; a scale is a double, so past
+        # 2^1023 the rows carry the rest of 2^-k. Near 2^-1074 the quotients
+        # round (the two largest entries differ in their last bit).
+        base = [[3.0, -2.9999999999999996, 0.1], [2.0**-30 * 3, -0.75, 1.5],
+                [1e-5, 2.9999999999999996, -0.0]]
+        subnormal = 0
+        for k in range(1101):
+            e = min(k, 1023)
+            pair = _rows3([[math.ldexp(x, e - k) for x in row] for row in base], "a")
+            scaled = linalg._scaled(pair, 2.0**e)
+            divided = [[x / 2.0**e for x in row] for row in pair[0]]
+            assert type(scaled) is linalg._Checked
+            assert hex_rows(scaled[0]) == hex_rows(divided)
+            assert scaled[1].hex() == _rows3(divided, "a")[1].hex()
+            subnormal += 0.0 < scaled[1] < 2.0**-1022
+        assert subnormal > 40

@@ -257,13 +257,16 @@ class TestDecideSym:
         assert next(gates) == 0.0
         assert np.isnan(next(gates))
 
-    def test_nan_gate_distance_is_indeterminate(self, monkeypatch):
+    @pytest.mark.parametrize("index", [0, 1, 2])
+    def test_nan_gate_distance_is_indeterminate(self, monkeypatch, index):
         # NaN > tol is false; the decision must not go on to the witness.
+        # Python's max and min keep their running value against a NaN, so
+        # the w distance must not reduce through them alone.
         true_canonical = orbits.sym_canonical
 
         def mutant(v, a):
             form = true_canonical(v, a)
-            form.w[0] = np.nan
+            form.w[index] = np.nan
             return form
 
         monkeypatch.setattr(orbits, "sym_canonical", mutant)
@@ -420,6 +423,19 @@ class TestExtremeScale:
             self._check(k, decide_equiv_sym(sa, other, tol=self.TOL), False)
 
 
+def rebind(monkeypatch, name, replacement):
+    """Bind replacement in place of linalg's function name at every module
+    attribute of the package bound to that function."""
+    original = getattr(linalg, name)
+    bound = [(module, attr)
+             for module_name, module in list(sys.modules.items())
+             if module_name == "blochinv" or module_name.startswith("blochinv.")
+             for attr, value in list(vars(module).items()) if value is original]
+    assert (linalg, name) in bound
+    for module, attr in bound:
+        monkeypatch.setattr(module, attr, replacement)
+
+
 @pytest.fixture
 def eig_sym3_calls(monkeypatch):
     """Count calls of the eigen kernel body, linalg._eig_rows, made through
@@ -432,13 +448,7 @@ def eig_sym3_calls(monkeypatch):
         calls.append(args)
         return original(*args, **kwargs)
 
-    bound = [(module, attr)
-             for name, module in list(sys.modules.items())
-             if name == "blochinv" or name.startswith("blochinv.")
-             for attr, value in list(vars(module).items()) if value is original]
-    assert (linalg, "_eig_rows") in bound
-    for module, attr in bound:
-        monkeypatch.setattr(module, attr, counted)
+    rebind(monkeypatch, "_eig_rows", counted)
     return calls
 
 
@@ -513,6 +523,55 @@ class TestKernelBodyRuns:
             assert decide_equiv_lmm(2.0**k * c, 2.0**k * m).verdict is Verdict.EQUIVALENT
         info = linalg._svd_body.cache_info()
         assert (info.misses, info.hits) == (2, 11)
+
+
+@pytest.fixture
+def conversions(monkeypatch):
+    """Count the full conversions of linalg._rows3 (matrices) and _vec3
+    (vectors), made through every module attribute bound to them: the calls
+    that do not return their argument as it is."""
+    counts = {"_rows3": 0, "_vec3": 0}
+    for name in counts:
+        def counted(a, what, original=getattr(linalg, name), name=name):
+            out = original(a, what)
+            counts[name] += out is not a
+            return out
+
+        rebind(monkeypatch, name, counted)
+    return counts
+
+
+class TestChecksOnce:
+    """Each matrix and vector argument is converted once per call of a public
+    function, however many public functions it is handed on to: a check of
+    an already-checked pair or vector returns it as it is."""
+
+    @pytest.mark.parametrize("k", [-1, 5])  # the decider's scale is 1, then 64
+    def test_decide_equiv_sym(self, conversions, k):
+        rng = np.random.default_rng(33)
+        lam = 2.0**k * np.diag([3.1, 1.2, -2.4])
+        w = rng.uniform(-1, 1, size=3)
+        ra, rb = haar_so3(rng), haar_so3(rng)
+        sa, sb = (ra.T @ w, ra.T @ lam @ ra), (rb.T @ w, rb.T @ lam @ rb)
+        assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
+        assert conversions == {"_rows3": 2, "_vec3": 2}
+
+    def test_sym_invariants(self, conversions):
+        sym_invariants([0.3, -0.2, 0.5], np.diag([3.1, 1.2, -2.4]))
+        assert conversions["_rows3"] == 1
+
+    def test_eig_sym3_of_a_checked_pair(self, conversions):
+        a = np.array([[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
+        result = linalg.eig_sym3(linalg._rows3(a, "a"))
+        assert conversions["_rows3"] == 1
+        assert result == linalg.eig_sym3(a)
+
+    def test_decide_equiv_lmm(self, conversions):
+        rng = np.random.default_rng(34)
+        c = 8.0 * haar_so3(rng) @ np.diag([3.1, 1.2, -0.4]) @ haar_so3(rng).T
+        m = haar_so3(rng) @ c @ haar_so3(rng).T
+        assert decide_equiv_lmm(c, m).verdict is Verdict.EQUIVALENT
+        assert conversions["_rows3"] == 2
 
 
 class TestDecidePinnedMemo:
