@@ -41,10 +41,17 @@ def so3_of_u2(u):
     if u.shape != (2, 2):
         raise NotUnitary("input is not a 2x2 unitary within tolerance")
     (p, q), (r, s) = u.tolist()
+    return _so3_of_entries(p, q, r, s)
+
+
+def _so3_of_entries(p, q, r, s):
+    """so3_of_u2 of U = [[p, q], [r, s]] given as four Python complex
+    numbers: the finiteness and unitarity tests, then the nine entries."""
     # z* z is |z|^2 with an exactly zero imaginary part.
     pp, qq = p.conjugate() * p, q.conjugate() * q
     rr, ss = r.conjugate() * r, s.conjugate() * s
-    if not all(map(cmath.isfinite, (p, q, r, s))) or max(
+    finite = cmath.isfinite(p) and cmath.isfinite(q) and cmath.isfinite(r) and cmath.isfinite(s)
+    if not finite or max(
         abs(pp + rr - 1.0), abs(p.conjugate() * q + r.conjugate() * s), abs(qq + ss - 1.0)
     ) > UNITARY_TOL:
         raise NotUnitary("input is not a 2x2 unitary within tolerance")
@@ -87,14 +94,18 @@ class SignedPerm:
     perm: tuple
     signs: tuple
 
+    def _rows(self):
+        """The matrix as three rows of Python ints."""
+        (p0, p1, p2), (s0, s1, s2) = self.perm, self.signs
+        rows = [[0, 0, 0], [0, 0, 0], [0, 0, 0]]
+        rows[p0][0], rows[p1][1], rows[p2][2] = s0, s1, s2
+        return rows
+
     def matrix(self):
-        m = np.zeros((3, 3), dtype=int)
-        for j in range(3):
-            m[self.perm[j], j] = self.signs[j]
-        return m
+        return np.array(self._rows(), dtype=int)
 
     def determinant(self):
-        return int(det3(self.matrix()))
+        return int(det3(self._rows()))
 
     def sign_product(self):
         return self.signs[0] * self.signs[1] * self.signs[2]
@@ -107,9 +118,10 @@ class SignedPerm:
 
     def compose(self, other):
         """self after other, matching matrix multiplication."""
-        perm = tuple(self.perm[other.perm[j]] for j in range(3))
-        signs = tuple(other.signs[j] * self.signs[other.perm[j]] for j in range(3))
-        return SignedPerm(perm=perm, signs=signs)
+        perm, signs = self.perm, self.signs
+        (o0, o1, o2), (t0, t1, t2) = other.perm, other.signs
+        return SignedPerm(perm=(perm[o0], perm[o1], perm[o2]),
+                          signs=(t0 * signs[o0], t1 * signs[o1], t2 * signs[o2]))
 
 
 def signed_permutations():
@@ -150,9 +162,10 @@ def lmm_weyl_pair(sp):
     pm = unsigned.matrix()
     # det E1 must equal det P; entrywise, e1 * e2 must equal the sign
     # pattern carried onto row perm[j], which is sp applied to (1, 1, 1).
-    e1 = np.array([unsigned.determinant(), 1, 1])
-    e2 = sp.apply(np.ones(3, dtype=int)) * e1
-    return np.diag(e1) @ pm, np.diag(e2) @ pm
+    # diag(e) @ P is P with row i scaled by e[i].
+    e1 = np.array([[unsigned.determinant()], [1], [1]])
+    e2 = sp.apply(np.ones(3, dtype=int))[:, None] * e1
+    return e1 * pm, e2 * pm
 
 
 def lmm_normalizer_pairs():
@@ -169,9 +182,9 @@ def _as_rng(seed):
     return np.random.default_rng(seed)
 
 
-def haar_su2(seed):
-    """Haar-random SU(2) element: a normalized pair of complex Gaussians
-    placed in the standard special-unitary form."""
+def _haar_pair(seed):
+    """A pair (a, b) of complex Gaussians normalized to |a|^2 + |b|^2 = 1,
+    the first column of a Haar-random SU(2) element."""
     rng = _as_rng(seed)
     z = rng.standard_normal(4)
     a = complex(z[0], z[1])
@@ -179,12 +192,22 @@ def haar_su2(seed):
     n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
     a /= n
     b /= n
+    return a, b
+
+
+def haar_su2(seed):
+    """Haar-random SU(2) element: a normalized pair of complex Gaussians
+    placed in the standard special-unitary form."""
+    a, b = _haar_pair(seed)
     return np.array([[a, -b.conjugate()], [b, a.conjugate()]])
 
 
 def haar_so3(seed):
-    """Haar-random rotation, pushed forward from SU(2) through the cover."""
-    return so3_of_u2(haar_su2(seed))
+    """Haar-random rotation, pushed forward from SU(2) through the cover:
+    so3_of_u2 of the entries haar_su2 would return, with the same
+    finiteness and unitarity tests, without building the 2x2 array."""
+    a, b = _haar_pair(seed)
+    return _so3_of_entries(a, -b.conjugate(), b, a.conjugate())
 
 
 def random_bloch(state_class, seed):

@@ -119,11 +119,28 @@ def parse_state_document(doc):
     raise StateFormatError("format: expected 'density' or 'bloch'")
 
 
+# Every integer of more digits than this lies beyond the double range
+# (10^309 > 1.8e308); JSON integers carry no leading zeros.
+_DOUBLE_DIGITS = 309
+
+
+def _parse_int(digits):
+    """json's parse_int hook: an integer literal beyond the double range
+    reads as an infinity of its sign, as a float literal beyond it does, so
+    _real rejects it as non-finite with its path and int() never reads it
+    (int() refuses more than 4300 digits with a ValueError)."""
+    if len(digits.lstrip("-")) > _DOUBLE_DIGITS:
+        return -math.inf if digits[0] == "-" else math.inf
+    return int(digits)
+
+
 def loads_state(text):
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
+    except RecursionError:
+        raise StateFormatError("invalid JSON: nested too deeply") from None
     return parse_state_document(doc)
 
 
@@ -133,6 +150,9 @@ def load_state_file(path):
             text = fh.read()
     except OSError as exc:
         raise StateFormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise StateFormatError(
+            f"{path}: not UTF-8 text: {exc.reason} at byte {exc.start}") from None
     try:
         return loads_state(text)
     except StateFormatError as exc:

@@ -115,10 +115,30 @@ class SuiteReport:
         return all(c.passed for c in self.checks)
 
 
+def _words(n):
+    """The 32-bit words of a non-negative integer, least significant first,
+    [0] for 0: the words numpy's SeedSequence derives from an int entropy."""
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & 0xFFFFFFFF]
+    n >>= 32
+    while n:
+        words.append(n & 0xFFFFFFFF)
+        n >>= 32
+    return words
+
+
 def trial_rng(seed, suite, trial):
-    """Independent generator for one trial, stable under reordering."""
-    ss = np.random.SeedSequence(entropy=[seed, SUITES.index(suite), trial])
-    return np.random.default_rng(ss)
+    """Independent generator for one trial, stable under reordering.
+
+    The stream is PCG64 seeded by a SeedSequence whose entropy is the
+    seed's 32-bit words, the suite's index in SUITES and the trial's
+    words, each int least significant word first: the generator of
+    np.random.default_rng(np.random.SeedSequence([seed, index, trial])),
+    given the words as one uint32 array.
+    """
+    entropy = np.array([*_words(seed), SUITES.index(suite), *_words(trial)], dtype=np.uint32)
+    return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
 def _rngs(seed, suite, offset, n):
@@ -134,9 +154,9 @@ def _fold(outcomes):
 
 def _gapped_descending(rng, low, high, gap):
     while True:
-        vals = np.sort(rng.uniform(low, high, size=3))[::-1]
-        if vals[0] - vals[1] > gap and vals[1] - vals[2] > gap:
-            return vals
+        x, y, z = sorted(rng.uniform(low, high, size=3).tolist(), reverse=True)
+        if x - y > gap and y - z > gap:
+            return np.array((x, y, z))
 
 
 def _generic_spectrum(rng, gap=1e-3, disc=1e-3):
@@ -161,7 +181,8 @@ def _generic_symmetric(rng, gap=1e-3, disc=0.0):
 def _generic_vector(rng, floor=0.05):
     while True:
         v = rng.uniform(-1.0, 1.0, size=3)
-        if np.min(np.abs(v)) > floor:
+        x, y, z = v.tolist()
+        if abs(x) > floor and abs(y) > floor and abs(z) > floor:
             return v
 
 
@@ -482,10 +503,11 @@ def _group_order_24(name, label, group, member):
     matching the matrix product."""
     elements = set(group)
     closure_bad = sum(g.compose(h) not in elements for g in group for h in group)
+    head = [(g, g.matrix()) for g in group[:6]]
     ok = (len(group) == 24 and len(elements) == 24 and _IDENTITY in elements
           and all(map(member, group)) and closure_bad == 0
-          and all(np.array_equal(g.compose(h).matrix(), g.matrix() @ h.matrix())
-                  for g in group[:6] for h in group[:6]))
+          and all(np.array_equal(g.compose(h).matrix(), mg @ mh)
+                  for g, mg in head for h, mh in head))
     return CheckResult(name, ok, float(closure_bad), f"|{label}|={len(group)}")
 
 
@@ -516,12 +538,16 @@ def _suite_group(samples, seed):
     probe = np.array([0.3, -0.7, 1.1])
     weyl_of_image = {tuple(g.apply(probe)): g for g in weyl}
 
+    diag_probe = np.diag(probe)
+
     def induced(r1, r2):
         """The Weyl element the pair induces on the probe, or None."""
-        img = r1 @ np.diag(probe) @ r2.T
-        if norm_inf(img - np.diag(np.diag(img))) != 0.0:
+        (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = (r1 @ diag_probe @ r2.T).tolist()
+        # Off the slice: a nonzero or NaN entry off the diagonal. A
+        # non-finite diagonal matches no image of the finite probe.
+        if a1 or a2 or b0 or b2 or c0 or c1:
             return None
-        return weyl_of_image.get(tuple(np.diag(img)))
+        return weyl_of_image.get((a0, b1, c2))
 
     images = [induced(r1, r2) for r1, r2 in pairs]
     bad = images.count(None)

@@ -335,6 +335,23 @@ class TestTypedErrors:
         assert main(["invariants", str(path)]) == 2
         assert_one_error_line(capsys)
 
+    @pytest.mark.parametrize("content", [
+        b"[" * 200_000,
+        b'{"format": "bloch", \xff "u": [0, 0, 0]}',
+        b'{"format": "bloch", "u": [' + b"1" * 5000 + b', 0, 0], "v": [0, 0, 0], '
+        b'"C": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}',
+    ], ids=["nested-200000-deep", "byte-0xff-outside-string", "integer-of-5000-digits"])
+    def test_malformed_file_exit_2(self, tmp_path, capsys, content):
+        # Each raised a RecursionError, UnicodeDecodeError or ValueError, a
+        # traceback with exit 1, which equiv uses for NOT_EQUIVALENT.
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        assert main(["equiv", str(path), str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
+        assert main(["invariants", str(path)]) == 2
+        assert_one_error_line(capsys)
+
     @staticmethod
     def _density(diag, entries):
         matrix = [[[d if i == j else 0.0, 0.0] for j, d in enumerate(diag)]

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+import blochinv.groups
 from blochinv.errors import NotUnitary
 from blochinv.groups import (
+    SignedPerm,
     act_bloch,
     act_density,
     haar_so3,
@@ -251,3 +253,55 @@ class TestHaar:
         for _ in range(n):
             acc += haar_so3(rng)
         assert norm_inf(acc / n) < 3.0 * np.sqrt(1.0 / (3.0 * n))
+
+    def test_so3_is_so3_of_u2_of_su2_bit_for_bit(self):
+        # haar_so3 skips the 2x2 array, not a bit of so3_of_u2's result.
+        for k in range(1000):
+            direct = haar_so3(np.random.default_rng(k))
+            cover = so3_of_u2(haar_su2(np.random.default_rng(k)))
+            assert [x.hex() for x in direct.ravel().tolist()] == \
+                [x.hex() for x in cover.ravel().tolist()], k
+
+    def test_so3_checks_every_draw(self, monkeypatch):
+        # A pair off the unit sphere by 1e-9 is not unitary within 1e-12:
+        # the unitarity test of so3_of_u2 runs on the direct path too.
+        true_pair = blochinv.groups._haar_pair
+
+        def unnormalized(seed):
+            a, b = true_pair(seed)
+            return (1.0 + 1e-9) * a, (1.0 + 1e-9) * b
+
+        monkeypatch.setattr(blochinv.groups, "_haar_pair", unnormalized)
+        for k in range(50):
+            with pytest.raises(NotUnitary):
+                haar_so3(np.random.default_rng(k))
+
+
+class TestSignedPermArithmetic:
+    def test_compose_matches_generator_form(self):
+        # The straight-line product against the indexwise definition.
+        pool = signed_permutations()
+        for g in pool:
+            for h in pool:
+                gh = g.compose(h)
+                assert gh.perm == tuple(g.perm[h.perm[j]] for j in range(3))
+                assert gh.signs == tuple(h.signs[j] * g.signs[h.perm[j]] for j in range(3))
+
+    def test_matrix_and_determinant(self):
+        for g in signed_permutations():
+            m = np.zeros((3, 3), dtype=int)
+            for j in range(3):
+                m[g.perm[j], j] = g.signs[j]
+            assert g.matrix().dtype == m.dtype
+            np.testing.assert_array_equal(g.matrix(), m)
+            assert g.determinant() == round(np.linalg.det(m))
+
+    def test_weyl_pair_is_row_scaled_permutation(self):
+        # diag(e) @ P, exactly and in the same integer dtype.
+        for g in lmm_weyl_action_group():
+            pm = SignedPerm(perm=g.perm, signs=(1, 1, 1)).matrix()
+            e1 = np.array([SignedPerm(perm=g.perm, signs=(1, 1, 1)).determinant(), 1, 1])
+            e2 = g.apply(np.ones(3, dtype=int)) * e1
+            for got, want in zip(lmm_weyl_pair(g), (np.diag(e1) @ pm, np.diag(e2) @ pm)):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)

@@ -180,3 +180,29 @@ class TestParseErrors:
             parse_state_document(doc)
         with pytest.raises(StateFormatError):
             loads_state(text)
+
+
+class TestIntegerLiterals:
+    """An integer literal beyond the double range reads as non-finite, as a
+    float literal beyond it does, however many digits it has."""
+
+    @staticmethod
+    def _text(literal):
+        return ('{"format": "bloch", "u": [' + literal + ', 0, 0], "v": [0, 0, 0], '
+                '"C": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
+
+    @pytest.mark.parametrize("literal", [str(10**309), str(-10**309), "9" * 5000,
+                                         "-" + "9" * 5000, str(2**1024)])
+    def test_beyond_double_range_is_non_finite(self, literal):
+        with pytest.raises(StateFormatError, match=r"^u\[0\]: non-finite number$"):
+            loads_state(self._text(literal))
+
+    @pytest.mark.parametrize("value", [int(1.7976931348623157e308), -int(1e308), 10**300,
+                                       7, 0])
+    def test_within_double_range_is_read(self, value):
+        _, bloch = loads_state(self._text(str(value)))
+        assert bloch.u[0] == float(value)
+
+    def test_deep_nesting_is_a_format_error(self):
+        with pytest.raises(StateFormatError, match="nested too deeply"):
+            loads_state("[" * 100_000)

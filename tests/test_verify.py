@@ -12,6 +12,7 @@ import blochinv.invariants
 import blochinv.linalg
 import blochinv.verify
 from blochinv.cli import main
+from blochinv.errors import NotUnitary
 from blochinv.serialize import dumps
 from blochinv.states import BlochMatrix
 from blochinv.verify import (
@@ -212,3 +213,79 @@ class TestFaultInjection:
         monkeypatch.setattr(blochinv.verify, "lmm_normalizer_pairs", lambda: pairs)
         chk = self._check(run_suite("group", 20, 0), "normalizer_induces_weyl_action")
         assert not chk.passed and chk.max_residual >= 1.0
+
+    @pytest.mark.parametrize("suite", ["lmm", "sym", "orbit"])
+    def test_every_battery_rotation_is_checked(self, monkeypatch, suite):
+        # One Gaussian pair off the unit sphere, at the first, a middle or
+        # the last Haar draw of the suite, stops the suite with NotUnitary:
+        # no draw reaches a check without the unitarity test.
+        true_pair = blochinv.groups._haar_pair
+        draws = []
+
+        def counting(seed):
+            draws.append(None)
+            return true_pair(seed)
+
+        monkeypatch.setattr(blochinv.groups, "_haar_pair", counting)
+        run_suite(suite, 5, 3)
+        n = len(draws)
+        assert n > 10
+        for broken in (0, n // 2, n - 1):
+            calls = []
+
+            def faulty(seed, broken=broken, calls=calls):
+                a, b = true_pair(seed)
+                calls.append(None)
+                if len(calls) - 1 == broken:
+                    return (1.0 + 1e-9) * a, (1.0 + 1e-9) * b
+                return a, b
+
+            monkeypatch.setattr(blochinv.groups, "_haar_pair", faulty)
+            with pytest.raises(NotUnitary):
+                run_suite(suite, 5, 3)
+            assert len(calls) == broken + 1
+
+
+def _reference_rng(seed, suite, trial):
+    """The trial generator as numpy derives it from a list of ints."""
+    return np.random.default_rng(np.random.SeedSequence([seed, SUITES.index(suite), trial]))
+
+
+def _draws(rng):
+    return b"".join(x.tobytes() for x in (
+        rng.uniform(-1.0, 1.0, size=5), rng.standard_normal(4),
+        rng.integers(0, 2**62, size=3), rng.permutation(7)))
+
+
+class TestReplacedExpressions:
+    """Each rewritten battery expression against the form it replaced, both
+    run on the installed numpy."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**31, 2**32 - 1, 2**32, 2**63, 2**64 + 3])
+    def test_trial_rng_is_the_int_list_stream(self, seed):
+        for suite in SUITES:
+            for trial in (0, 1, 750_999, 2**32 + 1):
+                assert _draws(trial_rng(seed, suite, trial)) == \
+                    _draws(_reference_rng(seed, suite, trial)), (suite, trial)
+
+    def test_trial_rng_refuses_negative_words(self):
+        with pytest.raises(ValueError):
+            trial_rng(-1, "bloch", 0)
+        with pytest.raises(ValueError):
+            trial_rng(0, "bloch", -1)
+
+    @pytest.mark.parametrize("low, high, gap", [(-2.0, 2.0, 1e-3), (0.1, 2.0, 1e-3),
+                                                (-2.0, 2.0, 0.9)])
+    def test_gapped_descending_is_the_sorted_form(self, low, high, gap):
+        # The gap 0.9 rejects most draws, so the retry loop runs too.
+        def reference(rng):
+            while True:
+                vals = np.sort(rng.uniform(low, high, size=3))[::-1]
+                if vals[0] - vals[1] > gap and vals[1] - vals[2] > gap:
+                    return vals
+
+        for k in range(300):
+            rng, ref = np.random.default_rng(k), np.random.default_rng(k)
+            got, want = blochinv.verify._gapped_descending(rng, low, high, gap), reference(ref)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert rng.bit_generator.state == ref.bit_generator.state
