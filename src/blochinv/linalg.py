@@ -13,16 +13,18 @@ _rows3 returns (rows, norm) as a _Checked pair and a _Checked argument as
 it is, as _sym_rows3 does after its symmetry test (a pair does not imply
 symmetry); _scaled keeps a pair checked. A function hands its pair to the
 public functions it calls, so every call keeps its check while a decision
-converts each matrix once. _vec3 likewise passes a _CheckedVec through.
+converts each matrix once. A matrix passes through later checks; a
+vector (three floats) is read again: _Checked is the only checked type.
 No function here imports numpy: an array is read through its tolist. The
 records returned here hold lists of Python floats (rows for a matrix).
 Both kernels divide their input exactly by a power of two and multiply
 their values back, so they run at any finite scale and raise
 NotRepresentable for a value beyond the double range. Both kernels are
-straight-line code on named locals, one per matrix entry: eig_sym3 is the
-checked entry of the eigen kernel _eig_rows, through which every
-diagonalization in the package goes, and signed_svd3 holds A, V and Q^T
-of its one-sided Jacobi and Givens QR in locals.
+straight-line code on named locals, one per matrix entry, each behind one
+entry layer, its public function: eig_sym3, through which every
+diagonalization in the package goes, and signed_svd3 each check, divide,
+look up their body's memo, multiply back, make their own NotRepresentable
+test and return fresh lists.
 
 Each kernel body (_eig_body, _svd_body) sits behind a memo of its last 16
 distinct inputs (_MEMO_SIZE, an lru_cache), because one decision
@@ -177,13 +179,6 @@ class _Checked(tuple):
     __slots__ = ()
 
 
-class _CheckedVec(tuple):
-    """A 3-vector of finite Python floats: the symmetric decider's checked
-    vectors divided by a power of two >= 1."""
-
-    __slots__ = ()
-
-
 def _rows3(a, what):
     """Rows of a 3x3 input as Python floats and its entrywise infinity norm,
     as a _Checked pair; ValueError unless the shape is (3, 3) and every
@@ -225,9 +220,7 @@ def _rows3(a, what):
 def _vec3(v, what):
     """A 3-vector input as a list of three Python floats; ValueError unless
     the shape is (3,) and every entry is finite. Written and ordered like
-    _rows3; a _CheckedVec argument is returned as it is."""
-    if type(v) is _CheckedVec:
-        return v
+    _rows3, with no pass-through: each call reads its three floats again."""
     v = v.tolist() if hasattr(v, "tolist") else v
     if not (isinstance(v, _SEQUENCE) and len(v) == 3):
         raise _shape_error(what, (3,), v)
@@ -313,6 +306,11 @@ class SignedSVD3(NamedTuple):
 def eig_sym3(a):
     """Eigendecomposition of a symmetric 3x3 matrix by cyclic Jacobi sweeps.
 
+    The body, _eig_body, runs through its memo on the six entries of the
+    symmetrized matrix and its norm, divided by the power of two that puts
+    |a|_inf in [1, 2), so no intermediate overflows; the eigenvalues are
+    multiplied back here.
+
     Args:
         a: real 3x3 array, symmetric within SYM_TOL * max(1, |a|_inf).
 
@@ -325,7 +323,19 @@ def eig_sym3(a):
         NotSymmetric: if the input fails the symmetry precondition.
         NotRepresentable: if an eigenvalue is not a finite double.
     """
-    return EigenSym3(*_eig_rows(*_sym_rows3(a, "eig_sym3 input")))
+    rows, norm = _sym_rows3(a, "eig_sym3 input")
+    scale = _pow2_floor(norm)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
+    # Symmetrize to remove representation noise; 0.5 * (x + x) is x on the
+    # diagonal.
+    a01, a02 = 0.5 * (r01 / scale + r10 / scale), 0.5 * (r02 / scale + r20 / scale)
+    a12 = 0.5 * (r12 / scale + r21 / scale)
+    (d0, d1, d2), (x, y, z) = _eig_body(_EIG_KEY.pack(
+        r00 / scale, r11 / scale, r22 / scale, a01, a02, a12, norm / scale))
+    e0, e1, e2 = scale * d0, scale * d1, scale * d2
+    if e0 * 0.0 + e1 * 0.0 + e2 * 0.0 != 0.0:  # x * 0.0 is 0.0 unless x is NaN or +-Inf
+        raise NotRepresentable("eig_sym3: an eigenvalue is not a finite double")
+    return EigenSym3(eigenvalues=[e0, e1, e2], rotation=[list(x), list(y), list(z)])
 
 
 def _jacobi_rotation(app, aqq, apq):
@@ -340,33 +350,9 @@ def _jacobi_rotation(app, aqq, apq):
     return t, c, t * c
 
 
-def _eig_rows(rows, norm):
-    """eig_sym3 on the rows and entrywise infinity norm of a _Checked pair
-    that _sym_rows3 has passed: (eigenvalues, rotation rows) as lists.
-
-    Each entry is read divided by the power of two that puts norm in
-    [1, 2); the Jacobi sweeps of _eig_body run on the six entries of the
-    symmetrized divided matrix and norm / scale, through its memo, and the
-    eigenvalues are multiplied back here, so that no intermediate overflows
-    and NotRepresentable depends on this call's scale.
-    """
-    scale = _pow2_floor(norm)
-    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = rows
-    # Symmetrize to remove representation noise; 0.5 * (x + x) is x on the
-    # diagonal.
-    a01, a02 = 0.5 * (r01 / scale + r10 / scale), 0.5 * (r02 / scale + r20 / scale)
-    a12 = 0.5 * (r12 / scale + r21 / scale)
-    (d0, d1, d2), (x, y, z) = _eig_body(_EIG_KEY.pack(
-        r00 / scale, r11 / scale, r22 / scale, a01, a02, a12, norm / scale))
-    e0, e1, e2 = scale * d0, scale * d1, scale * d2
-    if e0 * 0.0 + e1 * 0.0 + e2 * 0.0 != 0.0:  # x * 0.0 is 0.0 unless x is NaN or +-Inf
-        raise NotRepresentable("eig_sym3: an eigenvalue is not a finite double")
-    return [e0, e1, e2], [list(x), list(y), list(z)]
-
-
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _eig_body(key):
-    """The cyclic Jacobi sweeps of _eig_rows on the packed entries a00, a11,
+    """The cyclic Jacobi sweeps of eig_sym3 on the packed entries a00, a11,
     a22, a01, a02, a12 of the divided matrix and its norm: its eigenvalues,
     sorted descending, and the rotation rows, as tuples.
 

@@ -72,9 +72,16 @@ def bloch_document(bloch):
     }
 
 
+# What _real names a non-number by: its JSON type, never its text, which
+# may run to megabytes.
+_JSON_TYPES = {list: "an array", dict: "an object", str: "a string", bool: "a boolean",
+               type(None): "null"}
+
+
 def _real(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise StateFormatError(f"{path}: expected a number, got {value!r}")
+        kind = _JSON_TYPES.get(type(value), type(value).__name__)
+        raise StateFormatError(f"{path}: expected a number, got {kind}")
     try:
         if math.isfinite(value):
             return float(value)

@@ -304,6 +304,16 @@ class TestTypedErrors:
     """Every failure at the state-file boundary is one error line and an exit
     code, never a traceback."""
 
+    @pytest.mark.parametrize("kind", ["missing", "directory"])
+    def test_unreadable_path_exit_2(self, tmp_path, capsys, kind):
+        path = tmp_path / "state.json"
+        if kind == "directory":
+            path.mkdir()
+        assert main(["invariants", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot read {path}: ")
+
     @pytest.mark.parametrize("command, u, c", [
         ("invariants", [0, 0, 0], 1e77 * np.eye(3)),
         ("restrict", [0, 0, 0], 1e77 * np.eye(3)),
@@ -351,6 +361,27 @@ class TestTypedErrors:
         assert err.startswith(f"error: {path}: ") and err.count("\n") == 1
         assert main(["invariants", str(path)]) == 2
         assert_one_error_line(capsys)
+
+    @pytest.mark.parametrize("u0, kind", [
+        ("[" + "0, " * (10**6 - 1) + "0]", "an array"),
+        ("[" * 980 + "]" * 980, "an array"),
+        ('"' + "7" * 10**6 + '"', "a string"),
+    ], ids=["list-of-1e6-zeros", "nested-980-deep", "string-of-1e6-chars"])
+    def test_non_number_error_is_bounded(self, tmp_path, u0, kind):
+        # The line names the value's JSON type, not its text. A process of
+        # its own: under the test runner's stack the nested lists would
+        # reach the parser's recursion limit first.
+        import subprocess
+        import sys
+
+        path = tmp_path / "big.json"
+        path.write_text('{"format": "bloch", "u": [' + u0 + ', 0, 0], "v": [0, 0, 0], '
+                        '"C": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
+        proc = subprocess.run([sys.executable, "-m", "blochinv.cli", "equiv", str(path),
+                               str(path)], capture_output=True, text=True)
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: {path}: u[0]: expected a number, got {kind}\n"
+        assert len(proc.stderr) - len(f"error: {path}") < 200
 
     @staticmethod
     def _density(diag, entries):

@@ -305,3 +305,10 @@ class TestSignedPermArithmetic:
             for got, want in zip(lmm_weyl_pair(g), (np.diag(e1) @ pm, np.diag(e2) @ pm)):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+
+    def test_weyl_pair_of_odd_sign_pattern_raises(self):
+        odd = [g for g in signed_permutations() if g.sign_product() == -1]
+        assert len(odd) == 24
+        for g in odd:
+            with pytest.raises(ValueError, match="only even sign patterns"):
+                lmm_weyl_pair(g)

@@ -235,3 +235,8 @@ class TestRowChecks:
     def test_vector_error_precedence(self, v, message):
         with pytest.raises(ValueError, match=f"^probe {message}"):
             linalg._vec3(v, "probe")
+
+    def test_empty_input_names_its_shape(self):
+        # _shape stops at an empty sequence: it has no first entry to read.
+        with pytest.raises(ValueError, match=r"^det3 input must have shape \(3, 3\), got \(0,\)$"):
+            linalg.det3([])

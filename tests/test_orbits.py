@@ -438,17 +438,17 @@ def rebind(monkeypatch, name, replacement):
 
 @pytest.fixture
 def eig_sym3_calls(monkeypatch):
-    """Count calls of the eigen kernel body, linalg._eig_rows, made through
+    """Count calls of the eigen kernel entry, linalg.eig_sym3, made through
     every module attribute bound to it: every diagonalization goes through
-    eig_sym3 and so through it."""
-    original = linalg._eig_rows
+    it."""
+    original = linalg.eig_sym3
     calls = []
 
     def counted(*args, **kwargs):
         calls.append(args)
         return original(*args, **kwargs)
 
-    rebind(monkeypatch, "_eig_rows", counted)
+    rebind(monkeypatch, "eig_sym3", counted)
     return calls
 
 
@@ -542,9 +542,10 @@ def conversions(monkeypatch):
 
 
 class TestChecksOnce:
-    """Each matrix and vector argument is converted once per call of a public
-    function, however many public functions it is handed on to: a check of
-    an already-checked pair or vector returns it as it is."""
+    """Each matrix argument is converted once per call of a public function,
+    however many public functions it is handed on to: a check of an
+    already-checked pair returns it as it is. A vector is read again by
+    each public function it reaches."""
 
     @pytest.mark.parametrize("k", [-1, 5])  # the decider's scale is 1, then 64
     def test_decide_equiv_sym(self, conversions, k):
@@ -554,7 +555,7 @@ class TestChecksOnce:
         ra, rb = haar_so3(rng), haar_so3(rng)
         sa, sb = (ra.T @ w, ra.T @ lam @ ra), (rb.T @ w, rb.T @ lam @ rb)
         assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
-        assert conversions == {"_rows3": 2, "_vec3": 2}
+        assert conversions == {"_rows3": 2, "_vec3": 4}
 
     def test_sym_invariants(self, conversions):
         sym_invariants([0.3, -0.2, 0.5], np.diag([3.1, 1.2, -2.4]))
@@ -640,6 +641,34 @@ def test_tol_must_be_finite_and_positive(tol):
             decide_equiv_lmm(*lmm_pair, tol=tol)
         with pytest.raises(ValueError, match="tol must be finite and positive"):
             decide_equiv_sym(*sym_pair, tol=tol)
+
+
+class TestWitnessResidual:
+    """A pair whose gate distances are within tol, 0.0 for a state against
+    itself, still needs a witness within 10 tol max(1, size): a bound below
+    the rounding of the witness products gives INDETERMINATE, not
+    EQUIVALENT, and an exact witness passes any bound."""
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-17])
+    @pytest.mark.parametrize("stratum", ["lmm", "sym"])
+    def test_generic_state_against_itself(self, stratum, tol):
+        rng = np.random.default_rng(41)
+        r1, r2 = haar_so3(rng), haar_so3(rng)
+        if stratum == "lmm":
+            c = r1 @ np.diag([0.9, 0.5, -0.2]) @ r2.T
+            verdict = decide_equiv_lmm(c, c, tol=tol)
+        else:
+            state = (r2 @ [0.3, -0.8, 0.5], r1.T @ np.diag([0.7, 0.1, -0.4]) @ r1)
+            verdict = decide_equiv_sym(state, state, tol=tol)
+        assert (verdict.verdict, verdict.witness, verdict.invariant_distance) == (
+            Verdict.INDETERMINATE, None, 0.0)
+
+    def test_identity_has_an_exact_witness(self):
+        verdict = decide_equiv_lmm(np.eye(3), np.eye(3), tol=1e-300)
+        assert verdict.verdict is Verdict.EQUIVALENT
+        assert verdict.invariant_distance == 0.0
+        r1, r2 = verdict.witness
+        assert r1 == r2 == np.eye(3).tolist()
 
 
 def _hex_items(x):

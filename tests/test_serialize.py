@@ -46,6 +46,14 @@ class TestDumps:
         with pytest.raises(ValueError):
             dumps(float("nan"))
 
+    def test_rejects_non_string_key(self):
+        with pytest.raises(TypeError, match="keys must be strings"):
+            dumps({"u": [0.0], 1: [0.0]})
+
+    def test_rejects_unsupported_object(self):
+        with pytest.raises(TypeError, match="cannot serialize object of type complex"):
+            dumps({"z": 1j})
+
     def test_deterministic(self):
         doc = density_document(bell_projector("psi-"))
         assert dumps(doc) == dumps(doc)

@@ -415,6 +415,10 @@ class TestPartialTrace:
             assert norm_inf(np.subtract(bloch_vector(partial_trace(rho, 1)), b.u)) <= 1e-12
             assert norm_inf(np.subtract(bloch_vector(partial_trace(rho, 2)), b.v)) <= 1e-12
 
+    def test_third_factor_raises(self):
+        with pytest.raises(ValueError, match="which must be 1 or 2"):
+            partial_trace(MAX_MIXED, 3)
+
 
 def hexes(rows):
     """float.hex of the real and imaginary parts of rows of complex numbers."""
