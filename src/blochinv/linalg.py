@@ -13,18 +13,17 @@ _rows3 returns (rows, norm) as a _Checked pair and a _Checked argument as
 it is, as _sym_rows3 does after its symmetry test (a pair does not imply
 symmetry); _scaled keeps a pair checked. A function hands its pair to the
 public functions it calls, so every call keeps its check while a decision
-converts each matrix once. A matrix passes through later checks; a
-vector (three floats) is read again: _Checked is the only checked type.
+converts each matrix once. _vec3 likewise passes a _CheckedVec through.
 No function here imports numpy: an array is read through its tolist. The
 records returned here hold lists of Python floats (rows for a matrix).
 Both kernels divide their input exactly by a power of two and multiply
 their values back, so they run at any finite scale and raise
 NotRepresentable for a value beyond the double range. Both kernels are
-straight-line code on named locals, one per matrix entry, each behind one
-entry layer, its public function: eig_sym3, through which every
-diagonalization in the package goes, and signed_svd3 each check, divide,
-look up their body's memo, multiply back, make their own NotRepresentable
-test and return fresh lists.
+straight-line code on named locals, one per matrix entry, behind one
+entry layer, the public eig_sym3 (through which every diagonalization in
+the package goes) and signed_svd3, which has the same steps: check,
+divide, memo lookup, multiply back, its own NotRepresentable test and
+fresh lists.
 
 Each kernel body (_eig_body, _svd_body) sits behind a memo of its last 16
 distinct inputs (_MEMO_SIZE, an lru_cache), because one decision
@@ -179,6 +178,13 @@ class _Checked(tuple):
     __slots__ = ()
 
 
+class _CheckedVec(tuple):
+    """A 3-vector of finite Python floats: the symmetric decider's checked
+    vectors divided by a power of two >= 1."""
+
+    __slots__ = ()
+
+
 def _rows3(a, what):
     """Rows of a 3x3 input as Python floats and its entrywise infinity norm,
     as a _Checked pair; ValueError unless the shape is (3, 3) and every
@@ -220,7 +226,9 @@ def _rows3(a, what):
 def _vec3(v, what):
     """A 3-vector input as a list of three Python floats; ValueError unless
     the shape is (3,) and every entry is finite. Written and ordered like
-    _rows3, with no pass-through: each call reads its three floats again."""
+    _rows3; a _CheckedVec argument is returned as it is."""
+    if type(v) is _CheckedVec:
+        return v
     v = v.tolist() if hasattr(v, "tolist") else v
     if not (isinstance(v, _SEQUENCE) and len(v) == 3):
         raise _shape_error(what, (3,), v)

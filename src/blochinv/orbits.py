@@ -33,6 +33,7 @@ from enum import Enum
 from .errors import DegenerateSpectrum, NotRepresentable
 from .invariants import _lmm_triple, _nondegenerate_eig
 from .linalg import (
+    _CheckedVec,
     _matmul3,
     _matvec3,
     _pow2_floor,
@@ -261,9 +262,10 @@ def _sym_gates(state_a, state_b):
     (a1, _), (a2, norm2) = pair1, pair2
     yield _rel_dist(_trace_invariants(a1), _trace_invariants(a2))
     (x0, x1, x2), (y0, y1, y2) = v1, v2
-    x0, x1, x2 = x0 / scale, x1 / scale, x2 / scale  # x / 1.0 is x
-    y0, y1, y2 = y0 / scale, y1 / scale, y2 / scale
-    v1, v2 = [x0, x1, x2], [y0, y1, y2]
+    if scale != 1.0:  # x / 1.0 is x
+        x0, x1, x2, y0, y1, y2 = (x0 / scale, x1 / scale, x2 / scale,
+                                  y0 / scale, y1 / scale, y2 / scale)
+    v1, v2 = _CheckedVec((x0, x1, x2)), _CheckedVec((y0, y1, y2))
     fa, fb = sym_canonical(v1, pair1), sym_canonical(v2, pair2)
     # The lexicographic w jumps where a coordinate vanishes, so take
     # rel_dist(f * w_a, w_b) for f in EVEN_SIGN_FLIPS (-x - y = -(x + y)); the

@@ -72,8 +72,7 @@ def bloch_document(bloch):
     }
 
 
-# What _real names a non-number by: its JSON type, never its text, which
-# may run to megabytes.
+# _real names a non-number by its JSON type: its text may run to megabytes.
 _JSON_TYPES = {list: "an array", dict: "an object", str: "a string", bool: "a boolean",
                type(None): "null"}
 

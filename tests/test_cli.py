@@ -381,7 +381,6 @@ class TestTypedErrors:
                                str(path)], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr == f"error: {path}: u[0]: expected a number, got {kind}\n"
-        assert len(proc.stderr) - len(f"error: {path}") < 200
 
     @staticmethod
     def _density(diag, entries):

@@ -6,16 +6,15 @@ except, or except Exception or BaseException), and one function,
 orbits._decide, builds every EquivalenceVerdict and is the only one to
 catch DegenerateSpectrum. The input checks linalg._rows3, _vec3 and
 _sym_rows3 are straight-line: no loop, comprehension, generator, lambda,
-map, all or any. A checked pair (linalg._Checked), the only checked
-type, is built only by _rows3 and _scaled, and no function returns or
-stores a pair whole; a vector has no checked type and is read again by
-each check. Every top-level function and class of a package module is
-loaded by name somewhere in the package, so no layer outlives its last
-package caller. Only blochinv.groups and blochinv.verify import numpy:
-the modules of the command-line path import it nowhere, not even inside
-a function body, importing the package loads neither of the two,
-and the state and Jacobian functions that used to return arrays run with
-numpy blocked.
+map, all or any. A checked pair (linalg._Checked) is built only by
+_rows3 and _scaled, a checked vector (_CheckedVec) only by the symmetric
+decider, and no function returns or stores a pair whole. Every top-level
+function and class of a package module is referenced somewhere in the
+package, so no layer outlives its last package caller. Only
+blochinv.groups and blochinv.verify import numpy: the modules of the
+command-line path import it nowhere, not even inside a function body,
+importing the package loads neither of the two, and the state and
+Jacobian functions that used to return arrays run with numpy blocked.
 
 __init__.py is exempt from the import check: its imports are the public
 re-exports.
@@ -218,15 +217,17 @@ def test_detects_iteration():
 # The functions that hand out a checked pair (linalg._Checked) whole: the
 # check, the check with its symmetry test, and the division.
 PAIR_SOURCES = ("_rows3", "_sym_rows3", "_scaled")
+CHECKED_TYPES = ("_Checked", "_CheckedVec")
 
 
 def checked_builds(source):
-    """(line, function, type) of every call of _Checked in the top-level
-    functions of source."""
+    """(line, function, type) of every call of _Checked or _CheckedVec in
+    the top-level functions of source."""
     return sorted((node.lineno, top.name, node.func.id)
                   for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)
                   for node in ast.walk(top)
-                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Checked")
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None)
+                  in CHECKED_TYPES)
 
 
 def pair_escapes(source):
@@ -273,7 +274,8 @@ def pair_escapes(source):
 def test_checked_pairs_stay_inside():
     builds = {(path.name, owner, kind) for path in MODULES
               for _, owner, kind in checked_builds(path.read_text())}
-    assert builds == {("linalg.py", "_rows3", "_Checked"), ("linalg.py", "_scaled", "_Checked")}
+    assert builds == {("linalg.py", "_rows3", "_Checked"), ("linalg.py", "_scaled", "_Checked"),
+                      ("orbits.py", "_sym_gates", "_CheckedVec")}
     for path in MODULES:
         assert pair_escapes(path.read_text()) == [], path.name
 
@@ -283,37 +285,47 @@ def test_detects_checked_pairs():
               "def f(a):\n    pair = _rows3(a)\n    rows = pair[0]\n    return _g(pair), rows\n"
               "def g(a, s):\n    p, q = _scaled(a, s), 2\n    (r, n), m = p, _rows3(a)\n"
               "    x = Record(w=p)\n    x.f = m\n    yield [n, r, *m], x\n    return _Checked(r)\n"
-              "def h(a):\n    p = _sym_rows3(a)\n    p = p[0]\n    return p, _Checked(a)\n")
+              "def h(a):\n    p = _sym_rows3(a)\n    p = p[0]\n    return p, _CheckedVec(a)\n")
     assert checked_builds(source) == [(2, "_rows3", "_Checked"), (13, "g", "_Checked"),
-                                      (17, "h", "_Checked")]
+                                      (17, "h", "_CheckedVec")]
     assert pair_escapes(source) == [(11, "g"), (12, "g")]
 
 
 def orphans(sources):
     """(module, name) of every top-level function and class of the modules
-    in sources, a dict from file name to source, that no module loads by
-    name (as a name or an attribute) outside its own body. In __init__.py
-    the names its imports re-export and the strings of _LAZY count as
-    loaded, and nothing it defines is a candidate."""
-    defined, loads = [], []
+    in sources, a dict from file name to source, that no module references
+    outside its own body. A reference is a bare name in the defining
+    module, a name imported by from .module import name, or module.name
+    where module is bound by from . import module; the names of
+    dict.fromkeys in __init__.py (_LAZY) count for the module it names.
+    Nothing __init__.py defines is a candidate."""
+    defined, used = set(), set()
     for module, source in sources.items():
-        for top in ast.parse(source).body:
+        tree = ast.parse(source)
+        bound = {}  # local name -> the module file it is bound to
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None:
+                        bound[alias.asname or alias.name] = f"{alias.name}.py"
+                    else:
+                        used.add((f"{node.module}.py", alias.name))
+        for top in tree.body:
             own = getattr(top, "name", None)
             if module != "__init__.py" and isinstance(top, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, own))
+                defined.add((module, own))
             for node in ast.walk(top):
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-                    loads.append((module, own, node.id))
-                elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-                    loads.append((module, own, node.attr))
-            if module == "__init__.py" and isinstance(top, ast.ImportFrom):
-                loads.extend((module, None, alias.asname or alias.name) for alias in top.names)
-            if module == "__init__.py" and isinstance(top, ast.Assign) and any(
-                    getattr(t, "id", None) == "_LAZY" for t in top.targets):
-                loads.extend((module, None, node.value) for node in ast.walk(top.value)
-                             if isinstance(node, ast.Constant) and isinstance(node.value, str))
-    return sorted((module, name) for module, name in defined
-                  if not any(n == name and (m, o) != (module, name) for m, o, n in loads))
+                    if node.id != own:
+                        used.add((module, node.id))
+                elif (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                      and isinstance(node.value, ast.Name) and node.value.id in bound):
+                    used.add((bound[node.value.id], node.attr))
+                elif (module == "__init__.py" and isinstance(node, ast.Call)
+                      and getattr(node.func, "attr", None) == "fromkeys"):
+                    names, target = node.args
+                    used.update((f"{target.value}.py", name.value) for name in names.elts)
+    return sorted(defined - used)
 
 
 def test_no_helper_only_tests_call():
@@ -326,11 +338,14 @@ def test_detects_orphans():
         "__init__.py": "from .a import f\n_LAZY = {**dict.fromkeys(('g',), 'a')}\n"
                        "def unused():\n    pass\n",
         "a.py": "def f():\n    return 1\ndef g():\n    pass\ndef h(n):\n    return h(n - 1)\n"
-                "class K:\n    pass\ndef _used():\n    pass\n"
+                "class K:\n    pass\ndef _used():\n    pass\ndef _lonely():\n    pass\n"
                 "def _orphan(x):\n    return _used() + x.attr_used\n",
-        "b.py": "from . import a\ndef attr_used():\n    pass\nclass L(a.K):\n    pass\n",
+        "b.py": "from . import a as m\ndef attr_used():\n    pass\ndef by_import():\n    pass\n"
+                "class L(m.K):\n    def f(self, _lonely):\n        return _lonely\n",
+        "c.py": "from .b import by_import as bi\nVALUE = bi()\n",
     }
-    assert orphans(sources) == [("a.py", "_orphan"), ("a.py", "h"), ("b.py", "L")]
+    assert orphans(sources) == [("a.py", "_lonely"), ("a.py", "_orphan"), ("a.py", "h"),
+                                ("b.py", "L"), ("b.py", "attr_used")]
 
 
 def numpy_imports(source):
