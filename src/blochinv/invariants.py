@@ -207,7 +207,12 @@ def octahedral_invariants(v):
     the sign of p4 is tracked through exact comparisons, so the returned
     values are bitwise invariant under the group, not only up to roundoff.
     """
-    v0, v1, v2 = _vec3(v, "octahedral_invariants input")
+    return _octahedral_unchecked(_vec3(v, "octahedral_invariants input"))
+
+
+def _octahedral_unchecked(v):
+    """octahedral_invariants on a 3-vector of floats already checked finite."""
+    v0, v1, v2 = v
     a0, a1, a2 = sorted((abs(v0), abs(v1), abs(v2)))
     x0, x1, x2 = a0 * a0, a1 * a1, a2 * a2
     p1 = (x0 + x1) + x2
@@ -334,7 +339,7 @@ def sym_invariants(v, a):
     # X, Y have degree 0 in v and Z degree 1 (Z^2 = p1 P9(1, X, Y)); taking them
     # on R v / s, s = 2^floor(log2 |v|_inf), is exact and overflows no p_k.
     scale = _pow2_floor(norm)
-    oct_inv = octahedral_invariants(_matvec3(rotation, [x0 / scale, x1 / scale, x2 / scale]))
+    oct_inv = _octahedral_unchecked(_matvec3(rotation, [x0 / scale, x1 / scale, x2 / scale]))
     tr_a, tr_a2, det_a = _trace_invariants(pair[0])
     return SymInvariants(pX=oct_inv.X, pY=oct_inv.Y, pZ=oct_inv.Z * scale,
                          trA=tr_a, trA2=tr_a2, detA=det_a)

@@ -11,9 +11,11 @@ or generator: a shape test, one float() per entry, one finiteness test
 and, for a matrix, its norm as one max.
 _rows3 returns (rows, norm) as a _Checked pair and a _Checked argument as
 it is, as _sym_rows3 does after its symmetry test (a pair does not imply
-symmetry); _scaled keeps a pair checked. A function hands its pair to the
+symmetry); _scaled keeps a pair checked. _Checked is the only checked
+type: a matrix pair passes through later checks, and a vector is read once
+by each public function it reaches. A function hands its pair to the
 public functions it calls, so every call keeps its check while a decision
-converts each matrix once. _vec3 likewise passes a _CheckedVec through.
+converts each matrix once.
 No function here imports numpy: an array is read through its tolist. The
 records returned here hold lists of Python floats (rows for a matrix).
 Both kernels divide their input exactly by a power of two and multiply
@@ -178,13 +180,6 @@ class _Checked(tuple):
     __slots__ = ()
 
 
-class _CheckedVec(tuple):
-    """A 3-vector of finite Python floats: the symmetric decider's checked
-    vectors divided by a power of two >= 1."""
-
-    __slots__ = ()
-
-
 def _rows3(a, what):
     """Rows of a 3x3 input as Python floats and its entrywise infinity norm,
     as a _Checked pair; ValueError unless the shape is (3, 3) and every
@@ -226,9 +221,8 @@ def _rows3(a, what):
 def _vec3(v, what):
     """A 3-vector input as a list of three Python floats; ValueError unless
     the shape is (3,) and every entry is finite. Written and ordered like
-    _rows3; a _CheckedVec argument is returned as it is."""
-    if type(v) is _CheckedVec:
-        return v
+    _rows3, but every argument is converted: a vector is read once by each
+    public function it reaches."""
     v = v.tolist() if hasattr(v, "tolist") else v
     if not (isinstance(v, _SEQUENCE) and len(v) == 3):
         raise _shape_error(what, (3,), v)

@@ -140,13 +140,41 @@ def _parse_int(digits):
     return int(digits)
 
 
+# The deepest nesting of arrays and objects a state text may have, the
+# outermost at depth 1; the schema needs 4 (a density entry). json.loads
+# counts its caller's stack frames against the recursion limit, so without
+# a bound of its own one text would parse at one stack depth and not at
+# another.
+_MAX_DEPTH = 64
+_TOO_DEEP = "invalid JSON: nested too deeply"
+
+
+def _too_deep(doc):
+    """Whether an array or object of a parsed JSON value lies deeper than
+    _MAX_DEPTH, found with an explicit stack: no recursion, so the answer
+    does not depend on the caller's stack depth."""
+    stack = [(doc, 1)]
+    while stack:
+        value, depth = stack.pop()
+        if isinstance(value, dict):
+            value = value.values()
+        elif not isinstance(value, list):
+            continue
+        if depth > _MAX_DEPTH:
+            return True
+        stack.extend((x, depth + 1) for x in value if isinstance(x, (list, dict)))
+    return False
+
+
 def loads_state(text):
     try:
         doc = json.loads(text, parse_int=_parse_int)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:
-        raise StateFormatError("invalid JSON: nested too deeply") from None
+        raise StateFormatError(_TOO_DEEP) from None
+    if _too_deep(doc):
+        raise StateFormatError(_TOO_DEEP)
     return parse_state_document(doc)
 
 

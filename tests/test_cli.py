@@ -362,15 +362,14 @@ class TestTypedErrors:
         assert main(["invariants", str(path)]) == 2
         assert_one_error_line(capsys)
 
-    @pytest.mark.parametrize("u0, kind", [
-        ("[" + "0, " * (10**6 - 1) + "0]", "an array"),
-        ("[" * 980 + "]" * 980, "an array"),
-        ('"' + "7" * 10**6 + '"', "a string"),
+    @pytest.mark.parametrize("u0, message", [
+        ("[" + "0, " * (10**6 - 1) + "0]", "u[0]: expected a number, got an array"),
+        ("[" * 980 + "]" * 980, "invalid JSON: nested too deeply"),
+        ('"' + "7" * 10**6 + '"', "u[0]: expected a number, got a string"),
     ], ids=["list-of-1e6-zeros", "nested-980-deep", "string-of-1e6-chars"])
-    def test_non_number_error_is_bounded(self, tmp_path, u0, kind):
-        # The line names the value's JSON type, not its text. A process of
-        # its own: under the test runner's stack the nested lists would
-        # reach the parser's recursion limit first.
+    def test_non_number_error_is_bounded(self, tmp_path, u0, message):
+        # The line names the value's JSON type or its nesting, not its text,
+        # from a CLI process of its own.
         import subprocess
         import sys
 
@@ -380,7 +379,7 @@ class TestTypedErrors:
         proc = subprocess.run([sys.executable, "-m", "blochinv.cli", "equiv", str(path),
                                str(path)], capture_output=True, text=True)
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr == f"error: {path}: u[0]: expected a number, got {kind}\n"
+        assert proc.stderr == f"error: {path}: {message}\n"
 
     @staticmethod
     def _density(diag, entries):

@@ -6,9 +6,9 @@ except, or except Exception or BaseException), and one function,
 orbits._decide, builds every EquivalenceVerdict and is the only one to
 catch DegenerateSpectrum. The input checks linalg._rows3, _vec3 and
 _sym_rows3 are straight-line: no loop, comprehension, generator, lambda,
-map, all or any. A checked pair (linalg._Checked) is built only by
-_rows3 and _scaled, a checked vector (_CheckedVec) only by the symmetric
-decider, and no function returns or stores a pair whole. Every top-level
+map, all or any. A checked pair (linalg._Checked), the one checked type,
+is built only by _rows3 and _scaled, and no function returns or stores a
+pair whole; a vector is read once by each public function it reaches. Every top-level
 function and class of a package module is referenced somewhere in the
 package, so no layer outlives its last package caller. Only
 blochinv.groups and blochinv.verify import numpy: the modules of the
@@ -217,17 +217,13 @@ def test_detects_iteration():
 # The functions that hand out a checked pair (linalg._Checked) whole: the
 # check, the check with its symmetry test, and the division.
 PAIR_SOURCES = ("_rows3", "_sym_rows3", "_scaled")
-CHECKED_TYPES = ("_Checked", "_CheckedVec")
-
-
 def checked_builds(source):
-    """(line, function, type) of every call of _Checked or _CheckedVec in
-    the top-level functions of source."""
+    """(line, function, type) of every call of _Checked in the top-level
+    functions of source."""
     return sorted((node.lineno, top.name, node.func.id)
                   for top in ast.parse(source).body if isinstance(top, ast.FunctionDef)
                   for node in ast.walk(top)
-                  if isinstance(node, ast.Call) and getattr(node.func, "id", None)
-                  in CHECKED_TYPES)
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Checked")
 
 
 def pair_escapes(source):
@@ -274,8 +270,7 @@ def pair_escapes(source):
 def test_checked_pairs_stay_inside():
     builds = {(path.name, owner, kind) for path in MODULES
               for _, owner, kind in checked_builds(path.read_text())}
-    assert builds == {("linalg.py", "_rows3", "_Checked"), ("linalg.py", "_scaled", "_Checked"),
-                      ("orbits.py", "_sym_gates", "_CheckedVec")}
+    assert builds == {("linalg.py", "_rows3", "_Checked"), ("linalg.py", "_scaled", "_Checked")}
     for path in MODULES:
         assert pair_escapes(path.read_text()) == [], path.name
 
@@ -285,9 +280,9 @@ def test_detects_checked_pairs():
               "def f(a):\n    pair = _rows3(a)\n    rows = pair[0]\n    return _g(pair), rows\n"
               "def g(a, s):\n    p, q = _scaled(a, s), 2\n    (r, n), m = p, _rows3(a)\n"
               "    x = Record(w=p)\n    x.f = m\n    yield [n, r, *m], x\n    return _Checked(r)\n"
-              "def h(a):\n    p = _sym_rows3(a)\n    p = p[0]\n    return p, _CheckedVec(a)\n")
+              "def h(a):\n    p = _sym_rows3(a)\n    p = p[0]\n    return p, _Checked(a)\n")
     assert checked_builds(source) == [(2, "_rows3", "_Checked"), (13, "g", "_Checked"),
-                                      (17, "h", "_CheckedVec")]
+                                      (17, "h", "_Checked")]
     assert pair_escapes(source) == [(11, "g"), (12, "g")]
 
 

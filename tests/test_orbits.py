@@ -9,7 +9,7 @@ import pytest
 from blochinv import linalg, orbits
 from blochinv.errors import DegenerateSpectrum, NotRepresentable, NotSymmetric, ZeroVector
 from blochinv.groups import haar_so3, lmm_weyl_action_group, lmm_weyl_pair
-from blochinv.invariants import sym_invariants
+from blochinv.invariants import octahedral_invariants, sym_invariants
 from blochinv.linalg import rotation_residual
 from blochinv.orbits import (
     Verdict,
@@ -542,9 +542,10 @@ def conversions(monkeypatch):
 
 
 class TestChecksOnce:
-    """Each matrix and vector argument is converted once per call of a public
-    function, however many public functions it is handed on to: a check of
-    an already-checked pair or vector returns it as it is."""
+    """Each matrix argument is converted once per call of a public function,
+    however many public functions it is handed on to: a check of an
+    already-checked pair returns it as it is. A vector is converted once by
+    each public function it reaches."""
 
     @pytest.mark.parametrize("k", [-1, 5])  # the decider's scale is 1, then 64
     def test_decide_equiv_sym(self, conversions, k):
@@ -554,11 +555,12 @@ class TestChecksOnce:
         ra, rb = haar_so3(rng), haar_so3(rng)
         sa, sb = (ra.T @ w, ra.T @ lam @ ra), (rb.T @ w, rb.T @ lam @ rb)
         assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
-        assert conversions == {"_rows3": 2, "_vec3": 2}
+        assert conversions == {"_rows3": 2, "_vec3": 4}
 
     def test_sym_invariants(self, conversions):
         sym_invariants([0.3, -0.2, 0.5], np.diag([3.1, 1.2, -2.4]))
         assert conversions["_rows3"] == 1
+        assert conversions["_vec3"] == 1
 
     def test_eig_sym3_of_a_checked_pair(self, conversions):
         a = np.array([[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
@@ -790,3 +792,67 @@ class TestDecideUnscaledPath:
                     assert (_hex_items(scaled.invariant_distance)
                             == _hex_items(base.invariant_distance))
                     assert _hex_items(scaled.witness) == _hex_items(base.witness)
+
+
+def _sym_pinned_states():
+    """300 seeded symmetric states (v, A), built with the fixed-order
+    linalg._matmul3 so that no input depends on the BLAS build: 224 with a
+    random v and spectrum at scales 2^-6 to 2^6, one in four with a
+    repeated eigenvalue; one v scaled by 2^k for k = -1000..1000 in steps
+    of 50, and two near the top of the double range; axis-aligned v of
+    either sign; and zero v, signed zeros included. Every other state
+    holds arrays, the rest lists."""
+    rng = np.random.default_rng(2811)
+    mm, t = linalg._matmul3, linalg._transpose
+
+    def rotated(lam):
+        r = haar_so3(rng).tolist()
+        return mm(mm(t(r), np.diag(lam).tolist()), r)
+
+    states = []
+    for i in range(224):
+        scale = 2.0 ** int(rng.integers(-6, 7))
+        lam = (scale * rng.uniform(-1.0, 1.0, 3)).tolist()
+        if i % 4 == 3:
+            lam[2] = lam[0]
+        states.append(((scale * rng.uniform(-1.0, 1.0, 3)).tolist(), rotated(lam)))
+    a = rotated([3.1, 1.2, -2.4])
+    w = rng.uniform(-1.0, 1.0, 3).tolist()
+    states += [([2.0 ** k * x for x in w], a) for k in range(-1000, 1001, 50)]
+    states += [([1.7e308, -1.1e308, 0.9e308], a), ([1.7e308, 0.0, 0.0], a)]
+    for axis in range(3):
+        for x in (1.0, -0.75, 2.0 ** -600, -(2.0 ** 600)):
+            v = [0.0, 0.0, 0.0]
+            v[axis] = x
+            states += [(v, a), (v, np.diag([0.5, -0.25, 2.0]).tolist())]
+    for v in ([0.0, 0.0, 0.0], [-0.0, 0.0, -0.0], [1e-13, -1e-13, 0.0]):
+        states += [(v, a), (v, np.diag([0.5, -0.25, 2.0]).tolist()), (v, rotated([1.0, 1.0, -1.0]))]
+    return [(np.array(v), np.array(m)) if i % 2 else (v, m) for i, (v, m) in enumerate(states)]
+
+
+class TestSymPinned:
+    """The symmetric public functions in float.hex over the seeded states of
+    _sym_pinned_states: sym_invariants(...).as_tuple(), sym_canonical's
+    eigs, w and witness, and octahedral_invariants(v).as_dict(), each error
+    recorded by its type. The digest was recorded before sym_invariants
+    took the octahedral invariants of R v / s through the unchecked body."""
+
+    DIGEST = "3d205b4bbe8734b19bf76bca25b3f31b9b580f7396196137401a06532cb27969"
+
+    @staticmethod
+    def _line(f):
+        try:
+            return _hex_items(f())
+        except (DegenerateSpectrum, NotRepresentable, ZeroVector) as exc:
+            return type(exc).__name__
+
+    def test_digest(self):
+        lines = []
+        for v, a in _sym_pinned_states():
+            lines.append(" | ".join((
+                self._line(lambda: sym_invariants(v, a).as_tuple()),
+                self._line(lambda: (lambda f: (f.eigs, f.w, f.witness))(sym_canonical(v, a))),
+                self._line(lambda: list(octahedral_invariants(v).as_dict().values())))))
+        kinds = {kind for line in lines for kind in line.split(" | ") if " " not in kind}
+        assert kinds == {"DegenerateSpectrum", "NotRepresentable", "ZeroVector"}, kinds
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST

@@ -1,6 +1,8 @@
 """Tests for state files and JSON emission."""
 
 import json
+import re
+import sys
 
 import numpy as np
 import pytest
@@ -214,3 +216,46 @@ class TestIntegerLiterals:
     def test_deep_nesting_is_a_format_error(self):
         with pytest.raises(StateFormatError, match="nested too deeply"):
             loads_state("[" * 100_000)
+
+
+class TestNestingDepth:
+    """A state text nested deeper than the schema allows gives one message
+    at any stack depth of the caller: json.loads counts the caller's frames
+    against the recursion limit, the depth bound after it does not. A
+    980-deep text in a CLI process of its own is a case of
+    test_cli.py::TestTypedErrors::test_non_number_error_is_bounded."""
+
+    @staticmethod
+    def _text(depth):
+        """A Bloch text whose u[0] nests empty lists down to depth, the
+        object counting 1 and u 2."""
+        return ('{"format": "bloch", "u": [' + "[" * (depth - 2) + "]" * (depth - 2)
+                + ', 0, 0], "v": [0, 0, 0], "C": [[0, 0, 0], [0, 0, 0], [0, 0, 0]]}')
+
+    @staticmethod
+    def _message(text, frames):
+        """loads_state's error message for text, called frames deeper."""
+        if frames:
+            return TestNestingDepth._message(text, frames - 1)
+        with pytest.raises(StateFormatError) as info:
+            loads_state(text)
+        return str(info.value)
+
+    def test_one_message_at_any_stack_depth(self):
+        # Nested 30 levels short of the recursion limit at this stack depth,
+        # so that json.loads reads the text here and gives up 60 frames
+        # deeper (where it counts Python frames and nesting together).
+        frame, frames = sys._getframe(), 0
+        while frame:
+            frame, frames = frame.f_back, frames + 1
+        text = self._text(sys.getrecursionlimit() - frames - 30)
+        assert (self._message(text, 0) == self._message(text, 60)
+                == "invalid JSON: nested too deeply")
+
+    @pytest.mark.parametrize("depth", [64, 65])
+    def test_bound(self, depth):
+        # A value nested to the bound is read and fails the schema; one
+        # level deeper is the nesting error.
+        message = "u[0]: expected a number" if depth == 64 else "nested too deeply"
+        with pytest.raises(StateFormatError, match=re.escape(message)):
+            loads_state(self._text(depth))
