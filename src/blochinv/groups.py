@@ -168,11 +168,11 @@ def lmm_weyl_pair(sp):
     return e1 * pm, e2 * pm
 
 
-def lmm_normalizer_pairs():
+def lmm_normalizer_pairs(group):
     """All 96 pairs (E1 P, E2 P) of determinant +1 that map diagonal
     matrices to diagonal matrices under (R1, R2): C -> R1 C R2^T, i.e. the
-    pairs of octahedral rotations with the same permutation part."""
-    group = octahedral_group()
+    pairs of octahedral rotations with the same permutation part, from
+    group, the list octahedral_group returns."""
     return [(g.matrix(), h.matrix()) for g in group for h in group if g.perm == h.perm]
 
 

@@ -14,7 +14,7 @@ octahedral polynomials hold bit for bit, not just within tolerance.
 
 from dataclasses import dataclass
 
-from .errors import DegenerateSpectrum, ZeroVector
+from .errors import DegenerateSpectrum, NotRepresentable, ZeroVector
 from .linalg import (
     _det3_rows,
     _finite,
@@ -237,11 +237,12 @@ def p9_eval(p1, p2, p3):
 
     Evaluated in exact rational arithmetic: near the discriminant locus the
     five terms cancel down to machine epsilon times their magnitude, which
-    a plain double evaluation cannot resolve.
+    a plain double evaluation cannot resolve. ValueError unless p1, p2, p3
+    are finite; NotRepresentable when the value is not a finite double.
     """
     from fractions import Fraction  # here: no command-line path evaluates P9
 
-    q1, q2, q3 = Fraction(float(p1)), Fraction(float(p2)), Fraction(float(p3))
+    q1, q2, q3 = map(Fraction, _vec3((p1, p2, p3), "p9_eval input"))
     value = q3 * (
         q1 * q1 * q2 * q2
         - 4 * q2**3
@@ -249,7 +250,10 @@ def p9_eval(p1, p2, p3):
         + 18 * q1 * q2 * q3
         - 27 * q3 * q3
     )
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an exact value beyond the double range
+        raise NotRepresentable("p9_eval: the value is not a finite double") from None
 
 
 def g_invariant(v, a):

@@ -116,10 +116,10 @@ def lmm_canonical(c):
     collide within TIE_TOL relative to scale, in which case the witness is
     no longer unique (the diagonal still is a complete orbit datum).
     """
-    svd = signed_svd3(c)
-    d0, d1, d2 = svd.diag
+    left, right, diag = signed_svd3(_rows3(c, "lmm_canonical input"))
+    d0, d1, d2 = diag
     tie = TIE_TOL * max(1.0, d0)
-    return LmmCanonicalForm(diag=svd.diag, witness=(_transpose(svd.left), _transpose(svd.right)),
+    return LmmCanonicalForm(diag=diag, witness=(_transpose(left), _transpose(right)),
                             degenerate=d0 - d1 <= tie or d1 - abs(d2) <= tie)
 
 

@@ -5,8 +5,11 @@ Two interchangeable state formats:
     {"format": "density", "matrix": [[[re, im], ...4], ...4]}
     {"format": "bloch", "u": [3], "v": [3], "C": [[3], [3], [3]]}
 
-Numbers are IEEE-754 doubles; emission uses 17 significant digits so that
-every double round-trips exactly and output is byte-identical across runs.
+Numbers are IEEE-754 doubles: a state text's JSON numbers, integer
+literals included, read as the nearest double (one beyond the double range
+as an infinity of its sign, which the schema rejects as non-finite). Emission
+uses 17 significant digits so that every double round-trips exactly and
+output is byte-identical across runs.
 """
 
 import json
@@ -84,7 +87,7 @@ def _real(value, path):
     try:
         if math.isfinite(value):
             return float(value)
-    except OverflowError:  # an integer beyond the double range
+    except OverflowError:  # an int beyond the double range, from a Python caller
         pass
     raise StateFormatError(f"{path}: non-finite number")
 
@@ -125,21 +128,6 @@ def parse_state_document(doc):
     raise StateFormatError("format: expected 'density' or 'bloch'")
 
 
-# Every integer of more digits than this lies beyond the double range
-# (10^309 > 1.8e308); JSON integers carry no leading zeros.
-_DOUBLE_DIGITS = 309
-
-
-def _parse_int(digits):
-    """json's parse_int hook: an integer literal beyond the double range
-    reads as an infinity of its sign, as a float literal beyond it does, so
-    _real rejects it as non-finite with its path and int() never reads it
-    (int() refuses more than 4300 digits with a ValueError)."""
-    if len(digits.lstrip("-")) > _DOUBLE_DIGITS:
-        return -math.inf if digits[0] == "-" else math.inf
-    return int(digits)
-
-
 # The deepest nesting of arrays and objects a state text may have, the
 # outermost at depth 1; the schema needs 4 (a density entry). json.loads
 # counts its caller's stack frames against the recursion limit, so without
@@ -168,7 +156,7 @@ def _too_deep(doc):
 
 def loads_state(text):
     try:
-        doc = json.loads(text, parse_int=_parse_int)
+        doc = json.loads(text, parse_int=float)
     except json.JSONDecodeError as exc:
         raise StateFormatError(f"invalid JSON at line {exc.lineno}, column {exc.colno}") from exc
     except RecursionError:

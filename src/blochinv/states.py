@@ -19,10 +19,10 @@ read the same state several times: classify after bloch_of, or the CLI's
 parse, table and positivity test of one density file. The key is the bytes
 of the 32 doubles of the converted entries, so -0.0 and 0.0 are different
 keys, and an array, its list and its tuple share one. The memo stores
-tuples only and never an error: each call makes its own NotRepresentable
-test on the table and returns fresh lists, validate_density the caller's
-own converted complex numbers. So no output bit depends on the memo's
-state.
+only the table, as a tuple, and its scale, never an error: each call makes
+its own NotRepresentable test on the table and returns fresh lists, and
+validate_density and is_positive read the caller's own converted complex
+numbers. So no output bit depends on the memo's state.
 
 Index conventions, fixed once for the whole package:
   * qubit 1 is the left tensor factor, composite index = 2*i1 + i2;
@@ -106,7 +106,7 @@ def _checked_density(rho):
     and tolerance tests in _density_body, through its memo, on the packed
     real and imaginary parts of the 16 entries. Returns the rows of rho,
     fresh lists of the complex numbers converted here, and the body's
-    tuple (table, re, im, scale)."""
+    pair (table, scale)."""
     rho = rho.tolist() if hasattr(rho, "tolist") else rho
     if not (isinstance(rho, _SEQUENCE) and len(rho) == 4):
         raise _density_shape_error(rho)
@@ -140,10 +140,10 @@ def _checked_density(rho):
 def _density_body(key):
     """The tests and the correlation table of a density matrix, on the
     packed real and then imaginary parts of its 16 entries in row-major
-    order: the table, tr(rho sigma_a (x) sigma_b) in row-major order; the
-    real and the imaginary parts of rho / s; and s, the power of two that
-    brings max(1, largest real or imaginary part) into [1, 2), 1 below 2.
-    All four as tuples (s a float); an error is raised, never stored.
+    order: the table, tr(rho sigma_a (x) sigma_b) in row-major order, as a
+    tuple; and s, the power of two that brings max(1, largest real or
+    imaginary part) into [1, 2), 1 below 2. An error is raised, never
+    stored.
 
     One finiteness test of the 32 parts (x * 0.0 is 0.0 unless x is NaN or
     +-Inf), then the Hermitian and unit-trace tests on the 32 named parts
@@ -201,10 +201,7 @@ def _density_body(key):
         (x00 + x11 - x22 - x33 + 0.0) * scale, (x10 + x01 - x32 - x23 + 0.0) * scale,
         (y10 - y01 - y32 + y23 + 0.0) * scale, (x00 - x11 - x22 + x33 + 0.0) * scale,
     )
-    return (table,
-            (x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33),
-            (y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33),
-            scale)
+    return table, scale
 
 
 def _table(rho):
@@ -347,11 +344,12 @@ def is_positive(rho):
     where the smallest eigenvalue lies within a few eps |rho|_inf of
     -POSITIVITY_TOL.
     """
-    _, re, im, scale = _checked_density(rho)[1]
-    m = list(map(complex, re, im))
+    rows, (_, scale) = _checked_density(rho)
+    if scale != 1.0:  # x / 1.0 is x
+        rows = [[complex(z.real / scale, z.imag / scale) for z in row] for row in rows]
     shift = POSITIVITY_TOL / scale
     lower = []  # rows of L with rho / s + shift I = L L^dagger; a float diagonal
-    for i, row in enumerate((m[0:4], m[4:8], m[8:12], m[12:16])):
+    for i, row in enumerate(rows):
         li = []
         for j, lj in enumerate(lower):
             li.append((row[j] - sum(li[k] * lj[k].conjugate() for k in range(j))) / lj[j])

@@ -513,8 +513,9 @@ def _group_order_24(name, label, group, member):
 
 def _suite_group(samples, seed):
     weyl = lmm_weyl_action_group()
+    octahedral = octahedral_group()
     checks = [
-        _group_order_24("octahedral_group_order_24", "G", octahedral_group(),
+        _group_order_24("octahedral_group_order_24", "G", octahedral,
                         lambda g: g.determinant() == 1),
         _group_order_24("weyl_action_group_order_24", "W", weyl,
                         lambda g: g.sign_product() == 1),
@@ -532,7 +533,7 @@ def _suite_group(samples, seed):
     bad = sum(not realized(g) for g in weyl)
     checks.append(CheckResult("weyl_pair_realization", bad == 0, float(bad)))
 
-    pairs = lmm_normalizer_pairs()
+    pairs = lmm_normalizer_pairs(octahedral)
     # The probe's magnitudes are distinct, so its 24 images are too; on
     # finite entries tuple equality is the exact test (0.0 == -0.0).
     probe = np.array([0.3, -0.7, 1.1])

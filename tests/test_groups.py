@@ -210,7 +210,7 @@ class TestFiniteGroups:
                 np.testing.assert_array_equal(img, np.diag(g.apply(c)))
 
     def test_normalizer_pairs_induce_full_weyl_action(self):
-        pairs = lmm_normalizer_pairs()
+        pairs = lmm_normalizer_pairs(octahedral_group())
         assert len(pairs) == 96
         weyl = lmm_weyl_action_group()
         weyl_keys = {(g.perm, g.signs) for g in weyl}

@@ -28,6 +28,7 @@ SITES = [
      lambda x: invariants.lmm_invariants_jacobian(x), C),
     ("g_invariant-a", "g_invariant", lambda x: invariants.g_invariant(V, x), A),
     ("g_invariant-v", "g_invariant", lambda x: invariants.g_invariant(x, A), V),
+    ("lmm_canonical", "lmm_canonical", lambda x: orbits.lmm_canonical(x), C),
     ("decide_equiv_lmm-c", "decide_equiv_lmm", lambda x: orbits.decide_equiv_lmm(x, C), C),
     ("decide_equiv_lmm-m", "decide_equiv_lmm", lambda x: orbits.decide_equiv_lmm(C, x), C),
     ("decide_equiv_sym-v1", "decide_equiv_sym",

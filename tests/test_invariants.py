@@ -355,6 +355,15 @@ class TestP9:
         assert p.p4 == 0.0
         assert p9_eval(p.p1, p.p2, p.p3) == pytest.approx(0.0, abs=1e-12)
 
+    def test_value_beyond_double_range_is_not_representable(self):
+        with pytest.raises(NotRepresentable, match="^p9_eval: the value is not a finite double$"):
+            p9_eval(1e308, 1e308, 1e308)
+
+    @pytest.mark.parametrize("p1", [np.inf, np.nan])
+    def test_non_finite_argument_names_p9_eval(self, p1):
+        with pytest.raises(ValueError, match="^p9_eval input contains NaN or Inf entries$"):
+            p9_eval(p1, 1.0, 1.0)
+
 
 class TestGInvariant:
     def test_triple_product_sign_convention(self):

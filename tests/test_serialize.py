@@ -1,6 +1,7 @@
 """Tests for state files and JSON emission."""
 
 import json
+import math
 import re
 import sys
 
@@ -193,8 +194,8 @@ class TestParseErrors:
 
 
 class TestIntegerLiterals:
-    """An integer literal beyond the double range reads as non-finite, as a
-    float literal beyond it does, however many digits it has."""
+    """An integer literal reads as its float literal does: beyond the double
+    range as non-finite, however many digits it has, and -0 as -0.0."""
 
     @staticmethod
     def _text(literal):
@@ -212,6 +213,26 @@ class TestIntegerLiterals:
     def test_within_double_range_is_read(self, value):
         _, bloch = loads_state(self._text(str(value)))
         assert bloch.u[0] == float(value)
+
+    def test_negative_zero_reads_as_negative_zero(self):
+        # Every zero of both texts is the placeholder Z: -0 must read as the
+        # -0.0 that the float literal -0.0 reads as, sign bit included.
+        bloch = ('{"format": "bloch", "u": [Z, Z, Z], "v": [Z, Z, Z], '
+                 '"C": [[Z, Z, Z], [Z, Z, Z], [Z, Z, Z]]}')
+        density = json.dumps({"format": "density", "matrix": [
+            [[0.25, "Z"] if i == j else ["Z", "Z"] for j in range(4)] for i in range(4)]}
+        ).replace('"Z"', "Z")
+
+        def parts(text):
+            fmt, state = loads_state(text)
+            if fmt == "bloch":
+                return [*state.u, *state.v, *(x for row in state.C for x in row)]
+            return [x for row in state for z in row for x in (z.real, z.imag)]
+
+        for text in (bloch, density):
+            integer, decimal = parts(text.replace("Z", "-0")), parts(text.replace("Z", "-0.0"))
+            assert list(map(float.hex, integer)) == list(map(float.hex, decimal))
+        assert all(math.copysign(1.0, x) == -1.0 for x in parts(bloch.replace("Z", "-0")))
 
     def test_deep_nesting_is_a_format_error(self):
         with pytest.raises(StateFormatError, match="nested too deeply"):

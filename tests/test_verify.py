@@ -206,11 +206,11 @@ class TestFaultInjection:
 
     def test_mismatched_pair_fails_normalizer(self, monkeypatch):
         # R2 with another permutation than R1 maps diag(probe) off the slice.
-        pairs = blochinv.groups.lmm_normalizer_pairs()
+        pairs = blochinv.groups.lmm_normalizer_pairs(blochinv.groups.octahedral_group())
         r1, r2 = pairs[0]
         other = next(q for p, q in pairs if not np.array_equal(abs(q), abs(r2)))
         pairs[0] = (r1, other)
-        monkeypatch.setattr(blochinv.verify, "lmm_normalizer_pairs", lambda: pairs)
+        monkeypatch.setattr(blochinv.verify, "lmm_normalizer_pairs", lambda group: pairs)
         chk = self._check(run_suite("group", 20, 0), "normalizer_induces_weyl_action")
         assert not chk.passed and chk.max_residual >= 1.0
 
