@@ -37,7 +37,10 @@ def so3_of_u2(u):
         NotUnitary: unless U is a finite 2x2 matrix with
             max |U*U - I| <= UNITARY_TOL.
     """
-    u = np.asarray(u, dtype=complex)
+    try:
+        u = np.asarray(u, dtype=complex)
+    except (TypeError, ValueError):  # a ragged input or an entry that is not a number
+        raise NotUnitary("input is not a 2x2 unitary within tolerance") from None
     if u.shape != (2, 2):
         raise NotUnitary("input is not a 2x2 unitary within tolerance")
     (p, q), (r, s) = u.tolist()

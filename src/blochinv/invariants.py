@@ -158,13 +158,16 @@ def lmm_section_invariants(x):
 def lmm_section_jacobian(x):
     """Jacobian determinant det(d s_i / d x_j) of the slice invariants,
     in closed form: 8 (x1^2 x3^4 - x1^2 x2^4 - x2^2 x3^4 + x1^4 x2^2
-    + x3^2 x2^4 - x1^4 x3^2)."""
+    + x3^2 x2^4 - x1^4 x3^2). Raises NotRepresentable when it is not a
+    finite double."""
     x1, x2, x3 = _vec3(x, "lmm_section_jacobian input")
     q1, q2, q3 = x1 * x1, x2 * x2, x3 * x3
-    return 8.0 * (
+    jac = 8.0 * (
         q1 * q3 * q3 - q1 * q2 * q2 - q2 * q3 * q3
         + q1 * q1 * q2 + q3 * q2 * q2 - q1 * q1 * q3
     )
+    _finite("lmm_section_jacobian", (jac,), "the determinant")
+    return jac
 
 
 def lmm_positive_cone_check(inv, tol=1e-9):
@@ -188,7 +191,8 @@ def lmm_positive_cone_check(inv, tol=1e-9):
 def lmm_invariants_jacobian(c):
     """3x9 Jacobian of (t2, t3, t4) in the nine entries of C, as three rows
     of floats: grad t2 = 2C, grad t3 = cofactor matrix of C,
-    grad t4 = 4 C C^T C."""
+    grad t4 = 4 C C^T C. Raises NotRepresentable when an entry is not a
+    finite double."""
     m = _rows3(c, "lmm_invariants_jacobian input")[0]
     # Cyclic indices carry the cofactor signs:
     # cof_ij = c[i+1][j+1] c[i+2][j+2] - c[i+1][j+2] c[i+2][j+1] (mod 3).
@@ -196,7 +200,9 @@ def lmm_invariants_jacobian(c):
            - m[(i + 1) % 3][(j + 2) % 3] * m[(i + 2) % 3][(j + 1) % 3]
            for i in range(3) for j in range(3)]
     cct_c = _matmul3(_matmul3(m, list(zip(*m))), m)
-    return [[2.0 * x for row in m for x in row], cof, [4.0 * x for row in cct_c for x in row]]
+    grad_t2, grad_t4 = [2.0 * x for row in m for x in row], [4.0 * x for row in cct_c for x in row]
+    _finite("lmm_invariants_jacobian", (*grad_t2, *cof, *grad_t4), "an entry")
+    return [grad_t2, cof, grad_t4]
 
 
 def octahedral_invariants(v):

@@ -11,10 +11,10 @@ or generator: a shape test, one float() per entry, one finiteness test
 and, for a matrix, its norm as one max.
 _rows3 returns (rows, norm) as a _Checked pair and a _Checked argument as
 it is, as _sym_rows3 does after its symmetry test (a pair does not imply
-symmetry); _scaled keeps a pair checked. _Checked is the only checked
-type: a matrix pair passes through later checks, and a vector is read once
-by each public function it reaches. A function hands its pair to the
-public functions it calls, so every call keeps its check while a decision
+symmetry); _scaled keeps a pair checked. Its rows are tuples, so a pair
+stays a checked matrix wherever it goes; a vector is read once by each
+public function it reaches. A function hands its pair to the public
+functions it calls, so every call keeps its check while a decision
 converts each matrix once.
 No function here imports numpy: an array is read through its tolist. The
 records returned here hold lists of Python floats (rows for a matrix).
@@ -172,18 +172,18 @@ def _refused(convert, entries):
 
 
 class _Checked(tuple):
-    """(rows, norm): the rows of a 3x3 matrix as Python floats, each finite,
-    and its entrywise infinity norm. Only _rows3 and _scaled build one and
-    no public function returns one, so no caller can change its rows after
-    the check."""
+    """(rows, norm): the rows of a 3x3 matrix as tuples of Python floats,
+    each finite, and its entrywise infinity norm. Only _rows3 and _scaled
+    build one; a tuple cannot change, so the pair stays checked wherever it
+    goes."""
 
     __slots__ = ()
 
 
 def _rows3(a, what):
-    """Rows of a 3x3 input as Python floats and its entrywise infinity norm,
-    as a _Checked pair; ValueError unless the shape is (3, 3) and every
-    entry is finite. A _Checked argument is returned as it is.
+    """Rows of a 3x3 input as tuples of Python floats and its entrywise
+    infinity norm, as a _Checked pair; ValueError unless the shape is
+    (3, 3) and every entry is finite; a _Checked argument as it is.
 
     One straight-line pass on named locals: a shape test, one float() per
     entry, one finiteness test (x * 0.0 is 0.0 unless x is NaN or +-Inf)
@@ -213,7 +213,7 @@ def _rows3(a, what):
     if (a00 * 0.0 + a01 * 0.0 + a02 * 0.0 + a10 * 0.0 + a11 * 0.0 + a12 * 0.0
             + a20 * 0.0 + a21 * 0.0 + a22 * 0.0) != 0.0:
         raise ValueError(f"{what} contains NaN or Inf entries")
-    return _Checked(([[a00, a01, a02], [a10, a11, a12], [a20, a21, a22]], max(
+    return _Checked((((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), max(
         abs(a00), abs(a01), abs(a02), abs(a10), abs(a11), abs(a12),
         abs(a20), abs(a21), abs(a22))))
 
@@ -256,9 +256,9 @@ def _scaled(pair, scale):
     if scale == 1.0:
         return pair
     ((a00, a01, a02), (a10, a11, a12), (a20, a21, a22)), norm = pair
-    return _Checked(([[a00 / scale, a01 / scale, a02 / scale],
-                      [a10 / scale, a11 / scale, a12 / scale],
-                      [a20 / scale, a21 / scale, a22 / scale]], norm / scale))
+    return _Checked((((a00 / scale, a01 / scale, a02 / scale),
+                      (a10 / scale, a11 / scale, a12 / scale),
+                      (a20 / scale, a21 / scale, a22 / scale)), norm / scale))
 
 
 def _trace_invariants(rows):
@@ -275,9 +275,10 @@ def det3(m):
 
     The expansion order is fixed so that evaluation on diagonal input
     reproduces x1 * (x2 * x3) bit for bit; the diagonal-restriction
-    identities rely on this.
+    identities rely on this. Raises NotRepresentable when the determinant
+    is not a finite double.
     """
-    return _det3_rows(*_rows3(m, "det3 input")[0])
+    return _finite("det3", (_det3_rows(*_rows3(m, "det3 input")[0]),), "the determinant")[0]
 
 
 class EigenSym3(NamedTuple):
@@ -399,7 +400,7 @@ def _eig_body(key):
     cols = ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22))
     i, j, k = sorted(range(3), key=(-a00, -a11, -a22).__getitem__)
     (x0, y0, z0), (x1, y1, z1), (x2, y2, z2) = cols[i], cols[j], cols[k]
-    if _det3_rows((x0, x1, x2), (y0, y1, y2), (z0, z1, z2)) < 0.0:
+    if _reflected(_det3_rows((x0, x1, x2), (y0, y1, y2), (z0, z1, z2))):
         x2, y2, z2 = -x2, -y2, -z2
     return (diag[i], diag[j], diag[k]), ((x0, y0, z0), (x1, y1, z1), (x2, y2, z2))
 
@@ -417,14 +418,10 @@ def _pow2_floor(x):
     return math.ldexp(1.0, math.frexp(x)[1] - 1)
 
 
-def _orient_right(v, a):
-    """Move a reflection in V onto the last column of A = C V (both given as
-    lists of columns), so that V is in SO(3) and the QR factorization of A
-    carries sign(det C) on its last diagonal entry."""
-    if _det3_rows(*v) < 0.0:
-        v[2] = [-x for x in v[2]]
-        a[2] = [-x for x in a[2]]
-    return v, a
+def _reflected(det):
+    """Whether sorted columns of determinant det form a reflection, which
+    each kernel body undoes by negating its last column."""
+    return det < 0.0
 
 
 def signed_svd3(c):
@@ -532,9 +529,10 @@ def _svd_body(key):
     s0, s1, s2 = sq[i], sq[j], sq[k]
     cols_v = ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22))
     cols_a = ((a00, a10, a20), (a01, a11, a21), (a02, a12, a22))
-    ((v00, v10, v20), (v01, v11, v21), (v02, v12, v22)), \
-        ((a00, a10, a20), (a01, a11, a21), (a02, a12, a22)) = _orient_right(
-            [cols_v[i], cols_v[j], cols_v[k]], [cols_a[i], cols_a[j], cols_a[k]])
+    (v00, v10, v20), (v01, v11, v21), (v02, v12, v22) = cols_v[i], cols_v[j], cols_v[k]
+    (a00, a10, a20), (a01, a11, a21), (a02, a12, a22) = cols_a[i], cols_a[j], cols_a[k]
+    if _reflected(_det3_rows((v00, v10, v20), (v01, v11, v21), (v02, v12, v22))):
+        v02, v12, v22, a02, a12, a22 = -v02, -v12, -v22, -a02, -a12, -a22
 
     # Givens QR of A on the row pairs (0, 1), (0, 2) and (1, 2), each
     # rotation applied to the same rows of Q^T. Only the entries of R that a

@@ -71,7 +71,7 @@ def bloch_document(bloch):
         "format": "bloch",
         "u": _vec3(bloch.u, "bloch_document input"),
         "v": _vec3(bloch.v, "bloch_document input"),
-        "C": _rows3(bloch.C, "bloch_document input")[0],
+        "C": [list(row) for row in _rows3(bloch.C, "bloch_document input")[0]],
     }
 
 

@@ -286,13 +286,19 @@ def partial_trace(rho, which):
     state of qubit 1 (trace over qubit 2), which=2 the reduced state of
     qubit 2, as rows of Python complex numbers. Each entry is the sum of
     its two terms in increasing order of the traced index, as numpy's
-    trace of the (2, 2, 2, 2) reshape sums them."""
+    trace of the (2, 2, 2, 2) reshape sums them. Raises NotRepresentable
+    when an entry is not a finite double."""
     r = validate_density(rho)
     if which == 1:
-        return [[r[2 * i][2 * k] + r[2 * i + 1][2 * k + 1] for k in (0, 1)] for i in (0, 1)]
-    if which == 2:
-        return [[r[j][l] + r[2 + j][2 + l] for l in (0, 1)] for j in (0, 1)]
-    raise ValueError("which must be 1 or 2")
+        rows = [[r[2 * i][2 * k] + r[2 * i + 1][2 * k + 1] for k in (0, 1)] for i in (0, 1)]
+    elif which == 2:
+        rows = [[r[j][l] + r[2 + j][2 + l] for l in (0, 1)] for j in (0, 1)]
+    else:
+        raise ValueError("which must be 1 or 2")
+    (p00, p01), (p10, p11) = rows
+    if p00 * 0.0 + p01 * 0.0 + p10 * 0.0 + p11 * 0.0 != 0.0:  # as in _table
+        raise NotRepresentable("partial_trace: an entry is not a finite double")
+    return rows
 
 
 def bloch_vector(rho2):

@@ -64,6 +64,12 @@ class TestCoveringMap:
         with pytest.raises(NotUnitary):
             so3_of_u2(np.eye(3))
 
+    @pytest.mark.parametrize("u", [[[1, 0], [0]], [[1, 0], [0, "a"]]], ids=["ragged", "string"])
+    def test_rejects_ragged_and_non_number_input(self, u):
+        # numpy's conversion raises its own ValueError on these.
+        with pytest.raises(NotUnitary):
+            so3_of_u2(u)
+
     def test_homomorphism_and_phase(self):
         rng = np.random.default_rng(0)
         for _ in range(500):

@@ -7,10 +7,11 @@ orbits._decide, builds every EquivalenceVerdict and is the only one to
 catch DegenerateSpectrum. The input checks linalg._rows3, _vec3 and
 _sym_rows3 are straight-line: no loop, comprehension, generator, lambda,
 map, all or any. A checked pair (linalg._Checked), the one checked type,
-is built only by _rows3 and _scaled, and no function returns or stores a
-pair whole; a vector is read once by each public function it reaches. Every top-level
-function and class of a package module is referenced somewhere in the
-package, so no layer outlives its last package caller. Only
+is built only by _rows3 and _scaled; its rows are tuples, so it stays
+checked wherever it goes, and a vector is read once by each public
+function it reaches. Every top-level function and class of a package
+module is referenced somewhere in the package, so no layer outlives its
+last package caller. Only
 blochinv.groups and blochinv.verify import numpy: the modules of the
 command-line path import it nowhere, not even inside a function body,
 importing the package loads neither of the two, and the state and
@@ -214,9 +215,6 @@ def test_detects_iteration():
         (7, "_rows3"), (9, "_vec3"), (10, "_vec3")]
 
 
-# The functions that hand out a checked pair (linalg._Checked) whole: the
-# check, the check with its symmetry test, and the division.
-PAIR_SOURCES = ("_rows3", "_sym_rows3", "_scaled")
 def checked_builds(source):
     """(line, function, type) of every call of _Checked in the top-level
     functions of source."""
@@ -226,53 +224,10 @@ def checked_builds(source):
                   if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_Checked")
 
 
-def pair_escapes(source):
-    """(line, function) of every return, yield or attribute store, outside
-    PAIR_SOURCES, whose value holds a whole checked pair: a call of one of
-    PAIR_SOURCES, or a name assigned one, that is not indexed, unpacked
-    with * or handed to a private function. A public callee, a record
-    class among them, counts as keeping what it is given."""
-    def call_name(node):
-        return getattr(node.func, "id", getattr(node.func, "attr", ""))
-
-    def whole(node, pairs):
-        if (isinstance(node, ast.Call) and call_name(node) in PAIR_SOURCES) or (
-                isinstance(node, ast.Name) and node.id in pairs):
-            return True
-        if isinstance(node, (ast.Subscript, ast.Starred)) or (
-                isinstance(node, ast.Call) and call_name(node).startswith("_")):
-            return False
-        return any(whole(child, pairs) for child in ast.iter_child_nodes(node))
-
-    sites = []
-    for top in ast.parse(source).body:
-        if not isinstance(top, ast.FunctionDef) or top.name in PAIR_SOURCES:
-            continue
-        pairs = set()
-        for node in sorted((n for n in ast.walk(top) if isinstance(n, ast.Assign)),
-                           key=lambda n: n.lineno):
-            for target in node.targets:
-                bound = ([(target, node.value)] if not isinstance(target, ast.Tuple) else
-                         list(zip(target.elts, node.value.elts))
-                         if isinstance(node.value, ast.Tuple) else [])
-                for name, value in bound:
-                    if isinstance(name, ast.Name):
-                        (pairs.add if whole(value, pairs) else pairs.discard)(name.id)
-        for node in ast.walk(top):
-            stored = isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Attribute) for t in node.targets)
-            if (isinstance(node, (ast.Return, ast.Yield)) or stored) and node.value is not None \
-                    and whole(node.value, pairs):
-                sites.append((node.lineno, top.name))
-    return sorted(sites)
-
-
 def test_checked_pairs_stay_inside():
     builds = {(path.name, owner, kind) for path in MODULES
               for _, owner, kind in checked_builds(path.read_text())}
     assert builds == {("linalg.py", "_rows3", "_Checked"), ("linalg.py", "_scaled", "_Checked")}
-    for path in MODULES:
-        assert pair_escapes(path.read_text()) == [], path.name
 
 
 def test_detects_checked_pairs():
@@ -283,7 +238,6 @@ def test_detects_checked_pairs():
               "def h(a):\n    p = _sym_rows3(a)\n    p = p[0]\n    return p, _Checked(a)\n")
     assert checked_builds(source) == [(2, "_rows3", "_Checked"), (13, "g", "_Checked"),
                                       (17, "h", "_Checked")]
-    assert pair_escapes(source) == [(11, "g"), (12, "g")]
 
 
 def orphans(sources):

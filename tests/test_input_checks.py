@@ -176,7 +176,7 @@ class TestRowChecks:
     def test_values_and_norm_in_float_hex(self):
         for flat in self._draws():
             rows, norm = linalg._rows3([flat[0:3], flat[3:6], flat[6:9]], "probe")
-            assert _hex(sum(rows, [])) == _hex(flat)
+            assert _hex(sum(rows, ())) == _hex(flat)
             assert norm.hex() == max(map(abs, flat)).hex()
             assert _hex(linalg._vec3(flat[:3], "probe")) == _hex(flat[:3])
 
@@ -187,7 +187,7 @@ class TestRowChecks:
 
     def test_negative_zero_kept(self):
         rows, norm = linalg._rows3([[-0.0] * 3] * 3, "probe")
-        assert _hex(sum(rows, [])) == ["-0x0.0p+0"] * 9
+        assert _hex(sum(rows, ())) == ["-0x0.0p+0"] * 9
         assert norm.hex() == "0x0.0p+0"
         assert _hex(linalg._vec3([-0.0, 0.0, -0.0], "probe")) == ["-0x0.0p+0", "0x0.0p+0",
                                                                   "-0x0.0p+0"]
@@ -203,7 +203,7 @@ class TestRowChecks:
         rows, norm = linalg._rows3(a, "probe")
         flat = [float(x) for row in (a.tolist() if hasattr(a, "tolist") else a) for x in row]
         assert all(type(x) is float for row in rows for x in row)
-        assert _hex(sum(rows, [])) == _hex(flat)
+        assert _hex(sum(rows, ())) == _hex(flat)
         assert type(norm) is float and norm.hex() == max(map(abs, flat)).hex()
         v = linalg._vec3(a[1], "probe")
         assert all(type(x) is float for x in v) and _hex(v) == _hex(flat[3:6])

@@ -586,13 +586,20 @@ class TestExtremeScale:
         lambda: r_invariant([1e160, 2e160, -1e160], np.diag([1.0, 2.0, 3.0])),
         lambda: g_invariant([1e110, 2e110, -1e110], np.diag([1.0, 2.0, 3.0])),
         lambda: g_invariant([1e160, 2e160, -1e160], np.diag([1.0, 2.0, 3.0])),
+        lambda: lmm_invariants_jacobian(np.full((3, 3), 1e154) + np.diag([1e154, 0.0, 0.0])),
+        lambda: lmm_section_jacobian([1e60, 2e60, 3e60]),
+        lambda: det3(np.full((3, 3), 1e200)),
+        lambda: det3(np.diag([1e103, 2e103, 3e103])),
     ], ids=["lmm-1e77", "lmm-1e160", "section-1e77", "section-1e160", "sym-A-1e160",
             "octahedral-1e150", "octahedral-1e160", "r-v-1e100", "r-v-1e110", "r-v-1e160",
-            "g-v-1e110", "g-v-1e160"])
+            "g-v-1e110", "g-v-1e160", "lmm-jacobian-1e154", "section-jacobian-1e60",
+            "det3-1e200", "det3-1e103"])
     def test_positive_degree_overflow_is_typed(self, call):
         # t4, s3, tr A^2, det A, p2..p4, g and r overflow at these scales (and
         # v0**2 raised OverflowError at 1e160; r was inf at 1e100, g and r NaN
-        # from 1e110): a typed error, never inf, NaN or a bare arithmetic
+        # from 1e110; the lmm Jacobian had +-inf and NaN entries at 1e154,
+        # the section Jacobian was NaN at 1e60 and det3 NaN at 1e200 and inf
+        # at 1e103): a typed error, never inf, NaN or a bare arithmetic
         # error.
         with pytest.raises(NotRepresentable, match="not a finite double"):
             call()

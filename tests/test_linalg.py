@@ -18,7 +18,6 @@ from blochinv.linalg import (
     _jacobi_rotation,
     _matmul3,
     _matvec3,
-    _orient_right,
     _pow2_floor,
     _rows3,
     _transpose,
@@ -526,7 +525,11 @@ def reference_signed_svd3(c):
             break
 
     order = sorted(range(3), key=lambda k: -sq[k])
-    v, a = _orient_right([v[k] for k in order], [a[k] for k in order])
+    v, a = [v[k] for k in order], [a[k] for k in order]
+    # V is orthogonal, so any method gives the sign of det V; a reflection
+    # moves onto the last column of A.
+    if np.linalg.det(v) < 0.0:
+        v[2], a[2] = [-x for x in v[2]], [-x for x in a[2]]
 
     # Givens QR of A, on its rows; qt accumulates Q^T.
     r = _transpose(a)
@@ -753,18 +756,31 @@ class TestKernelMemo:
 
 class TestCheckedPair:
     """_rows3 returns a checked (rows, norm) pair, linalg._Checked, that
-    unpacks like any pair; a check of a pair returns it as it is, and
-    _scaled keeps it checked."""
+    unpacks like any pair and holds its rows as tuples, so they cannot
+    change; a check of a pair returns it as it is, and _scaled keeps it
+    checked."""
 
     A = [[0.7, 0.1, -0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]]
 
     def test_unpacks_and_passes_through(self):
         pair = _rows3(np.array(self.A), "a")
         rows, norm = pair
-        assert (rows, norm) == (self.A, 0.7) and pair[0] is rows
+        assert (rows, norm) == (tuple(map(tuple, self.A)), 0.7) and pair[0] is rows
         assert _rows3(pair, "again") is pair
         assert linalg._sym_rows3(pair, "again") is pair
         assert linalg._scaled(pair, 1.0) is pair
+
+    def test_rows_are_tuples_that_cannot_change(self):
+        pair = _rows3(np.array(self.A), "a")
+        for rows in (pair[0], linalg._scaled(pair, 2.0)[0]):
+            assert type(rows) is tuple and len(rows) == 3
+            assert all(type(row) is tuple and len(row) == 3 for row in rows)
+            assert all(type(x) is float for row in rows for x in row)
+            with pytest.raises(TypeError):
+                rows[0][0] = 1.0
+            with pytest.raises(TypeError):
+                rows[0] = [1.0, 0.0, 0.0]
+        assert pair[0][0][0] == 0.7
 
     def test_symmetry_is_tested_on_a_pair(self):
         pair = _rows3([[1.0, 1e-3, 0.0], [0.0, 2.0, 0.0], [0.0, 0.0, 3.0]], "a")
@@ -791,7 +807,7 @@ class TestCheckedPair:
             scaled = linalg._scaled(pair, 2.0**e)
             divided = [[x / 2.0**e for x in row] for row in pair[0]]
             assert type(scaled) is linalg._Checked
-            assert hex_rows(scaled[0]) == hex_rows(divided)
+            assert hex_rows(list(map(list, scaled[0]))) == hex_rows(divided)
             assert scaled[1].hex() == _rows3(divided, "a")[1].hex()
             subnormal += 0.0 < scaled[1] < 2.0**-1022
         assert subnormal > 40

@@ -419,6 +419,15 @@ class TestPartialTrace:
         with pytest.raises(ValueError, match="which must be 1 or 2"):
             partial_trace(MAX_MIXED, 3)
 
+    def test_entry_beyond_range_raises(self):
+        # A state validate_density accepts whose reduced state of qubit 1
+        # overflowed to [[inf, 0j], [0j, -inf]]; that of qubit 2 is finite.
+        rho = np.diag([1.7e308, 1.7e308, -1.7e308, 1.0 - 1.7e308])
+        validate_density(rho)
+        with pytest.raises(NotRepresentable, match="^partial_trace: an entry is not a finite double$"):
+            partial_trace(rho, 1)
+        assert partial_trace(rho, 2) == [[0j, 0j], [0j, 0j]]
+
 
 def hexes(rows):
     """float.hex of the real and imaginary parts of rows of complex numbers."""
@@ -648,8 +657,10 @@ class TestDensityMemo:
     what the memo holds."""
 
     # float.hex digest of DIGEST_CALLS on digest_inputs(), recorded before
-    # the memo existed.
-    DIGEST = "73b69a32be1ceb0218a0ebeb865ec6c6001a916664530599dafb6e82b8c6994d"
+    # the memo existed; re-recorded when partial_trace gained its finiteness
+    # test, which moved one line: input 850's partial_trace-1, from infinite
+    # rows to NotRepresentable.
+    DIGEST = "1f323252017bc06a05e00132cac2f912ba39069b6151775619500152e33ae19d"
 
     def test_bound(self):
         assert states._density_body.cache_info().maxsize == linalg._MEMO_SIZE <= 16

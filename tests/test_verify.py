@@ -124,10 +124,12 @@ class TestFaultInjection:
         assert "octahedral_relation_p4_p9" in failed
 
     def test_dropped_sign_fix_fails_lmm_suite(self, monkeypatch, cold_kernels):
-        monkeypatch.setattr(blochinv.linalg, "_orient_right", lambda v, a: (v, a))
+        # Both kernel bodies undo a reflection through _reflected.
+        monkeypatch.setattr(blochinv.linalg, "_reflected", lambda det: False)
         report = run_suite("lmm", 200, 0)
         failed = [c.name for c in report.checks if not c.passed]
         assert "kernel_signed_svd3" in failed
+        assert "kernel_eig_sym3" in failed
 
     def test_flipped_jacobi_sine_fails_both_kernels(self, monkeypatch, cold_kernels):
         # eig_sym3 and signed_svd3 share one Jacobi rotation; a wrong sign
