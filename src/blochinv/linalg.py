@@ -381,14 +381,16 @@ def _eig_body(key):
         if a02 != 0.0:  # pivot (0, 2); the remaining index is 1
             t, c, s = _jacobi_rotation(a00, a22, a02)
             a00, a22, a02 = a00 - t * a02, a22 + t * a02, 0.0
-            a01, a12 = c * a01 - s * a12, s * a01 + c * a12
+            # a01 is a zero: pivot (0, 1) zeroed it or skipped it as zero.
+            a01, a12 = -(s * a12), c * a12
             v00, v02 = c * v00 - s * v02, s * v00 + c * v02
             v10, v12 = c * v10 - s * v12, s * v10 + c * v12
             v20, v22 = c * v20 - s * v22, s * v20 + c * v22
         if a12 != 0.0:  # pivot (1, 2); the remaining index is 0
             t, c, s = _jacobi_rotation(a11, a22, a12)
             a11, a22, a12 = a11 - t * a12, a22 + t * a12, 0.0
-            a01, a02 = c * a01 - s * a02, s * a01 + c * a02
+            # a02 is a zero: pivot (0, 2) zeroed it or skipped it as zero.
+            a01, a02 = c * a01, s * a01
             v01, v02 = c * v01 - s * v02, s * v01 + c * v02
             v11, v12 = c * v11 - s * v12, s * v11 + c * v12
             v21, v22 = c * v21 - s * v22, s * v21 + c * v22

@@ -304,10 +304,31 @@ def partial_trace(rho, which):
 def bloch_vector(rho2):
     """Bloch vector tr(rho2 sigma_i), i = 1, 2, 3, of a single-qubit density
     matrix, as a list of floats. The real part of each trace is a sum of two
-    exact products with the Pauli entries 0, +-1 and +-i."""
+    exact products with the Pauli entries 0, +-1 and +-i.
+
+    One straight-line pass, with linalg._rows3's order of errors: ValueError
+    for a shape other than (2, 2), then for an entry complex() refuses, then
+    for a NaN, an Inf or an integer beyond the double range; NotRepresentable
+    when a coordinate is not a finite double.
+    """
     rho2 = rho2.tolist() if hasattr(rho2, "tolist") else rho2
-    (r00, r01), (r10, r11) = ([complex(z) for z in row] for row in rho2)
-    return [r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real]
+    if not (isinstance(rho2, _SEQUENCE) and len(rho2) == 2 and isinstance(rho2[0], _SEQUENCE)
+            and isinstance(rho2[1], _SEQUENCE) and len(rho2[0]) == len(rho2[1]) == 2):
+        raise ValueError(f"bloch_vector input must have shape (2, 2), got {_shape(rho2)}")
+    (r00, r01), (r10, r11) = rho2
+    try:
+        r00, r01, r10, r11 = complex(r00), complex(r01), complex(r10), complex(r11)
+    except (TypeError, ValueError, OverflowError):
+        if _refused(complex, (r00, r01, r10, r11)):
+            raise ValueError("bloch_vector input must have complex number entries, got shape "
+                             f"{_shape(rho2)}") from None
+        raise ValueError("bloch_vector input contains NaN or Inf entries") from None
+    if r00 * 0.0 + r01 * 0.0 + r10 * 0.0 + r11 * 0.0 != 0.0:
+        raise ValueError("bloch_vector input contains NaN or Inf entries")
+    x, y, z = r01.real + r10.real, r10.imag - r01.imag, r00.real - r11.real
+    if x * 0.0 + y * 0.0 + z * 0.0 != 0.0:
+        raise NotRepresentable("bloch_vector: a coordinate is not a finite double")
+    return [x, y, z]
 
 
 def classify(rho, tol=DEFAULT_CLASS_TOL):

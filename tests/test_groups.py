@@ -22,6 +22,7 @@ from blochinv.groups import (
 from blochinv.linalg import rotation_residual
 from blochinv.states import PAULI, StateClass, bloch_of, density_of
 from blochinv.verify import norm_inf
+from pins import hexes
 
 
 class TestCoveringMap:
@@ -265,8 +266,7 @@ class TestHaar:
         for k in range(1000):
             direct = haar_so3(np.random.default_rng(k))
             cover = so3_of_u2(haar_su2(np.random.default_rng(k)))
-            assert [x.hex() for x in direct.ravel().tolist()] == \
-                [x.hex() for x in cover.ravel().tolist()], k
+            assert hexes(direct.tolist()) == hexes(cover.tolist()), k
 
     def test_so3_checks_every_draw(self, monkeypatch):
         # A pair off the unit sphere by 1e-9 is not unitary within 1e-12:

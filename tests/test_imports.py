@@ -176,7 +176,7 @@ def test_detects_verdict_sites():
 # matrix, each one straight-line pass on named locals, by module.
 STRAIGHT_LINE_CHECKS = ("_rows3", "_vec3", "_sym_rows3")
 STRAIGHT_LINE = {"linalg.py": STRAIGHT_LINE_CHECKS,
-                 "states.py": ("_checked_density", "_density_body")}
+                 "states.py": ("_checked_density", "_density_body", "bloch_vector")}
 ITERATION = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp, ast.Lambda)
 

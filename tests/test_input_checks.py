@@ -13,6 +13,7 @@ import pytest
 
 from blochinv import groups, invariants, linalg, orbits, serialize, states
 from blochinv.states import BlochMatrix
+from pins import hex_list
 
 C = np.array([[0.9, -0.2, 0.1], [0.3, 0.5, -0.4], [0.05, 0.2, -0.3]])
 A = np.array([[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
@@ -54,6 +55,8 @@ SITES = [
     ("density_of-u", "density_of", lambda x: states.density_of(BlochMatrix(x, V, C)), V),
     ("density_of-v", "density_of", lambda x: states.density_of(BlochMatrix(V, x, C)), V),
     ("density_of-c", "density_of", lambda x: states.density_of(BlochMatrix(V, V, x)), C),
+    ("bloch_vector", "bloch_vector", states.bloch_vector,
+     np.array([[0.75, 0.25 - 0.5j], [0.25 + 0.5j, 0.25]])),
 ]
 
 SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,), (1,), ()]
@@ -89,10 +92,15 @@ def test_valid_input_passes(site):
         call(valid)
 
 
-@pytest.mark.parametrize("case", SHAPES + NON_FINITE + BAD_ENTRIES,
-                         ids=["x".join(map(str, s)) or "scalar" for s in SHAPES]
-                         + ["nan", "inf", "-inf", "huge-int", "abc", "none"])
-@pytest.mark.parametrize("site", SITES, ids=[s[0] for s in SITES])
+# Every site with every case but its own valid shape.
+CASES = list(zip(SHAPES + NON_FINITE + BAD_ENTRIES,
+                 ["x".join(map(str, s)) or "scalar" for s in SHAPES]
+                 + ["nan", "inf", "-inf", "huge-int", "abc", "none"]))
+
+
+@pytest.mark.parametrize("site, case", [
+    pytest.param(site, case, id=f"{site[0]}-{case_id}")
+    for site in SITES for case, case_id in CASES if case != site[3].shape])
 def test_rejects_bad_input(site, case):
     _, name, call, valid = site
     for x in _bad_inputs(case, valid):
@@ -155,10 +163,6 @@ def test_state_argument_checked_by_validate_density(site, bad):
     assert str(raised.value) == str(expected.value)
 
 
-def _hex(values):
-    return [float(x).hex() for x in values]
-
-
 class TestRowChecks:
     """The edges of linalg._rows3 and _vec3, the straight-line checks of every
     3x3 and 3-vector argument: their values and norm in float.hex, the input
@@ -176,9 +180,9 @@ class TestRowChecks:
     def test_values_and_norm_in_float_hex(self):
         for flat in self._draws():
             rows, norm = linalg._rows3([flat[0:3], flat[3:6], flat[6:9]], "probe")
-            assert _hex(sum(rows, ())) == _hex(flat)
+            assert hex_list(sum(rows, ())) == hex_list(flat)
             assert norm.hex() == max(map(abs, flat)).hex()
-            assert _hex(linalg._vec3(flat[:3], "probe")) == _hex(flat[:3])
+            assert hex_list(linalg._vec3(flat[:3], "probe")) == hex_list(flat[:3])
 
     def test_extremes_pass(self):
         big = [[1.7e308, -1.7e308, 0.0], [0.0, -1.7e308, 0.0], [0.0, 0.0, 1.7e308]]
@@ -187,10 +191,10 @@ class TestRowChecks:
 
     def test_negative_zero_kept(self):
         rows, norm = linalg._rows3([[-0.0] * 3] * 3, "probe")
-        assert _hex(sum(rows, ())) == ["-0x0.0p+0"] * 9
+        assert hex_list(sum(rows, ())) == ["-0x0.0p+0"] * 9
         assert norm.hex() == "0x0.0p+0"
-        assert _hex(linalg._vec3([-0.0, 0.0, -0.0], "probe")) == ["-0x0.0p+0", "0x0.0p+0",
-                                                                  "-0x0.0p+0"]
+        assert hex_list(linalg._vec3([-0.0, 0.0, -0.0], "probe")) == [
+            "-0x0.0p+0", "0x0.0p+0", "-0x0.0p+0"]
 
     @pytest.mark.parametrize("a", [
         np.arange(9).reshape(3, 3) - 4,
@@ -203,10 +207,10 @@ class TestRowChecks:
         rows, norm = linalg._rows3(a, "probe")
         flat = [float(x) for row in (a.tolist() if hasattr(a, "tolist") else a) for x in row]
         assert all(type(x) is float for row in rows for x in row)
-        assert _hex(sum(rows, ())) == _hex(flat)
+        assert hex_list(sum(rows, ())) == hex_list(flat)
         assert type(norm) is float and norm.hex() == max(map(abs, flat)).hex()
         v = linalg._vec3(a[1], "probe")
-        assert all(type(x) is float for x in v) and _hex(v) == _hex(flat[3:6])
+        assert all(type(x) is float for x in v) and hex_list(v) == hex_list(flat[3:6])
 
     @pytest.mark.parametrize("a, message", [
         # A wrong shape comes first, whatever the entries.
@@ -221,6 +225,8 @@ class TestRowChecks:
         ([[10**400, 0.0, 0.0], [0.0] * 3, [0.0, 0.0, np.nan]], "contains NaN or Inf entries"),
         ([[0.0, 0.0, 0.0], [0.0] * 3, [0.0, 0.0, -10**400]], "contains NaN or Inf entries"),
         ([[0.0, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0] * 3], "contains NaN or Inf entries"),
+        # The shape error of short rows names the expected shape.
+        ([[0.0] * 2] * 3, r"must have shape \(3, 3\), got \(3, 2\)$"),
     ])
     def test_error_precedence(self, a, message):
         with pytest.raises(ValueError, match=f"^probe {message}"):

@@ -26,6 +26,7 @@ from blochinv.linalg import det3
 from blochinv.orbits import EVEN_SIGN_FLIPS, sym_canonical
 from blochinv.states import BlochMatrix, bloch_of, density_of, is_positive
 from blochinv.verify import rel_dist
+from pins import hexes
 
 EPS3 = np.zeros((3, 3, 3))
 for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)):
@@ -281,8 +282,7 @@ class TestOctahedralInvariants:
             for g in signed_perms:
                 w = g @ np.asarray(v, dtype=float)
                 p = octahedral_invariants(w)
-                got = [x.hex() for x in (p.p1, p.p2, p.p3, p.p4)]
-                assert got == [x.hex() for x in reference(w)], w
+                assert hexes((p.p1, p.p2, p.p3, p.p4)) == hexes(reference(w)), w
         assert octahedral_invariants([0.0, 0.3, 0.5]).p4.hex() == "0x0.0p+0"
         assert octahedral_invariants([0.0, -0.3, 0.5]).p4.hex() == "0x0.0p+0"
 
@@ -291,8 +291,7 @@ class TestOctahedralInvariants:
         # signs of the coordinates must not reach the sign bit of p4 or Z:
         # (1, 2, 0) and its image (1, -2, -0.0) gave -0.0 and +0.0.
         def bits(v):
-            p = octahedral_invariants(v)
-            return [x.hex() for x in (p.p1, p.p2, p.p3, p.p4, p.X, p.Y, p.Z)]
+            return hexes(list(octahedral_invariants(v).as_dict().values()))
 
         rng = np.random.default_rng(23)
         vectors = [[1.0, 2.0, 0.0], [0.0, -0.0, 0.7], [0.3, -0.3, 0.3], [-1.0, 1.0, 2.0]]
@@ -613,9 +612,6 @@ class TestSymGenerators:
         # random states, where a coordinate of w is zero (exactly, or up to
         # the roundoff of the eigenbasis) and on a near-tied spectrum; a zero
         # pZ is +0.0 on both.
-        def bits(*xs):
-            return [x.hex() for x in xs]
-
         rng = np.random.default_rng(17)
         cases = []
         for _ in range(300):
@@ -629,11 +625,11 @@ class TestSymGenerators:
             a = q @ np.diag(lam) @ q.T
             a = 0.5 * (a + a.T)
             v = q @ w
-            ref = bits(*sym_invariants(v, a).as_tuple()[:3])
+            ref = hexes(sym_invariants(v, a).as_tuple()[:3])
             form = sym_canonical(v, a)
             for flips in EVEN_SIGN_FLIPS:
                 oct_inv = octahedral_invariants(np.array(flips) * form.w)
-                assert bits(oct_inv.X, oct_inv.Y, oct_inv.Z) == ref
+                assert hexes((oct_inv.X, oct_inv.Y, oct_inv.Z)) == ref
 
 
 class TestInvariantJacobian:
@@ -666,8 +662,7 @@ class TestInvariantJacobian:
             expected = np.array([2.0 * c.ravel(), np.ravel(cof),
                                  4.0 * matmul(matmul(c, c.T), c).ravel()])
             jac = lmm_invariants_jacobian(c)
-            assert [[x.hex() for x in row] for row in jac] == [
-                [x.hex() for x in row] for row in expected.tolist()]
+            assert hexes(jac) == hexes(expected.tolist())
 
     def test_generic_rank_three(self):
         rng = np.random.default_rng(18)

@@ -28,6 +28,7 @@ from blochinv.linalg import (
 )
 from blochinv.states import PAULI
 from blochinv.verify import norm_inf
+from pins import fromhex, hex_list, hexes
 
 
 def random_symmetric(rng, scale=1.0):
@@ -157,14 +158,6 @@ class TestEigSym3:
                 assert norm_inf(recon) <= 1e-10
 
 
-def hex_matrix(rows):
-    return np.array([[float.fromhex(x) for x in row] for row in rows])
-
-
-def hex_bits(values):
-    return [float(x).hex() for x in np.asarray(values).ravel().tolist()]
-
-
 # Inputs and outputs are float.hex strings, so the pins do not depend on the
 # platform's random streams or BLAS. DENSE is random_symmetric from
 # default_rng(11); NEAR is R diag(1 + 1e-12, 1, -0.5) R^T for the rotation R
@@ -189,14 +182,14 @@ PINNED_EIG_SYM3 = {
          "-0x1.0000000000000p+0", "-0x0.0p+0", "-0x0.0p+0"],
     ),
     "dense": (
-        hex_matrix(DENSE),
+        fromhex(DENSE),
         ["0x1.f27640b1850a6p-1", "-0x1.3c6c69e4b5cebp-2", "-0x1.3703cb66d5b67p+0"],
         ["-0x1.b152d65793643p-3", "0x1.7d91584668441p-4", "0x1.f22148a4bda8fp-1",
          "-0x1.49023ee19a8a3p-1", "0x1.793b719ed55c8p-1", "-0x1.aeaf5671191bcp-3",
          "-0x1.790b1543f10b6p-1", "-0x1.56e0a1ec7166ap-1", "-0x1.89560a69779f4p-4"],
     ),
     "near_degenerate": (
-        hex_matrix(NEAR),
+        fromhex(NEAR),
         ["0x1.0000000001197p+0", "0x1.0000000000001p+0", "-0x1.fffffffffffffp-2"],
         ["-0x1.5554bb357903cp-1", "0x1.5553d40ac72d8p-1", "0x1.555dc2e06b63ap-2",
          "0x1.111d1b479c6ccp-3", "-0x1.555b5a6e91280p-2", "0x1.dddc5c91f3ce8p-1",
@@ -210,12 +203,11 @@ class TestEigSym3Pinned:
     def test_bits(self, name):
         a, eigenvalues, rotation = PINNED_EIG_SYM3[name]
         eig = eig_sym3(a)
-        assert hex_bits(eig.eigenvalues) == eigenvalues
-        assert hex_bits(eig.rotation) == rotation
+        assert hex_list(eig) == eigenvalues + rotation
         assert all(type(x) is float for x in eig.eigenvalues + sum(eig.rotation, []))
 
     def test_near_degenerate_spectrum(self):
-        lam = eig_sym3(hex_matrix(NEAR)).eigenvalues
+        lam = eig_sym3(fromhex(NEAR)).eigenvalues
         np.testing.assert_allclose(lam, [1.0 + 1e-12, 1.0, -0.5], rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -267,8 +259,7 @@ class TestKernelScaling:
                 q = haar_so3(rng)
                 a = q @ np.diag([0.5, 0.5 + 1e-9 * rng.uniform(), -0.3]) @ q.T
             eig, scaled = eig_sym3(a), eig_sym3(2.0 ** k * a)
-            assert hex_bits(scaled.eigenvalues) == hex_bits([2.0 ** k * x for x in eig.eigenvalues])
-            assert hex_bits(scaled.rotation) == hex_bits(eig.rotation)
+            assert hexes(scaled) == hexes(([2.0 ** k * x for x in eig.eigenvalues], eig.rotation))
 
     @pytest.mark.parametrize("k", [-1000, -500, 500, 1000])
     def test_signed_svd3_power_of_two_equivariant_in_float_hex(self, k):
@@ -281,9 +272,7 @@ class TestKernelScaling:
                 sigma = 10.0 ** rng.uniform(-12.0, -2.0)
                 c = haar_so3(rng) @ np.diag([1.0, sigma, -0.3 * sigma]) @ haar_so3(rng).T
             svd, scaled = signed_svd3(c), signed_svd3(2.0 ** k * c)
-            assert hex_bits(scaled.diag) == hex_bits([2.0 ** k * x for x in svd.diag])
-            assert hex_bits(scaled.left) == hex_bits(svd.left)
-            assert hex_bits(scaled.right) == hex_bits(svd.right)
+            assert hexes(scaled) == hexes((svd.left, svd.right, [2.0 ** k * x for x in svd.diag]))
 
     def test_eig_sym3_spectrum_beyond_range_raises(self):
         # Eigenvalues +-1.98e308.
@@ -485,10 +474,8 @@ class TestSignedSVD3Pinned:
     @pytest.mark.parametrize("name", sorted(PINNED_SIGNED_SVD3))
     def test_bits(self, name):
         c, left, right, diag = PINNED_SIGNED_SVD3[name]
-        svd = signed_svd3(hex_matrix(c))
-        assert hex_bits(svd.left) == left
-        assert hex_bits(svd.right) == right
-        assert hex_bits(svd.diag) == diag
+        svd = signed_svd3(fromhex(c))
+        assert hex_list(svd) == left + right + diag
         assert all(type(x) is float for x in svd.diag + sum(svd.left + svd.right, []))
 
 
@@ -601,9 +588,7 @@ class TestSignedSVD3Oracle:
         for _ in range(300):
             c = _oracle_input(family, rng)
             svd, ref = signed_svd3(c), reference_signed_svd3(c)
-            assert hex_bits(svd.left) == hex_bits(ref.left)
-            assert hex_bits(svd.right) == hex_bits(ref.right)
-            assert hex_bits(svd.diag) == hex_bits(ref.diag)
+            assert hexes(svd) == hexes(ref)
 
 
 # The comprehension forms of the 3x3 products, the reference of TestProducts.
@@ -635,10 +620,10 @@ def product_rows(rng):
     return m.tolist()
 
 
-def hex_rows(rows):
-    """float.hex of each entry of a list of floats or of a list of lists."""
-    assert type(rows) is list and all(type(x) in (float, list) for x in rows)
-    return [x.hex() if type(x) is float else [y.hex() for y in x] for x in rows]
+def float_rows(rows):
+    """Whether rows is a list of floats or of lists of floats."""
+    return type(rows) is list and all(
+        type(x) is float or type(x) is list and all(type(y) is float for y in x) for x in rows)
 
 
 class TestProducts:
@@ -656,12 +641,14 @@ class TestProducts:
         for _ in range(1000):
             a, b = product_rows(rng), product_rows(rng)
             x = product_rows(rng)[0]
-            for ka, kb in itertools.product(self._kinds(a), self._kinds(b)):
-                assert hex_rows(_matmul3(ka, kb)) == hex_rows(reference_matmul3(ka, kb))
+            products = [(_matmul3(ka, kb), reference_matmul3(ka, kb))
+                        for ka, kb in itertools.product(self._kinds(a), self._kinds(b))]
             for ka in self._kinds(a):
-                assert hex_rows(_matvec3(ka, x)) == hex_rows(reference_matvec3(ka, x))
-                assert hex_rows(_matvec3(ka, tuple(x))) == hex_rows(reference_matvec3(ka, x))
-                assert hex_rows(_transpose(ka)) == hex_rows(reference_transpose(ka))
+                products += [(_matvec3(ka, x), reference_matvec3(ka, x)),
+                             (_matvec3(ka, tuple(x)), reference_matvec3(ka, x)),
+                             (_transpose(ka), reference_transpose(ka))]
+            for got, expected in products:
+                assert float_rows(got) and hexes(got) == hexes(expected)
 
 
 def cold_memos():
@@ -672,7 +659,8 @@ def cold_memos():
 
 def record_bits(record):
     """float.hex of every field of an EigenSym3 or SignedSVD3, in order."""
-    return [hex_rows(field) for field in record]
+    assert all(map(float_rows, record))
+    return hexes(record)
 
 
 class TestKernelMemo:
@@ -707,7 +695,7 @@ class TestKernelMemo:
 
     @pytest.mark.parametrize("kernel", [eig_sym3, signed_svd3])
     def test_powers_of_two_share_an_entry(self, kernel):
-        a = hex_matrix(DENSE)
+        a = fromhex(DENSE)
         expected = {}
         for k in (-600, -3, 0, 5, 900):
             cold_memos()
@@ -730,7 +718,7 @@ class TestKernelMemo:
         assert record_bits(kernel(a)) == expected
 
     def test_returned_records_are_fresh(self):
-        a, c = hex_matrix(DENSE), hex_matrix(NEAR)
+        a, c = fromhex(DENSE), fromhex(NEAR)
         cold_memos()
         eig, svd = eig_sym3(a), signed_svd3(c)
         expected = record_bits(eig), record_bits(svd)
@@ -807,7 +795,7 @@ class TestCheckedPair:
             scaled = linalg._scaled(pair, 2.0**e)
             divided = [[x / 2.0**e for x in row] for row in pair[0]]
             assert type(scaled) is linalg._Checked
-            assert hex_rows(list(map(list, scaled[0]))) == hex_rows(divided)
+            assert hexes(scaled[0]) == hexes(tuple(map(tuple, divided)))
             assert scaled[1].hex() == _rows3(divided, "a")[1].hex()
             subnormal += 0.0 < scaled[1] < 2.0**-1022
         assert subnormal > 40

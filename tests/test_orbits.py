@@ -1,6 +1,7 @@
 """Tests for canonical forms and the equivalence decision procedure."""
 
-import hashlib
+import contextlib
+import dataclasses
 import sys
 
 import numpy as np
@@ -19,6 +20,7 @@ from blochinv.orbits import (
     sym_canonical,
 )
 from blochinv.verify import norm_inf, rel_dist
+from pins import check, hex_list, hexes
 
 
 def gapped_descending(rng, low, high, gap):
@@ -33,6 +35,7 @@ class TestLmmCanonical:
         form = lmm_canonical(np.diag([1.0, -1.0, 1.0]))
         np.testing.assert_allclose(form.diag, [1.0, 1.0, -1.0], atol=1e-14)
         assert form.degenerate  # all singular values coincide
+        assert lmm_canonical(np.diag([0.9, 0.5, -0.5])).degenerate  # d2 = |d3| only
         r1, r2 = map(np.asarray, form.witness)
         target = r1 @ np.diag([1.0, -1.0, 1.0]) @ r2.T
         np.testing.assert_allclose(target, np.diag(form.diag), atol=1e-13)
@@ -582,37 +585,26 @@ class TestDecidePinnedMemo:
     form taken first, as one benchmark op does, so that the decider's
     kernel calls are served from the memo."""
 
-    @staticmethod
-    def _warm(stratum, state):
-        try:
-            if stratum == "lmm":
-                lmm_canonical(state)
-            else:
-                sym_invariants(*state)
-                sym_canonical(*state)
-        except (DegenerateSpectrum, ZeroVector):
-            pass
-
     @pytest.mark.parametrize("memo", ["cold", "warm"])
     @pytest.mark.parametrize("stratum", ["lmm", "sym"])
     def test_digest(self, stratum, memo):
-        decide = decide_equiv_lmm if stratum == "lmm" else decide_equiv_sym
         body = linalg._svd_body if stratum == "lmm" else linalg._eig_body
         hits = body.cache_info().hits
-        lines = []
-        for a, b in _pinned_pairs(stratum):
-            for tol in (1e-8, 1e-12, 1e-15):
-                if memo == "cold":
-                    linalg._eig_body.cache_clear()
-                    linalg._svd_body.cache_clear()
-                else:
-                    self._warm(stratum, a)
-                    self._warm(stratum, b)
-                v = decide(a, b, tol=tol)
-                lines.append(f"{v.verdict.value} {_hex_items(v.invariant_distance)} "
-                             f"{_hex_items(v.witness)}")
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == (
-            TestDecidePinned.DIGESTS[stratum])
+
+        def before(*states):
+            if memo == "cold":
+                linalg._eig_body.cache_clear()
+                linalg._svd_body.cache_clear()
+                return
+            for state in states:
+                with contextlib.suppress(DegenerateSpectrum, ZeroVector):
+                    if stratum == "lmm":
+                        lmm_canonical(state)
+                    else:
+                        sym_invariants(*state)
+                        sym_canonical(*state)
+
+        check(f"decide-{stratum}", TestDecidePinned.DIGESTS[stratum], decide_lines(stratum, before))
         if memo == "warm":
             assert body.cache_info().hits > hits
 
@@ -664,19 +656,25 @@ class TestWitnessResidual:
         assert (verdict.verdict, verdict.witness, verdict.invariant_distance) == (
             Verdict.INDETERMINATE, None, 0.0)
 
+    def test_bound_scales_with_size(self):
+        # The divided size is 1.5 and tol a tenth of the residual, which lies
+        # between 10 tol / size and 10 tol size: the bound is 10 tol size.
+        c = [[1.5, 0.3, -0.2], [0.1, -0.9, 0.4], [0.25, 0.6, 0.7]]
+        run = orbits._lmm_gates(c, c)
+        with pytest.raises(StopIteration) as done:
+            while True:
+                next(run)
+        _, moved, target, size = done.value.value
+        residual = max(abs(x - y) for r, s in zip(moved, target) for x, y in zip(r, s))
+        assert size == 1.5 and residual > 0.0
+        assert decide_equiv_lmm(c, c, tol=residual / 10.0).verdict is Verdict.EQUIVALENT
+
     def test_identity_has_an_exact_witness(self):
         verdict = decide_equiv_lmm(np.eye(3), np.eye(3), tol=1e-300)
         assert verdict.verdict is Verdict.EQUIVALENT
         assert verdict.invariant_distance == 0.0
         r1, r2 = verdict.witness
         assert r1 == r2 == np.eye(3).tolist()
-
-
-def _hex_items(x):
-    """float.hex of every float in a nested verdict field, in order."""
-    if isinstance(x, (list, tuple)):
-        return " ".join(_hex_items(y) for y in x)
-    return "None" if x is None else float(x).hex()
 
 
 def _pinned_pairs(stratum):
@@ -715,6 +713,38 @@ def _pinned_pairs(stratum):
     return pairs
 
 
+def decide_lines(stratum, before=None):
+    """The decision pin's lines; before(a, b), if given, runs before each
+    decision."""
+    decide = decide_equiv_lmm if stratum == "lmm" else decide_equiv_sym
+    lines = []
+    for i, (a, b) in enumerate(_pinned_pairs(stratum)):
+        for tol in (1e-8, 1e-12, 1e-15):
+            if before is not None:
+                before(a, b)
+            v = decide(a, b, tol=tol)
+            lines.append((f"pair {i} tol {tol:g}",
+                          " ".join(hex_list((v.verdict, v.invariant_distance, v.witness)))))
+    return lines
+
+
+def gate_lines(stratum):
+    """The gate pin's lines."""
+    gates = orbits._lmm_gates if stratum == "lmm" else orbits._sym_gates
+    lines = []
+    for i, (a, b) in enumerate(_pinned_pairs(stratum)):
+        run, distances = gates(a, b), []
+        try:
+            while True:
+                distances.append(next(run))
+        except StopIteration as done:
+            end = " ".join(hex_list(done.value))
+        except DegenerateSpectrum:
+            end = "degenerate"
+        lines.append((f"pair {i} gates", " ".join(hex_list(distances)) + f" | {end}"))
+    return lines
+
+
 class TestDecidePinned:
     """The decision path in float.hex: 200 seeded pairs per stratum through
     both deciders at three tolerances, hashed over (verdict, distance,
@@ -735,33 +765,33 @@ class TestDecidePinned:
 
     @pytest.mark.parametrize("stratum", ["lmm", "sym"])
     def test_digest(self, stratum):
-        decide = decide_equiv_lmm if stratum == "lmm" else decide_equiv_sym
-        lines = []
-        for a, b in _pinned_pairs(stratum):
-            for tol in (1e-8, 1e-12, 1e-15):
-                v = decide(a, b, tol=tol)
-                lines.append(f"{v.verdict.value} {_hex_items(v.invariant_distance)} "
-                             f"{_hex_items(v.witness)}")
-        counts = {k: sum(line.startswith(k.value + " ") for line in lines) for k in Verdict}
+        lines = decide_lines(stratum)
+        counts = {k: sum(text.startswith(k.value + " ") for _, text in lines) for k in Verdict}
         assert counts[Verdict.EQUIVALENT] and counts[Verdict.NOT_EQUIVALENT], counts
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGESTS[stratum]
+        check(f"decide-{stratum}", self.DIGESTS[stratum], lines)
 
     @pytest.mark.parametrize("stratum", ["lmm", "sym"])
     def test_gate_digest(self, stratum):
-        gates = orbits._lmm_gates if stratum == "lmm" else orbits._sym_gates
-        lines = []
-        for a, b in _pinned_pairs(stratum):
-            run = gates(a, b)
-            distances = []
-            try:
-                while True:
-                    distances.append(next(run))
-            except StopIteration as done:
-                lines.append(f"{_hex_items(distances)} | {_hex_items(done.value)}")
-            except DegenerateSpectrum:
-                lines.append(f"{_hex_items(distances)} | degenerate")
-        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-        assert digest == self.GATE_DIGESTS[stratum]
+        check(f"gates-{stratum}", self.GATE_DIGESTS[stratum], gate_lines(stratum))
+
+    def test_a_moved_verdict_is_named(self, monkeypatch):
+        # A mutant flips the verdict of pair 57 at tol 1e-12, the pair's
+        # second decision: the pin names that line alone, with its new text.
+        decide, calls = orbits._decide, []
+
+        def mutant(tol, gates):
+            calls.append(tol)
+            v = decide(tol, gates)
+            flip = {Verdict.INDETERMINATE: Verdict.EQUIVALENT}.get(v.verdict, Verdict.INDETERMINATE)
+            return dataclasses.replace(v, verdict=flip) if len(calls) == 3 * 57 + 2 else v
+
+        monkeypatch.setattr(orbits, "_decide", mutant)
+        lines = decide_lines("sym")
+        with pytest.raises(AssertionError, match="; 1 of 600 lines") as failed:
+            check("decide-sym", self.DIGESTS["sym"], lines)
+        key, text = lines[3 * 57 + 1]
+        assert key == "pair 57 tol 1e-12"
+        assert str(failed.value).split("\n")[1:] == [f"  {key}: {text}"]
 
 
 class TestDecideUnscaledPath:
@@ -788,10 +818,7 @@ class TestDecideUnscaledPath:
                 base = decide(a, b, tol=tol)
                 for k in range(1, 5):
                     scaled = decide(self._times(a, 2.0 ** k), self._times(b, 2.0 ** k), tol=tol)
-                    assert scaled.verdict is base.verdict
-                    assert (_hex_items(scaled.invariant_distance)
-                            == _hex_items(base.invariant_distance))
-                    assert _hex_items(scaled.witness) == _hex_items(base.witness)
+                    assert hexes(scaled) == hexes(base)
 
 
 def _sym_pinned_states():
@@ -830,6 +857,21 @@ def _sym_pinned_states():
     return [(np.array(v), np.array(m)) if i % 2 else (v, m) for i, (v, m) in enumerate(states)]
 
 
+def sym_lines():
+    """TestSymPinned's lines."""
+    def result(f):
+        try:
+            return " ".join(hex_list(f()))
+        except (DegenerateSpectrum, NotRepresentable, ZeroVector) as exc:
+            return type(exc).__name__
+
+    return [(f"state {i}", " | ".join((
+        result(lambda: sym_invariants(v, a).as_tuple()),
+        result(lambda: sym_canonical(v, a)),
+        result(lambda: list(octahedral_invariants(v).as_dict().values())))))
+        for i, (v, a) in enumerate(_sym_pinned_states())]
+
+
 class TestSymPinned:
     """The symmetric public functions in float.hex over the seeded states of
     _sym_pinned_states: sym_invariants(...).as_tuple(), sym_canonical's
@@ -839,20 +881,8 @@ class TestSymPinned:
 
     DIGEST = "3d205b4bbe8734b19bf76bca25b3f31b9b580f7396196137401a06532cb27969"
 
-    @staticmethod
-    def _line(f):
-        try:
-            return _hex_items(f())
-        except (DegenerateSpectrum, NotRepresentable, ZeroVector) as exc:
-            return type(exc).__name__
-
     def test_digest(self):
-        lines = []
-        for v, a in _sym_pinned_states():
-            lines.append(" | ".join((
-                self._line(lambda: sym_invariants(v, a).as_tuple()),
-                self._line(lambda: (lambda f: (f.eigs, f.w, f.witness))(sym_canonical(v, a))),
-                self._line(lambda: list(octahedral_invariants(v).as_dict().values())))))
-        kinds = {kind for line in lines for kind in line.split(" | ") if " " not in kind}
+        lines = sym_lines()
+        kinds = {kind for _, text in lines for kind in text.split(" | ") if " " not in kind}
         assert kinds == {"DegenerateSpectrum", "NotRepresentable", "ZeroVector"}, kinds
-        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == self.DIGEST
+        check("sym", self.DIGEST, lines)

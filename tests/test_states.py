@@ -1,6 +1,5 @@
 """Tests for the two-qubit state model and the Bloch-matrix maps."""
 
-import hashlib
 import math
 
 import numpy as np
@@ -29,6 +28,7 @@ from blochinv.states import (
     validate_density,
 )
 from blochinv.verify import norm_inf
+from pins import check, hex_list, hexes
 
 MAX_MIXED = 0.25 * np.eye(4, dtype=complex)
 
@@ -56,12 +56,6 @@ def class_oracle(table, tol=DEFAULT_CLASS_TOL):
     sym = norm_inf(u - v) <= tol and norm_inf(c - c.T) <= tol
     return {(True, True): StateClass.SYMMETRIC_LMM, (True, False): StateClass.LMM,
             (False, True): StateClass.SYMMETRIC, (False, False): StateClass.GENERAL}[lmm, sym]
-
-
-def hex_entries(x):
-    """float.hex of every real entry, or of the real and imaginary parts."""
-    return [part.hex() for z in np.ravel(np.asarray(x)).tolist()
-            for part in ((z.real, z.imag) if isinstance(z, complex) else (float(z),))]
 
 
 class TestPauliBasis:
@@ -180,10 +174,8 @@ class TestDensityCheckEdges:
         rho = edge_state(k)
         np.testing.assert_array_equal(validate_density(rho), rho)
         table = table_oracle(rho)
-        b = bloch_of(rho)
-        assert hex_entries(b.u) == hex_entries(table[1:, 0])
-        assert hex_entries(b.v) == hex_entries(table[0, 1:])
-        assert hex_entries(b.C) == hex_entries(table[1:, 1:])
+        assert hexes(bloch_of(rho)) == hexes(
+            [x.tolist() for x in (table[1:, 0], table[0, 1:], table[1:, 1:])])
 
     @pytest.mark.parametrize("k", EDGE_EXPONENTS)
     @pytest.mark.parametrize("where, error", [
@@ -275,8 +267,7 @@ class TestBlochMap:
             b = np.block([[np.ones((1, 1)), v[None, :]], [u[:, None], c]])
             old = 0.25 * np.einsum("ab,abij->ij", b, PAULI_KRON)
             new = density_of(BlochMatrix(u, v, c))
-            assert [z.real.hex() + z.imag.hex() for row in new for z in row] == [
-                z.real.hex() + z.imag.hex() for z in old.ravel().tolist()]
+            assert hexes(new) == hexes(old.tolist())
 
     def test_round_trip(self):
         rng = np.random.default_rng(1)
@@ -319,21 +310,19 @@ class TestEinsumOracle:
 
     def test_fields_correlations_and_class(self):
         for t, (u, v, c), rho in self._states():
-            assert hex_entries(density_of(BlochMatrix(u, v, c))) == \
-                hex_entries(density_oracle(u, v, c))
+            assert (hexes(density_of(BlochMatrix(u, v, c)))
+                    == hexes(density_oracle(u, v, c).tolist()))
             table = table_oracle(rho)
-            b = bloch_of(rho)
-            assert hex_entries(b.u) == hex_entries(table[1:, 0])
-            assert hex_entries(b.v) == hex_entries(table[0, 1:])
-            assert hex_entries(b.C) == hex_entries(table[1:, 1:])
+            assert hexes(bloch_of(rho)) == hexes(
+                [x.tolist() for x in (table[1:, 0], table[0, 1:], table[1:, 1:])])
             assert classify(rho) is class_oracle(table)
             if t % 10 == 0:
                 got = [correlation(rho, i, j) for i in range(4) for j in range(4)]
-                assert hex_entries(got) == hex_entries(table)
+                assert hex_list(got) == hex_list(table.tolist())
 
     def test_zero_fields_are_positive_zero(self):
         b = bloch_of(density_oracle(np.full(3, -0.0), np.full(3, -0.0), np.full((3, 3), -0.0)))
-        assert hex_entries([*b.u, *b.v, *sum(b.C, [])]) == [(0.0).hex()] * 15
+        assert hex_list(b) == ["0x0.0p+0"] * 15
 
     @pytest.mark.parametrize("diag, entries", [
         ((1.7e308, 1.7e308, -1.7e308, -1.7e308), {}),
@@ -429,11 +418,6 @@ class TestPartialTrace:
         assert partial_trace(rho, 2) == [[0j, 0j], [0j, 0j]]
 
 
-def hexes(rows):
-    """float.hex of the real and imaginary parts of rows of complex numbers."""
-    return [[(complex(z).real.hex(), complex(z).imag.hex()) for z in row] for row in rows]
-
-
 class TestNumpyOracles:
     """partial_trace, bloch_vector and bell_projector on Python complex
     numbers against the numpy forms they replace, in float.hex."""
@@ -449,7 +433,7 @@ class TestNumpyOracles:
             blocks = np.asarray(rho, dtype=complex).reshape(2, 2, 2, 2)
             for which, (axis1, axis2) in ((1, (1, 3)), (2, (0, 2))):
                 expected = np.trace(blocks, axis1=axis1, axis2=axis2)
-                assert hexes(partial_trace(rho, which)) == hexes(expected)
+                assert hexes(partial_trace(rho, which)) == hexes(expected.tolist())
 
     def test_bloch_vector(self):
         # + 0.0 ignores the sign of zero, which the matrix product may flip.
@@ -463,10 +447,22 @@ class TestNumpyOracles:
             assert ([(x + 0.0).hex() for x in bloch_vector(rho2)]
                     == [(float(x) + 0.0).hex() for x in expected])
 
+    @pytest.mark.parametrize("rho2, error, message", [
+        ([[1.7e308, 1.7e308], [1.7e308, -1.7e308]], NotRepresentable,
+         ": a coordinate is not a finite double$"),
+        ([[np.nan, "x"], [0.0]], ValueError, r" input must have shape \(2, 2\), got"),
+        ([[np.nan, "x"], [0.0, 0.0]], ValueError, " input must have complex number entries"),
+        ([[np.nan, 10**400], [0.0, 0.0]], ValueError, " input contains NaN or Inf entries$"),
+    ], ids=["overflow", "ragged", "refused", "nan"])
+    def test_bloch_vector_checks_its_argument(self, rho2, error, message):
+        # In _rows3's order: the shape, an entry complex() refuses, NaN or Inf.
+        with pytest.raises(error, match=f"^bloch_vector{message}"):
+            bloch_vector(rho2)
+
     def test_bell_projector(self):
         for name, ket in BELL_KETS.items():
             ket = np.array(ket, dtype=complex)
-            assert hexes(bell_projector(name)) == hexes(np.outer(ket, ket.conj()))
+            assert hexes(bell_projector(name)) == hexes(np.outer(ket, ket.conj()).tolist())
 
 
 class TestClassify:
@@ -550,9 +546,7 @@ class TestRandomStates:
                 assert all(type(row) is list and len(row) == 3 for row in rec.C)
                 assert all(type(x) is float for x in [*rec.u, *rec.v, *sum(rec.C, [])])
             u, v, c = (np.asarray(x) for x in (b.u, b.v, b.C))
-            assert hex_entries(moved.u) == hex_entries(r1 @ u)
-            assert hex_entries(moved.v) == hex_entries(r2 @ v)
-            assert hex_entries(moved.C) == hex_entries(r1 @ c @ r2.T)
+            assert hexes(moved) == hexes([x.tolist() for x in (r1 @ u, r2 @ v, r1 @ c @ r2.T)])
 
     def test_density_route_respects_class(self):
         rho = random_state(StateClass.LMM, 123)
@@ -614,35 +608,29 @@ DIGEST_CALLS = (
 )
 
 
-def outcome_hex(x):
-    """float.hex of every float in a result, parts of complex numbers
-    included, or the value of a class or a bool."""
-    if isinstance(x, BlochMatrix):
-        return [outcome_hex(x.u), outcome_hex(x.v), outcome_hex(x.C)]
-    if isinstance(x, list):
-        return [outcome_hex(y) for y in x]
-    if isinstance(x, complex):
-        return [x.real.hex(), x.imag.hex()]
-    if isinstance(x, float):
-        return x.hex()
-    return x.value if isinstance(x, StateClass) else repr(x)
-
-
-def states_digest(before_call=None):
-    """SHA-256 of the outcome of every DIGEST_CALLS function on every
-    digest input: its float.hex result, or the type and message of its
-    error. before_call, if given, runs before each recorded call."""
+def states_lines(before_call=None):
+    """The lines of the states pin: the outcome of every DIGEST_CALLS
+    function on every digest input, its float.hex result or the type and
+    message of its error. before_call, if given, runs before each recorded
+    call."""
     lines = []
-    for rho in digest_inputs():
+    for i, rho in enumerate(digest_inputs()):
         for name, call in DIGEST_CALLS:
             if before_call is not None:
                 before_call(call, rho)
             try:
-                result = outcome_hex(call(rho))
+                result = hexes(call(rho))
             except (ValueError, BlochInvError) as exc:
                 result = f"{type(exc).__name__}: {exc}"
-            lines.append(f"{name} {result}")
-    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+            lines.append((f"input {i} {name}", f"{name} {result}"))
+    return lines
+
+
+def test_walker_keeps_types_apart():
+    # A result that changes type changes its line of the states pin.
+    same = (1.0, 1, True, np.bool_(True), np.float64(1.0), None, [1.0], (1.0,), np.array([1.0]))
+    texts = {str(hexes(x)) for x in same}
+    assert len(texts) == len(same), texts
 
 
 def cold_density():
@@ -680,9 +668,9 @@ class TestDensityMemo:
     def test_array_list_and_tuple_share_an_entry(self):
         rho = random_state(StateClass.GENERAL, 3)
         cold_density()
-        expected = outcome_hex(bloch_of(rho))
+        expected = hexes(bloch_of(rho))
         for same in (rho.tolist(), tuple(tuple(row) for row in rho.tolist()), rho):
-            assert outcome_hex(bloch_of(same)) == expected
+            assert hexes(bloch_of(same)) == expected
         info = states._density_body.cache_info()
         assert (info.misses, info.hits) == (1, 3)
 
@@ -737,7 +725,7 @@ class TestDensityMemo:
         cold_density()
         results = (bloch_of(rho), validate_density(rho), states._table(rho),
                    partial_trace(rho, 1))
-        expected = [outcome_hex(x) for x in results]
+        expected = [hexes(x) for x in results]
         b, rows, table, reduced = results
         b.u[0] = b.v[2] = b.C[1][2] = 7.0
         rows[0][0] = rows[3][1] = 7j
@@ -745,7 +733,7 @@ class TestDensityMemo:
         reduced[1][1] = 7j
         again = (bloch_of(rho), validate_density(rho), states._table(rho),
                  partial_trace(rho, 1))
-        assert [outcome_hex(x) for x in again] == expected
+        assert [hexes(x) for x in again] == expected
         assert states._density_body.cache_info().misses == 1
 
     def test_evicts_beyond_the_bound(self):
@@ -753,12 +741,12 @@ class TestDensityMemo:
         mats = [np.diag([0.25 + i / 256.0, 0.25, 0.25, 0.25 - i / 256.0])
                 for i in range(linalg._MEMO_SIZE + 1)]
         cold_density()
-        expected = [outcome_hex(bloch_of(m)) for m in mats]
+        expected = [hexes(bloch_of(m)) for m in mats]
         info = states._density_body.cache_info()
         assert (info.misses, info.currsize) == (len(mats), linalg._MEMO_SIZE)
         # The last _MEMO_SIZE inputs are held; the first was evicted.
         for m, bits in reversed(list(zip(mats, expected))):
-            assert outcome_hex(bloch_of(m)) == bits
+            assert hexes(bloch_of(m)) == bits
         info = states._density_body.cache_info()
         assert (info.hits, info.misses) == (linalg._MEMO_SIZE, len(mats) + 1)
 
@@ -775,5 +763,5 @@ class TestDensityMemo:
             except (ValueError, BlochInvError):
                 pass
 
-        assert states_digest(cold if memo == "cold" else warm) == self.DIGEST
+        check("states", self.DIGEST, states_lines(cold if memo == "cold" else warm))
         assert (states._density_body.cache_info().hits > hits) == (memo == "warm")
