@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
-from .linalg import det3
+from .linalg import _finite, _rows3, det3
 from .states import SWAP, BlochMatrix, StateClass, bloch_of, density_of, validate_density
 
 # Tolerance of the unitarity precondition of so3_of_u2.
@@ -79,11 +79,19 @@ def act_density(u1, u2, rho):
 
 def act_bloch(r1, r2, bloch):
     """Rotation-pair action on Bloch coordinates:
-    u -> R1 u, v -> R2 v, C -> R1 C R2^T, the fields lists of floats."""
-    r1 = np.asarray(r1, dtype=float)
-    r2 = np.asarray(r2, dtype=float)
-    return BlochMatrix(u=(r1 @ bloch.u).tolist(), v=(r2 @ bloch.v).tolist(),
-                       C=(r1 @ bloch.C @ r2.T).tolist())
+    u -> R1 u, v -> R2 v, C -> R1 C R2^T, the fields lists of floats.
+
+    Raises:
+        ValueError: unless R1 and R2 are finite 3x3 matrices (linalg._rows3).
+        NotRepresentable: when an entry of a field is not a finite double.
+    """
+    r1 = np.array(_rows3(r1, "act_bloch input")[0])
+    r2 = np.array(_rows3(r2, "act_bloch input")[0])
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
+        u, v, c = (r1 @ bloch.u).tolist(), (r2 @ bloch.v).tolist(), (r1 @ bloch.C @ r2.T).tolist()
+    c0, c1, c2 = c
+    _finite("act_bloch", (*u, *v, *c0, *c1, *c2), "an entry of a field")
+    return BlochMatrix(u=u, v=v, C=c)
 
 
 @dataclass(frozen=True)
@@ -189,9 +197,9 @@ def _haar_pair(seed):
     """A pair (a, b) of complex Gaussians normalized to |a|^2 + |b|^2 = 1,
     the first column of a Haar-random SU(2) element."""
     rng = _as_rng(seed)
-    z = rng.standard_normal(4)
-    a = complex(z[0], z[1])
-    b = complex(z[2], z[3])
+    z0, z1, z2, z3 = rng.standard_normal(4).tolist()
+    a = complex(z0, z1)
+    b = complex(z2, z3)
     n = math.sqrt(abs(a) ** 2 + abs(b) ** 2)
     a /= n
     b /= n

@@ -8,7 +8,8 @@ floats and checked once, by _rows3 (shape and finiteness) or _sym_rows3
 (also symmetry); each 3-vector input by _vec3 (shape and finiteness).
 Each check is one straight-line pass on named locals, with no loop, map
 or generator: a shape test, one float() per entry, one finiteness test
-and, for a matrix, its norm as one max.
+and, for a matrix, its norm as one max. rotation_residual reads its
+matrix the same way but, a residual, skips the finiteness test.
 _rows3 returns (rows, norm) as a _Checked pair and a _Checked argument as
 it is, as _sym_rows3 does after its symmetry test (a pair does not imply
 symmetry); _scaled keeps a pair checked. Its rows are tuples, so a pair
@@ -70,12 +71,44 @@ _SVD_KEY = struct.Struct("9d")
 
 def rotation_residual(r):
     """Deviation of a matrix from SO(3): max of |R^T R - I| and |det R - 1|,
-    on Python floats; NaN or Inf, not an error or a warning, for a
-    non-finite matrix."""
-    rows = [list(map(float, row)) for row in (r.tolist() if hasattr(r, "tolist") else r)]
-    gram = _matmul3(list(zip(*rows)), rows)
-    devs = [abs(x - float(i == j)) for i, row in enumerate(gram) for j, x in enumerate(row)]
-    return _worst(devs + [abs(_det3_rows(*rows) - 1.0)])
+    on Python floats, the ten terms folded through _worst in row-major
+    order of the Gram matrix, then the determinant.
+
+    ValueError naming rotation_residual and (3, 3) for any other shape, and
+    for an entry float() refuses. A residual helper, it is exempt from the
+    finiteness check of the other public functions: a NaN or Inf entry
+    gives NaN or inf, not an error or a warning, and an integer beyond the
+    double range gives inf. The battery folds the residual through _worst,
+    so a check on a non-finite matrix fails and reports it.
+    """
+    r = r.tolist() if hasattr(r, "tolist") else r
+    if not (isinstance(r, _SEQUENCE) and len(r) == 3):
+        raise _shape_error("rotation_residual input", (3, 3), r)
+    r0, r1, r2 = r
+    if not (isinstance(r0, _SEQUENCE) and isinstance(r1, _SEQUENCE)
+            and isinstance(r2, _SEQUENCE) and len(r0) == len(r1) == len(r2) == 3):
+        raise _shape_error("rotation_residual input", (3, 3), r)
+    (r00, r01, r02), (r10, r11, r12), (r20, r21, r22) = r0, r1, r2
+    try:
+        r00, r01, r02 = float(r00), float(r01), float(r02)
+        r10, r11, r12 = float(r10), float(r11), float(r12)
+        r20, r21, r22 = float(r20), float(r21), float(r22)
+    except OverflowError:
+        if _refused(float, (r00, r01, r02, r10, r11, r12, r20, r21, r22)):
+            raise _entry_error("rotation_residual input", r) from None
+        return math.inf
+    except (TypeError, ValueError):
+        raise _entry_error("rotation_residual input", r) from None
+    # R^T R summed as _matmul3 sums it; it is symmetric bit for bit, since
+    # each lower entry has the upper one's products in the same order.
+    g01 = abs(r00 * r01 + r10 * r11 + r20 * r21)
+    g02 = abs(r00 * r02 + r10 * r12 + r20 * r22)
+    g12 = abs(r01 * r02 + r11 * r12 + r21 * r22)
+    return _worst((abs(r00 * r00 + r10 * r10 + r20 * r20 - 1.0), g01, g02,
+                   g01, abs(r01 * r01 + r11 * r11 + r21 * r21 - 1.0), g12,
+                   g02, g12, abs(r02 * r02 + r12 * r12 + r22 * r22 - 1.0),
+                   abs(r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
+                       + r02 * (r10 * r21 - r11 * r20) - 1.0)))
 
 
 def _worst(values):
@@ -135,15 +168,24 @@ _SEQUENCE = (list, tuple)
 
 
 def _shape(a):
-    """The shape numpy would give nested lists or tuples, read along their
-    first entries; () for anything else. Only error messages use it."""
-    shape = ()
-    while isinstance(a, _SEQUENCE):
-        shape += (len(a),)
-        if not a:
-            break
-        a = a[0]
-    return shape
+    """The shape numpy would give nested lists or tuples, () for anything
+    else. A ragged nesting gives the dimensions its entries agree on, then
+    "ragged", as text: "(2, ragged)" for [[1, 0], [0]]. Only error messages
+    use it."""
+    dims, ragged = _dims(a)
+    return "(" + "".join(f"{d}, " for d in dims) + "ragged)" if ragged else dims
+
+
+def _dims(a):
+    """(dims, ragged): the dimensions that every entry of a nesting of lists
+    or tuples agrees on, and whether entries disagree below them."""
+    if not isinstance(a, _SEQUENCE):
+        return (), False
+    inner = [_dims(x) for x in a]
+    shapes = {dims for dims, _ in inner}
+    if len(shapes) > 1:
+        return (len(a),), True
+    return (len(a), *(shapes.pop() if shapes else ())), any(ragged for _, ragged in inner)
 
 
 def _shape_error(what, shape, a):

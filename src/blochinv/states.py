@@ -256,28 +256,31 @@ def density_of(bloch):
     einsum("ab,abij->ij") sums them. ValueError unless u, v have shape (3,),
     C shape (3, 3) and every entry is finite.
     """
-    u, v = (_vec3(x, "density_of input") for x in (bloch.u, bloch.v))
-    rows = _rows3(bloch.C, "density_of input")[0]
+    u0, u1, u2 = _vec3(bloch.u, "density_of input")
+    v0, v1, v2 = _vec3(bloch.v, "density_of input")
+    (c00, c01, c02), (c10, c11, c12), (c20, c21, c22) = _rows3(bloch.C, "density_of input")[0]
     # Scaling first keeps every partial sum within max |B|, so rho is finite.
-    (b00, b01, b02, b03), (b10, b11, b12, b13), (b20, b21, b22, b23), (b30, b31, b32, b33) = (
-        [0.25 * x for x in row] for row in ([1.0, *v], *([x, *row] for x, row in zip(u, rows))))
-    # The upper triangle; + 0.0 as in _table.
-    d0, d1 = b00 + b03 + b30 + b33 + 0.0, b00 - b03 + b30 - b33 + 0.0
-    d2, d3 = b00 + b03 - b30 - b33 + 0.0, b00 - b03 - b30 + b33 + 0.0
-    z01 = complex(b01 + b31 + 0.0, -b02 - b32 + 0.0)
-    z02 = complex(b10 + b13 + 0.0, -b20 - b23 + 0.0)
-    z03 = complex(b11 - b22 + 0.0, -b12 - b21 + 0.0)
-    z12 = complex(b11 + b22 + 0.0, b12 - b21 + 0.0)
-    z13 = complex(b10 - b13 + 0.0, -b20 + b23 + 0.0)
-    z23 = complex(b01 - b31 + 0.0, -b02 + b32 + 0.0)
+    b01, b02, b03 = 0.25 * v0, 0.25 * v1, 0.25 * v2
+    b10, b11, b12, b13 = 0.25 * u0, 0.25 * c00, 0.25 * c01, 0.25 * c02
+    b20, b21, b22, b23 = 0.25 * u1, 0.25 * c10, 0.25 * c11, 0.25 * c12
+    b30, b31, b32, b33 = 0.25 * u2, 0.25 * c20, 0.25 * c21, 0.25 * c22
+    # The upper triangle, B_00 / 4 = 0.25; + 0.0 as in _table.
+    d0, d1 = 0.25 + b03 + b30 + b33 + 0.0, 0.25 - b03 + b30 - b33 + 0.0
+    d2, d3 = 0.25 + b03 - b30 - b33 + 0.0, 0.25 - b03 - b30 + b33 + 0.0
+    x01, y01 = b01 + b31 + 0.0, -b02 - b32 + 0.0
+    x02, y02 = b10 + b13 + 0.0, -b20 - b23 + 0.0
+    x03, y03 = b11 - b22 + 0.0, -b12 - b21 + 0.0
+    x12, y12 = b11 + b22 + 0.0, b12 - b21 + 0.0
+    x13, y13 = b10 - b13 + 0.0, -b20 + b23 + 0.0
+    x23, y23 = b01 - b31 + 0.0, -b02 + b32 + 0.0
     # The lower triangle is the conjugate: its terms are the negated ones.
-    c01, c02, c03, c12, c13, c23 = (
-        complex(z.real, -z.imag + 0.0) for z in (z01, z02, z03, z12, z13, z23))
     return [
-        [complex(d0, 0.0), z01, z02, z03],
-        [c01, complex(d1, 0.0), z12, z13],
-        [c02, c12, complex(d2, 0.0), z23],
-        [c03, c13, c23, complex(d3, 0.0)],
+        [complex(d0, 0.0), complex(x01, y01), complex(x02, y02), complex(x03, y03)],
+        [complex(x01, -y01 + 0.0), complex(d1, 0.0), complex(x12, y12), complex(x13, y13)],
+        [complex(x02, -y02 + 0.0), complex(x12, -y12 + 0.0), complex(d2, 0.0),
+         complex(x23, y23)],
+        [complex(x03, -y03 + 0.0), complex(x13, -y13 + 0.0), complex(x23, -y23 + 0.0),
+         complex(d3, 0.0)],
     ]
 
 

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.random.bit_generator import ISeedSequence
 
 from . import SUITES
 from . import invariants as invariants_mod
@@ -128,17 +129,59 @@ def _words(n):
     return words
 
 
+# The hash of numpy's SeedSequence.generate_state: output word i is pool
+# word i mod 4 xored with H[i], times H[i + 1] mod 2^32, then xored with
+# itself shifted right by 16 bits, where H[0] = INIT_B and H[i + 1] =
+# H[i] MULT_B mod 2^32. H does not depend on the pool.
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_HASH = [_INIT_B]
+for _ in range(8):
+    _HASH.append(_HASH[-1] * _MULT_B & 0xFFFFFFFF)
+
+
+def _pcg64_words(pool):
+    """SeedSequence.generate_state(4, np.uint64) of a SeedSequence whose
+    pool holds the four Python ints pool, on Python ints: eight hashed
+    32-bit words, paired little-endian into four 64-bit ones."""
+    p0, p1, p2, p3 = pool
+    h0, h1, h2, h3, h4, h5, h6, h7, h8 = _HASH
+    w0 = (p0 ^ h0) * h1 & 0xFFFFFFFF
+    w1 = (p1 ^ h1) * h2 & 0xFFFFFFFF
+    w2 = (p2 ^ h2) * h3 & 0xFFFFFFFF
+    w3 = (p3 ^ h3) * h4 & 0xFFFFFFFF
+    w4 = (p0 ^ h4) * h5 & 0xFFFFFFFF
+    w5 = (p1 ^ h5) * h6 & 0xFFFFFFFF
+    w6 = (p2 ^ h6) * h7 & 0xFFFFFFFF
+    w7 = (p3 ^ h7) * h8 & 0xFFFFFFFF
+    return [w0 ^ w0 >> 16 | (w1 ^ w1 >> 16) << 32, w2 ^ w2 >> 16 | (w3 ^ w3 >> 16) << 32,
+            w4 ^ w4 >> 16 | (w5 ^ w5 >> 16) << 32, w6 ^ w6 >> 16 | (w7 ^ w7 >> 16) << 32]
+
+
+class _SeedWords(ISeedSequence):
+    """The seed of one PCG64: its generate_state returns the four uint64
+    words it was built with, which is all PCG64 asks of a seed sequence."""
+
+    def __init__(self, words):
+        self.words = words
+
+    def generate_state(self, n_words, dtype=np.uint32):
+        return self.words
+
+
 def trial_rng(seed, suite, trial):
     """Independent generator for one trial, stable under reordering.
 
-    The stream is PCG64 seeded by a SeedSequence whose entropy is the
-    seed's 32-bit words, the suite's index in SUITES and the trial's
-    words, each int least significant word first: the generator of
-    np.random.default_rng(np.random.SeedSequence([seed, index, trial])),
-    given the words as one uint32 array.
+    The entropy is the seed's 32-bit words, the suite's index in SUITES and
+    the trial's words, each int least significant word first, as one uint32
+    array. np.random.SeedSequence mixes it into its pool; the eight hash
+    steps of its generate_state(4, np.uint64) run on the pool's Python ints
+    (_pcg64_words), and PCG64 is seeded with the four words. The stream is
+    that of np.random.default_rng(np.random.SeedSequence([seed, index,
+    trial])), without numpy's per-word loop over uint32 scalars.
     """
     entropy = np.array([*_words(seed), SUITES.index(suite), *_words(trial)], dtype=np.uint32)
-    return np.random.default_rng(np.random.SeedSequence(entropy))
+    words = _pcg64_words(np.random.SeedSequence(entropy).pool.tolist())
+    return np.random.Generator(np.random.PCG64(_SeedWords(np.array(words, dtype=np.uint64))))
 
 
 def _rngs(seed, suite, offset, n):

@@ -22,6 +22,7 @@ sys.path.insert(0, str(TESTS))
 import pins  # noqa: E402
 import test_orbits  # noqa: E402
 import test_states  # noqa: E402
+import test_verify  # noqa: E402
 
 PINS = {
     "decide-lmm": lambda: test_orbits.decide_lines("lmm"),
@@ -30,6 +31,7 @@ PINS = {
     "gates-sym": lambda: test_orbits.gate_lines("sym"),
     "sym": test_orbits.sym_lines,
     "states": test_states.states_lines,
+    "battery": test_verify.battery_lines,
 }
 
 if __name__ == "__main__":

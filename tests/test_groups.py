@@ -1,10 +1,12 @@
 """Tests for the covering map, finite groups, and group actions."""
 
+import math
+
 import numpy as np
 import pytest
 
 import blochinv.groups
-from blochinv.errors import NotUnitary
+from blochinv.errors import NotRepresentable, NotUnitary
 from blochinv.groups import (
     SignedPerm,
     act_bloch,
@@ -20,7 +22,7 @@ from blochinv.groups import (
     so3_of_u2,
 )
 from blochinv.linalg import rotation_residual
-from blochinv.states import PAULI, StateClass, bloch_of, density_of
+from blochinv.states import PAULI, BlochMatrix, StateClass, bloch_of, density_of
 from blochinv.verify import norm_inf
 from pins import hexes
 
@@ -142,6 +144,17 @@ class TestActions:
         out = act_bloch(r, r, b)
         assert norm_inf(np.subtract(out.C, np.transpose(out.C))) < 1e-13
         assert norm_inf(np.subtract(out.u, out.v)) < 1e-13
+
+    @pytest.mark.parametrize("field", ["u", "v", "C"])
+    @pytest.mark.parametrize("bad", [np.nan, 1.7e308], ids=["nan", "overflow"])
+    def test_act_bloch_refuses_a_non_finite_field(self, field, bad):
+        # An eighth of a turn about z sums two terms of 1.7e308 / sqrt(2).
+        s = math.sqrt(0.5)
+        r = [[s, -s, 0.0], [s, s, 0.0], [0.0, 0.0, 1.0]]
+        fields = {"u": [0.1, 0.2, 0.3], "v": [0.1, 0.2, 0.3], "C": np.eye(3).tolist()}
+        fields[field] = np.full(np.shape(fields[field]), bad).tolist()
+        with pytest.raises(NotRepresentable, match="^act_bloch: "):
+            act_bloch(r, r, BlochMatrix(**fields))
 
     def test_equivariance(self):
         rng = np.random.default_rng(5)

@@ -173,10 +173,13 @@ def test_detects_verdict_sites():
 
 
 # The input checks of every 3x3 and 3-vector argument and of every density
-# matrix, each one straight-line pass on named locals, by module.
+# matrix, and the helpers every battery trial runs, each one straight-line
+# pass on named locals, by module.
 STRAIGHT_LINE_CHECKS = ("_rows3", "_vec3", "_sym_rows3")
-STRAIGHT_LINE = {"linalg.py": STRAIGHT_LINE_CHECKS,
-                 "states.py": ("_checked_density", "_density_body", "bloch_vector")}
+STRAIGHT_LINE = {"linalg.py": (*STRAIGHT_LINE_CHECKS, "rotation_residual"),
+                 "states.py": ("_checked_density", "_density_body", "bloch_vector", "density_of"),
+                 "groups.py": ("_haar_pair",),
+                 "verify.py": ("trial_rng", "_pcg64_words")}
 ITERATION = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp, ast.DictComp,
              ast.GeneratorExp, ast.Lambda)
 

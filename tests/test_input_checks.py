@@ -1,11 +1,14 @@
 """Every argument is checked once, on entry, by the one check of its shape.
 
-Every 3x3 and 3-vector argument of the scalar core and of
-states.density_of: a wrong shape or a NaN or Inf entry raises ValueError
-naming the function, never a numpy warning, another error type or a value
-computed from part of the input. Every two-qubit state argument: the
-function raises exactly what states.validate_density raises."""
+Every 3x3 and 3-vector argument of the scalar core, of states.density_of
+and of groups.act_bloch: a wrong shape or a NaN or Inf entry raises
+ValueError naming the function, never a numpy warning, another error type
+or a value computed from part of the input. Every two-qubit state
+argument: the function raises exactly what states.validate_density
+raises. Every other public function of linalg, invariants, orbits, states
+and groups is in EXEMPT, with the reason."""
 
+import inspect
 import warnings
 
 import numpy as np
@@ -18,6 +21,7 @@ from pins import hex_list
 C = np.array([[0.9, -0.2, 0.1], [0.3, 0.5, -0.4], [0.05, 0.2, -0.3]])
 A = np.array([[0.7, 0.1, 0.0], [0.1, 0.2, 0.05], [0.0, 0.05, -0.4]])
 V = np.array([0.3, -0.2, 0.5])
+R = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
 
 # (id, function name, call with the probed argument x, valid value of x).
 SITES = [
@@ -57,6 +61,8 @@ SITES = [
     ("density_of-c", "density_of", lambda x: states.density_of(BlochMatrix(V, V, x)), C),
     ("bloch_vector", "bloch_vector", states.bloch_vector,
      np.array([[0.75, 0.25 - 0.5j], [0.25 + 0.5j, 0.25]])),
+    ("act_bloch-r1", "act_bloch", lambda x: groups.act_bloch(x, R, BlochMatrix(V, V, C)), R),
+    ("act_bloch-r2", "act_bloch", lambda x: groups.act_bloch(R, x, BlochMatrix(V, V, C)), R),
 ]
 
 SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,), (1,), ()]
@@ -163,6 +169,49 @@ def test_state_argument_checked_by_validate_density(site, bad):
     assert str(raised.value) == str(expected.value)
 
 
+# The public functions with neither a SITES nor a STATE_SITES row, and why.
+EXEMPT = {
+    "rotation_residual": "a residual: NaN or inf for a non-finite matrix, which the battery "
+                         "folds through _worst (test_linalg.py TestPredicates)",
+    "p9_eval": "three scalar arguments, checked as one vector by _vec3",
+    "lmm_positive_cone_check": "a record argument, an LmmInvariants",
+    "validate_density": "the check itself, which every STATE_SITES row is compared with",
+    "bell_projector": "a name argument",
+    "so3_of_u2": "a 2x2 unitary argument, refused with NotUnitary (test_groups.py)",
+    "haar_su2": "a seed argument",
+    "haar_so3": "a seed argument",
+    "random_bloch": "a seed argument",
+    "random_state": "a seed argument",
+    "lmm_weyl_pair": "a record argument, a SignedPerm",
+    "lmm_normalizer_pairs": "a record argument, a list of SignedPerm",
+    "signed_permutations": "no argument",
+    "octahedral_group": "no argument",
+    "lmm_weyl_action_group": "no argument",
+}
+
+
+def test_every_public_function_is_checked_or_exempt():
+    public = {name for module in (linalg, invariants, orbits, states, groups)
+              for name, f in inspect.getmembers(module, inspect.isfunction)
+              if f.__module__ == module.__name__ and not name.startswith("_")}
+    checked = {s[1] for s in SITES} | {s[0] for s in STATE_SITES}
+    assert public - checked == set(EXEMPT), "add a SITES or STATE_SITES row, or an EXEMPT reason"
+
+
+@pytest.mark.parametrize("call, a, message", [
+    (linalg.det3, [[1, 2, 3], [4, 5, 6], [7, 8]],
+     r"^det3 input must have shape \(3, 3\), got \(3, ragged\)$"),
+    (states.bloch_vector, [[1, 0], [0]],
+     r"^bloch_vector input must have shape \(2, 2\), got \(2, ragged\)$"),
+    (linalg.det3, [[1, 2, 3], [4, [5], 6], [7, 8, 9]],
+     r"^det3 input must have real number entries, got shape \(3, 3, ragged\)$"),
+], ids=["det3", "bloch_vector", "det3-deep"])
+def test_ragged_input_says_ragged(call, a, message):
+    # The shape in a message is read along every entry, not the first ones.
+    with pytest.raises(ValueError, match=message):
+        call(a)
+
+
 class TestRowChecks:
     """The edges of linalg._rows3 and _vec3, the straight-line checks of every
     3x3 and 3-vector argument: their values and norm in float.hex, the input
@@ -244,6 +293,6 @@ class TestRowChecks:
             linalg._vec3(v, "probe")
 
     def test_empty_input_names_its_shape(self):
-        # _shape stops at an empty sequence: it has no first entry to read.
+        # An empty sequence has one dimension, of length 0, as in numpy.
         with pytest.raises(ValueError, match=r"^det3 input must have shape \(3, 3\), got \(0,\)$"):
             linalg.det3([])

@@ -40,7 +40,11 @@ class TestPredicates:
     def test_rotation(self):
         assert rotation_residual(np.eye(3)) <= 1e-11
         assert rotation_residual(np.diag([1.0, 1.0, -1.0])) > 1e-11  # reflection
+        # The battery folds the residual through _worst: NaN and inf must
+        # reach it, not an error, so that a check on a non-finite matrix fails.
         assert np.isnan(rotation_residual(np.full((3, 3), np.nan)))
+        assert rotation_residual(1e200 * np.eye(3)) == math.inf
+        assert rotation_residual([[10**400, 0, 0], [0, 1, 0], [0, 0, 1]]) == math.inf
 
     def test_rotation_residual_of_inf_entry_is_non_finite_without_warning(self):
         # R^T R is formed on Python floats: inf * 0 gives NaN there, not a
@@ -50,6 +54,38 @@ class TestPredicates:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert not np.isfinite(rotation_residual(r))
+
+    def test_rotation_residual_is_the_product_form(self):
+        # The straight-line residual against the _matmul3 form it replaced,
+        # in float.hex, on Haar rotations, near-rotations and non-finite ones.
+        def reference(r):
+            rows = [list(map(float, row)) for row in r.tolist()]
+            gram = _matmul3(list(zip(*rows)), rows)
+            return linalg._worst([abs(x - float(i == j)) for i, row in enumerate(gram)
+                                  for j, x in enumerate(row)]
+                                 + [abs(linalg._det3_rows(*rows) - 1.0)])
+
+        rng = np.random.default_rng(29)
+        for k in range(300):
+            r = haar_so3(rng) * (1.0 + 1e-9 * (k % 3))
+            if k % 10 == 9:
+                r[k % 3, (k // 3) % 3] = (np.nan, np.inf, -np.inf)[k % 3]
+            assert rotation_residual(r).hex() == reference(r).hex()
+            assert rotation_residual(r.tolist()).hex() == reference(r).hex()
+
+    @pytest.mark.parametrize("r, got", [
+        ([[1, 0, 0], [0, 1, 0], [0, 0]], r"shape \(3, 3\), got \(3, ragged\)"),
+        ([[1, 0], [0, 1]], r"shape \(3, 3\), got \(2, 2\)"),
+        (np.eye(4), r"shape \(3, 3\), got \(4, 4\)"),
+        (1.0, r"shape \(3, 3\), got \(\)"),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, "x"]], r"real number entries, got shape \(3, 3\)"),
+        ([[10**400, 0, 0], [0, 1, 0], [0, 0, None]], r"real number entries, got shape \(3, 3\)"),
+        # Strings unpack, but a string row is not a row.
+        (["100", "010", "001"], r"shape \(3, 3\), got \(3,\)"),
+    ], ids=["ragged", "2x2", "4x4", "scalar", "string", "huge-int-then-none", "string-rows"])
+    def test_rotation_residual_names_its_input(self, r, got):
+        with pytest.raises(ValueError, match=f"^rotation_residual input must have {got}$"):
+            rotation_residual(r)
 
     def test_kron_convention(self):
         # Left factor is the slow index:

@@ -201,7 +201,7 @@ class TestDensityCheckEdges:
     @pytest.mark.parametrize("rho, error, message", [
         (np.zeros((3, 4)), StateFormatError, "expected a 4x4 matrix, got shape (3, 4)"),
         ([[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.25]], StateFormatError,
-         "expected a 4x4 matrix, got shape (4, 4)"),
+         "expected a 4x4 matrix, got shape (4, ragged)"),
         (np.zeros((4, 4, 1)), StateFormatError, "expected a 4x4 matrix, got shape (4, 4, 1)"),
         (0.25, StateFormatError, "expected a 4x4 matrix, got shape ()"),
         ("0.25", StateFormatError, "expected a 4x4 matrix, got shape ()"),
@@ -217,7 +217,7 @@ class TestDensityCheckEdges:
          ENTRY_MESSAGE),
         # The shape is tested before any entry is read.
         ([["x"] * 4, [0] * 4, [0] * 4, [0] * 3], StateFormatError,
-         "expected a 4x4 matrix, got shape (4, 4)"),
+         "expected a 4x4 matrix, got shape (4, ragged)"),
         (np.diag([np.nan, 0.25, 0.25, 0.25]), ValueError, "density matrix contains NaN or Inf entries"),
         (np.diag([0.25, 0.25, 0.25, complex(0.25, np.inf)]), ValueError,
          "density matrix contains NaN or Inf entries"),

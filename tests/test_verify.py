@@ -25,6 +25,7 @@ from blochinv.verify import (
     run_suite,
     trial_rng,
 )
+from pins import check
 
 
 def strip_times(reports):
@@ -97,6 +98,27 @@ class TestBattery:
         assert checks(2**63) != checks(0)
         with pytest.raises(ValueError, match="seed"):
             run_suite("group", 1, -1)
+
+
+def battery_lines():
+    """The battery pin's lines: every check of run_all(30, seed), keyed
+    "seed suite/check", for a one-word seed and a three-word one."""
+    return [(f"{seed} {rep.suite}/{chk.name}",
+             f"{chk.passed} {float.hex(chk.max_residual)} {chk.detail}")
+            for seed in (0, 2**64 + 3) for rep in run_all(30, seed) for chk in rep.checks]
+
+
+class TestBatteryPinned:
+    """Every check of the battery report in float.hex: pass flag, worst
+    residual and detail, for two seeds. A change of any trial stream or
+    residual bit moves it."""
+
+    DIGEST = "a9e14ebb4bd3b136f330e0f3222f21a13c6c0ce4496f60ece7a95d02875a5c04"
+
+    def test_digest(self):
+        lines = battery_lines()
+        assert len(lines) == 2 * 36
+        check("battery", self.DIGEST, lines)
 
 
 @pytest.fixture
@@ -269,6 +291,17 @@ class TestReplacedExpressions:
             for trial in (0, 1, 750_999, 2**32 + 1):
                 assert _draws(trial_rng(seed, suite, trial)) == \
                     _draws(_reference_rng(seed, suite, trial)), (suite, trial)
+
+    def test_pcg64_words_are_generate_state(self):
+        # The hash on Python ints against numpy's, over entropies of one to
+        # six words, extreme words included.
+        rng = np.random.default_rng(32)
+        for k in range(1000):
+            words = rng.integers(0, 2**32, size=1 + k % 6, dtype=np.uint64)
+            words[rng.integers(len(words))] = (0, 2**32 - 1)[k % 2]
+            seq = np.random.SeedSequence(words.astype(np.uint32))
+            assert blochinv.verify._pcg64_words(seq.pool.tolist()) == \
+                seq.generate_state(4, np.uint64).tolist()
 
     def test_trial_rng_refuses_negative_words(self):
         with pytest.raises(ValueError):
