@@ -170,22 +170,25 @@ _SEQUENCE = (list, tuple)
 def _shape(a):
     """The shape numpy would give nested lists or tuples, () for anything
     else. A ragged nesting gives the dimensions its entries agree on, then
-    "ragged", as text: "(2, ragged)" for [[1, 0], [0]]. Only error messages
-    use it."""
-    dims, ragged = _dims(a)
-    return "(" + "".join(f"{d}, " for d in dims) + "ragged)" if ragged else dims
+    "ragged", as text: "(2, ragged)" for [[1, 0], [0]]; a nesting that holds
+    numpy arrays gives the dimensions above them, then "arrays": "(3, arrays)"
+    for a list of three array rows. Only error messages use it."""
+    dims, below = _dims(a)
+    return "(" + "".join(f"{d}, " for d in dims) + below + ")" if below else dims
 
 
 def _dims(a):
-    """(dims, ragged): the dimensions that every entry of a nesting of lists
-    or tuples agrees on, and whether entries disagree below them."""
+    """(dims, below): the dimensions that every entry of a nesting of lists
+    or tuples agrees on, and below them "arrays" if an entry at any depth is
+    a numpy array of one or more dimensions, else "ragged" if entries
+    disagree, else ""."""
     if not isinstance(a, _SEQUENCE):
-        return (), False
+        return (), "arrays" if getattr(a, "ndim", 0) else ""
     inner = [_dims(x) for x in a]
-    shapes = {dims for dims, _ in inner}
-    if len(shapes) > 1:
-        return (len(a),), True
-    return (len(a), *(shapes.pop() if shapes else ())), any(ragged for _, ragged in inner)
+    shapes, belows = {dims for dims, _ in inner}, {below for _, below in inner}
+    below = ("arrays" if "arrays" in belows
+             else "ragged" if "ragged" in belows or len(shapes) > 1 else "")
+    return (len(a), *(shapes.pop() if len(shapes) == 1 else ())), below
 
 
 def _shape_error(what, shape, a):

@@ -4,11 +4,11 @@ PYTHONPATH:
     PYTHONPATH=src python tests/data/record_pins.py
 
 The store holds the first 8 hex digits of the SHA-256 of each line of each
-pin, so that a pin that moves names its moved lines. The recorder prints
-each pin's name, line count and SHA-256, the constant its test asserts. It
-refuses to write while `git status --porcelain -- src` lists a change, so
-the store always describes a committed package: run it on the commit whose
-output is the reference.
+pin, so that a pin that moves names its moved lines; the store is the pin.
+The recorder prints each pin's name and line count. It refuses to write
+while `git status --porcelain -- src` lists a change, so the store always
+describes a committed package: run it on the commit whose output is the
+reference.
 """
 
 import json
@@ -41,7 +41,6 @@ if __name__ == "__main__":
         sys.exit(f"src/ has uncommitted changes; commit them before recording:\n{changed}")
     store = {}
     for name, build in PINS.items():
-        texts = [text for _, text in build()]
-        store[name] = pins.line_hashes(texts)
-        print(name, len(texts), pins.digest(texts))
+        store[name] = pins.line_hashes(text for _, text in build())
+        print(name, len(store[name]))
     pins.STORE.write_text(json.dumps(store, indent=0) + "\n")

@@ -2,10 +2,9 @@
 
 A pin is a list of (key, text) lines, one per call on one seeded input: the
 key names the input by index and the call, the text is the result in
-float.hex, and the test pins the SHA-256 of the texts joined by newlines.
-tests/data/pins.json, written by tests/data/record_pins.py, holds the first
-8 hex digits of the SHA-256 of each text, so a pin that moves names the
-lines that moved, with their new text.
+float.hex. tests/data/pins.json, written by tests/data/record_pins.py, holds
+the first 8 hex digits of the SHA-256 of each text, and is the pin: a pin
+that moves names the lines that moved, with their new text.
 """
 
 import dataclasses
@@ -49,26 +48,20 @@ def fromhex(rows):
     return np.array([[float.fromhex(x) for x in row] for row in rows])
 
 
-def digest(texts):
-    return hashlib.sha256("\n".join(texts).encode()).hexdigest()
-
-
 def line_hashes(texts):
     return [hashlib.sha256(text.encode()).hexdigest()[:8] for text in texts]
 
 
-def check(name, pinned, lines):
-    """Assert that the digest of the texts of lines is pinned and that the
-    store holds their hashes; else name, by key and with their new text,
-    the first ten lines whose hash differs from the store's."""
-    texts = [text for _, text in lines]
-    got, hashes, recorded = digest(texts), line_hashes(texts), json.loads(STORE.read_text())[name]
-    if got == pinned:
-        assert hashes == recorded, f"pin {name} holds but {STORE.name} does not: re-record it"
+def check(name, lines):
+    """Assert that the store holds the hashes of the texts of lines, as many
+    as there are lines; else name both line counts and, by key and with
+    their new text, the first ten lines whose hash differs from the store's."""
+    hashes, recorded = line_hashes(text for _, text in lines), json.loads(STORE.read_text())[name]
+    if hashes == recorded:
         return
     moved = [(key, text) for i, ((key, text), h) in enumerate(zip(lines, hashes))
              if i >= len(recorded) or h != recorded[i]]
     raise AssertionError(
-        f"pin {name} moved: SHA-256 {got}, pinned {pinned}; {len(moved)} of {len(lines)} "
-        f"lines ({len(recorded)} recorded) differ from {STORE.name}, the first with "
-        "their new text:" + "".join(f"\n  {key}: {text}" for key, text in moved[:10]))
+        f"pin {name} moved: {len(lines)} lines, {len(recorded)} in {STORE.name}; {len(moved)} "
+        "differ, the first with their new text:"
+        + "".join(f"\n  {key}: {text}" for key, text in moved[:10]))

@@ -205,9 +205,13 @@ def test_every_public_function_is_checked_or_exempt():
      r"^bloch_vector input must have shape \(2, 2\), got \(2, ragged\)$"),
     (linalg.det3, [[1, 2, 3], [4, [5], 6], [7, 8, 9]],
      r"^det3 input must have real number entries, got shape \(3, 3, ragged\)$"),
-], ids=["det3", "bloch_vector", "det3-deep"])
+    (linalg.det3, list(np.eye(3)), r"^det3 input must have shape \(3, 3\), got \(3, arrays\)$"),
+    (states.bloch_vector, list(np.eye(2)),
+     r"^bloch_vector input must have shape \(2, 2\), got \(2, arrays\)$"),
+], ids=["det3", "bloch_vector", "det3-deep", "det3-array-rows", "bloch_vector-array-rows"])
 def test_ragged_input_says_ragged(call, a, message):
-    # The shape in a message is read along every entry, not the first ones.
+    # The shape in a message is read along every entry, not the first ones;
+    # a list of array rows is refused, and named as one.
     with pytest.raises(ValueError, match=message):
         call(a)
 
