@@ -19,8 +19,8 @@ read the same state several times: classify after bloch_of, or the CLI's
 parse, table and positivity test of one density file. The key is the bytes
 of the 32 doubles of the converted entries, so -0.0 and 0.0 are different
 keys, and an array, its list and its tuple share one. The memo stores
-only the table, as a tuple, and its scale, never an error: each call makes
-its own NotRepresentable test on the table and returns fresh lists, and
+only the table, a tuple, never an error: each call makes its own
+NotRepresentable test on the table and returns fresh lists, and
 validate_density and is_positive read the caller's own converted complex
 numbers. So no output bit depends on the memo's state.
 
@@ -106,7 +106,7 @@ def _checked_density(rho):
     and tolerance tests in _density_body, through its memo, on the packed
     real and imaginary parts of the 16 entries. Returns the rows of rho,
     fresh lists of the complex numbers converted here, and the body's
-    pair (table, scale)."""
+    table."""
     rho = rho.tolist() if hasattr(rho, "tolist") else rho
     if not (isinstance(rho, _SEQUENCE) and len(rho) == 4):
         raise _density_shape_error(rho)
@@ -141,13 +141,12 @@ def _density_body(key):
     """The tests and the correlation table of a density matrix, on the
     packed real and then imaginary parts of its 16 entries in row-major
     order: the table, tr(rho sigma_a (x) sigma_b) in row-major order, as a
-    tuple; and s, the power of two that brings max(1, largest real or
-    imaginary part) into [1, 2), 1 below 2. An error is raised, never
-    stored.
+    tuple. An error is raised, never stored.
 
     One finiteness test of the 32 parts (x * 0.0 is 0.0 unless x is NaN or
     +-Inf), then the Hermitian and unit-trace tests on the 32 named parts
-    of rho / s, then the 16 table sums.
+    of rho / s, s the power of two that brings max(1, largest real or
+    imaginary part) into [1, 2), then the 16 table sums times s.
     """
     (x00, x01, x02, x03, x10, x11, x12, x13, x20, x21, x22, x23, x30, x31, x32, x33,
      y00, y01, y02, y03, y10, y11, y12, y13, y20, y21, y22, y23, y30, y31, y32, y33) = (
@@ -201,7 +200,7 @@ def _density_body(key):
         (x00 + x11 - x22 - x33 + 0.0) * scale, (x10 + x01 - x32 - x23 + 0.0) * scale,
         (y10 - y01 - y32 + y23 + 0.0) * scale, (x00 - x11 - x22 + x33 + 0.0) * scale,
     )
-    return table, scale
+    return table
 
 
 def _table(rho):
@@ -211,7 +210,7 @@ def _table(rho):
     Each entry is the real part of sum_ij (sigma_a (x) sigma_b)_ij rho_ji,
     its four nonzero terms summed in increasing i from +0.0, as
     einsum("abij,ji->ab") sums them, on rho / s and multiplied back by s
-    (s from validate_density), so that no partial sum overflows.
+    (s from _density_body), so that no partial sum overflows.
     validate_density bounds |rho - rho^dagger|_inf relative to |rho|_inf,
     so the imaginary residue is already small at the scale of rho.
 
@@ -219,7 +218,7 @@ def _table(rho):
         NotRepresentable: if an entry is not a finite double.
     """
     (t00, t01, t02, t03, t10, t11, t12, t13, t20, t21, t22, t23, t30, t31, t32, t33) = (
-        _checked_density(rho)[1][0])
+        _checked_density(rho)[1])
     if (t00 * 0.0 + t01 * 0.0 + t02 * 0.0 + t03 * 0.0 + t10 * 0.0 + t11 * 0.0 + t12 * 0.0
             + t13 * 0.0 + t20 * 0.0 + t21 * 0.0 + t22 * 0.0 + t23 * 0.0 + t30 * 0.0 + t31 * 0.0
             + t32 * 0.0 + t33 * 0.0) != 0.0:
@@ -264,9 +263,10 @@ def density_of(bloch):
     b10, b11, b12, b13 = 0.25 * u0, 0.25 * c00, 0.25 * c01, 0.25 * c02
     b20, b21, b22, b23 = 0.25 * u1, 0.25 * c10, 0.25 * c11, 0.25 * c12
     b30, b31, b32, b33 = 0.25 * u2, 0.25 * c20, 0.25 * c21, 0.25 * c22
-    # The upper triangle, B_00 / 4 = 0.25; + 0.0 as in _table.
-    d0, d1 = 0.25 + b03 + b30 + b33 + 0.0, 0.25 - b03 + b30 - b33 + 0.0
-    d2, d3 = 0.25 + b03 - b30 - b33 + 0.0, 0.25 - b03 - b30 + b33 + 0.0
+    # The upper triangle, B_00 / 4 = 0.25; + 0.0 as in _table, but a sum
+    # from 0.25 is never -0.0.
+    d0, d1 = 0.25 + b03 + b30 + b33, 0.25 - b03 + b30 - b33
+    d2, d3 = 0.25 + b03 - b30 - b33, 0.25 - b03 - b30 + b33
     x01, y01 = b01 + b31 + 0.0, -b02 - b32 + 0.0
     x02, y02 = b10 + b13 + 0.0, -b20 - b23 + 0.0
     x03, y03 = b11 - b22 + 0.0, -b12 - b21 + 0.0
@@ -367,23 +367,22 @@ def _class_of(b, tol):
 def is_positive(rho):
     """True if all eigenvalues of the 4x4 matrix are >= -POSITIVITY_TOL.
 
-    Tested as the Cholesky factorization of rho / s + (POSITIVITY_TOL / s) I,
-    s the power of two of validate_density, read from its lower triangle as
-    numpy's eigvalsh reads it: every pivot must be positive. Cholesky is
-    backward stable (Higham 2002, ch. 10), so the two tests can differ only
-    where the smallest eigenvalue lies within a few eps |rho|_inf of
-    -POSITIVITY_TOL.
+    Tested as the Cholesky factorization of rho + POSITIVITY_TOL I, on the
+    rows of validate_density read from its lower triangle as numpy's
+    eigvalsh reads it: every pivot must be positive. Cholesky is backward
+    stable (Higham 2002, ch. 10), so the two tests can differ only where
+    the smallest eigenvalue lies within a few eps |rho|_inf of
+    -POSITIVITY_TOL. A state with a real or imaginary part of 2 or more has
+    unit trace to within 1e-12 of its size, so its smallest eigenvalue is
+    below -1/3; an overflow there makes a pivot NaN or -inf: False either way.
     """
-    rows, (_, scale) = _checked_density(rho)
-    if scale != 1.0:  # x / 1.0 is x
-        rows = [[complex(z.real / scale, z.imag / scale) for z in row] for row in rows]
-    shift = POSITIVITY_TOL / scale
-    lower = []  # rows of L with rho / s + shift I = L L^dagger; a float diagonal
+    rows = validate_density(rho)
+    lower = []  # rows of L with rho + POSITIVITY_TOL I = L L^dagger; a float diagonal
     for i, row in enumerate(rows):
         li = []
         for j, lj in enumerate(lower):
             li.append((row[j] - sum(li[k] * lj[k].conjugate() for k in range(j))) / lj[j])
-        pivot = row[i].real + shift - sum(z.real * z.real + z.imag * z.imag for z in li)
+        pivot = row[i].real + POSITIVITY_TOL - sum(z.real * z.real + z.imag * z.imag for z in li)
         if not pivot > 0.0:
             return False
         li.append(math.sqrt(pivot))

@@ -7,9 +7,9 @@ import warnings
 import numpy as np
 import pytest
 
-from blochinv import linalg
+from blochinv import linalg, states
 from blochinv.errors import NotRepresentable, NotSymmetric
-from blochinv.groups import haar_so3
+from blochinv.groups import haar_so3, random_state
 from blochinv.linalg import (
     JACOBI_MAX_SWEEPS,
     JACOBI_ORTH_FACTOR,
@@ -26,7 +26,14 @@ from blochinv.linalg import (
     rotation_residual,
     signed_svd3,
 )
-from blochinv.states import PAULI
+from blochinv.states import (
+    PAULI,
+    StateClass,
+    bell_projector,
+    bloch_of,
+    partial_trace,
+    validate_density,
+)
 from blochinv.verify import norm_inf
 from pins import fromhex, hex_list, hexes
 
@@ -687,94 +694,131 @@ class TestProducts:
                 assert float_rows(got) and hexes(got) == hexes(expected)
 
 
-def cold_memos():
-    """Empty both kernel memos."""
-    linalg._eig_body.cache_clear()
-    linalg._svd_body.cache_clear()
-
-
 def record_bits(record):
     """float.hex of every field of an EigenSym3 or SignedSVD3, in order."""
     assert all(map(float_rows, record))
     return hexes(record)
 
 
-class TestKernelMemo:
-    """Each kernel body sits behind a memo of its last linalg._MEMO_SIZE
-    distinct inputs, keyed on the bytes of the divided entries it reads.
-    No output bit, error or record depends on what the memo holds."""
+def scribble(results):
+    """Set every number in the lists that results holds to 7.0."""
+    for i, x in enumerate(vars(results).values() if hasattr(results, "__dict__") else results):
+        if isinstance(x, (float, complex)):
+            results[i] = 7.0
+        else:
+            scribble(x)
 
-    # Inputs whose results differ only in the sign of a zero: the -0.0 at
-    # pos turns a 0.0 of the cold result into -0.0.
-    SIGNED_ZEROS = [
-        (eig_sym3, [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], (1, 1)),
-        (signed_svd3, [[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 1.0]], (2, 1)),
-    ]
 
-    def test_bound(self):
-        for body in (linalg._eig_body, linalg._svd_body):
-            assert body.cache_info().maxsize == linalg._MEMO_SIZE <= 16
+# Each memoized body with a read that looks it up once, in float.hex: the
+# public kernel, or the density check's rows and table.
+MEMO_READS = {
+    "eig_sym3": (linalg._eig_body, lambda a: record_bits(eig_sym3(a))),
+    "signed_svd3": (linalg._svd_body, lambda c: record_bits(signed_svd3(c))),
+    "density": (states._density_body, lambda rho: hexes(states._checked_density(rho))),
+}
+MEMOS = tuple(MEMO_READS)
+POWERS_OF_DENSE = [2.0**k * fromhex(DENSE) for k in (-600, -3, 0, 5, 900)]
+# Spectrum (+-1.5 sqrt 2, 1): at 2^1023 the largest value overflows.
+OVERFLOWS = np.array([[1.5, 1.5, 0.0], [1.5, -1.5, 0.0], [0.0, 0.0, 1.0]])
+# Trace 1 and a correlation 2 * 1.7e308 beyond the double range.
+TOP_CORRELATION = [[0.25, 0, 0, 1.7e308], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [1.7e308, 0, 0, 0.25]]
+SYMMETRIC_STATE = random_state(StateClass.SYMMETRIC, 5)
 
-    @pytest.mark.parametrize("kernel, a, pos", SIGNED_ZEROS, ids=["eig_sym3", "signed_svd3"])
-    def test_sign_of_zero_is_part_of_the_key(self, kernel, a, pos):
+
+class TestMemo:
+    """Each memoized body holds its last linalg._MEMO_SIZE distinct inputs,
+    keyed on the bytes of the divided entries a kernel body reads, or of
+    the 32 doubles of a density's entries. No output bit, error or record
+    depends on what a memo holds."""
+
+    @pytest.mark.parametrize("memo", MEMOS)
+    def test_bound(self, memo):
+        assert MEMO_READS[memo][0].cache_info().maxsize == linalg._MEMO_SIZE <= 16
+
+    # A -0.0 at pos turns a 0.0 of the kernel's result into -0.0, and is the
+    # density check's own entry.
+    @pytest.mark.parametrize("memo, a, pos", [
+        ("eig_sym3", [[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 2.0]], (1, 1)),
+        ("signed_svd3", [[2.0, 0.0, 0.0], [0.0, -1.0, 0.0], [1.0, 0.0, 1.0]], (2, 1)),
+        ("density", bell_projector("psi-"), (0, 1)),
+    ], ids=MEMOS)
+    def test_sign_of_zero_is_part_of_the_key(self, memo, a, pos):
+        body, read = MEMO_READS[memo]
         signed = [row[:] for row in a]
-        signed[pos[0]][pos[1]] = -0.0
-        cold_memos()
-        plus = record_bits(kernel(a))
-        cold_memos()
-        minus = record_bits(kernel(signed))
+        signed[pos[0]][pos[1]] = -signed[pos[0]][pos[1]]
+        plus, minus = read(a), read(signed)
         assert plus != minus
         # Each input after the other, the other's result in the memo.
         for _ in range(2):
-            assert record_bits(kernel(a)) == plus
-            assert record_bits(kernel(signed)) == minus
+            assert read(a) == plus and read(signed) == minus
+        info = body.cache_info()
+        assert (info.misses, info.hits) == (2, 4)
 
-    @pytest.mark.parametrize("kernel", [eig_sym3, signed_svd3])
-    def test_powers_of_two_share_an_entry(self, kernel):
-        a = fromhex(DENSE)
-        expected = {}
-        for k in (-600, -3, 0, 5, 900):
-            cold_memos()
-            expected[k] = record_bits(kernel(2.0**k * a))
-        cold_memos()
-        for k in (0, -600, 5, -3, 900):
-            assert record_bits(kernel(2.0**k * a)) == expected[k]
-        body = linalg._eig_body if kernel is eig_sym3 else linalg._svd_body
-        assert body.cache_info().misses == 1
+    # Powers of two of one matrix share a kernel entry; an array, its list
+    # and its tuple share a density entry.
+    @pytest.mark.parametrize("memo, inputs", [
+        ("eig_sym3", POWERS_OF_DENSE), ("signed_svd3", POWERS_OF_DENSE),
+        ("density", [SYMMETRIC_STATE, SYMMETRIC_STATE.tolist(),
+                     tuple(map(tuple, SYMMETRIC_STATE.tolist()))]),
+    ], ids=MEMOS)
+    def test_equal_keys_share_an_entry(self, memo, inputs):
+        body, read = MEMO_READS[memo]
+        expected = []
+        for x in inputs:
+            body.cache_clear()
+            expected.append(read(x))
+        body.cache_clear()
+        for x, bits in reversed(list(zip(inputs, expected))):
+            assert read(x) == bits
+        info = body.cache_info()
+        assert (info.misses, info.hits) == (1, len(inputs) - 1)
 
-    @pytest.mark.parametrize("kernel", [eig_sym3, signed_svd3])
-    def test_not_representable_at_each_callers_scale(self, kernel):
-        # Spectrum (+-1.5 sqrt 2, 1): at 2^1023 the largest value overflows;
-        # the memo's entry is the same for both scales.
-        a = [[1.5, 1.5, 0.0], [1.5, -1.5, 0.0], [0.0, 0.0, 1.0]]
-        cold_memos()
-        expected = record_bits(kernel(a))
-        with pytest.raises(NotRepresentable):
-            kernel([[2.0**1023 * x for x in row] for row in a])
-        assert record_bits(kernel(a)) == expected
+    # call raises on bad, which shares a's entry: each call makes its own test.
+    @pytest.mark.parametrize("memo, a, call, bad", [
+        ("eig_sym3", OVERFLOWS, eig_sym3, 2.0**1023 * OVERFLOWS),
+        ("signed_svd3", OVERFLOWS, signed_svd3, 2.0**1023 * OVERFLOWS),
+        ("density", TOP_CORRELATION, bloch_of, TOP_CORRELATION),
+    ], ids=MEMOS)
+    def test_not_representable_on_every_call(self, memo, a, call, bad):
+        body, read = MEMO_READS[memo]
+        expected = read(a)
+        for _ in range(2):
+            with pytest.raises(NotRepresentable):
+                call(bad)
+            assert read(a) == expected
+        info = body.cache_info()
+        assert (info.misses, info.hits) == (1, 4)
 
-    def test_returned_records_are_fresh(self):
-        a, c = fromhex(DENSE), fromhex(NEAR)
-        cold_memos()
-        eig, svd = eig_sym3(a), signed_svd3(c)
-        expected = record_bits(eig), record_bits(svd)
-        eig.eigenvalues[0] = 7.0
-        eig.rotation[1][2] = 7.0
-        svd.left[0][0] = svd.right[2][1] = svd.diag[2] = 7.0
-        assert (record_bits(eig_sym3(a)), record_bits(signed_svd3(c))) == expected
-        assert linalg._eig_body.cache_info().misses == linalg._svd_body.cache_info().misses == 1
+    @pytest.mark.parametrize("memo, calls, x", [
+        ("eig_sym3", [eig_sym3], fromhex(DENSE)),
+        ("signed_svd3", [signed_svd3], fromhex(NEAR)),
+        ("density", [bloch_of, validate_density, states._table,
+                     lambda rho: partial_trace(rho, 1)], SYMMETRIC_STATE),
+    ], ids=MEMOS)
+    def test_returned_results_are_fresh(self, memo, calls, x):
+        results = [call(x) for call in calls]
+        expected = hexes(results)
+        scribble(results)
+        assert hexes(results) != expected
+        assert hexes([call(x) for call in calls]) == expected
+        assert MEMO_READS[memo][0].cache_info().misses == 1
 
-    def test_evicts_beyond_the_bound(self):
-        # Norms in [1, 2), so no two of these share an entry.
-        mats = [np.diag([1.0 + i / 64.0, 0.5, 0.25]) for i in range(linalg._MEMO_SIZE + 1)]
-        cold_memos()
-        expected = [record_bits(eig_sym3(m)) for m in mats]
-        info = linalg._eig_body.cache_info()
+    # Distinct diagonals, so no two inputs share an entry.
+    @pytest.mark.parametrize("memo, diagonal", [
+        ("eig_sym3", lambda i: [1.0 + i / 64.0, 0.5, 0.25]),
+        ("signed_svd3", lambda i: [1.0 + i / 64.0, 0.5, 0.25]),
+        ("density", lambda i: [0.25 + i / 256.0, 0.25, 0.25, 0.25 - i / 256.0]),
+    ], ids=MEMOS)
+    def test_evicts_beyond_the_bound(self, memo, diagonal):
+        body, read = MEMO_READS[memo]
+        mats = [np.diag(diagonal(i)) for i in range(linalg._MEMO_SIZE + 1)]
+        expected = [read(m) for m in mats]
+        info = body.cache_info()
         assert (info.misses, info.currsize) == (len(mats), linalg._MEMO_SIZE)
         # The last _MEMO_SIZE inputs are held; the first was evicted.
         for m, bits in reversed(list(zip(mats, expected))):
-            assert record_bits(eig_sym3(m)) == bits
-        info = linalg._eig_body.cache_info()
+            assert read(m) == bits
+        info = body.cache_info()
         assert (info.hits, info.misses) == (linalg._MEMO_SIZE, len(mats) + 1)
 
 
