@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotUnitary
-from .linalg import _finite, _rows3, det3
+from .linalg import _finite, _rows3, _vec3, det3
 from .states import SWAP, BlochMatrix, StateClass, bloch_of, density_of, validate_density
 
 # Tolerance of the unitarity precondition of so3_of_u2.
@@ -37,20 +37,22 @@ def so3_of_u2(u):
         NotUnitary: unless U is a finite 2x2 matrix with
             max |U*U - I| <= UNITARY_TOL.
     """
+    return _so3_of_entries(*_entries(u))
+
+
+def _entries(u):
+    """U = [[p, q], [r, s]] as p, q, r, s; NotUnitary unless a 2x2 of numbers."""
     try:
         u = np.asarray(u, dtype=complex)
-    except (TypeError, ValueError):  # a ragged input or an entry that is not a number
+    except (TypeError, ValueError, OverflowError):  # ragged, not a number, or an int beyond it
         raise NotUnitary("input is not a 2x2 unitary within tolerance") from None
     if u.shape != (2, 2):
         raise NotUnitary("input is not a 2x2 unitary within tolerance")
-    (p, q), (r, s) = u.tolist()
-    return _so3_of_entries(p, q, r, s)
+    return u.ravel().tolist()
 
 
-def _so3_of_entries(p, q, r, s):
-    """so3_of_u2 of U = [[p, q], [r, s]] given as four Python complex
-    numbers: the finiteness and unitarity tests, then the nine entries."""
-    # z* z is |z|^2 with an exactly zero imaginary part.
+def _unitary(p, q, r, s):
+    """|p|^2, |q|^2, |r|^2, |s|^2 as z* z; NotUnitary unless U is finite and unitary."""
     pp, qq = p.conjugate() * p, q.conjugate() * q
     rr, ss = r.conjugate() * r, s.conjugate() * s
     finite = cmath.isfinite(p) and cmath.isfinite(q) and cmath.isfinite(r) and cmath.isfinite(s)
@@ -58,6 +60,12 @@ def _so3_of_entries(p, q, r, s):
         abs(pp + rr - 1.0), abs(p.conjugate() * q + r.conjugate() * s), abs(qq + ss - 1.0)
     ) > UNITARY_TOL:
         raise NotUnitary("input is not a 2x2 unitary within tolerance")
+    return pp, qq, rr, ss
+
+
+def _so3_of_entries(p, q, r, s):
+    """so3_of_u2 on the entries of U: the tests of _unitary, then the nine entries."""
+    pp, qq, rr, ss = _unitary(p, q, r, s)
     ps, qr = p * s.conjugate(), q * r.conjugate()
     pr, qs = p * r.conjugate(), q * s.conjugate()
     a, b, c = ps + qr, ps - qr, pr - qs
@@ -71,7 +79,9 @@ def _so3_of_entries(p, q, r, s):
 
 def act_density(u1, u2, rho):
     """Conjugate a two-qubit state, checked by validate_density, by the
-    local unitary pair (U1, U2)."""
+    local unitary pair (U1, U2), each checked as so3_of_u2 checks it."""
+    _unitary(*_entries(u1))
+    _unitary(*_entries(u2))
     validate_density(rho)
     g = np.kron(u1, u2)
     return g @ np.asarray(rho, dtype=complex) @ g.conj().T
@@ -82,13 +92,15 @@ def act_bloch(r1, r2, bloch):
     u -> R1 u, v -> R2 v, C -> R1 C R2^T, the fields lists of floats.
 
     Raises:
-        ValueError: unless R1 and R2 are finite 3x3 matrices (linalg._rows3).
-        NotRepresentable: when an entry of a field is not a finite double.
+        ValueError: unless R1, R2, u, v and C are finite, of their shapes (_rows3, _vec3).
+        NotRepresentable: when an entry of an image field is not a finite double.
     """
     r1 = np.array(_rows3(r1, "act_bloch input")[0])
     r2 = np.array(_rows3(r2, "act_bloch input")[0])
+    u, v = _vec3(bloch.u, "act_bloch input"), _vec3(bloch.v, "act_bloch input")
+    c = np.array(_rows3(bloch.C, "act_bloch input")[0])
     with np.errstate(over="ignore", invalid="ignore"):  # _finite reports it
-        u, v, c = (r1 @ bloch.u).tolist(), (r2 @ bloch.v).tolist(), (r1 @ bloch.C @ r2.T).tolist()
+        u, v, c = (r1 @ u).tolist(), (r2 @ v).tolist(), (r1 @ c @ r2.T).tolist()
     c0, c1, c2 = c
     _finite("act_bloch", (*u, *v, *c0, *c1, *c2), "an entry of a field")
     return BlochMatrix(u=u, v=v, C=c)

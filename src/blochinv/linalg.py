@@ -107,8 +107,7 @@ def rotation_residual(r):
     return _worst((abs(r00 * r00 + r10 * r10 + r20 * r20 - 1.0), g01, g02,
                    g01, abs(r01 * r01 + r11 * r11 + r21 * r21 - 1.0), g12,
                    g02, g12, abs(r02 * r02 + r12 * r12 + r22 * r22 - 1.0),
-                   abs(r00 * (r11 * r22 - r12 * r21) - r01 * (r10 * r22 - r12 * r20)
-                       + r02 * (r10 * r21 - r11 * r20) - 1.0)))
+                   abs(_det3_rows((r00, r01, r02), (r10, r11, r12), (r20, r21, r22)) - 1.0)))
 
 
 def _worst(values):

@@ -402,5 +402,7 @@ BELL_KETS = {
 def bell_projector(which):
     """Projector onto one of the four Bell states: phi+, phi-, psi+, psi-,
     as rows of Python complex numbers, the outer product |k><k| of the ket."""
+    if which not in BELL_KETS:
+        raise ValueError(f"unknown Bell state {which!r}; choose from {tuple(BELL_KETS)}")
     ket = [complex(x) for x in BELL_KETS[which]]
     return [[x * y.conjugate() for y in ket] for x in ket]

@@ -3,7 +3,9 @@ PYTHONPATH:
 
     PYTHONPATH=src python tests/data/record_cli_golden.py
 
-Run it on the commit whose CLI output is the reference. The state documents
+Run it on the commit whose CLI output is the reference: like
+record_pins.py, it refuses to write while `git status --porcelain -- src`
+lists a change. The state documents
 are drawn with numpy 3x3 products, whose last bits depend on the BLAS
 build, so every document already in the file is kept as recorded and only
 the names missing from it are drawn; the command outputs are all recorded
@@ -26,6 +28,7 @@ import blochinv.cli as cli
 from blochinv.groups import haar_so3, random_state
 from blochinv.serialize import bloch_document, density_document
 from blochinv.states import BlochMatrix, bell_projector
+from record_pins import require_committed_src
 
 GOLDEN = pathlib.Path(__file__).resolve().parent / "cli_golden.json"
 
@@ -111,4 +114,5 @@ def kept_states():
 
 
 if __name__ == "__main__":
+    require_committed_src()
     GOLDEN.write_text(json.dumps(record(kept_states()), indent=1) + "\n")

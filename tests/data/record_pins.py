@@ -34,11 +34,18 @@ PINS = {
     "battery": test_verify.battery_lines,
 }
 
-if __name__ == "__main__":
+
+def require_committed_src():
+    """Exit while `git status --porcelain -- src` lists a change: both
+    recorders write only what a committed package gives."""
     changed = subprocess.run(["git", "status", "--porcelain", "--", "src"], cwd=TESTS.parent,
                              capture_output=True, text=True, check=True).stdout
     if changed:
         sys.exit(f"src/ has uncommitted changes; commit them before recording:\n{changed}")
+
+
+if __name__ == "__main__":
+    require_committed_src()
     store = {}
     for name, build in PINS.items():
         store[name] = pins.line_hashes(text for _, text in build())

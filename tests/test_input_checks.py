@@ -1,20 +1,26 @@
-"""Every argument is checked once, on entry, by the one check of its shape.
+"""Every argument is checked once, on entry, by the one check of its shape,
+and every argument error is asserted here, once per kind of argument.
 
 Every 3x3 and 3-vector argument of the scalar core, of states.density_of
-and of groups.act_bloch: a wrong shape or a NaN or Inf entry raises
-ValueError naming the function, never a numpy warning, another error type
-or a value computed from part of the input. Every two-qubit state
-argument: the function raises exactly what states.validate_density
-raises. Every other public function of linalg, invariants, orbits, states
-and groups is in EXEMPT, with the reason."""
+and of groups.act_bloch (SITES): a wrong shape, an entry that is not a
+number and a NaN or Inf entry each raise ValueError naming the function,
+with the message of that kind, never a numpy warning, another error type or
+a value computed from part of the input. Every 2x2 unitary argument
+(UNITARY_SITES): NotUnitary. Every two-qubit state argument (STATE_SITES):
+the type and message of states.validate_density for each input. A name
+argument (NAME_SITES): ValueError naming the known names. Every other
+public function of linalg, invariants, orbits, states and groups is in
+EXEMPT, with the reason."""
 
 import inspect
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from blochinv import groups, invariants, linalg, orbits, serialize, states
+from blochinv.errors import NonHermitianInput, NotUnitary, StateFormatError
 from blochinv.states import BlochMatrix
 from pins import hex_list
 
@@ -63,9 +69,12 @@ SITES = [
      np.array([[0.75, 0.25 - 0.5j], [0.25 + 0.5j, 0.25]])),
     ("act_bloch-r1", "act_bloch", lambda x: groups.act_bloch(x, R, BlochMatrix(V, V, C)), R),
     ("act_bloch-r2", "act_bloch", lambda x: groups.act_bloch(R, x, BlochMatrix(V, V, C)), R),
+    ("act_bloch-u", "act_bloch", lambda x: groups.act_bloch(R, R, BlochMatrix(x, V, C)), V),
+    ("act_bloch-v", "act_bloch", lambda x: groups.act_bloch(R, R, BlochMatrix(V, x, C)), V),
+    ("act_bloch-C", "act_bloch", lambda x: groups.act_bloch(R, R, BlochMatrix(V, V, x)), C),
 ]
 
-SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,), (1,), ()]
+SHAPES = [(4, 4), (3, 4), (2, 2), (9,), (3, 1), (4,), (3,), (1,), ()]
 NON_FINITE = [np.nan, np.inf, -np.inf]
 # Entries no float array can hold: an integer beyond the double range
 # (non-finite, as in serialize._real) and two that are not numbers.
@@ -73,11 +82,13 @@ BAD_ENTRIES = [10**400, "abc", None]
 
 
 def _bad_inputs(case, valid):
-    """The wrong-shape input, or the valid input with the bad value in each
-    entry in turn: in a copy of the array, or in nested lists for a value
-    that no float array holds."""
+    """The wrong-shape input, the whole inputs of a list, or the valid input
+    with the bad value in each entry in turn: in a copy of the array, or in
+    nested lists for a value that no float array holds."""
     if isinstance(case, tuple):
         return [np.full(case, 0.5)]
+    if isinstance(case, list):
+        return case
     bad = []
     for index in np.ndindex(valid.shape):
         if isinstance(case, float):
@@ -98,36 +109,79 @@ def test_valid_input_passes(site):
         call(valid)
 
 
-# Every site with every case but its own valid shape.
-CASES = list(zip(SHAPES + NON_FINITE + BAD_ENTRIES,
-                 ["x".join(map(str, s)) or "scalar" for s in SHAPES]
-                 + ["nan", "inf", "-inf", "huge-int", "abc", "none"]))
+# Every site with every case but its own valid shape, with the start of
+# its message: the kind of the error.
+NOT_FINITE = "contains NaN or Inf entries$"
+NOT_NUMBER = "must have (real|complex) number entries"
+CASES = ([(s, "x".join(map(str, s)) or "scalar", "must have shape") for s in SHAPES]
+         + list(zip(NON_FINITE + BAD_ENTRIES, ["nan", "inf", "-inf", "huge-int", "abc", "none"],
+                    [NOT_FINITE] * 4 + [NOT_NUMBER] * 2)))
 
 
-@pytest.mark.parametrize("site, case", [
-    pytest.param(site, case, id=f"{site[0]}-{case_id}")
-    for site in SITES for case, case_id in CASES if case != site[3].shape])
-def test_rejects_bad_input(site, case):
+@pytest.mark.parametrize("site, case, message", [
+    pytest.param(site, case, message, id=f"{site[0]}-{case_id}")
+    for site in SITES for case, case_id, message in CASES if case != site[3].shape])
+def test_rejects_bad_input(site, case, message):
     _, name, call, valid = site
+    if valid.ndim == 1 and isinstance(case, tuple) and len(case) == 2 and case[0] == 3:
+        # A (3, k) input to a vector argument is three entries that are not numbers.
+        message = rf"must have real number entries, got shape \(3, {case[1]}\)$"
     for x in _bad_inputs(case, valid):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=f"{name} input"):
+            with pytest.raises(ValueError, match=f"^{name} input {message}"):
                 call(x)
-
-
-def test_density_of_rejects_vector_for_c():
-    # A 3-vector C broadcasts over the rows of the 4x4 Bloch array unless
-    # its shape is checked.
-    with pytest.raises(ValueError, match="density_of input"):
-        states.density_of(BlochMatrix(V, V, V))
 
 
 MAX_MIXED = 0.25 * np.eye(4)
 I2 = np.eye(2)
 
+# (id, function name, call with the unitary argument x).
+UNITARY_SITES = [
+    ("so3_of_u2", "so3_of_u2", groups.so3_of_u2),
+    ("act_density-u1", "act_density", lambda x: groups.act_density(x, I2, MAX_MIXED)),
+    ("act_density-u2", "act_density", lambda x: groups.act_density(I2, x, MAX_MIXED)),
+]
+
+UNITARIES = [
+    ("identity", I2),
+    ("swap", np.array([[0, 1], [1, 0]], dtype=complex)),
+    # |c^2 - 1| ~ 2 (c - 1) against UNITARY_TOL = 1e-12: the tolerance is absolute.
+    ("tol-inside", (1.0 + 0.4e-12) * I2),
+]
+
+
+@pytest.mark.parametrize("u", [u for _, u in UNITARIES], ids=[i for i, _ in UNITARIES])
+@pytest.mark.parametrize("site", UNITARY_SITES, ids=[s[0] for s in UNITARY_SITES])
+def test_unitary_passes(site, u):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        site[2](u)
+
+
+# The cases of CASES but the valid shape, and five whole inputs that are
+# not 2x2 unitaries: a shear, 2 I, c I just beyond the tolerance, a ragged
+# nesting and the 3x3 identity.
+UNITARY_CASES = [(case, case_id) for case, case_id, _ in CASES if case != (2, 2)] + [
+    ([[[1.0, 1.0], [0.0, 1.0]]], "shear"), ([2.0 * I2], "2I"),
+    ([(1.0 + 0.6e-12) * I2], "tol-beyond"), ([[[1, 0], [0]]], "ragged"),
+    ([np.eye(3)], "3x3")]
+
+
+@pytest.mark.parametrize("site, case", [
+    pytest.param(site, case, id=f"{site[0]}-{case_id}")
+    for site in UNITARY_SITES for case, case_id in UNITARY_CASES])
+def test_rejects_non_unitary(site, case):
+    for x in _bad_inputs(case, I2):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NotUnitary, match=r"^input is not a 2x2 unitary within tolerance$"):
+                site[2](x)
+
+
 # (id, call with the state argument x).
 STATE_SITES = [
+    ("validate_density", states.validate_density),
     ("correlation", lambda x: states.correlation(x, 0, 0)),
     ("partial_trace", lambda x: states.partial_trace(x, 1)),
     ("is_positive", states.is_positive),
@@ -144,13 +198,42 @@ def _with_entry(value):
     return x
 
 
+NOT_A_NUMBER = "expected a 4x4 matrix of numbers, got an entry that is not a number"
+NON_FINITE_STATE = "density matrix contains NaN or Inf entries"
+# (id, input, the type and message of validate_density's error).
 BAD_STATES = [
-    ("3x3", np.full((3, 3), 1.0 / 3.0)),
-    ("16", MAX_MIXED.ravel()),
-    ("nan", _with_entry(np.nan)),
-    ("inf", _with_entry(np.inf)),
-    ("non-hermitian", _with_entry(0.1)),
-    ("trace-2", 2.0 * MAX_MIXED),
+    ("3x3", np.full((3, 3), 1.0 / 3.0), StateFormatError,
+     "expected a 4x4 matrix, got shape (3, 3)"),
+    ("16", MAX_MIXED.ravel(), StateFormatError, "expected a 4x4 matrix, got shape (16,)"),
+    ("3x4", np.zeros((3, 4)), StateFormatError, "expected a 4x4 matrix, got shape (3, 4)"),
+    ("ragged", [[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.25]],
+     StateFormatError, "expected a 4x4 matrix, got shape (4, ragged)"),
+    ("too-deep", np.zeros((4, 4, 1)), StateFormatError,
+     "expected a 4x4 matrix, got shape (4, 4, 1)"),
+    ("array-rows", list(MAX_MIXED), StateFormatError,
+     "expected a 4x4 matrix, got shape (4, arrays)"),
+    ("scalar", 0.25, StateFormatError, "expected a 4x4 matrix, got shape ()"),
+    ("string", "0.25", StateFormatError, "expected a 4x4 matrix, got shape ()"),
+    ("none", [[None] * 4] * 4, StateFormatError, NOT_A_NUMBER),
+    ("non-numeric", [["x"] * 4] * 4, StateFormatError, NOT_A_NUMBER),
+    # An integer beyond the double range is non-finite, as in serialize._real,
+    # and an entry that is not a number comes before a non-finite one.
+    ("huge-int", [[10**400, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], ValueError, NON_FINITE_STATE),
+    ("huge-int-then-none", [[10**400, 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, None]],
+     StateFormatError, NOT_A_NUMBER),
+    ("nan-then-string", [[float("nan"), 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, "x"]],
+     StateFormatError, NOT_A_NUMBER),
+    # The shape is tested before any entry is read.
+    ("ragged-non-numeric", [["x"] * 4, [0] * 4, [0] * 4, [0] * 3], StateFormatError,
+     "expected a 4x4 matrix, got shape (4, ragged)"),
+    ("nan", np.diag([np.nan, 0.25, 0.25, 0.25]), ValueError, NON_FINITE_STATE),
+    ("inf", _with_entry(np.inf), ValueError, NON_FINITE_STATE),
+    ("inf-imag", np.diag([0.25, 0.25, 0.25, complex(0.25, np.inf)]), ValueError,
+     NON_FINITE_STATE),
+    ("-inf", np.full((4, 4), -np.inf), ValueError, NON_FINITE_STATE),
+    ("non-hermitian", _with_entry(0.1), NonHermitianInput,
+     "matrix is not Hermitian within tolerance"),
+    ("trace-2", 2.0 * MAX_MIXED, StateFormatError, "matrix does not have unit trace"),
 ]
 
 
@@ -158,26 +241,33 @@ BAD_STATES = [
 @pytest.mark.parametrize("site", STATE_SITES, ids=[s[0] for s in STATE_SITES])
 def test_state_argument_checked_by_validate_density(site, bad):
     _, call = site
-    x = bad[1]
-    with pytest.raises(Exception) as expected:
-        states.validate_density(x)
+    _, x, error, message = bad
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(Exception) as raised:
+        with pytest.raises(error) as raised:
             call(x)
-    assert raised.type is expected.type
-    assert str(raised.value) == str(expected.value)
+    assert raised.type is error and str(raised.value) == message
 
 
-# The public functions with neither a SITES nor a STATE_SITES row, and why.
+# (id, call with the name argument x, the known names).
+NAME_SITES = [("bell_projector", states.bell_projector, ("phi+", "phi-", "psi+", "psi-"))]
+
+
+@pytest.mark.parametrize("site", NAME_SITES, ids=[s[0] for s in NAME_SITES])
+def test_rejects_unknown_name(site):
+    _, call, names = site
+    message = rf"^unknown .* 'phi'; choose from {re.escape(str(names))}$"
+    with pytest.raises(ValueError, match=message):
+        call("phi")
+
+
+# The public functions with no row in SITES, UNITARY_SITES, STATE_SITES or
+# NAME_SITES, and why.
 EXEMPT = {
     "rotation_residual": "a residual: NaN or inf for a non-finite matrix, which the battery "
                          "folds through _worst (test_linalg.py TestPredicates)",
     "p9_eval": "three scalar arguments, checked as one vector by _vec3",
     "lmm_positive_cone_check": "a record argument, an LmmInvariants",
-    "validate_density": "the check itself, which every STATE_SITES row is compared with",
-    "bell_projector": "a name argument",
-    "so3_of_u2": "a 2x2 unitary argument, refused with NotUnitary (test_groups.py)",
     "haar_su2": "a seed argument",
     "haar_so3": "a seed argument",
     "random_bloch": "a seed argument",
@@ -194,8 +284,9 @@ def test_every_public_function_is_checked_or_exempt():
     public = {name for module in (linalg, invariants, orbits, states, groups)
               for name, f in inspect.getmembers(module, inspect.isfunction)
               if f.__module__ == module.__name__ and not name.startswith("_")}
-    checked = {s[1] for s in SITES} | {s[0] for s in STATE_SITES}
-    assert public - checked == set(EXEMPT), "add a SITES or STATE_SITES row, or an EXEMPT reason"
+    checked = ({s[1] for s in SITES + UNITARY_SITES}
+               | {s[0] for s in STATE_SITES + NAME_SITES})
+    assert public - checked == set(EXEMPT), "add a row to a table, or an EXEMPT reason"
 
 
 @pytest.mark.parametrize("call, a, message", [

@@ -155,13 +155,10 @@ def edge_state(k):
 
 class TestDensityCheckEdges:
     """validate_density just inside and just outside its two tolerances, at
-    every scale of the double range, and the type and message of each input
-    error. The tolerance is DENSITY_TOL * max(1, |rho|_inf); the perturbations
-    are (1 -+ 2^-10) times it, far beyond the rounding of the check."""
-
-    ENTRY_MESSAGE = "expected a 4x4 matrix of numbers, got an entry that is not a number"
-    CHECKS = (validate_density, bloch_of, classify, is_positive,
-              lambda rho: correlation(rho, 0, 0), lambda rho: partial_trace(rho, 1))
+    every scale of the double range (the type and message of each input
+    error is in test_input_checks.py). The tolerance is DENSITY_TOL *
+    max(1, |rho|_inf); the perturbations are (1 -+ 2^-10) times it, far
+    beyond the rounding of the check."""
 
     @staticmethod
     def _tol(rho):
@@ -195,40 +192,6 @@ class TestDensityCheckEdges:
             else:
                 with pytest.raises(error):
                     validate_density(moved)
-
-    @pytest.mark.parametrize("rho, error, message", [
-        (np.zeros((3, 4)), StateFormatError, "expected a 4x4 matrix, got shape (3, 4)"),
-        ([[0.25, 0, 0, 0], [0, 0.25, 0, 0], [0, 0, 0.25, 0], [0, 0, 0.25]], StateFormatError,
-         "expected a 4x4 matrix, got shape (4, ragged)"),
-        (np.zeros((4, 4, 1)), StateFormatError, "expected a 4x4 matrix, got shape (4, 4, 1)"),
-        (list(np.eye(4) / 4), StateFormatError, "expected a 4x4 matrix, got shape (4, arrays)"),
-        (0.25, StateFormatError, "expected a 4x4 matrix, got shape ()"),
-        ("0.25", StateFormatError, "expected a 4x4 matrix, got shape ()"),
-        ([[None] * 4] * 4, StateFormatError, ENTRY_MESSAGE),
-        ([["x"] * 4] * 4, StateFormatError, ENTRY_MESSAGE),
-        # An integer beyond the double range is non-finite, as in serialize._real,
-        # and an entry that is not a number comes before a non-finite one.
-        ([[10**400, 0, 0, 0], [0] * 4, [0] * 4, [0] * 4], ValueError,
-         "density matrix contains NaN or Inf entries"),
-        ([[10**400, 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, None]], StateFormatError,
-         ENTRY_MESSAGE),
-        ([[float("nan"), 0, 0, 0], [0] * 4, [0] * 4, [0, 0, 0, "x"]], StateFormatError,
-         ENTRY_MESSAGE),
-        # The shape is tested before any entry is read.
-        ([["x"] * 4, [0] * 4, [0] * 4, [0] * 3], StateFormatError,
-         "expected a 4x4 matrix, got shape (4, ragged)"),
-        (np.diag([np.nan, 0.25, 0.25, 0.25]), ValueError, "density matrix contains NaN or Inf entries"),
-        (np.diag([0.25, 0.25, 0.25, complex(0.25, np.inf)]), ValueError,
-         "density matrix contains NaN or Inf entries"),
-        (np.full((4, 4), -np.inf), ValueError, "density matrix contains NaN or Inf entries"),
-    ], ids=["3x4", "ragged", "too-deep", "array-rows", "scalar", "string", "none", "non-numeric",
-            "huge-int", "huge-int-then-none", "nan-then-string",
-            "ragged-non-numeric", "nan", "inf-imag", "inf"])
-    def test_input_errors(self, rho, error, message):
-        for check in self.CHECKS:
-            with pytest.raises(error) as info:
-                check(rho)
-            assert type(info.value) is error and str(info.value) == message
 
 
 class TestBlochMap:
@@ -658,6 +621,9 @@ class TestDensityMemo:
     """What only the density memo promises; the contract that it shares
     with the kernel memos is tests/test_linalg.py::TestMemo."""
 
+    CHECKS = (validate_density, bloch_of, classify, is_positive,
+              lambda rho: correlation(rho, 0, 0), lambda rho: partial_trace(rho, 1))
+
     def test_classify_after_bloch_of_reads_the_table_once(self):
         rho = random_state(StateClass.LMM, 4, positive=True)
         states._density_body.cache_clear()
@@ -675,14 +641,14 @@ class TestDensityMemo:
     ], ids=["nan", "inf", "non-hermitian", "trace"])
     def test_errors_are_raised_again_and_never_stored(self, rho, error):
         messages = set()
-        for check in TestDensityCheckEdges.CHECKS * 2:
+        for check in self.CHECKS * 2:
             with pytest.raises(error) as info:
                 check(rho)
             messages.add(str(info.value))
         assert len(messages) == 1
         info = states._density_body.cache_info()
         assert (info.misses, info.hits, info.currsize) == (
-            2 * len(TestDensityCheckEdges.CHECKS), 0, 0)
+            2 * len(self.CHECKS), 0, 0)
 
     def test_input_errors_never_reach_the_body(self):
         for rho in (np.zeros((3, 4)), [["x"] * 4] * 4, [[10**400, 0, 0, 0], *[[0] * 4] * 3]):
