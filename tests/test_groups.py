@@ -37,6 +37,16 @@ class TestCoveringMap:
         expected = np.array([[0.0, -1.0, 0.0], [1.0, 0.0, 0.0], [0.0, 0.0, 1.0]])
         np.testing.assert_allclose(so3_of_u2(u), expected, atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("entry", [(0, 0), (0, 1), (1, 0), (1, 1)])
+    def test_non_finite_raises(self, bad, entry):
+        # RuntimeWarning is an error under the test configuration, so a
+        # numpy warning on the way would fail this test too.
+        u = np.eye(2, dtype=complex)
+        u[entry] = bad
+        with pytest.raises(NotUnitary):
+            so3_of_u2(u)
+
     def test_homomorphism_and_phase(self):
         rng = np.random.default_rng(0)
         for _ in range(500):

@@ -398,6 +398,13 @@ class TestGInvariant:
         with pytest.raises(NotSymmetric):
             g_invariant(np.ones(3), np.array([[0.0, 1.0, 0], [0, 0, 0], [0, 0, 0]]))
 
+    def test_rejects_non_finite(self):
+        bad = np.full((3, 3), np.nan)
+        with pytest.raises(ValueError):
+            g_invariant(np.ones(3), bad)
+        with pytest.raises(ValueError):
+            octahedral_invariants(np.array([1.0, np.inf, 0.0]))
+
 
 class TestRInvariant:
     def test_diagonal_restriction(self):

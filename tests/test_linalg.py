@@ -253,6 +253,14 @@ class TestEigSym3Pinned:
         lam = eig_sym3(fromhex(NEAR)).eigenvalues
         np.testing.assert_allclose(lam, [1.0 + 1e-12, 1.0, -0.5], rtol=0, atol=1e-14)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_raises_value_error(self, bad, pos):
+        a = np.diag([3.0, 2.0, 1.0])
+        a[pos] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            eig_sym3(a)
+
     @pytest.mark.parametrize("scale", [0.5, 2.0, 1e6])
     @pytest.mark.parametrize("pos", [(0, 1), (0, 2), (2, 1)])
     def test_symmetry_tolerance_boundary(self, scale, pos):
@@ -403,6 +411,14 @@ class TestSignedSVD3:
         np.testing.assert_allclose(np.divide(svd.diag, scale), ref.diag, rtol=1e-14, atol=0)
         np.testing.assert_allclose(svd.left, ref.left, rtol=0, atol=1e-14)
         np.testing.assert_allclose(svd.right, ref.right, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("pos", [(0, 0), (1, 2), (2, 1)])
+    def test_non_finite_raises_value_error(self, bad, pos):
+        c = np.diag([3.0, 2.0, 1.0])
+        c[pos] = bad
+        with pytest.raises(ValueError, match="NaN or Inf"):
+            signed_svd3(c)
 
     def test_structured_hostile_inputs(self):
         # Clustered, rank-deficient, graded, unsorted-signed-diagonal and

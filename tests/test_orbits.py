@@ -325,6 +325,15 @@ class TestDecideSym:
         sa, sb = ((v, 0.5 * (a + a.T)) for v, a in (sa, sb))
         assert decide_equiv_sym(sa, sb).verdict is Verdict.EQUIVALENT
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_non_finite_vector_raises(self, bad, side):
+        good = (np.array([0.2, 0.3, 0.4]), np.diag([3.0, 2.0, 1.0]))
+        bad_state = (np.array([0.2, bad, 0.4]), good[1])
+        pair = (bad_state, good) if side == 0 else (good, bad_state)
+        with pytest.raises(ValueError, match="decide_equiv_sym input contains NaN or Inf"):
+            decide_equiv_sym(*pair)
+
     @pytest.mark.parametrize("other", [(0.7, 0.2, -0.4), (0.9, 0.2, -0.4)])
     def test_asymmetric_matrix_raises(self, other):
         # The upper-triangular A has the trace triple of diag(0.7, 0.2, -0.4),
@@ -708,40 +717,13 @@ class TestDecidePinned:
     witness), and through each stratum's gate sequence run to its end,
     pinned over every gate distance and the returned witness, moved and
     target rows and size, which the residual test reads. A reordering of the
-    gate arithmetic moves them. The decisions run on emptied kernel memos,
-    cold, and warm, after each state's invariants and canonical form are
-    taken, as one benchmark op does: every kernel call of a decision misses,
-    then hits (TestMemo: a hit returns what a miss does)."""
+    gate arithmetic moves them."""
 
-    @pytest.mark.parametrize("memo", ["cold", "warm"])
     @pytest.mark.parametrize("stratum", ["lmm", "sym"])
-    def test_digest(self, stratum, memo):
-        body = linalg._svd_body if stratum == "lmm" else linalg._eig_body
-        infos = []
-
-        def before(*states):
-            infos.append(body.cache_info())
-            linalg._eig_body.cache_clear()
-            linalg._svd_body.cache_clear()
-            for state in states if memo == "warm" else ():
-                with contextlib.suppress(DegenerateSpectrum, ZeroVector):
-                    if stratum == "lmm":
-                        lmm_canonical(state)
-                    else:
-                        sym_invariants(*state)
-                        sym_canonical(*state)
-            infos.append(body.cache_info())
-
-        lines = decide_lines(stratum, before)
-        infos.append(body.cache_info())
-        # The body's misses and hits in each decision, from its stats after
-        # the states' calls to its stats at the next emptying.
-        missed = sum(end.misses - start.misses for start, end in zip(infos[1::2], infos[2::2]))
-        hit = sum(end.hits - start.hits for start, end in zip(infos[1::2], infos[2::2]))
-        assert missed + hit > 0 and (hit if memo == "cold" else missed) == 0, (missed, hit)
-        if memo == "cold":
-            counts = {k: sum(text.startswith(k.value + " ") for _, text in lines) for k in Verdict}
-            assert counts[Verdict.EQUIVALENT] and counts[Verdict.NOT_EQUIVALENT], counts
+    def test_digest(self, stratum):
+        lines = decide_lines(stratum)
+        counts = {k: sum(text.startswith(k.value + " ") for _, text in lines) for k in Verdict}
+        assert counts[Verdict.EQUIVALENT] and counts[Verdict.NOT_EQUIVALENT], counts
         check(f"decide-{stratum}", lines)
 
     @pytest.mark.parametrize("stratum", ["lmm", "sym"])
@@ -772,6 +754,42 @@ class TestDecidePinned:
         for run in (lines[:-1], lines + lines[-1:]):
             with pytest.raises(AssertionError, match=f": {len(run)} lines, 600 in pins.json; "):
                 check("decide-sym", run)
+
+
+class TestDecidePinnedMemo:
+    """TestDecidePinned's decision pins with both kernel memos emptied
+    before every decision, cold, and warm, after each state's invariants
+    and canonical form are taken, as one benchmark op does: every kernel
+    call of a decision misses, then hits (TestMemo: a hit returns what a
+    miss does)."""
+
+    @pytest.mark.parametrize("memo", ["cold", "warm"])
+    @pytest.mark.parametrize("stratum", ["lmm", "sym"])
+    def test_digest(self, stratum, memo):
+        body = linalg._svd_body if stratum == "lmm" else linalg._eig_body
+        infos = []
+
+        def before(*states):
+            infos.append(body.cache_info())
+            linalg._eig_body.cache_clear()
+            linalg._svd_body.cache_clear()
+            for state in states if memo == "warm" else ():
+                with contextlib.suppress(DegenerateSpectrum, ZeroVector):
+                    if stratum == "lmm":
+                        lmm_canonical(state)
+                    else:
+                        sym_invariants(*state)
+                        sym_canonical(*state)
+            infos.append(body.cache_info())
+
+        lines = decide_lines(stratum, before)
+        infos.append(body.cache_info())
+        # The body's misses and hits in each decision, from its stats after
+        # the states' calls to its stats at the next emptying.
+        missed = sum(end.misses - start.misses for start, end in zip(infos[1::2], infos[2::2]))
+        hit = sum(end.hits - start.hits for start, end in zip(infos[1::2], infos[2::2]))
+        assert missed + hit > 0 and (hit if memo == "cold" else missed) == 0, (missed, hit)
+        check(f"decide-{stratum}", lines)
 
 
 class TestDecideUnscaledPath:
